@@ -1,8 +1,8 @@
 """Per-instant diagnosis: mode assignments explaining one observation entry.
 
-The solver enumerates the full Cartesian product of component modes (desk
-scale, guarded by a cap) and keeps every assignment that explains the
-observation under the chosen criterion:
+The solver lays the full Cartesian product of component modes out as a
+boolean array with one axis per component (guarded by a cap) and keeps every
+assignment that explains the observation under the chosen criterion:
 
 - consistency-based: the assignment predicts nothing observed absent and
   nothing declared mutually exclusive with a present atom;
@@ -10,17 +10,25 @@ observation under the chosen criterion:
 
 The abductive solution set is a subset of the consistency-based one by
 construction.
+
+The assignments firing a rule form the sub-block of the array that fixes
+each body atom's axis to its mode. Blocks of heads that must not be predicted
+are cleared, each present atom ANDs in the union of its blocks (abductive),
+and only the survivors become ``ModeAssignment`` objects. ``is_explanation``
+states the same criteria for one assignment.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import SearchSpaceError, ValidationError
-from .model import Observation, SystemModel
+from .model import HornRule, Observation, SystemModel
 
 #: Default cap on the size of the enumerated assignment space.
 DEFAULT_CANDIDATE_CAP = 10 ** 6
@@ -107,6 +115,20 @@ def is_explanation(w: ModeAssignment, obs_present: Iterable[str],
     return True
 
 
+def _body_block(rule: HornRule, axes: Mapping[str, tuple[int, tuple[str, ...]]],
+                ndim: int) -> tuple | None:
+    """Index of the sub-block of assignments firing ``rule``, or None when
+    no assignment fires it (a body atom names an unknown component or mode,
+    or two atoms give one component different modes)."""
+    index: list = [slice(None)] * ndim
+    for comp, mode in rule.body:
+        k, modes = axes.get(comp, (None, ()))
+        if mode not in modes or isinstance(index[k], int):
+            return None
+        index[k] = modes.index(mode)
+    return tuple(index)
+
+
 def solve_atemporal(model: SystemModel, observation: Observation,
                     criterion: ExplanationCriterion,
                     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
@@ -114,25 +136,40 @@ def solve_atemporal(model: SystemModel, observation: Observation,
     """All mode assignments explaining one observation entry.
 
     Output order is deterministic: components sorted by id, each component's
-    modes in declared order, enumerated lexicographically.
+    modes in declared order, enumerated lexicographically (the C order of
+    the assignment array).
 
     Raises:
         SearchSpaceError: the assignment space exceeds ``candidate_cap``.
     """
     comps = sorted(model.components, key=lambda c: c.id)
-    space = 1
-    for c in comps:
-        space *= len(c.modes)
+    shape = tuple(len(c.modes) for c in comps)
+    space = math.prod(shape)
     if space > candidate_cap:
         raise SearchSpaceError(
             f"{space} assignments exceed the cap of {candidate_cap}",
             element=space)
 
-    solutions = []
-    for combo in itertools.product(*(c.modes for c in comps)):
-        w = ModeAssignment(observation.t,
-                           tuple((c.id, mode) for c, mode in zip(comps, combo)))
-        if is_explanation(w, observation.present, observation.absent,
-                          criterion, model):
-            solutions.append(w)
-    return solutions
+    axes = {c.id: (k, c.modes) for k, c in enumerate(comps)}
+    blocks = [(rule.head, _body_block(rule, axes, len(comps)))
+              for rule in model.rules]
+    blocks = [(head, index) for head, index in blocks if index is not None]
+
+    forbidden = set(observation.absent)
+    for atom in observation.present:
+        forbidden |= model.exclusive_partners(atom)
+    ok = np.ones(shape, dtype=bool)
+    for head, index in blocks:
+        if head in forbidden:
+            ok[index] = False
+    if criterion is ExplanationCriterion.ABDUCTIVE:
+        for atom in observation.present:
+            covered = np.zeros(shape, dtype=bool)
+            for head, index in blocks:
+                if head == atom:
+                    covered[index] = True
+            ok &= covered
+
+    return [ModeAssignment(observation.t,
+                           tuple((c.id, c.modes[i]) for c, i in zip(comps, row)))
+            for row in np.argwhere(ok).tolist()]

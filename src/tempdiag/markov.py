@@ -168,7 +168,7 @@ def validate_matrix(m: TransitionMatrix) -> TransitionMatrix:
 
     Raises:
         NotSquareError: dimension does not match the mode list, or not 2-D.
-        EntryRangeError: some entry is outside [0, 1].
+        EntryRangeError: some entry is outside [0, 1] or is NaN.
         RowSumError: some row sum deviates from 1 by more than ``ROW_SUM_TOL``.
     """
     n = len(m.modes)
@@ -177,10 +177,12 @@ def validate_matrix(m: TransitionMatrix) -> TransitionMatrix:
     if m.entries.ndim != 2 or m.entries.shape != (n, n):
         raise NotSquareError(
             f"expected a {n}x{n} matrix, got shape {m.entries.shape}")
-    if np.any(m.entries < 0.0) or np.any(m.entries > 1.0):
-        i, j = np.argwhere((m.entries < 0.0) | (m.entries > 1.0))[0]
+    # NaN fails both comparisons, so it is caught with the out-of-range entries
+    bad = ~((m.entries >= 0.0) & (m.entries <= 1.0))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
         raise EntryRangeError(
-            f"entry ({m.modes[i]} -> {m.modes[j]}) = {m.entries[i, j]!r} "
+            f"entry ({m.modes[i]} -> {m.modes[j]}) = {float(m.entries[i, j])!r} "
             "is outside [0, 1]",
             element=(m.modes[int(i)], m.modes[int(j)]))
     sums = m.entries.sum(axis=1)
@@ -197,7 +199,7 @@ def validate_distribution(d: ModeDistribution, tol: float = ROW_SUM_TOL) -> Mode
         raise DimensionMismatchError(
             f"distribution has {d.probabilities.shape} entries "
             f"for {len(d.modes)} modes")
-    if np.any(d.probabilities < 0.0) or np.any(d.probabilities > 1.0):
+    if not np.all((d.probabilities >= 0.0) & (d.probabilities <= 1.0)):
         raise EntryRangeError("distribution entries must lie in [0, 1]")
     total = float(d.probabilities.sum())
     if abs(total - 1.0) > tol:

@@ -47,9 +47,9 @@ def _require(obj: dict, key: str, where: str) -> Any:
 
 
 def component_from_dict(obj: dict) -> ComponentSpec:
-    where = f"component {obj.get('id', '?')!r}"
     if not isinstance(obj, dict):
         raise ValidationError("component entries must be objects")
+    where = f"component {obj.get('id', '?')!r}"
     comp_id = _require(obj, "id", where)
     modes = tuple(_require(obj, "modes", where))
     rows = _require(obj, "matrix", where)

@@ -61,7 +61,8 @@ def component_mass_factor(pi_t: ModeDistribution,
     admitted = frozenset(admitted)
     if not admitted:
         raise ZeroAdmittedMassError("no admitted modes")
-    mass = sum(pi_t.prob(m) for m in admitted)
+    # summed in declared mode order: set order varies with the string-hash seed
+    mass = sum(pi_t.prob(m) for m in pi_t.modes if m in admitted)
     if mass <= 0.0:
         raise ZeroAdmittedMassError(
             f"admitted modes {sorted(admitted)} carry zero probability")

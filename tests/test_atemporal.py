@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from tempdiag import (
+    ComponentSpec,
     ExplanationCriterion,
+    HornRule,
     ModeAssignment,
     Observation,
     SystemModel,
@@ -20,7 +22,12 @@ from tempdiag import (
 )
 from tempdiag.errors import SearchSpaceError
 
-from propsuites import observation_from_assignment, random_assignment, random_model
+from propsuites import (
+    observation_from_assignment,
+    random_assignment,
+    random_model,
+    random_stochastic,
+)
 
 ABDUCTIVE = ExplanationCriterion.ABDUCTIVE
 CONSISTENCY = ExplanationCriterion.CONSISTENCY_BASED
@@ -116,6 +123,68 @@ class TestSolveAtemporal:
         with pytest.raises(SearchSpaceError):
             solve_atemporal(hydraulic, obs, ABDUCTIVE, candidate_cap=10)
 
+    def test_candidate_cap_boundary(self, hydraulic):
+        # 5 pump modes x 3 container modes: a cap equal to the space passes
+        obs = Observation(0, set(), set())
+        assert len(solve_atemporal(hydraulic, obs, CONSISTENCY,
+                                   candidate_cap=15)) == 15
+        with pytest.raises(SearchSpaceError) as exc:
+            solve_atemporal(hydraulic, obs, CONSISTENCY, candidate_cap=14)
+        assert exc.value.element == 15
+
+    def test_rules_sharing_a_head(self, pump, container):
+        model = SystemModel((pump, container), (
+            HornRule({("P", "broken")}, "dry"),
+            HornRule({("P", "occluded"), ("C", "correct")}, "dry"),
+            HornRule({("C", "punctured")}, "dry"),
+        ))
+        present = Observation(0, {"dry"}, set())
+        got = {(w.mode_of("P"), w.mode_of("C"))
+               for w in solve_atemporal(model, present, ABDUCTIVE)}
+        expected = {(p, c) for p in pump.modes for c in container.modes
+                    if p == "broken" or c == "punctured"
+                    or (p, c) == ("occluded", "correct")}
+        assert got == expected
+        absent = Observation(0, set(), {"dry"})
+        got = {(w.mode_of("P"), w.mode_of("C"))
+               for w in solve_atemporal(model, absent, CONSISTENCY)}
+        assert got == {(p, c) for p in pump.modes for c in container.modes
+                       } - expected
+
+    def test_empty_body_rule_always_fires(self, pump, container):
+        # validate_model rejects empty bodies; the solver still treats one
+        # as a rule that every assignment fires
+        model = SystemModel((pump, container), (
+            HornRule(frozenset(), "alarm"),
+            HornRule({("P", "broken")}, "dry"),
+        ))
+        assert len(solve_atemporal(model, Observation(0, {"alarm"}, set()),
+                                   ABDUCTIVE)) == 15
+        assert solve_atemporal(model, Observation(0, set(), {"alarm"}),
+                               CONSISTENCY) == []
+
+    def test_unfireable_rule_bodies(self, pump, container):
+        # unvalidated bodies naming an unknown component or mode, or giving
+        # one component two modes, are fired by no assignment
+        model = SystemModel((pump, container), (
+            HornRule({("X", "correct")}, "odd"),
+            HornRule({("P", "melted")}, "odd"),
+            HornRule({("P", "broken"), ("P", "correct")}, "odd"),
+        ))
+        assert solve_atemporal(model, Observation(0, {"odd"}, set()),
+                               ABDUCTIVE) == []
+        assert len(solve_atemporal(model, Observation(0, set(), {"odd"}),
+                                   CONSISTENCY)) == 15
+
+    def test_underived_present_atom(self, hydraulic):
+        # without validation an observation may name an atom no rule derives:
+        # nothing covers it abductively, and it excludes nothing
+        obs = Observation(0, {"ghost"}, set())
+        assert solve_atemporal(hydraulic, obs, ABDUCTIVE) == []
+        assert solve_atemporal(hydraulic, obs, CONSISTENCY) == \
+            solve_atemporal(hydraulic, Observation(0, set(), set()),
+                            CONSISTENCY)
+
     def test_assignment_time_stamped(self, hydraulic):
         obs = Observation(7, {"flow_out(P)"}, set())
         got = solve_atemporal(hydraulic, obs, ABDUCTIVE)
@@ -163,6 +232,53 @@ def test_oracle_equivalence_on_random_models():
         for criterion in (ABDUCTIVE, CONSISTENCY):
             assert solve_atemporal(model, obs, criterion) == \
                 brute_force_solve(model, obs, criterion)
+
+
+def wide_model(rng, n_comps):
+    """``n_comps`` three-mode components with single-atom rules, chained
+    two-component rules and heads shared between rules, sometimes an
+    empty-body rule and an exclusive pair; not validated."""
+    components = tuple(
+        ComponentSpec(id=f"c{i}", modes=("m0", "m1", "m2"), correct_mode="m0",
+                      matrix=random_stochastic(rng, 3))
+        for i in range(n_comps))
+    heads = [f"obs{i}" for i in range(n_comps + 2)]
+
+    def mode():
+        return f"m{rng.integers(3)}"
+
+    rules = [HornRule({(f"c{i}", mode())}, heads[rng.integers(len(heads))])
+             for i in range(n_comps)]
+    rules += [HornRule({(f"c{i}", mode()), (f"c{(i + 1) % n_comps}", mode())},
+                       heads[rng.integers(len(heads))])
+              for i in range(n_comps)]
+    if rng.random() < 0.3:
+        rules.append(HornRule(frozenset(), heads[rng.integers(len(heads))]))
+    used = sorted({r.head for r in rules})
+    a, b = rng.choice(len(used), size=2, replace=False)
+    return SystemModel(components, tuple(rules),
+                       (frozenset({used[a], used[b]}),))
+
+
+def test_oracle_equivalence_on_wide_models():
+    # spaces up to 3^8 = 6561 assignments, as in the benchmark's wide family
+    rng = np.random.default_rng(7)
+    for n_comps in (6, 7, 8, 8, 8, 8):
+        model = wide_model(rng, n_comps)
+        heads = sorted(model.manifestations)
+        observations = [
+            observation_from_assignment(
+                rng, model, random_assignment(rng, model, 0)),
+            Observation(0, frozenset(h for h in heads if rng.random() < 0.2),
+                        frozenset()),
+        ]
+        chosen = {h for h in heads if rng.random() < 0.5}
+        present = frozenset(h for h in chosen if rng.random() < 0.5)
+        observations.append(Observation(0, present, frozenset(chosen) - present))
+        for obs in observations:
+            for criterion in (ABDUCTIVE, CONSISTENCY):
+                assert solve_atemporal(model, obs, criterion) == \
+                    brute_force_solve(model, obs, criterion)
 
 
 def test_abductive_monotone_in_present(hydraulic):

@@ -1,6 +1,10 @@
 """End-to-end command-line checks against the shipped scenario files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +54,17 @@ class TestValidate:
         assert error["code"] == "row_sum"
         assert error["file"] == str(bad)
         assert "row_sum" in err
+
+    def test_nan_matrix_row_exits_1(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"components": [{"id": "X", "modes": ["a", "b", "c"], '
+                       '"correct_mode": "a", "matrix": [[1, 0, 0], '
+                       '[NaN, NaN, NaN], [0, 0, 1]]}]}')
+        code, out, _ = run(capsys, "validate", str(bad))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "entry_out_of_range"
+        assert error["element"] == ["b", "a"]
 
     def test_missing_file_exits_1(self, capsys):
         code, out, _ = run(capsys, "validate", "/no/such/file.json")
@@ -150,6 +165,23 @@ class TestDiagnose:
         _, second, _ = run(capsys, "diagnose", OCCLUSION, OCCLUSION_OBS,
                            "--revise")
         assert first == second
+
+    def test_revised_report_independent_of_hash_seed(self):
+        # per-component revision sums masses over sets of mode names, whose
+        # iteration order follows the string-hash seed
+        argv = [sys.executable, "-m", "tempdiag.cli", "diagnose", OCCLUSION,
+                OCCLUSION_OBS, "--revise", "--criterion", "consistency",
+                "--threshold-mode", "per-component", "--sigma", "0.01"]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for seed in ("0", "4"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run(argv, env=env, capture_output=True,
+                                  check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_summary_on_stderr(self, capsys):
         _, _, err = run(capsys, "diagnose", SUDDEN, SUDDEN_OBS)

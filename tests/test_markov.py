@@ -59,6 +59,13 @@ class TestValidateMatrix:
         with pytest.raises(EntryRangeError):
             validate_matrix(m)
 
+    def test_nan_row_rejected(self):
+        nan = float("nan")
+        m = TransitionMatrix(("a", "b"), [[1.0, 0.0], [nan, nan]])
+        with pytest.raises(EntryRangeError) as exc:
+            validate_matrix(m)
+        assert exc.value.element == ("b", "a")
+
     def test_entries_are_readonly(self, container):
         with pytest.raises(ValueError):
             container.matrix.entries[0, 0] = 0.5
@@ -123,6 +130,11 @@ class TestValidateDistribution:
     def test_rejects_bad_sum(self, container):
         d = ModeDistribution(container.modes, [0.5, 0.5, 0.5])
         with pytest.raises(Exception):
+            validate_distribution(d)
+
+    def test_rejects_nan_entry(self, container):
+        d = ModeDistribution(container.modes, [float("nan"), 0.5, 0.5])
+        with pytest.raises(EntryRangeError):
             validate_distribution(d)
 
 

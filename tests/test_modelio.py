@@ -77,6 +77,11 @@ class TestSchemaErrors:
                 "matrix": [[1.0, 0.0]],
             }]})
 
+    def test_component_entry_must_be_object(self):
+        with pytest.raises(ValidationError) as exc:
+            model_from_dict({"components": [5]})
+        assert "must be objects" in str(exc.value)
+
     def test_model_must_be_object(self):
         with pytest.raises(ValidationError):
             model_from_dict([1, 2, 3])
