@@ -65,7 +65,6 @@ from .temporal import (
     TemporalDiagnosis,
     ThresholdMode,
     Trellis,
-    TrellisEdge,
     admissible_step,
     build_trellis,
     conditional_probability,
@@ -101,7 +100,6 @@ __all__ = [
     "ThresholdMode",
     "TransitionMatrix",
     "Trellis",
-    "TrellisEdge",
     "ValidationError",
     "admissible_step",
     "admitted_modes",

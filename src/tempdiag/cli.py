@@ -40,7 +40,6 @@ from .temporal import (
     ThresholdMode,
     build_trellis,
     enumerate_temporal_diagnoses,
-    joint_probability,
     prior_probability,
     conditional_probability,
     resolve_initial_distributions,
@@ -230,6 +229,23 @@ def _revision_report(trellis, model) -> list[dict]:
     return out
 
 
+def _trellis_report(trellis, model) -> list[dict]:
+    ids = [c.id for c in model.components]
+    out = []
+    for k, (factors, conditionals, admissible) in enumerate(zip(
+            trellis.factors, trellis.conditionals, trellis.admissible)):
+        edges = [
+            {"source": i, "target": j, "conditional": p,
+             "factors": dict(zip(ids, f)), "admissible": ok}
+            for i, (f_row, p_row, ok_row) in enumerate(zip(
+                factors.tolist(), conditionals.tolist(), admissible.tolist()))
+            for j, (f, p, ok) in enumerate(zip(f_row, p_row, ok_row))
+        ]
+        out.append({"from_t": trellis.instants[k],
+                    "to_t": trellis.instants[k + 1], "edges": edges})
+    return out
+
+
 def _cmd_diagnose(args) -> dict:
     model = _load_validated_model(args.model)
     stream = _load_validated_stream(args.observations, model)
@@ -253,20 +269,7 @@ def _cmd_diagnose(args) -> dict:
             comp: _distribution_dict(dist)
             for comp, dist in sorted(trellis.initials.items())},
         "priors": list(trellis.priors),
-        "trellis": [
-            {
-                "from_t": trellis.instants[k],
-                "to_t": trellis.instants[k + 1],
-                "edges": [
-                    {"source": e.source, "target": e.target,
-                     "conditional": e.conditional,
-                     "factors": dict(e.factors),
-                     "admissible": e.admissible}
-                    for e in layer_edges
-                ],
-            }
-            for k, layer_edges in enumerate(trellis.edges)
-        ],
+        "trellis": _trellis_report(trellis, model),
         "diagnoses": [
             {
                 "rank": i + 1,
@@ -327,8 +330,11 @@ def _cmd_rank(args) -> dict:
         prior = prior_probability(trajectory[0], initials, model)
         conditionals = [conditional_probability(a, b, model)
                         for a, b in zip(trajectory, trajectory[1:])]
+        joint = prior
+        for p in conditionals:
+            joint *= p
         rows.append({
-            "joint_probability": joint_probability(trajectory, initials, model),
+            "joint_probability": joint,
             "prior": prior,
             "step_conditionals": conditionals,
             "trajectory": [_assignment_dicts(w) for w in trajectory],

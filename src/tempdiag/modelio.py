@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -44,6 +45,26 @@ def _require(obj: dict, key: str, where: str) -> Any:
         raise ValidationError(f"{where}: missing required key {key!r}",
                               element=key)
     return obj[key]
+
+
+def _time_point(obj: dict, where: str) -> int:
+    """An entry's ``t``: a JSON integer, never a bool, float or string."""
+    t = _require(obj, "t", where)
+    if isinstance(t, bool) or not isinstance(t, int):
+        raise ValidationError(f"{where}: 't' must be an integer, got {t!r}",
+                              element="t")
+    return t
+
+
+def _atoms(obj: dict, key: str, where: str) -> frozenset[str]:
+    """An observation's ``present`` or ``absent`` list of atom names."""
+    atoms = obj.get(key, [])
+    if not isinstance(atoms, list) or not all(isinstance(a, str)
+                                              for a in atoms):
+        raise ValidationError(
+            f"{where}: {key!r} must be an array of strings, got {atoms!r}",
+            element=key)
+    return frozenset(atoms)
 
 
 def component_from_dict(obj: dict) -> ComponentSpec:
@@ -119,10 +140,9 @@ def stream_from_list(entries: Sequence[dict]) -> ObservationStream:
     parsed = []
     for i, e in enumerate(entries):
         where = f"observation #{i}"
-        parsed.append(Observation(
-            t=int(_require(e, "t", where)),
-            present=frozenset(e.get("present", [])),
-            absent=frozenset(e.get("absent", []))))
+        parsed.append(Observation(t=_time_point(e, where),
+                                  present=_atoms(e, "present", where),
+                                  absent=_atoms(e, "absent", where)))
     return ObservationStream(tuple(parsed))
 
 
@@ -144,7 +164,7 @@ def trajectories_from_list(entries: Sequence, ) -> list[tuple[ModeAssignment, ..
         if not isinstance(steps, list) or not steps:
             raise ValidationError(f"{where}: must be a nonempty array")
         out.append(tuple(
-            ModeAssignment.from_mapping(int(_require(s, "t", where)),
+            ModeAssignment.from_mapping(_time_point(s, where),
                                         _require(s, "assignment", where))
             for s in steps))
     return out
@@ -174,8 +194,22 @@ def load_trajectories(path: str | Path) -> list[tuple[ModeAssignment, ...]]:
     return trajectories_from_list(_load_json(path))
 
 
+_REPORT_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+#: Encoder chunks joined at a time: ``json.dumps`` would hold every chunk
+#: (about 30 bytes each) of a large report in one list.
+_CHUNK_BATCH = 1 << 16
+
+
 def dumps_report(report: dict) -> str:
     """Canonical report encoding: sorted keys, two-space indent, trailing
-    newline. Identical inputs yield byte-identical output."""
-    return json.dumps(report, indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+    newline. Identical inputs yield byte-identical output.
+
+    Raises:
+        ValueError: the report holds a NaN or infinite float.
+    """
+    chunks = _REPORT_ENCODER.iterencode(report)
+    batches = []
+    while batch := list(islice(chunks, _CHUNK_BATCH)):
+        batches.append("".join(batch))
+    batches.append("\n")
+    return "".join(batches)

@@ -137,42 +137,42 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
         ((i,), p) for i, p in enumerate(trellis.priors)]
 
     for k, t in enumerate(trellis.instants):
+        incoming, steps = [], [{} for _ in model.components]
         if k > 0:
-            incoming = [e for e in trellis.edges[k - 1] if e.admissible]
-            by_source: dict[int, list] = {}
-            for e in incoming:
-                by_source.setdefault(e.source, []).append(e)
+            successors = trellis.successors(k - 1)
             paths = [
-                (indices + (e.target,), joint * e.conditional)
+                (indices + (j,), joint * p)
                 for indices, joint in paths
-                for e in by_source.get(indices[-1], [])
+                for j, p in successors[indices[-1]]
             ]
-        else:
-            incoming = []
+            sources, targets = np.nonzero(trellis.admissible[k - 1])
+            incoming = list(zip(
+                sources.tolist(), targets.tolist(),
+                trellis.conditionals[k - 1][sources, targets].tolist()))
+            # every edge taking one component's mode step carries the same
+            # n-step entry, so the first edge speaks for the rest
+            for a, b, factors in zip(
+                    trellis.modes[k - 1][sources].tolist(),
+                    trellis.modes[k][targets].tolist(),
+                    trellis.factors[k - 1][sources, targets].tolist()):
+                for ci, step in enumerate(steps):
+                    step.setdefault((a[ci], b[ci]), factors[ci])
 
         joints = tuple(joint for _, joint in paths)
         factor = normalization_factor(joints)
         revised_joints = tuple(j * factor for j in joints)
         revised_conditionals = tuple(
-            (e.source, e.target, e.conditional, e.conditional * factor)
-            for e in incoming)
+            (i, j, p, p * factor) for i, j, p in incoming)
 
         layer = trellis.layers[k]
         components = {}
-        for c in model.components:
+        for c, step in zip(model.components, steps):
             pi_t = propagate_distribution(trellis.initials[c.id], c.matrix, t)
             admitted = tuple(sorted(admitted_modes(layer, c.id)))
             f = component_mass_factor(pi_t, admitted)
-            transitions = []
-            seen = set()
-            for e in incoming:
-                prev = trellis.layers[k - 1][e.source].mode_of(c.id)
-                nxt = layer[e.target].mode_of(c.id)
-                if (prev, nxt) in seen:
-                    continue
-                seen.add((prev, nxt))
-                raw = dict(e.factors)[c.id]
-                transitions.append((prev, nxt, raw, revise_transition(raw, f)))
+            transitions = [(c.modes[a], c.modes[b], raw,
+                            revise_transition(raw, f))
+                           for (a, b), raw in step.items()]
             components[c.id] = ComponentRevision(
                 distribution=pi_t,
                 admitted=admitted,

@@ -10,6 +10,14 @@ Because components evolve independently, an evolution's probability
 factorizes: the joint probability of a trajectory is the prior of its first
 assignment times the product of its consecutive step conditionals, each of
 which is itself a product of per-component n-step matrix entries.
+
+The trellis is built as arrays, one step at a time (the HMM trellis layout).
+Each layer is a |L| x C array of mode indices. For a step across a gap of n
+instants, each component's ``P^n`` is computed once and fancy-indexed by the
+two layers' mode columns into an |L_k| x |L_k+1| block of factors; the
+conditionals are the blocks' product in model component order, and
+admissibility is a boolean mask. ``step_factors``, ``conditional_probability``
+and ``admissible_step`` state the same quantities for one edge.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .atemporal import (
     DEFAULT_CANDIDATE_CAP,
@@ -82,31 +92,37 @@ class TemporalDiagnosis:
     step_conditionals: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class TrellisEdge:
-    """A candidate step between consecutive layers.
-
-    ``factors`` holds the per-component n-step entries whose product is
-    ``conditional``; ``admissible`` records the threshold check under the
-    problem's threshold mode.
-    """
-
-    source: int
-    target: int
-    conditional: float
-    factors: tuple[tuple[str, float], ...]
-    admissible: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trellis:
-    """Layered candidate graph over the relevant instants."""
+    """Layered candidate graph over the relevant instants.
+
+    ``modes[k]`` holds the candidates of ``layers[k]`` as a |L_k| x C array
+    of mode indices: column c is ``model.components[c]``, each entry an
+    index into that component's declared modes. Step k joins layer k to
+    layer k + 1: ``factors[k][i, j, c]`` is component c's n-step entry for
+    candidate i to candidate j, ``conditionals[k][i, j]`` the product of
+    those entries, and ``admissible[k][i, j]`` the threshold check under
+    the problem's threshold mode.
+    """
 
     instants: tuple[int, ...]
     layers: tuple[tuple[ModeAssignment, ...], ...]
+    modes: tuple[np.ndarray, ...]
     initials: Mapping[str, ModeDistribution]
     priors: tuple[float, ...]
-    edges: tuple[tuple[TrellisEdge, ...], ...]
+    factors: tuple[np.ndarray, ...]
+    conditionals: tuple[np.ndarray, ...]
+    admissible: tuple[np.ndarray, ...]
+
+    def successors(self, k: int) -> list[list[tuple[int, float]]]:
+        """For each candidate of layer k, the (target index, conditional)
+        of its admissible edges into layer k + 1, targets ascending."""
+        sources, targets = np.nonzero(self.admissible[k])
+        out = [[] for _ in self.layers[k]]
+        for i, j, p in zip(sources.tolist(), targets.tolist(),
+                           self.conditionals[k][sources, targets].tolist()):
+            out[i].append((j, p))
+        return out
 
 
 def relevant_instants(obs: ObservationStream) -> list[int]:
@@ -252,6 +268,16 @@ def joint_probability(trajectory: Sequence[ModeAssignment],
     return joint
 
 
+def _mode_indices(layer: Sequence[ModeAssignment],
+                  model: SystemModel) -> np.ndarray:
+    """A layer as a |L| x C array of mode indices, columns in model
+    component order."""
+    lookup = [(c.id, {m: i for i, m in enumerate(c.modes)})
+              for c in model.components]
+    rows = [[index[w.mode_of(comp)] for comp, index in lookup] for w in layer]
+    return np.array(rows, dtype=np.intp).reshape(len(layer), len(lookup))
+
+
 def build_trellis(problem: DiagnosticProblem) -> Trellis:
     """Solve every atemporal problem and materialize the full trellis.
 
@@ -261,40 +287,54 @@ def build_trellis(problem: DiagnosticProblem) -> Trellis:
     if not 0.0 <= problem.sigma <= 1.0:
         raise ValidationError(
             f"sigma must lie in [0, 1], got {problem.sigma!r}")
+    model = problem.model
     instants = relevant_instants(problem.observations)
 
     layers = []
     for entry in problem.observations.entries:
-        candidates = solve_atemporal(problem.model, entry, problem.criterion,
+        candidates = solve_atemporal(model, entry, problem.criterion,
                                      problem.candidate_cap)
         if not candidates:
             raise NoCandidatesError(entry.t)
         layers.append(tuple(candidates))
+    modes = [_mode_indices(layer, model) for layer in layers]
 
-    initials = resolve_initial_distributions(problem.model, instants[0],
-                                             layers[0])
-    priors = tuple(prior_probability(w, initials, problem.model)
-                   for w in layers[0])
+    initials = resolve_initial_distributions(model, instants[0], layers[0])
+    priors = np.ones(len(layers[0]))
+    for ci, c in enumerate(model.components):
+        pi_t = propagate_distribution(initials[c.id], c.matrix, instants[0])
+        priors *= pi_t.probabilities[modes[0][:, ci]]
 
     per_component = problem.threshold_mode is ThresholdMode.PER_COMPONENT
-    all_edges = []
-    for prev_layer, next_layer in zip(layers, layers[1:]):
-        edges = []
-        for i, w_prev in enumerate(prev_layer):
-            for j, w_next in enumerate(next_layer):
-                factors = step_factors(w_prev, w_next, problem.model)
-                conditional = math.prod(factors.values())
-                if per_component:
-                    ok = all(p >= problem.sigma for p in factors.values())
-                else:
-                    ok = conditional >= problem.sigma
-                edges.append(TrellisEdge(
-                    source=i, target=j, conditional=conditional,
-                    factors=tuple(sorted(factors.items())), admissible=ok))
-        all_edges.append(tuple(edges))
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    factors, conditionals, admissible = [], [], []
+    for k in range(len(layers) - 1):
+        n = instants[k + 1] - instants[k]
+        if n <= 0:
+            raise NonIncreasingInstantsError(
+                f"step from t={instants[k]} to t={instants[k + 1]} does not "
+                "advance time")
+        shape = (len(layers[k]), len(layers[k + 1]))
+        factor = np.empty(shape + (len(model.components),))
+        # multiplied in component order from 1.0, as math.prod does per edge
+        conditional = np.ones(shape)
+        for ci, c in enumerate(model.components):
+            if (ci, n) not in powers:
+                powers[ci, n] = matrix_power(c.matrix, n).entries
+            factor[..., ci] = powers[ci, n][modes[k][:, ci, None],
+                                            modes[k + 1][None, :, ci]]
+            conditional *= factor[..., ci]
+        if per_component:
+            ok = np.all(factor >= problem.sigma, axis=-1)
+        else:
+            ok = conditional >= problem.sigma
+        factors.append(factor)
+        conditionals.append(conditional)
+        admissible.append(ok)
 
-    return Trellis(tuple(instants), tuple(layers), initials, priors,
-                   tuple(all_edges))
+    return Trellis(tuple(instants), tuple(layers), tuple(modes), initials,
+                   tuple(priors.tolist()), tuple(factors), tuple(conditionals),
+                   tuple(admissible))
 
 
 def _admissible_paths(trellis: Trellis) -> list[tuple[tuple[int, ...],
@@ -302,15 +342,12 @@ def _admissible_paths(trellis: Trellis) -> list[tuple[tuple[int, ...],
     """Root-to-leaf index paths along admissible edges, with the step
     conditionals collected along the way."""
     paths = [((i,), ()) for i in range(len(trellis.layers[0]))]
-    for layer_edges in trellis.edges:
-        adjacency: dict[int, list[TrellisEdge]] = {}
-        for edge in layer_edges:
-            if edge.admissible:
-                adjacency.setdefault(edge.source, []).append(edge)
+    for k in range(len(trellis.conditionals)):
+        successors = trellis.successors(k)
         paths = [
-            (indices + (edge.target,), conditionals + (edge.conditional,))
+            (indices + (j,), conditionals + (p,))
             for indices, conditionals in paths
-            for edge in adjacency.get(indices[-1], [])
+            for j, p in successors[indices[-1]]
         ]
         if not paths:
             break

@@ -12,6 +12,7 @@ from tempdiag.cli import main
 
 from conftest import SCENARIOS
 
+ROOT = SCENARIOS.parent
 HYDRAULIC = str(SCENARIOS / "hydraulic_model.json")
 HYDRAULIC_OBS = str(SCENARIOS / "hydraulic_obs.json")
 OCCLUSION = str(SCENARIOS / "occlusion_onset_model.json")
@@ -186,6 +187,66 @@ class TestDiagnose:
     def test_summary_on_stderr(self, capsys):
         _, _, err = run(capsys, "diagnose", SUDDEN, SUDDEN_OBS)
         assert "admissible evolution" in err
+
+    # the four desk configurations of bench/gen.py::DESK_DIAGNOSE; the
+    # goldens under bench/golden are their reports, captured from the CLI
+    @pytest.mark.parametrize("scenario", ["hydraulic", "occlusion_onset",
+                                          "sudden_stop"])
+    @pytest.mark.parametrize("k, criterion, mode, sigma, revise", [
+        (0, "abductive", "global", 0.01, False),
+        (1, "abductive", "global", 0.0, True),
+        (2, "consistency", "per-component", 0.01, True),
+        (3, "consistency", "global", 0.0, False),
+    ])
+    def test_desk_reports_match_goldens(self, capsys, monkeypatch, scenario,
+                                        k, criterion, mode, sigma, revise):
+        monkeypatch.chdir(ROOT)
+        argv = ["diagnose", f"scenarios/{scenario}_model.json",
+                f"scenarios/{scenario}_obs.json", "--sigma", repr(sigma),
+                "--threshold-mode", mode, "--criterion", criterion]
+        code, out, err = run(capsys, *argv, *(["--revise"] if revise else []))
+        assert code == 0, err
+        golden = ROOT / "bench" / "golden" / f"{scenario}_diagnose{k}"
+        assert out.encode() == golden.read_bytes()
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("t", ["x", 2.9, 2.0, True, None])
+    def test_observation_time_must_be_integer(self, capsys, tmp_path, t):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps([{"t": t, "present": [], "absent": []}]))
+        code, out, _ = run(capsys, "diagnose", HYDRAULIC, str(obs))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "invalid_input"
+        assert "'t' must be an integer" in error["message"]
+
+    @pytest.mark.parametrize("t", ["0", 0.5, False])
+    def test_trajectory_time_must_be_integer(self, capsys, tmp_path, t):
+        path = tmp_path / "trajectories.json"
+        path.write_text(json.dumps([
+            [{"t": t, "assignment": {"P": "correct", "C": "correct"}}]]))
+        code, out, _ = run(capsys, "rank", HYDRAULIC, str(path))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "invalid_input"
+        assert "'t' must be an integer" in error["message"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("present", "flow_out(P)"), ("absent", "flow_out(P)"),
+        ("present", [1]), ("absent", [["flow_out(P)"]]),
+        ("present", {"flow_out(P)": True}),
+    ])
+    def test_atoms_must_be_array_of_strings(self, capsys, tmp_path, key,
+                                            value):
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps([{"t": 0, key: value}]))
+        code, out, _ = run(capsys, "diagnose", HYDRAULIC, str(obs))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "invalid_input"
+        assert error["element"] == key
+        assert f"'{key}' must be an array of strings" in error["message"]
 
 
 class TestSimulate:

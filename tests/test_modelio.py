@@ -122,6 +122,17 @@ class TestCanonicalReports:
         assert dumps_report(report) == dumps_report(json.loads(
             dumps_report(report)))
 
+    def test_equals_json_dumps_across_chunk_batches(self):
+        report = {"rows": [{"i": i, "p": i / 7, "ok": i % 2 == 0}
+                           for i in range(20000)]}
+        assert dumps_report(report) == json.dumps(
+            report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_raises(self, value):
+        with pytest.raises(ValueError):
+            dumps_report({"rows": [0.5] * 100000 + [value]})
+
     def test_sorted_keys_and_newline(self):
         out = dumps_report({"b": 1, "a": 2})
         assert out.index('"a"') < out.index('"b"')

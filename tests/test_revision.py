@@ -13,7 +13,6 @@ import pytest
 from tempdiag import (
     ModeDistribution,
     Trellis,
-    TrellisEdge,
     build_trellis,
     component_mass_factor,
     normalization_factor,
@@ -184,11 +183,17 @@ def test_single_trajectory_per_component_matches_global():
             for c in model.components
         }
         assert prior_probability(w0, initials, model) == 1.0
+        modes = tuple(
+            np.array([[c.modes.index(w.mode_of(c.id))
+                       for c in model.components]])
+            for w in (w0, w1))
         trellis = Trellis(
-            instants=(0, w1.t), layers=((w0,), (w1,)), initials=initials,
-            priors=(1.0,),
-            edges=((TrellisEdge(0, 0, conditional,
-                                tuple(sorted(factors.items())), True),),))
+            instants=(0, w1.t), layers=((w0,), (w1,)), modes=modes,
+            initials=initials, priors=(1.0,),
+            factors=(np.array([[[factors[c.id]
+                                 for c in model.components]]]),),
+            conditionals=(np.array([[conditional]]),),
+            admissible=(np.array([[True]]),))
         _, second = revise_trellis(trellis, model)
         globally_revised = second.revised_conditionals[0][3]
         product = math.prod(

@@ -9,6 +9,7 @@ import pytest
 
 from tempdiag import (
     DiagnosticProblem,
+    ExplanationCriterion,
     ModeAssignment,
     ModeDistribution,
     Observation,
@@ -24,6 +25,7 @@ from tempdiag import (
     prior_probability,
     relevant_instants,
     resolve_initial_distributions,
+    step_factors,
 )
 from tempdiag.errors import (
     EmptyCandidateSetError,
@@ -34,6 +36,12 @@ from tempdiag.errors import (
     NonIncreasingInstantsError,
     ValidationError,
     WeightSumError,
+)
+
+from propsuites import (
+    observation_from_assignment,
+    random_assignment,
+    random_model,
 )
 
 
@@ -315,3 +323,52 @@ class TestResolveInitials:
         got = resolve_initial_distributions(hydraulic, first_instant=3)
         np.testing.assert_allclose(got["P"].probabilities, [0.2] * 5)
         np.testing.assert_allclose(got["C"].probabilities, [1 / 3] * 3)
+
+
+def test_trellis_arrays_equal_per_edge_definitions():
+    """Every entry of the array trellis equals the per-edge definitions
+    exactly: priors, mode indices, factors, conditionals and admissibility,
+    on multi-candidate layers with gaps of 1 to 5 in both threshold modes."""
+    rng = np.random.default_rng(4242)
+    seen = set()
+    done = 0
+    while done < 150:
+        model = random_model(rng, max_components=3, max_modes=3, max_rules=3)
+        t, entries = int(rng.integers(0, 3)), []
+        for _ in range(int(rng.integers(2, 5))):
+            w = random_assignment(rng, model, t)
+            entries.append(observation_from_assignment(rng, model, w))
+            t += int(rng.integers(1, 6))
+        problem = DiagnosticProblem(
+            model, ObservationStream(tuple(entries)),
+            sigma=float(rng.random() * 0.5) if rng.random() < 0.8 else 0.0,
+            threshold_mode=(ThresholdMode.GLOBAL, ThresholdMode.PER_COMPONENT)[
+                done % 2],
+            criterion=ExplanationCriterion.CONSISTENCY_BASED)
+        trellis = build_trellis(problem)
+        layers = trellis.layers
+        if max(len(layer) for layer in layers) > 12:
+            continue
+
+        assert trellis.priors == tuple(
+            prior_probability(w, trellis.initials, model) for w in layers[0])
+        for layer, modes in zip(layers, trellis.modes):
+            assert [{c.id: c.modes[m] for c, m in zip(model.components, row)}
+                    for row in modes.tolist()] == [w.as_dict() for w in layer]
+        for k, (prev, nxt) in enumerate(zip(layers, layers[1:])):
+            for i, a in enumerate(prev):
+                for j, b in enumerate(nxt):
+                    factors = step_factors(a, b, model)
+                    assert trellis.factors[k][i, j].tolist() == [
+                        factors[c.id] for c in model.components]
+                    assert trellis.conditionals[k][i, j] == \
+                        conditional_probability(a, b, model)
+                    assert trellis.admissible[k][i, j] == \
+                        admissible_step(a, b, problem)
+            seen.add(("gap", b.t - a.t))
+            seen.update(("admissible", bool(x))
+                        for x in trellis.admissible[k].flat)
+        seen.add(("multi", len(layers[0]) > 1))
+        done += 1
+    assert seen >= {("gap", n) for n in range(1, 6)} | {
+        ("admissible", True), ("admissible", False), ("multi", True)}
