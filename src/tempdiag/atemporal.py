@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import SearchSpaceError, ValidationError
+from .errors import SearchSpaceError
 from .model import HornRule, Observation, SystemModel
 
 #: Default cap on the size of the enumerated assignment space.
@@ -71,20 +71,6 @@ class ModeAssignment:
     def at(self, t: int) -> "ModeAssignment":
         """The same assignment stamped with a different time point."""
         return ModeAssignment(t, self.modes)
-
-
-def _check_total(w: ModeAssignment, model: SystemModel) -> None:
-    assigned = w.as_dict()
-    for c in model.components:
-        mode = assigned.get(c.id)
-        if mode is None:
-            raise ValidationError(
-                f"assignment at t={w.t} misses component {c.id!r}",
-                element=c.id)
-        if mode not in c.modes:
-            raise ValidationError(
-                f"assignment at t={w.t} gives component {c.id!r} "
-                f"undeclared mode {mode!r}", element=(c.id, mode))
 
 
 def predicted_manifestations(w: ModeAssignment,

@@ -25,7 +25,12 @@ from .errors import (
     ZeroAdmittedMassError,
 )
 from .markov import classify_faults, classify_states, propagate_distribution
-from .model import SystemModel, validate_model, validate_stream
+from .model import (
+    SystemModel,
+    validate_model,
+    validate_stream,
+    validate_trajectories,
+)
 from .modelio import (
     dumps_report,
     load_model,
@@ -319,7 +324,8 @@ def _cmd_simulate(args) -> dict:
 def _cmd_rank(args) -> dict:
     model = _load_validated_model(args.model)
     try:
-        trajectories = load_trajectories(args.trajectories)
+        trajectories = validate_trajectories(
+            load_trajectories(args.trajectories), model)
     except DiagnosisError as exc:
         _attach_file(exc, args.trajectories)
         raise

@@ -9,7 +9,8 @@ of the engine builds on:
 - n-step matrices ``P^n`` and distribution propagation ``pi(n) = pi(0) P^n``,
 - the geometric sojourn-time distribution of a mode,
 - structural classification of modes (absorbing / ergodic / transient) and
-  the derived fault taxonomy (permanent / transient, reversible / irreversible).
+  the derived fault taxonomy (permanent / transient, reversible / irreversible),
+  both read from a boolean reachability closure of the positive entries.
 
 All values are plain ``float64``; validation tolerances are module constants.
 """
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping
 
-import networkx as nx
 import numpy as np
 
 from .errors import (
@@ -250,49 +250,52 @@ def sojourn_pmf(p_self: float, t: int) -> float:
     return p_self ** (t - 1) * (1.0 - p_self)
 
 
-def _positive_digraph(m: TransitionMatrix) -> nx.DiGraph:
-    """Digraph with an edge i -> j wherever the one-step probability is > 0."""
-    g = nx.DiGraph()
-    g.add_nodes_from(m.modes)
-    for i, j in np.argwhere(m.entries > 0.0):
-        g.add_edge(m.modes[int(i)], m.modes[int(j)])
-    return g
+def _reachability(m: TransitionMatrix) -> np.ndarray:
+    """Boolean closure of the positive-entry digraph: ``R[i, j]`` iff mode j
+    is reachable from mode i in zero or more steps.
+
+    ``R = (P > 0) or I`` is squared (a boolean matrix product) until it stops
+    changing, which takes at most ceil(log2 n) + 1 products.
+    """
+    reach = (m.entries > 0.0) | np.eye(m.size, dtype=bool)
+    while True:
+        squared = reach @ reach
+        if np.array_equal(squared, reach):
+            return reach
+        reach = squared
 
 
 def classify_states(m: TransitionMatrix) -> StateClassification:
     """Label every mode as absorbing, ergodic or transient.
 
-    Strongly connected components of the positive-entry digraph with no
-    outgoing edge are the closed (ergodic) classes; a singleton closed class
-    whose self-loop equals 1 is an absorbing state. Every other mode is
-    transient.
+    The communicating class of mode i is the set of modes it reaches and is
+    reached from. A class that reaches nothing outside itself is closed
+    (ergodic); a singleton closed class whose self-loop equals 1 is an
+    absorbing state. Every other mode is transient. Each class is visited at
+    its lowest-index member, so the set lists come out in matrix order.
     """
-    g = _positive_digraph(m)
-    order = {mode: i for i, mode in enumerate(m.modes)}
-
-    labels: dict[str, StateLabel] = {}
+    reach = _reachability(m)
+    labels: list[StateLabel | None] = [None] * m.size
     ergodic_sets: list[tuple[str, ...]] = []
     transient_sets: list[tuple[str, ...]] = []
-    for scc in nx.strongly_connected_components(g):
-        members = tuple(sorted(scc, key=order.__getitem__))
-        closed = all(succ in scc for mode in scc for succ in g.successors(mode))
-        if closed:
+    for i in range(m.size):
+        if labels[i] is not None:
+            continue
+        in_class = reach[i] & reach[:, i]
+        indices = np.flatnonzero(in_class).tolist()
+        members = tuple(m.modes[j] for j in indices)
+        if np.array_equal(reach[i], in_class):
             ergodic_sets.append(members)
-            if len(members) == 1 and abs(
-                    m.entries[order[members[0]], order[members[0]]] - 1.0
-            ) <= ABSORBING_TOL:
-                labels[members[0]] = StateLabel.ABSORBING
-            else:
-                for mode in members:
-                    labels[mode] = StateLabel.ERGODIC
+            absorbing = (len(indices) == 1
+                         and abs(m.entries[i, i] - 1.0) <= ABSORBING_TOL)
+            label = StateLabel.ABSORBING if absorbing else StateLabel.ERGODIC
         else:
             transient_sets.append(members)
-            for mode in members:
-                labels[mode] = StateLabel.TRANSIENT
-
-    ergodic_sets.sort(key=lambda s: order[s[0]])
-    transient_sets.sort(key=lambda s: order[s[0]])
-    return StateClassification(labels, tuple(ergodic_sets), tuple(transient_sets))
+            label = StateLabel.TRANSIENT
+        for j in indices:
+            labels[j] = label
+    return StateClassification(dict(zip(m.modes, labels)), tuple(ergodic_sets),
+                               tuple(transient_sets))
 
 
 def classify_faults(component: "ComponentSpec") -> FaultClassification:
@@ -302,6 +305,8 @@ def classify_faults(component: "ComponentSpec") -> FaultClassification:
     its state is transient; it is reversible iff the correct mode is
     reachable from it in one or more steps of the positive-entry digraph
     (a structural property, deliberately not a numeric threshold on P^n).
+    The closure counts zero or more steps, which is the same thing for a
+    mode other than the correct one.
     """
     matrix = component.matrix
     correct = component.correct_mode
@@ -311,15 +316,15 @@ def classify_faults(component: "ComponentSpec") -> FaultClassification:
             element=component.id)
 
     states = classify_states(matrix)
-    g = _positive_digraph(matrix)
+    reaches_correct = _reachability(matrix)[:, matrix.index(correct)]
     faults: dict[str, FaultClass] = {}
-    for mode in matrix.modes:
+    for mode, reversible in zip(matrix.modes, reaches_correct.tolist()):
         if mode == correct:
             continue
         label = states.labels[mode]
         faults[mode] = FaultClass(
             permanent=label is StateLabel.ABSORBING,
             transient=label is StateLabel.TRANSIENT,
-            reversible=correct in nx.descendants(g, mode),
+            reversible=reversible,
         )
     return FaultClassification(component.id, correct, faults)

@@ -12,6 +12,7 @@ manifestation atoms; chaining through intermediate atoms is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     CorrectModeMissingError,
@@ -27,6 +28,9 @@ from .markov import (
     validate_distribution,
     validate_matrix,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .atemporal import ModeAssignment
 
 
 @dataclass(frozen=True)
@@ -212,3 +216,31 @@ def validate_stream(stream: ObservationStream,
                     f"observation at t={entry.t} references {atom!r}, which "
                     "is not the head of any rule", element=atom)
     return stream
+
+
+def validate_trajectories(
+        trajectories: Sequence[Sequence[ModeAssignment]],
+        model: SystemModel) -> Sequence[Sequence[ModeAssignment]]:
+    """Validate supplied trajectories against a model: every step is at a
+    nonnegative time point and assigns every component one of its declared
+    modes, and no other component."""
+    by_id = {c.id: c for c in model.components}
+    for i, trajectory in enumerate(trajectories):
+        for w in trajectory:
+            where = f"trajectory #{i} at t={w.t}"
+            if w.t < 0:
+                raise ValidationError(
+                    f"{where}: time points must be nonnegative", element=w.t)
+            assigned = w.as_dict()
+            for c in model.components:
+                if c.id not in assigned:
+                    raise ValidationError(
+                        f"{where}: no mode for component {c.id!r}",
+                        element=c.id)
+            for comp, mode in w.modes:
+                spec = by_id.get(comp)
+                if spec is None or mode not in spec.modes:
+                    raise UnknownModeAtomError(
+                        f"{where}: unknown mode atom {mode}({comp})",
+                        element=(comp, mode))
+    return trajectories

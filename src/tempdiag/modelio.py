@@ -40,8 +40,16 @@ def parse_probability(value: Any, where: str = "") -> float:
     raise ValidationError(f"{where}: expected a probability, got {value!r}")
 
 
-def _require(obj: dict, key: str, where: str) -> Any:
-    if key not in obj:
+def _object(value: Any, where: str, element: Any = None) -> dict:
+    """``value`` itself, if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: expected an object, got {value!r}",
+                              element=element)
+    return value
+
+
+def _require(obj: Any, key: str, where: str) -> Any:
+    if key not in _object(obj, where):
         raise ValidationError(f"{where}: missing required key {key!r}",
                               element=key)
     return obj[key]
@@ -164,8 +172,10 @@ def trajectories_from_list(entries: Sequence, ) -> list[tuple[ModeAssignment, ..
         if not isinstance(steps, list) or not steps:
             raise ValidationError(f"{where}: must be a nonempty array")
         out.append(tuple(
-            ModeAssignment.from_mapping(_time_point(s, where),
-                                        _require(s, "assignment", where))
+            ModeAssignment.from_mapping(
+                _time_point(s, where),
+                _object(_require(s, "assignment", where),
+                        f"{where} assignment", element="assignment"))
             for s in steps))
     return out
 

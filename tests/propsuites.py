@@ -20,11 +20,13 @@ from tempdiag import (
     ComponentSpec,
     ObservationStream,
     Observation,
+    StateLabel,
     SystemModel,
     ThresholdMode,
     TransitionMatrix,
     TemporalDiagnosis,
     admissible_step,
+    classify_faults,
     classify_states,
     enumerate_temporal_diagnoses,
     joint_probability,
@@ -38,6 +40,7 @@ from tempdiag import (
     validate_model,
 )
 from tempdiag.errors import NoAdmissibleEvolutionError
+from tempdiag.markov import ABSORBING_TOL
 
 
 def random_stochastic(rng: np.random.Generator, n: int) -> TransitionMatrix:
@@ -305,3 +308,103 @@ def check_classification_partition(cases: int, seed: int = 2032) -> None:
                                  classification.transient_sets)
                    for mode in group]
         assert sorted(covered) == sorted(m.modes)
+
+
+def random_structured_chain(rng: np.random.Generator) -> TransitionMatrix:
+    """Chain of 1-7 modes built from groups: closed periodic cycles, closed
+    sparse blocks, absorbing modes and leaky (transient) groups, with rows,
+    columns and names shuffled so matrix order is neither group order nor
+    name order. Every tenth chain is a plain sparse random matrix. Some
+    self-loops of 1 are lowered by 1e-13 or 5e-10."""
+    n = int(rng.integers(1, 8))
+    names = [str(x) for x in rng.permutation(list("qwertyuiopasd"))[:n]]
+    if rng.random() < 0.1:
+        entries = random_stochastic(rng, n).entries.copy()
+    else:
+        entries = np.zeros((n, n))
+        order = rng.permutation(n)
+        cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)),
+                                 replace=False)) if n > 1 else []
+        for group in np.split(order, cuts):
+            kind = rng.integers(4)
+            if kind == 0:  # closed cycle through the group (period = size)
+                entries[group, np.roll(group, 1)] = 1.0
+            elif kind == 1:  # closed block: sparse entries inside the group
+                block = rng.random((group.size, group.size))
+                block[rng.random(block.shape) < 0.5] = 0.0
+                entries[np.ix_(group, group)] = block
+            elif kind == 2:  # absorbing modes
+                entries[group, group] = 1.0
+            else:  # leaky: sparse entries anywhere
+                rows = rng.random((group.size, n))
+                rows[rng.random(rows.shape) < 0.6] = 0.0
+                entries[group] = rows
+        for i in range(n):
+            if entries[i].sum() == 0.0:
+                entries[i, rng.integers(n)] = 1.0
+        entries /= entries.sum(axis=1, keepdims=True)
+    # self-loops short of 1 by less than the row-sum tolerance: absorbing
+    # only within ABSORBING_TOL
+    for i in np.flatnonzero(np.diag(entries) == 1.0):
+        entries[i, i] -= rng.choice([0.0, 1e-13, 5e-10])
+    return validate_matrix(TransitionMatrix(tuple(names), entries))
+
+
+def _bfs_reachable(successors: list[list[int]], start: int) -> set[int]:
+    """Modes reachable from ``start`` in zero or more steps."""
+    seen = {start}
+    queue = [start]
+    for i in queue:
+        for j in successors[i]:
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return seen
+
+
+def check_classification_matches_reachability(cases: int,
+                                              seed: int = 2033) -> None:
+    """classify_states and classify_faults agree exactly with a breadth-first
+    search over the positive entries: labels, both set lists (members and
+    order) and every fault flag for each choice of correct mode."""
+    rng = np.random.default_rng(seed)
+    for _ in range(cases):
+        m = random_structured_chain(rng)
+        rows = m.entries.tolist()
+        n = len(rows)
+        successors = [[j for j in range(n) if rows[i][j] > 0.0]
+                      for i in range(n)]
+        reach = [_bfs_reachable(successors, i) for i in range(n)]
+        classes = sorted({frozenset(j for j in reach[i] if i in reach[j])
+                          for i in range(n)}, key=min)
+        expected_labels = {}
+        ergodic, transient = [], []
+        for cls in classes:
+            members = tuple(m.modes[j] for j in sorted(cls))
+            if all(j in cls for i in cls for j in successors[i]):
+                ergodic.append(members)
+                (i, *rest) = cls
+                absorbing = not rest and abs(rows[i][i] - 1.0) <= ABSORBING_TOL
+                label = StateLabel.ABSORBING if absorbing else StateLabel.ERGODIC
+            else:
+                transient.append(members)
+                label = StateLabel.TRANSIENT
+            expected_labels.update((mode, label) for mode in members)
+
+        states = classify_states(m)
+        assert states.labels == expected_labels
+        assert states.ergodic_sets == tuple(ergodic)
+        assert states.transient_sets == tuple(transient)
+        for c, correct in enumerate(m.modes):
+            faults = classify_faults(ComponentSpec(
+                id="x", modes=m.modes, correct_mode=correct, matrix=m)).faults
+            assert set(faults) == set(m.modes) - {correct}
+            for i, mode in enumerate(m.modes):
+                if i == c:
+                    continue
+                label = expected_labels[mode]
+                assert faults[mode].permanent == (label is StateLabel.ABSORBING)
+                assert faults[mode].transient == (label is StateLabel.TRANSIENT)
+                # one or more steps: through some successor of the mode
+                assert faults[mode].reversible == any(
+                    c in reach[s] for s in successors[i])

@@ -32,6 +32,7 @@ from tempdiag import (
 from propsuites import (
     check_abductive_subset,
     check_chapman_kolmogorov,
+    check_classification_matches_reachability,
     check_memorylessness,
     check_power_stochasticity,
     check_revision_ranking_and_zeros,
@@ -181,8 +182,8 @@ def test_criterion_6_classification(hydraulic):
 
 
 def test_criterion_7_property_suites():
-    """Seven randomized suites, 1000 cases each, at their tolerances."""
-    with criterion(7, "randomized property suites (7 x 1000 cases)"):
+    """Eight randomized suites, 1000 cases each, at their tolerances."""
+    with criterion(7, "randomized property suites (8 x 1000 cases)"):
         cases = 1000
         check_chapman_kolmogorov(cases)
         check_power_stochasticity(cases)
@@ -191,6 +192,7 @@ def test_criterion_7_property_suites():
         check_threshold_monotonicity(cases)
         check_trellis_vs_bruteforce(cases)
         check_revision_ranking_and_zeros(cases)
+        check_classification_matches_reachability(cases)
 
 
 def test_criterion_8_monte_carlo(hydraulic):

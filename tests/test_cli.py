@@ -248,6 +248,25 @@ class TestMalformedInput:
         assert error["element"] == key
         assert f"'{key}' must be an array of strings" in error["message"]
 
+    # each entry is a string that contains the key being looked up
+    @pytest.mark.parametrize("command, name, content", [
+        ("diagnose", "obs.json", ["tx"]),
+        ("rank", "trajectories.json", [["tx"]]),
+        ("validate", "model.json", {"components": [], "rules": ["body"]}),
+    ])
+    def test_entries_must_be_objects(self, capsys, tmp_path, command, name,
+                                     content):
+        path = tmp_path / name
+        path.write_text(json.dumps(content))
+        argv = ([command, str(path)] if command == "validate"
+                else [command, HYDRAULIC, str(path)])
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "invalid_input"
+        assert "expected an object" in error["message"]
+        assert error["file"] == str(path)
+
 
 class TestSimulate:
     def test_deterministic_for_seed(self, capsys):
@@ -314,3 +333,34 @@ class TestRank:
         code, out, _ = run(capsys, "rank", HYDRAULIC, "/no/file.json")
         assert code == 1
         assert json.loads(out)["error"]["file"] == "/no/file.json"
+
+    @pytest.mark.parametrize("step, code, element", [
+        ({"t": 0, "assignment": ["P"]}, "invalid_input", "assignment"),
+        ({"t": 0, "assignment": {"P": "correct"}}, "invalid_input", "C"),
+        ({"t": 0, "assignment": {"P": "correct", "C": "nope"}},
+         "unknown_mode_atom", ["C", "nope"]),
+        ({"t": -1, "assignment": {"P": "correct", "C": "correct"}},
+         "invalid_input", -1),
+        ({"t": 0, "assignment": {"P": "correct", "C": "correct", "Z": "x"}},
+         "unknown_mode_atom", ["Z", "x"]),
+    ])
+    def test_trajectory_checked_against_model(self, capsys, tmp_path, step,
+                                              code, element):
+        path = tmp_path / "trajectories.json"
+        path.write_text(json.dumps([[step]]))
+        exit_code, out, _ = run(capsys, "rank", HYDRAULIC, str(path))
+        assert exit_code == 1
+        error = json.loads(out)["error"]
+        assert (error["code"], error["element"]) == (code, element)
+        assert error["file"] == str(path)
+
+
+def test_import_leaves_networkx_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tempdiag.cli; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

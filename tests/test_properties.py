@@ -3,6 +3,7 @@
 from propsuites import (
     check_abductive_subset,
     check_chapman_kolmogorov,
+    check_classification_matches_reachability,
     check_classification_partition,
     check_factor_threshold_relation,
     check_memorylessness,
@@ -49,3 +50,7 @@ def test_per_component_factors_bound_global():
 
 def test_classification_partitions_modes():
     check_classification_partition(CASES)
+
+
+def test_classification_matches_reachability():
+    check_classification_matches_reachability(CASES)
