@@ -68,10 +68,6 @@ class ModeAssignment:
     def as_dict(self) -> dict[str, str]:
         return dict(self.modes)
 
-    def at(self, t: int) -> "ModeAssignment":
-        """The same assignment stamped with a different time point."""
-        return ModeAssignment(t, self.modes)
-
 
 def predicted_manifestations(w: ModeAssignment,
                              model: SystemModel) -> frozenset[str]:

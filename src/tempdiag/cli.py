@@ -10,27 +10,15 @@ revision), 3 internal limits (candidate cap).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
 from . import __version__
-from .atemporal import ExplanationCriterion, ModeAssignment
-from .errors import (
-    AllZeroJointsError,
-    DiagnosisError,
-    NoAdmissibleEvolutionError,
-    NoCandidatesError,
-    SearchSpaceError,
-    ValidationError,
-    ZeroAdmittedMassError,
-)
+from .atemporal import DEFAULT_CANDIDATE_CAP, ExplanationCriterion, ModeAssignment
+from .errors import DiagnosisError, ValidationError
 from .markov import classify_faults, classify_states, propagate_distribution
-from .model import (
-    SystemModel,
-    validate_model,
-    validate_stream,
-    validate_trajectories,
-)
+from .model import validate_model, validate_stream, validate_trajectories
 from .modelio import (
     dumps_report,
     load_model,
@@ -45,9 +33,8 @@ from .temporal import (
     ThresholdMode,
     build_trellis,
     enumerate_temporal_diagnoses,
-    prior_probability,
-    conditional_probability,
     resolve_initial_distributions,
+    trellis_from_layers,
 )
 
 _CRITERIA = {
@@ -75,28 +62,17 @@ def _config_dict(args) -> dict:
         "criterion": getattr(args, "criterion", "abductive"),
         "revise": getattr(args, "revise", False),
         "seed": getattr(args, "seed", None),
-        "candidate_cap": getattr(args, "cap", 10 ** 6),
+        "candidate_cap": getattr(args, "cap", DEFAULT_CANDIDATE_CAP),
     }
 
 
-def _attach_file(exc: DiagnosisError, path) -> None:
-    if not getattr(exc, "file", None):
-        exc.file = str(path)
-
-
-def _load_validated_model(path) -> SystemModel:
+def _load(path, load, validate, *context):
+    """``validate(load(path), *context)``, naming ``path`` in any error."""
     try:
-        return validate_model(load_model(path))
+        return validate(load(path), *context)
     except DiagnosisError as exc:
-        _attach_file(exc, path)
-        raise
-
-
-def _load_validated_stream(path, model):
-    try:
-        return validate_stream(load_stream(path), model)
-    except DiagnosisError as exc:
-        _attach_file(exc, path)
+        if not getattr(exc, "file", None):
+            exc.file = str(path)
         raise
 
 
@@ -110,7 +86,7 @@ def _distribution_dict(dist) -> dict:
 
 
 def _cmd_validate(args) -> dict:
-    model = _load_validated_model(args.model)
+    model = _load(args.model, load_model, validate_model)
     report = {
         "command": "validate",
         "config": _config_dict(args),
@@ -123,7 +99,7 @@ def _cmd_validate(args) -> dict:
         },
     }
     if args.observations:
-        stream = _load_validated_stream(args.observations, model)
+        stream = _load(args.observations, load_stream, validate_stream, model)
         report["files"]["observations"] = args.observations
         report["observations"] = {
             "entries": len(stream.entries),
@@ -139,7 +115,7 @@ def _cmd_validate(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
-    model = _load_validated_model(args.model)
+    model = _load(args.model, load_model, validate_model)
     components = {}
     for c in model.components:
         states = classify_states(c.matrix)
@@ -172,7 +148,7 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_propagate(args) -> dict:
-    model = _load_validated_model(args.model)
+    model = _load(args.model, load_model, validate_model)
     instants = _parse_instants(args.instants)
     if any(t < 0 for t in instants):
         raise ValidationError("instants must be nonnegative")
@@ -252,8 +228,8 @@ def _trellis_report(trellis, model) -> list[dict]:
 
 
 def _cmd_diagnose(args) -> dict:
-    model = _load_validated_model(args.model)
-    stream = _load_validated_stream(args.observations, model)
+    model = _load(args.model, load_model, validate_model)
+    stream = _load(args.observations, load_stream, validate_stream, model)
     problem = DiagnosticProblem(
         model=model, observations=stream, sigma=args.sigma,
         threshold_mode=_THRESHOLD_MODES[args.threshold_mode],
@@ -298,7 +274,7 @@ def _cmd_diagnose(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
-    model = _load_validated_model(args.model)
+    model = _load(args.model, load_model, validate_model)
     initials = resolve_initial_distributions(model)
     traj = sample_trajectory(model, initials, args.horizon, args.seed)
     instants = (_parse_instants(args.instants) if args.instants
@@ -322,25 +298,20 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_rank(args) -> dict:
-    model = _load_validated_model(args.model)
-    try:
-        trajectories = validate_trajectories(
-            load_trajectories(args.trajectories), model)
-    except DiagnosisError as exc:
-        _attach_file(exc, args.trajectories)
-        raise
+    model = _load(args.model, load_model, validate_model)
+    trajectories = _load(args.trajectories, load_trajectories,
+                         validate_trajectories, model)
     initials = resolve_initial_distributions(model)
 
     rows = []
     for trajectory in trajectories:
-        prior = prior_probability(trajectory[0], initials, model)
-        conditionals = [conditional_probability(a, b, model)
-                        for a, b in zip(trajectory, trajectory[1:])]
-        joint = prior
-        for p in conditionals:
-            joint *= p
+        # a trellis with one candidate per instant
+        trellis = trellis_from_layers(model, [w.t for w in trajectory],
+                                      [(w,) for w in trajectory], initials)
+        prior = trellis.priors[0]
+        conditionals = [c.item() for c in trellis.conditionals]
         rows.append({
-            "joint_probability": joint,
+            "joint_probability": math.prod(conditionals, start=prior),
             "prior": prior,
             "step_conditionals": conditionals,
             "trajectory": [_assignment_dicts(w) for w in trajectory],
@@ -401,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--revise", action="store_true",
                    help="revise probabilities against the admitted "
                         "hypotheses")
-    p.add_argument("--cap", type=int, default=10 ** 6,
+    p.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP,
                    help="candidate-space cap (default 1e6)")
     p.set_defaults(func=_cmd_diagnose)
 
@@ -438,12 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         }
         sys.stdout.write(dumps_report(error))
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        if isinstance(exc, SearchSpaceError):
-            return 3
-        if isinstance(exc, (NoCandidatesError, NoAdmissibleEvolutionError,
-                            AllZeroJointsError, ZeroAdmittedMassError)):
-            return 2
-        return 1
+        return exc.exit_code
     sys.stdout.write(dumps_report(report))
     return 0
 

@@ -12,6 +12,8 @@ class DiagnosisError(Exception):
     """Base class for all errors raised by this package."""
 
     code = "error"
+    #: Exit status of the command line (1 invalid input, 2 no diagnosis).
+    exit_code = 1
 
     def __init__(self, message: str, *, element=None):
         super().__init__(message)
@@ -85,6 +87,7 @@ class SearchSpaceError(DiagnosisError):
     """The assignment space exceeds the configured candidate cap."""
 
     code = "search_space_too_large"
+    exit_code = 3
 
 
 class EmptyCandidateSetError(DiagnosisError):
@@ -107,6 +110,7 @@ class NoCandidatesError(DiagnosisError):
     """Some relevant instant has no atemporal solution."""
 
     code = "no_candidates_at_instant"
+    exit_code = 2
 
     def __init__(self, t: int):
         super().__init__(f"no atemporal diagnosis explains the observations at t={t}",
@@ -118,18 +122,22 @@ class NoAdmissibleEvolutionError(DiagnosisError):
     """Candidates exist at every instant but no evolution passes the filter."""
 
     code = "no_admissible_evolution"
+    exit_code = 2
 
 
 # --- revision ----------------------------------------------------------------
 
 class AllZeroJointsError(DiagnosisError):
-    """Revision undefined: every logically admitted evolution has probability 0."""
+    """Revision undefined: the admitted evolutions' joints sum to 0, or to so
+    little that the normalization factor overflows."""
 
     code = "all_zero_joints"
+    exit_code = 2
 
 
 class ZeroAdmittedMassError(DiagnosisError):
     code = "zero_admitted_mass"
+    exit_code = 2
 
 
 # --- simulation ---------------------------------------------------------------

@@ -132,10 +132,11 @@ def validate_model(model: SystemModel) -> SystemModel:
     """Validate a system model, returning it unchanged or raising on the
     first violation found.
 
-    Checks: unique component ids; per component a declared correct mode, a
-    matrix over exactly the component's modes, and (when given) a proper
-    initial distribution; rule bodies that reference declared components and
-    modes with no component repeated; exclusivity pairs over known rule heads.
+    Checks: unique component ids; per component distinct modes, a declared
+    correct mode, a matrix over exactly the component's modes, and (when
+    given) a proper initial distribution; rule bodies that reference
+    declared components and modes with no component repeated; exclusivity
+    pairs over known rule heads.
     """
     seen: set[str] = set()
     for c in model.components:
@@ -143,6 +144,9 @@ def validate_model(model: SystemModel) -> SystemModel:
             raise DuplicateComponentError(
                 f"component id {c.id!r} declared twice", element=c.id)
         seen.add(c.id)
+        if len(set(c.modes)) != len(c.modes):
+            raise ValidationError(
+                f"component {c.id!r} declares a mode twice", element=c.id)
         if c.correct_mode not in c.modes:
             raise CorrectModeMissingError(
                 f"component {c.id!r}: correct mode {c.correct_mode!r} "

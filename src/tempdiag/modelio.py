@@ -48,11 +48,30 @@ def _object(value: Any, where: str, element: Any = None) -> dict:
     return value
 
 
+def _array(value: Any, where: str, element: Any = None, strings: bool = False) -> list:
+    """``value`` itself, if it is a JSON array (of strings, if ``strings``)."""
+    if not isinstance(value, list) or (
+            strings and not all(isinstance(x, str) for x in value)):
+        kind = "an array of strings" if strings else "an array"
+        raise ValidationError(f"{where} must be {kind}, got {value!r}",
+                              element=element)
+    return value
+
+
 def _require(obj: Any, key: str, where: str) -> Any:
     if key not in _object(obj, where):
         raise ValidationError(f"{where}: missing required key {key!r}",
                               element=key)
     return obj[key]
+
+
+def _string(obj: Any, key: str, where: str) -> str:
+    """The required key ``key`` of a JSON object, if its value is a string."""
+    value = _require(obj, key, where)
+    if not isinstance(value, str):
+        raise ValidationError(
+            f"{where}: {key!r} must be a string, got {value!r}", element=key)
+    return value
 
 
 def _time_point(obj: dict, where: str) -> int:
@@ -66,32 +85,31 @@ def _time_point(obj: dict, where: str) -> int:
 
 def _atoms(obj: dict, key: str, where: str) -> frozenset[str]:
     """An observation's ``present`` or ``absent`` list of atom names."""
-    atoms = obj.get(key, [])
-    if not isinstance(atoms, list) or not all(isinstance(a, str)
-                                              for a in atoms):
-        raise ValidationError(
-            f"{where}: {key!r} must be an array of strings, got {atoms!r}",
-            element=key)
-    return frozenset(atoms)
+    return frozenset(_array(obj.get(key, []), f"{where}: {key!r}", key,
+                            strings=True))
 
 
 def component_from_dict(obj: dict) -> ComponentSpec:
     if not isinstance(obj, dict):
         raise ValidationError("component entries must be objects")
     where = f"component {obj.get('id', '?')!r}"
-    comp_id = _require(obj, "id", where)
-    modes = tuple(_require(obj, "modes", where))
+    comp_id = _string(obj, "id", where)
+    modes = tuple(_array(_require(obj, "modes", where), f"{where}: 'modes'",
+                         comp_id, strings=True))
     rows = _require(obj, "matrix", where)
     if not isinstance(rows, list) or len(rows) != len(modes):
         raise ValidationError(
             f"{where}: matrix must have one row per mode", element=comp_id)
-    entries = [[parse_probability(x, f"{where} matrix") for x in row]
+    entries = [[parse_probability(x, f"{where} matrix")
+                for x in _array(row, f"{where}: matrix row", comp_id)]
                for row in rows]
     initial = None
     if obj.get("initial_distribution") is not None:
         initial = ModeDistribution(
             modes, [parse_probability(x, f"{where} initial distribution")
-                    for x in obj["initial_distribution"]])
+                    for x in _array(obj["initial_distribution"],
+                                    f"{where}: 'initial_distribution'",
+                                    comp_id)])
     return ComponentSpec(
         id=comp_id, modes=modes,
         correct_mode=_require(obj, "correct_mode", where),
@@ -102,16 +120,23 @@ def component_from_dict(obj: dict) -> ComponentSpec:
 def model_from_dict(obj: dict) -> SystemModel:
     if not isinstance(obj, dict):
         raise ValidationError("model file must contain a JSON object")
-    components = tuple(component_from_dict(c)
-                       for c in _require(obj, "components", "model"))
+    components = tuple(component_from_dict(c) for c in _array(
+        _require(obj, "components", "model"), "model: 'components'",
+        "components"))
     rules = []
-    for i, r in enumerate(obj.get("rules", [])):
+    for i, r in enumerate(_array(obj.get("rules", []), "model: 'rules'",
+                                 "rules")):
         where = f"rule #{i}"
         body = frozenset(
-            (_require(a, "component", where), _require(a, "mode", where))
-            for a in _require(r, "body", where))
-        rules.append(HornRule(body=body, head=_require(r, "head", where)))
-    exclusive = tuple(frozenset(pair) for pair in obj.get("exclusive", []))
+            (_string(a, "component", where), _string(a, "mode", where))
+            for a in _array(_require(r, "body", where), f"{where}: 'body'",
+                            "body"))
+        rules.append(HornRule(body=body, head=_string(r, "head", where)))
+    exclusive = tuple(
+        frozenset(_array(pair, "model: exclusivity pair", "exclusive",
+                         strings=True))
+        for pair in _array(obj.get("exclusive", []), "model: 'exclusive'",
+                           "exclusive"))
     return SystemModel(components=components, rules=tuple(rules),
                        exclusive=exclusive)
 

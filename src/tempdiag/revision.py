@@ -14,6 +14,7 @@ against them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -23,7 +24,7 @@ from .atemporal import ModeAssignment
 from .errors import AllZeroJointsError, ZeroAdmittedMassError
 from .markov import ModeDistribution, propagate_distribution
 from .model import SystemModel
-from .temporal import Trellis
+from .temporal import Trellis, forward_paths
 
 #: Revised probabilities are nonnegative scores and may exceed 1.
 RevisedScore = float
@@ -33,14 +34,16 @@ def normalization_factor(joints: Sequence[float]) -> float:
     """Reciprocal of the summed joint probabilities at an instant.
 
     Raises:
-        AllZeroJointsError: the sum is 0, i.e. every logically admitted
-            evolution is stochastically impossible and revision is undefined.
+        AllZeroJointsError: the sum is 0 (every logically admitted
+            evolution is stochastically impossible) or so small that its
+            reciprocal overflows; revision is undefined.
     """
     total = float(sum(joints))
-    if total <= 0.0:
-        raise AllZeroJointsError(
-            "all joint probabilities are zero; revision is undefined")
-    return 1.0 / total
+    factor = 1.0 / total if total > 0.0 else math.inf
+    if not math.isfinite(factor):
+        raise AllZeroJointsError(f"joint probabilities sum to {total!r}, too "
+                                 "little to renormalize; revision is undefined")
+    return factor
 
 
 def revise_global(joints: Sequence[float], conditionals: Sequence[float],
@@ -63,10 +66,12 @@ def component_mass_factor(pi_t: ModeDistribution,
         raise ZeroAdmittedMassError("no admitted modes")
     # summed in declared mode order: set order varies with the string-hash seed
     mass = sum(pi_t.prob(m) for m in pi_t.modes if m in admitted)
-    if mass <= 0.0:
-        raise ZeroAdmittedMassError(
-            f"admitted modes {sorted(admitted)} carry zero probability")
-    return 1.0 / mass
+    factor = 1.0 / mass if mass > 0.0 else math.inf
+    if not math.isfinite(factor):
+        raise ZeroAdmittedMassError(f"admitted modes {sorted(admitted)} carry "
+                                    f"probability {mass!r}, too little to "
+                                    "renormalize")
+    return factor
 
 
 def revise_transition(p_k: float, f: float) -> RevisedScore:
@@ -133,38 +138,24 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
     (per-component revision).
     """
     revisions = []
-    paths: list[tuple[tuple[int, ...], float]] = [
-        ((i,), p) for i, p in enumerate(trellis.priors)]
-
-    for k, t in enumerate(trellis.instants):
-        incoming, steps = [], [{} for _ in model.components]
-        if k > 0:
-            successors = trellis.successors(k - 1)
-            paths = [
-                (indices + (j,), joint * p)
-                for indices, joint in paths
-                for j, p in successors[indices[-1]]
-            ]
-            sources, targets = np.nonzero(trellis.admissible[k - 1])
-            incoming = list(zip(
-                sources.tolist(), targets.tolist(),
-                trellis.conditionals[k - 1][sources, targets].tolist()))
-            # every edge taking one component's mode step carries the same
-            # n-step entry, so the first edge speaks for the rest
-            for a, b, factors in zip(
-                    trellis.modes[k - 1][sources].tolist(),
-                    trellis.modes[k][targets].tolist(),
-                    trellis.factors[k - 1][sources, targets].tolist()):
-                for ci, step in enumerate(steps):
-                    step.setdefault((a[ci], b[ci]), factors[ci])
-
-        joints = tuple(joint for _, joint in paths)
+    for k, (t, layer, (paths, joints)) in enumerate(zip(
+            trellis.instants, trellis.layers, forward_paths(trellis))):
+        joints = joints.tolist()
         factor = normalization_factor(joints)
-        revised_joints = tuple(j * factor for j in joints)
-        revised_conditionals = tuple(
-            (i, j, p, p * factor) for i, j, p in incoming)
+        # (sources, targets, conditionals) of the admissible edges into k
+        edges, steps = ([], [], []), [{} for _ in model.components]
+        if k > 0:
+            sources, targets = np.nonzero(trellis.admissible[k - 1])
+            edges = (sources.tolist(), targets.tolist(),
+                     trellis.conditionals[k - 1][sources, targets].tolist())
+            # every edge taking one component's mode step carries the same
+            # n-step entry, so one entry per step speaks for all of them
+            steps = [dict(zip(zip(a, b), entries)) for a, b, entries in zip(
+                trellis.modes[k - 1][sources].T.tolist(),
+                trellis.modes[k][targets].T.tolist(),
+                trellis.factors[k - 1][sources, targets].T.tolist())]
+        revised_joints, revised = revise_global(joints, edges[2])
 
-        layer = trellis.layers[k]
         components = {}
         for c, step in zip(model.components, steps):
             pi_t = propagate_distribution(trellis.initials[c.id], c.matrix, t)
@@ -183,8 +174,8 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
 
         revisions.append(InstantRevision(
             t=t, factor=factor,
-            path_indices=tuple(indices for indices, _ in paths),
-            joints=joints, revised_joints=revised_joints,
-            revised_conditionals=revised_conditionals,
+            path_indices=tuple(map(tuple, paths.tolist())),
+            joints=tuple(joints), revised_joints=revised_joints,
+            revised_conditionals=tuple(zip(*edges, revised)),
             components=components))
     return tuple(revisions)

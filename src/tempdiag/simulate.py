@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .atemporal import ModeAssignment, predicted_manifestations
-from .errors import InstantOutOfRangeError
+from .errors import InstantOutOfRangeError, ValidationError
 from .markov import ModeDistribution
 from .model import ComponentSpec, Observation, ObservationStream, SystemModel
 
@@ -58,7 +58,7 @@ def sample_trajectory(model: SystemModel,
     an identical trajectory on every run.
     """
     if horizon < 1:
-        raise ValueError("horizon must be positive")
+        raise ValidationError(f"horizon must be positive, got {horizon}")
     rng = np.random.default_rng(seed)
     sequences = {}
     for c in sorted(model.components, key=lambda c: c.id):

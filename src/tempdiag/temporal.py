@@ -16,8 +16,11 @@ Each layer is a |L| x C array of mode indices. For a step across a gap of n
 instants, each component's ``P^n`` is computed once and fancy-indexed by the
 two layers' mode columns into an |L_k| x |L_k+1| block of factors; the
 conditionals are the blocks' product in model component order, and
-admissibility is a boolean mask. ``step_factors``, ``conditional_probability``
-and ``admissible_step`` state the same quantities for one edge.
+admissibility is a boolean mask. ``forward_paths`` expands the admissible
+paths over those arrays with their joints, one layer at a time, for both
+enumeration and revision. ``prior_probability``, ``step_factors``,
+``conditional_probability``, ``admissible_step`` and ``joint_probability``
+are the per-edge reference definitions the tests compare the arrays with.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -113,16 +116,6 @@ class Trellis:
     factors: tuple[np.ndarray, ...]
     conditionals: tuple[np.ndarray, ...]
     admissible: tuple[np.ndarray, ...]
-
-    def successors(self, k: int) -> list[list[tuple[int, float]]]:
-        """For each candidate of layer k, the (target index, conditional)
-        of its admissible edges into layer k + 1, targets ascending."""
-        sources, targets = np.nonzero(self.admissible[k])
-        out = [[] for _ in self.layers[k]]
-        for i, j, p in zip(sources.tolist(), targets.tolist(),
-                           self.conditionals[k][sources, targets].tolist()):
-            out[i].append((j, p))
-        return out
 
 
 def relevant_instants(obs: ObservationStream) -> list[int]:
@@ -268,14 +261,57 @@ def joint_probability(trajectory: Sequence[ModeAssignment],
     return joint
 
 
-def _mode_indices(layer: Sequence[ModeAssignment],
-                  model: SystemModel) -> np.ndarray:
-    """A layer as a |L| x C array of mode indices, columns in model
-    component order."""
+def trellis_from_layers(
+        model: SystemModel, instants: Sequence[int],
+        layers: Sequence[Sequence[ModeAssignment]],
+        initials: Mapping[str, ModeDistribution], sigma: float = 0.0,
+        threshold_mode: ThresholdMode = ThresholdMode.GLOBAL) -> Trellis:
+    """The trellis arrays over given candidate layers: mode indices, priors
+    and, per step, the factors, conditionals and admissibility masks.
+
+    Raises:
+        NonIncreasingInstantsError: some instant does not follow the one
+            before it.
+    """
     lookup = [(c.id, {m: i for i, m in enumerate(c.modes)})
               for c in model.components]
-    rows = [[index[w.mode_of(comp)] for comp, index in lookup] for w in layer]
-    return np.array(rows, dtype=np.intp).reshape(len(layer), len(lookup))
+    modes = [np.array([[index[w.mode_of(comp)] for comp, index in lookup]
+                       for w in layer], dtype=np.intp)
+             .reshape(len(layer), len(lookup)) for layer in layers]
+    priors = np.ones(len(layers[0]))
+    for ci, c in enumerate(model.components):
+        pi_t = propagate_distribution(initials[c.id], c.matrix, instants[0])
+        priors *= pi_t.probabilities[modes[0][:, ci]]
+
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    factors, conditionals, admissible = [], [], []
+    for k in range(len(layers) - 1):
+        n = instants[k + 1] - instants[k]
+        if n <= 0:
+            raise NonIncreasingInstantsError(
+                f"step from t={instants[k]} to t={instants[k + 1]} does not "
+                "advance time")
+        shape = (len(layers[k]), len(layers[k + 1]))
+        factor = np.empty(shape + (len(model.components),))
+        # multiplied in component order from 1.0, as math.prod does per edge
+        conditional = np.ones(shape)
+        for ci, c in enumerate(model.components):
+            if (ci, n) not in powers:
+                powers[ci, n] = matrix_power(c.matrix, n).entries
+            factor[..., ci] = powers[ci, n][modes[k][:, ci, None],
+                                            modes[k + 1][None, :, ci]]
+            conditional *= factor[..., ci]
+        if threshold_mode is ThresholdMode.PER_COMPONENT:
+            ok = np.all(factor >= sigma, axis=-1)
+        else:
+            ok = conditional >= sigma
+        factors.append(factor)
+        conditionals.append(conditional)
+        admissible.append(ok)
+
+    return Trellis(tuple(instants), tuple(map(tuple, layers)), tuple(modes),
+                   initials, tuple(priors.tolist()), tuple(factors),
+                   tuple(conditionals), tuple(admissible))
 
 
 def build_trellis(problem: DiagnosticProblem) -> Trellis:
@@ -296,62 +332,32 @@ def build_trellis(problem: DiagnosticProblem) -> Trellis:
                                      problem.candidate_cap)
         if not candidates:
             raise NoCandidatesError(entry.t)
-        layers.append(tuple(candidates))
-    modes = [_mode_indices(layer, model) for layer in layers]
+        layers.append(candidates)
 
     initials = resolve_initial_distributions(model, instants[0], layers[0])
-    priors = np.ones(len(layers[0]))
-    for ci, c in enumerate(model.components):
-        pi_t = propagate_distribution(initials[c.id], c.matrix, instants[0])
-        priors *= pi_t.probabilities[modes[0][:, ci]]
-
-    per_component = problem.threshold_mode is ThresholdMode.PER_COMPONENT
-    powers: dict[tuple[int, int], np.ndarray] = {}
-    factors, conditionals, admissible = [], [], []
-    for k in range(len(layers) - 1):
-        n = instants[k + 1] - instants[k]
-        if n <= 0:
-            raise NonIncreasingInstantsError(
-                f"step from t={instants[k]} to t={instants[k + 1]} does not "
-                "advance time")
-        shape = (len(layers[k]), len(layers[k + 1]))
-        factor = np.empty(shape + (len(model.components),))
-        # multiplied in component order from 1.0, as math.prod does per edge
-        conditional = np.ones(shape)
-        for ci, c in enumerate(model.components):
-            if (ci, n) not in powers:
-                powers[ci, n] = matrix_power(c.matrix, n).entries
-            factor[..., ci] = powers[ci, n][modes[k][:, ci, None],
-                                            modes[k + 1][None, :, ci]]
-            conditional *= factor[..., ci]
-        if per_component:
-            ok = np.all(factor >= problem.sigma, axis=-1)
-        else:
-            ok = conditional >= problem.sigma
-        factors.append(factor)
-        conditionals.append(conditional)
-        admissible.append(ok)
-
-    return Trellis(tuple(instants), tuple(layers), tuple(modes), initials,
-                   tuple(priors.tolist()), tuple(factors), tuple(conditionals),
-                   tuple(admissible))
+    return trellis_from_layers(model, instants, layers, initials,
+                               problem.sigma, problem.threshold_mode)
 
 
-def _admissible_paths(trellis: Trellis) -> list[tuple[tuple[int, ...],
-                                                      tuple[float, ...]]]:
-    """Root-to-leaf index paths along admissible edges, with the step
-    conditionals collected along the way."""
-    paths = [((i,), ()) for i in range(len(trellis.layers[0]))]
-    for k in range(len(trellis.conditionals)):
-        successors = trellis.successors(k)
-        paths = [
-            (indices + (j,), conditionals + (p,))
-            for indices, conditionals in paths
-            for j, p in successors[indices[-1]]
-        ]
-        if not paths:
-            break
-    return paths
+def forward_paths(trellis: Trellis) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The admissible partial evolutions, one layer at a time.
+
+    For layer k it yields a |P| x (k + 1) array whose rows are the candidate
+    indices of the paths from layer 0 along admissible steps, in
+    lexicographic order, and the joint of each path: its prior times its
+    step conditionals, multiplied left to right. A layer with no path leaves
+    every later layer empty. Only the current layer is kept alive.
+    """
+    paths = np.arange(len(trellis.layers[0]))[:, None]
+    joints = np.array(trellis.priors)
+    yield paths, joints
+    for conditional, admissible in zip(trellis.conditionals,
+                                       trellis.admissible):
+        last = paths[:, -1]
+        rows, targets = np.nonzero(admissible[last])
+        joints = joints[rows] * conditional[last[rows], targets]
+        paths = np.concatenate((paths[rows], targets[:, None]), axis=1)
+        yield paths, joints
 
 
 def enumerate_temporal_diagnoses(
@@ -368,14 +374,17 @@ def enumerate_temporal_diagnoses(
     if trellis is None:
         trellis = build_trellis(problem)
 
-    results = []
-    for indices, conditionals in _admissible_paths(trellis):
-        trajectory = tuple(trellis.layers[k][i]
-                           for k, i in enumerate(indices))
-        joint = trellis.priors[indices[0]]
-        for c in conditionals:
-            joint *= c
-        results.append(TemporalDiagnosis(trajectory, joint, conditionals))
+    for paths, joints in forward_paths(trellis):
+        pass  # the last layer's paths are the complete evolutions
+    steps = np.empty((len(paths), len(trellis.conditionals)))
+    for k, conditional in enumerate(trellis.conditionals):
+        steps[:, k] = conditional[paths[:, k], paths[:, k + 1]]
+    results = [
+        TemporalDiagnosis(
+            tuple(layer[i] for layer, i in zip(trellis.layers, indices)),
+            joint, tuple(conditionals))
+        for indices, joint, conditionals in zip(
+            paths.tolist(), joints.tolist(), steps.tolist())]
 
     if not results:
         raise NoAdmissibleEvolutionError(

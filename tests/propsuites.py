@@ -26,6 +26,7 @@ from tempdiag import (
     TransitionMatrix,
     TemporalDiagnosis,
     admissible_step,
+    build_trellis,
     classify_faults,
     classify_states,
     enumerate_temporal_diagnoses,
@@ -41,6 +42,7 @@ from tempdiag import (
 )
 from tempdiag.errors import NoAdmissibleEvolutionError
 from tempdiag.markov import ABSORBING_TOL
+from tempdiag.temporal import forward_paths
 
 
 def random_stochastic(rng: np.random.Generator, n: int) -> TransitionMatrix:
@@ -230,6 +232,38 @@ def check_trellis_vs_bruteforce(cases: int, seed: int = 2028) -> None:
         assert set(actual) == set(expected)
         for trajectory, joint in expected.items():
             assert abs(actual[trajectory] - joint) <= 1e-12
+
+
+def check_forward_paths_vs_bruteforce(cases: int, seed: int = 2033) -> None:
+    """At every layer, the forward pass's index paths and joints equal
+    (``==``) a brute-force expansion over the per-edge ``admissible_step``
+    and ``joint_probability``, in lexicographic path order; both threshold
+    modes, sigma 0 and above, layers that empty out included."""
+    rng = np.random.default_rng(seed)
+    seen, emptied, branched = set(), False, False
+    for _ in range(cases):
+        problem = _random_problem(rng)
+        trellis = build_trellis(problem)
+        layers = trellis.layers
+        for k, (paths, joints) in enumerate(forward_paths(trellis)):
+            expected = [
+                indices for indices in itertools.product(
+                    *(range(len(layer)) for layer in layers[:k + 1]))
+                if all(admissible_step(layers[j][a], layers[j + 1][b],
+                                       problem)
+                       for j, (a, b) in enumerate(zip(indices, indices[1:])))]
+            assert paths.shape == (len(expected), k + 1)
+            assert paths.tolist() == [list(indices) for indices in expected]
+            assert joints.tolist() == [
+                joint_probability([layers[j][i] for j, i in enumerate(indices)],
+                                  trellis.initials, problem.model)
+                for indices in expected]
+            emptied |= k > 0 and not expected
+            branched |= len(expected) > 1
+        seen.add((problem.threshold_mode, problem.sigma > 0))
+    assert seen == {(mode, positive) for mode in ThresholdMode
+                    for positive in (False, True)}
+    assert emptied and branched
 
 
 def check_threshold_monotonicity(cases: int, seed: int = 2029) -> None:

@@ -6,11 +6,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tempdiag import (
+    conditional_probability,
+    prior_probability,
+    resolve_initial_distributions,
+)
 from tempdiag.cli import main
+from tempdiag.modelio import load_model, model_to_dict
 
 from conftest import SCENARIOS
+from propsuites import random_assignment, random_model
 
 ROOT = SCENARIOS.parent
 HYDRAULIC = str(SCENARIOS / "hydraulic_model.json")
@@ -66,6 +74,17 @@ class TestValidate:
         error = json.loads(out)["error"]
         assert error["code"] == "entry_out_of_range"
         assert error["element"] == ["b", "a"]
+
+    def test_duplicate_mode_exits_1(self, capsys, tmp_path):
+        bad = tmp_path / "dup.json"
+        bad.write_text(json.dumps({"components": [{
+            "id": "X", "modes": ["a", "a"], "correct_mode": "a",
+            "matrix": [[0.5, 0.5], [0, 1]],
+        }]}))
+        code, out, _ = run(capsys, "validate", str(bad))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert (error["code"], error["element"]) == ("invalid_input", "X")
 
     def test_missing_file_exits_1(self, capsys):
         code, out, _ = run(capsys, "validate", "/no/such/file.json")
@@ -154,6 +173,28 @@ class TestDiagnose:
         assert error["code"] == "no_candidates_at_instant"
         assert error["element"] == 0
 
+    def test_subnormal_joint_sum_exits_2(self, capsys, tmp_path):
+        # a self-loop of 1e-160 makes the joint 1e-320 at t=2: subnormal,
+        # so its reciprocal, the normalization factor, overflows
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "components": [{"id": "X", "modes": ["a", "b"],
+                            "correct_mode": "a",
+                            "matrix": [[1e-160, 1.0], [0.0, 1.0]],
+                            "initial_distribution": [1.0, 0.0]}],
+            "rules": [{"body": [{"component": "X", "mode": "a"}],
+                       "head": "ok"}],
+        }))
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps([{"t": t, "present": ["ok"]}
+                                   for t in range(3)]))
+        report = run_json(capsys, "diagnose", str(model), str(obs))
+        assert report["diagnoses"][0]["joint_probability"] == 1e-160 * 1e-160
+        code, out, _ = run(capsys, "diagnose", str(model), str(obs),
+                           "--revise")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "all_zero_joints"
+
     def test_candidate_cap_exits_3(self, capsys):
         code, out, _ = run(capsys, "diagnose", HYDRAULIC, HYDRAULIC_OBS,
                            "--cap", "3")
@@ -208,6 +249,23 @@ class TestDiagnose:
         assert code == 0, err
         golden = ROOT / "bench" / "golden" / f"{scenario}_diagnose{k}"
         assert out.encode() == golden.read_bytes()
+
+
+#: A field of the hydraulic model, by its path, and a value of the wrong
+#: JSON type for it.
+MALFORMED_FIELDS = [
+    (("components",), 5),
+    (("rules",), 5),
+    (("exclusive",), [5]),
+    (("components", 0, "modes"), 5),
+    (("components", 0, "modes"), [1, 2, 3, 4, 5]),
+    (("rules", 0, "body"), 5),
+    (("components", 0, "matrix", 0), 5),
+    (("components", 0, "initial_distribution"), 5),
+    (("rules", 0, "head"), ["x"]),
+    (("rules", 0, "body", 0, "mode"), ["x"]),
+    (("components", 0, "id"), ["x"]),
+]
 
 
 class TestMalformedInput:
@@ -268,6 +326,25 @@ class TestMalformedInput:
         assert error["file"] == str(path)
 
 
+    @pytest.mark.parametrize("path, value", MALFORMED_FIELDS,
+                             ids=[".".join(map(str, path)) + f"={value!r}"
+                                  for path, value in MALFORMED_FIELDS])
+    def test_model_fields_must_have_their_type(self, capsys, tmp_path, path,
+                                               value):
+        model = json.loads(Path(HYDRAULIC).read_text())
+        target = model
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(model))
+        code, out, _ = run(capsys, "validate", str(bad))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "invalid_input"
+        assert error["file"] == str(bad)
+
+
 class TestSimulate:
     def test_deterministic_for_seed(self, capsys):
         _, first, _ = run(capsys, "simulate", HYDRAULIC, "--horizon", "10",
@@ -296,6 +373,14 @@ class TestSimulate:
             for entry in diagnosis["candidates"]}
         for t in (0, 2, 4):
             assert {"P": truth["P"][t], "C": truth["C"][t]} in candidates[t]
+
+
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_horizon_must_be_positive(self, capsys, horizon):
+        code, out, _ = run(capsys, "simulate", HYDRAULIC, "--horizon",
+                           horizon)
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "invalid_input"
 
 
 class TestRank:
@@ -353,6 +438,58 @@ class TestRank:
         error = json.loads(out)["error"]
         assert (error["code"], error["element"]) == (code, element)
         assert error["file"] == str(path)
+
+
+    def test_equals_per_edge_definitions(self, capsys, tmp_path):
+        """Prior, step conditionals and joint equal prior_probability,
+        conditional_probability and their left-to-right product exactly,
+        on random models and trajectories with gaps of 1 to 5."""
+        rng = np.random.default_rng(77)
+        gaps = set()
+        for case in range(30):
+            path = tmp_path / f"model{case}.json"
+            path.write_text(json.dumps(model_to_dict(random_model(rng))))
+            model = load_model(path)
+            initials = resolve_initial_distributions(model)
+            trajectories = []
+            for _ in range(3):
+                t, trajectory = int(rng.integers(0, 4)), []
+                for _ in range(int(rng.integers(1, 7))):
+                    trajectory.append(random_assignment(rng, model, t))
+                    t += int(rng.integers(1, 6))
+                trajectories.append(trajectory)
+            traj_path = tmp_path / f"trajectories{case}.json"
+            traj_path.write_text(json.dumps([
+                [{"t": w.t, "assignment": w.as_dict()} for w in trajectory]
+                for trajectory in trajectories]))
+            rows = run_json(capsys, "rank", str(path),
+                            str(traj_path))["trajectories"]
+
+            for trajectory in trajectories:
+                (row,) = [r for r in rows if r["trajectory"] == [
+                    {"t": w.t, "assignment": w.as_dict()} for w in trajectory]]
+                prior = prior_probability(trajectory[0], initials, model)
+                steps = [conditional_probability(a, b, model)
+                         for a, b in zip(trajectory, trajectory[1:])]
+                joint = prior
+                for p in steps:
+                    joint *= p
+                assert row["prior"] == prior
+                assert row["step_conditionals"] == steps
+                assert row["joint_probability"] == joint
+                gaps.update(b.t - a.t for a, b in zip(trajectory,
+                                                       trajectory[1:]))
+        assert gaps == {1, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("times", [(0, 2, 2), (3, 1)])
+    def test_non_increasing_instants_exit_1(self, capsys, tmp_path, times):
+        path = tmp_path / "trajectories.json"
+        path.write_text(json.dumps([[
+            {"t": t, "assignment": {"P": "correct", "C": "correct"}}
+            for t in times]]))
+        code, out, _ = run(capsys, "rank", HYDRAULIC, str(path))
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "non_increasing_instants"
 
 
 def test_import_leaves_networkx_unloaded():

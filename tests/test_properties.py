@@ -6,6 +6,7 @@ from propsuites import (
     check_classification_matches_reachability,
     check_classification_partition,
     check_factor_threshold_relation,
+    check_forward_paths_vs_bruteforce,
     check_memorylessness,
     check_power_stochasticity,
     check_revision_ranking_and_zeros,
@@ -34,6 +35,10 @@ def test_abductive_subset_of_consistency():
 
 def test_trellis_matches_bruteforce():
     check_trellis_vs_bruteforce(CASES)
+
+
+def test_forward_paths_match_bruteforce():
+    check_forward_paths_vs_bruteforce(CASES)
 
 
 def test_threshold_monotonicity():

@@ -43,6 +43,12 @@ class TestNormalizationFactor:
         with pytest.raises(AllZeroJointsError):
             normalization_factor([0.0, 0.0])
 
+    def test_reciprocal_overflow_rejected(self):
+        # the sum is subnormal: its reciprocal rounds to inf
+        with pytest.raises(AllZeroJointsError):
+            normalization_factor([1e-310, 0.0])
+        assert normalization_factor([2.3e-308]) == 1 / 2.3e-308
+
 
 class TestReviseGlobal:
     def test_worked_values(self):
@@ -80,6 +86,12 @@ class TestComponentMassFactor:
             component_mass_factor(pi, {"punctured"})
         with pytest.raises(ZeroAdmittedMassError):
             component_mass_factor(pi, set())
+
+    def test_reciprocal_overflow_rejected(self, container):
+        pi = ModeDistribution(container.modes, [1e-310, 0.0, 1.0])
+        with pytest.raises(ZeroAdmittedMassError):
+            component_mass_factor(pi, {"punctured"})
+        assert component_mass_factor(pi, {"punctured", "correct"}) == 1.0
 
 
 class TestReviseTransition:
