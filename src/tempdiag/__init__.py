@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from .atemporal import (
     ExplanationCriterion,
     ModeAssignment,
+    assignments,
     is_explanation,
     predicted_manifestations,
     solve_atemporal,
@@ -45,7 +46,6 @@ from .model import (
 from .revision import (
     ComponentRevision,
     InstantRevision,
-    admitted_modes,
     component_mass_factor,
     normalization_factor,
     posterior_component_distribution,
@@ -102,7 +102,7 @@ __all__ = [
     "Trellis",
     "ValidationError",
     "admissible_step",
-    "admitted_modes",
+    "assignments",
     "build_trellis",
     "classify_faults",
     "classify_states",

@@ -13,9 +13,11 @@ construction.
 
 The assignments firing a rule form the sub-block of the array that fixes
 each body atom's axis to its mode. Blocks of heads that must not be predicted
-are cleared, each present atom ANDs in the union of its blocks (abductive),
-and only the survivors become ``ModeAssignment`` objects. ``is_explanation``
-states the same criteria for one assignment.
+are cleared, and each present atom ANDs in the union of its blocks
+(abductive). The survivors are returned as a |L| x C mode-index array, which
+the trellis, induction and revision read; ``assignments`` builds
+``ModeAssignment`` objects from it for reports. ``is_explanation`` states
+the same criteria for one assignment.
 """
 
 from __future__ import annotations
@@ -69,6 +71,15 @@ class ModeAssignment:
         return dict(self.modes)
 
 
+def assignments(model: SystemModel, t: int,
+                modes: np.ndarray) -> list[ModeAssignment]:
+    """The rows of a |L| x C mode-index array as assignments at ``t``:
+    column c indexes the declared modes of ``model.components[c]``."""
+    return [ModeAssignment(t, tuple((c.id, c.modes[i])
+                                    for c, i in zip(model.components, row)))
+            for row in modes.tolist()]
+
+
 def predicted_manifestations(w: ModeAssignment,
                              model: SystemModel) -> frozenset[str]:
     """Heads of all rules whose body atoms are satisfied by ``w``."""
@@ -114,17 +125,20 @@ def _body_block(rule: HornRule, axes: Mapping[str, tuple[int, tuple[str, ...]]],
 def solve_atemporal(model: SystemModel, observation: Observation,
                     criterion: ExplanationCriterion,
                     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-                    ) -> list[ModeAssignment]:
-    """All mode assignments explaining one observation entry.
+                    ) -> np.ndarray:
+    """All mode assignments explaining one observation entry, as a |L| x C
+    array of mode indices with columns in model component order.
 
-    Output order is deterministic: components sorted by id, each component's
+    Row order is deterministic: components sorted by id, each component's
     modes in declared order, enumerated lexicographically (the C order of
-    the assignment array).
+    the assignment array), the order of the ``ModeAssignment`` objects.
 
     Raises:
         SearchSpaceError: the assignment space exceeds ``candidate_cap``.
     """
-    comps = sorted(model.components, key=lambda c: c.id)
+    by_id = sorted(range(len(model.components)),
+                   key=lambda i: model.components[i].id)
+    comps = [model.components[i] for i in by_id]
     shape = tuple(len(c.modes) for c in comps)
     space = math.prod(shape)
     if space > candidate_cap:
@@ -152,6 +166,4 @@ def solve_atemporal(model: SystemModel, observation: Observation,
                     covered[index] = True
             ok &= covered
 
-    return [ModeAssignment(observation.t,
-                           tuple((c.id, c.modes[i]) for c, i in zip(comps, row)))
-            for row in np.argwhere(ok).tolist()]
+    return np.argwhere(ok)[:, np.argsort(by_id)]

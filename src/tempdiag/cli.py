@@ -14,8 +14,15 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
-from .atemporal import DEFAULT_CANDIDATE_CAP, ExplanationCriterion, ModeAssignment
+from .atemporal import (
+    DEFAULT_CANDIDATE_CAP,
+    ExplanationCriterion,
+    ModeAssignment,
+    assignments,
+)
 from .errors import DiagnosisError, ValidationError
 from .markov import classify_faults, classify_states, propagate_distribution
 from .model import validate_model, validate_stream, validate_trajectories
@@ -243,8 +250,9 @@ def _cmd_diagnose(args) -> dict:
         "files": {"model": args.model, "observations": args.observations},
         "instants": list(trellis.instants),
         "candidates": [
-            {"t": t, "assignments": [w.as_dict() for w in layer]}
-            for t, layer in zip(trellis.instants, trellis.layers)
+            {"t": t, "assignments": [w.as_dict()
+                                     for w in assignments(model, t, modes)]}
+            for t, modes in zip(trellis.instants, trellis.modes)
         ],
         "initial_distributions": {
             comp: _distribution_dict(dist)
@@ -264,8 +272,8 @@ def _cmd_diagnose(args) -> dict:
     if args.revise:
         report["revision"] = _revision_report(trellis, model)
 
-    sizes = ", ".join(f"{len(layer)} at t={t}"
-                      for t, layer in zip(trellis.instants, trellis.layers))
+    sizes = ", ".join(f"{len(modes)} at t={t}"
+                      for t, modes in zip(trellis.instants, trellis.modes))
     best = diagnoses[0]
     print(f"candidates: {sizes}; {len(diagnoses)} admissible evolution(s); "
           f"best joint probability {best.joint_probability:.6g}",
@@ -303,22 +311,24 @@ def _cmd_rank(args) -> dict:
                          validate_trajectories, model)
     initials = resolve_initial_distributions(model)
 
-    rows = []
+    scored = []
     for trajectory in trajectories:
-        # a trellis with one candidate per instant
+        # a trellis with one candidate per instant: a 1 x C layer per step
+        modes = np.array([[[c.modes.index(w.mode_of(c.id))
+                            for c in model.components]] for w in trajectory])
         trellis = trellis_from_layers(model, [w.t for w in trajectory],
-                                      [(w,) for w in trajectory], initials)
+                                      modes, initials)
         prior = trellis.priors[0]
         conditionals = [c.item() for c in trellis.conditionals]
-        rows.append({
-            "joint_probability": math.prod(conditionals, start=prior),
+        joint = math.prod(conditionals, start=prior)
+        scored.append((-joint, trajectory, {
+            "joint_probability": joint,
             "prior": prior,
             "step_conditionals": conditionals,
             "trajectory": [_assignment_dicts(w) for w in trajectory],
-        })
-    rows.sort(key=lambda r: (-r["joint_probability"],
-                             [(s["t"], sorted(s["assignment"].items()))
-                              for s in r["trajectory"]]))
+        }))
+    scored.sort(key=lambda s: s[:2])
+    rows = [row for *_, row in scored]
     for i, row in enumerate(rows):
         row["rank"] = i + 1
     print(f"ranked {len(rows)} trajectories", file=sys.stderr)

@@ -94,10 +94,6 @@ class EmptyCandidateSetError(DiagnosisError):
     code = "empty_candidate_set"
 
 
-class WeightSumError(ValidationError):
-    code = "weight_sum"
-
-
 class MissingInitialDistributionError(DiagnosisError):
     code = "missing_initial_distribution"
 

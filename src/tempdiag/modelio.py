@@ -29,14 +29,14 @@ def parse_probability(value: Any, where: str = "") -> float:
     """A probability from JSON: a number, or an exact fraction string."""
     if isinstance(value, bool):
         raise ValidationError(f"{where}: expected a probability, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
+    try:
+        if isinstance(value, (int, float)):
+            return float(value)
+        if isinstance(value, str):
             return float(Fraction(value))
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(
-                f"{where}: cannot parse probability {value!r}") from None
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValidationError(
+            f"{where}: cannot parse probability {value!r}") from None
     raise ValidationError(f"{where}: expected a probability, got {value!r}")
 
 
@@ -83,6 +83,16 @@ def _time_point(obj: dict, where: str) -> int:
     return t
 
 
+def _assignment(obj: dict, where: str) -> dict[str, str]:
+    """A trajectory step's ``assignment``: an object mapping to mode names."""
+    assignment = _object(_require(obj, "assignment", where),
+                         f"{where} assignment", element="assignment")
+    if not all(isinstance(mode, str) for mode in assignment.values()):
+        raise ValidationError(f"{where}: assignment modes must be strings, "
+                              f"got {assignment!r}", element="assignment")
+    return assignment
+
+
 def _atoms(obj: dict, key: str, where: str) -> frozenset[str]:
     """An observation's ``present`` or ``absent`` list of atom names."""
     return frozenset(_array(obj.get(key, []), f"{where}: {key!r}", key,
@@ -97,11 +107,13 @@ def component_from_dict(obj: dict) -> ComponentSpec:
     modes = tuple(_array(_require(obj, "modes", where), f"{where}: 'modes'",
                          comp_id, strings=True))
     rows = _require(obj, "matrix", where)
-    if not isinstance(rows, list) or len(rows) != len(modes):
-        raise ValidationError(
-            f"{where}: matrix must have one row per mode", element=comp_id)
-    entries = [[parse_probability(x, f"{where} matrix")
-                for x in _array(row, f"{where}: matrix row", comp_id)]
+    if not isinstance(rows, list) or len(rows) != len(modes) or any(
+            len(_array(row, f"{where}: matrix row", comp_id)) != len(modes)
+            for row in rows):
+        raise ValidationError(f"{where}: matrix must have one row per mode "
+                              "and one entry per mode in each row",
+                              element=comp_id)
+    entries = [[parse_probability(x, f"{where} matrix") for x in row]
                for row in rows]
     initial = None
     if obj.get("initial_distribution") is not None:
@@ -197,10 +209,8 @@ def trajectories_from_list(entries: Sequence, ) -> list[tuple[ModeAssignment, ..
         if not isinstance(steps, list) or not steps:
             raise ValidationError(f"{where}: must be a nonempty array")
         out.append(tuple(
-            ModeAssignment.from_mapping(
-                _time_point(s, where),
-                _object(_require(s, "assignment", where),
-                        f"{where} assignment", element="assignment"))
+            ModeAssignment.from_mapping(_time_point(s, where),
+                                        _assignment(s, where))
             for s in steps))
     return out
 
@@ -212,7 +222,7 @@ def _load_json(path: str | Path) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"{path}: no such file", element=str(path)) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes and overlong integers too
         raise ValidationError(f"{path}: invalid JSON ({exc})",
                               element=str(path)) from None
 

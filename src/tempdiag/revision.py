@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .atemporal import ModeAssignment
 from .errors import AllZeroJointsError, ZeroAdmittedMassError
 from .markov import ModeDistribution, propagate_distribution
 from .model import SystemModel
@@ -86,18 +85,14 @@ def posterior_component_distribution(pi_t: ModeDistribution,
     zero out everything else and renormalize. The result is a proper
     distribution usable as the next propagation input."""
     admitted = frozenset(admitted)
-    factor = component_mass_factor(pi_t, admitted)
-    probs = np.array([
-        pi_t.prob(m) * factor if m in admitted else 0.0
-        for m in pi_t.modes
-    ])
-    return ModeDistribution(pi_t.modes, probs)
+    return _conditioned(pi_t, admitted, component_mass_factor(pi_t, admitted))
 
 
-def admitted_modes(candidates: Iterable[ModeAssignment],
-                   component_id: str) -> frozenset[str]:
-    """Modes assigned to a component by at least one atemporal diagnosis."""
-    return frozenset(w.mode_of(component_id) for w in candidates)
+def _conditioned(pi_t: ModeDistribution, admitted: frozenset[str],
+                 factor: float) -> ModeDistribution:
+    """``pi_t`` scaled by ``factor`` on the admitted modes, 0 elsewhere."""
+    return ModeDistribution(pi_t.modes, np.array([
+        pi_t.prob(m) * factor if m in admitted else 0.0 for m in pi_t.modes]))
 
 
 @dataclass(frozen=True)
@@ -138,8 +133,8 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
     (per-component revision).
     """
     revisions = []
-    for k, (t, layer, (paths, joints)) in enumerate(zip(
-            trellis.instants, trellis.layers, forward_paths(trellis))):
+    for k, (t, modes, (paths, joints)) in enumerate(zip(
+            trellis.instants, trellis.modes, forward_paths(trellis))):
         joints = joints.tolist()
         factor = normalization_factor(joints)
         # (sources, targets, conditionals) of the admissible edges into k
@@ -157,9 +152,9 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
         revised_joints, revised = revise_global(joints, edges[2])
 
         components = {}
-        for c, step in zip(model.components, steps):
+        for c, column, step in zip(model.components, modes.T, steps):
             pi_t = propagate_distribution(trellis.initials[c.id], c.matrix, t)
-            admitted = tuple(sorted(admitted_modes(layer, c.id)))
+            admitted = tuple(sorted({c.modes[i] for i in column.tolist()}))
             f = component_mass_factor(pi_t, admitted)
             transitions = [(c.modes[a], c.modes[b], raw,
                             revise_transition(raw, f))
@@ -168,7 +163,7 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
                 distribution=pi_t,
                 admitted=admitted,
                 factor=f,
-                posterior=posterior_component_distribution(pi_t, admitted),
+                posterior=_conditioned(pi_t, frozenset(admitted), f),
                 revised_transitions=tuple(sorted(transitions)),
             )
 

@@ -12,11 +12,12 @@ assignment times the product of its consecutive step conditionals, each of
 which is itself a product of per-component n-step matrix entries.
 
 The trellis is built as arrays, one step at a time (the HMM trellis layout).
-Each layer is a |L| x C array of mode indices. For a step across a gap of n
-instants, each component's ``P^n`` is computed once and fancy-indexed by the
-two layers' mode columns into an |L_k| x |L_k+1| block of factors; the
-conditionals are the blocks' product in model component order, and
-admissibility is a boolean mask. ``forward_paths`` expands the admissible
+Each layer is the |L| x C array of mode indices the atemporal solver
+returns; ``ModeAssignment`` objects are built only for ranked trajectories.
+For a step across a gap of n instants, each component's ``P^n`` is computed
+once and fancy-indexed by the two layers' mode columns into an
+|L_k| x |L_k+1| block of factors; the conditionals are the blocks' product
+in model component order, and admissibility is a boolean mask. ``forward_paths`` expands the admissible
 paths over those arrays with their joints, one layer at a time, for both
 enumeration and revision. ``prior_probability``, ``step_factors``,
 ``conditional_probability``, ``admissible_step`` and ``joint_probability``
@@ -36,6 +37,7 @@ from .atemporal import (
     DEFAULT_CANDIDATE_CAP,
     ExplanationCriterion,
     ModeAssignment,
+    assignments,
     solve_atemporal,
 )
 from .errors import (
@@ -46,11 +48,9 @@ from .errors import (
     NoCandidatesError,
     NonIncreasingInstantsError,
     ValidationError,
-    WeightSumError,
 )
 from .markov import (
     ModeDistribution,
-    ROW_SUM_TOL,
     matrix_power,
     propagate_distribution,
 )
@@ -99,9 +99,9 @@ class TemporalDiagnosis:
 class Trellis:
     """Layered candidate graph over the relevant instants.
 
-    ``modes[k]`` holds the candidates of ``layers[k]`` as a |L_k| x C array
-    of mode indices: column c is ``model.components[c]``, each entry an
-    index into that component's declared modes. Step k joins layer k to
+    ``modes[k]`` holds the candidates at ``instants[k]`` as a |L_k| x C
+    array of mode indices: column c is ``model.components[c]``, each entry
+    an index into that component's declared modes. Step k joins layer k to
     layer k + 1: ``factors[k][i, j, c]`` is component c's n-step entry for
     candidate i to candidate j, ``conditionals[k][i, j]`` the product of
     those entries, and ``admissible[k][i, j]`` the threshold check under
@@ -109,7 +109,6 @@ class Trellis:
     """
 
     instants: tuple[int, ...]
-    layers: tuple[tuple[ModeAssignment, ...], ...]
     modes: tuple[np.ndarray, ...]
     initials: Mapping[str, ModeDistribution]
     priors: tuple[float, ...]
@@ -125,65 +124,38 @@ def relevant_instants(obs: ObservationStream) -> list[int]:
     return [entry.t for entry in obs.entries]
 
 
-def induce_initial_distributions(
-        candidates: Sequence[ModeAssignment],
-        weights: Sequence[float] | None = None,
-        model: SystemModel | None = None,
-) -> dict[str, ModeDistribution]:
-    """Turn the candidate set at the first instant into per-component
-    initial distributions.
+def induce_initial_distributions(model: SystemModel, modes: np.ndarray,
+                                 ) -> dict[str, ModeDistribution]:
+    """Turn the candidate set at the first instant, a |L| x C mode-index
+    array, into per-component initial distributions over the declared modes.
 
-    Without explicit weights every candidate gets mass ``1/len(candidates)``;
-    a component's probability of being in mode m is then the total weight of
-    the candidates assigning m to it. When ``model`` is given, each result
-    vector is laid out over the component's declared mode order (with zero
-    mass for unassigned modes); otherwise only the assigned modes appear,
-    alphabetically.
+    Every candidate gets mass ``1/|L|``; a component's probability of being
+    in mode m is the mass of the candidates assigning m to it, added
+    candidate by candidate.
     """
-    if not candidates:
+    if not len(modes):
         raise EmptyCandidateSetError("cannot induce distributions from an "
                                      "empty candidate set")
-    if weights is None:
-        weights = [1.0 / len(candidates)] * len(candidates)
-    else:
-        weights = [float(x) for x in weights]
-        if len(weights) != len(candidates):
-            raise WeightSumError(
-                f"{len(weights)} weights for {len(candidates)} candidates")
-        total = sum(weights)
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            raise WeightSumError(f"weights sum to {total!r}, expected 1")
-
-    mass: dict[str, dict[str, float]] = {}
-    for w, weight in zip(candidates, weights):
-        for comp, mode in w.modes:
-            by_mode = mass.setdefault(comp, {})
-            by_mode[mode] = by_mode.get(mode, 0.0) + weight
-
-    out = {}
-    for comp, by_mode in mass.items():
-        if model is not None:
-            modes = model.component(comp).modes
-        else:
-            modes = tuple(sorted(by_mode))
-        out[comp] = ModeDistribution(modes,
-                                     [by_mode.get(m, 0.0) for m in modes])
-    return out
+    weights = np.full(len(modes), 1.0 / len(modes))
+    return {c.id: ModeDistribution(c.modes, np.bincount(
+                modes[:, ci], weights, minlength=len(c.modes)))
+            for ci, c in enumerate(model.components)}
 
 
 def resolve_initial_distributions(
         model: SystemModel,
         first_instant: int | None = None,
-        first_candidates: Sequence[ModeAssignment] | None = None,
+        first_candidates: np.ndarray | None = None,
 ) -> dict[str, ModeDistribution]:
     """Initial distribution per component, resolved in priority order:
     the component's own declaration, then uniform induction from the
-    candidate set when the first relevant instant is 0, then the uniform
-    distribution over the component's modes.
+    candidate set (a mode-index array) when the first relevant instant is
+    0, then the uniform distribution over the component's modes.
     """
     induced = None
-    if first_instant == 0 and first_candidates:
-        induced = induce_initial_distributions(first_candidates, model=model)
+    if first_instant == 0 and first_candidates is not None and len(
+            first_candidates):
+        induced = induce_initial_distributions(model, first_candidates)
     out = {}
     for c in model.components:
         if c.initial_distribution is not None:
@@ -263,35 +235,31 @@ def joint_probability(trajectory: Sequence[ModeAssignment],
 
 def trellis_from_layers(
         model: SystemModel, instants: Sequence[int],
-        layers: Sequence[Sequence[ModeAssignment]],
+        modes: Sequence[np.ndarray],
         initials: Mapping[str, ModeDistribution], sigma: float = 0.0,
         threshold_mode: ThresholdMode = ThresholdMode.GLOBAL) -> Trellis:
-    """The trellis arrays over given candidate layers: mode indices, priors
-    and, per step, the factors, conditionals and admissibility masks.
+    """The trellis arrays over given candidate layers, each a |L| x C
+    mode-index array: priors and, per step, the factors, conditionals and
+    admissibility masks.
 
     Raises:
         NonIncreasingInstantsError: some instant does not follow the one
             before it.
     """
-    lookup = [(c.id, {m: i for i, m in enumerate(c.modes)})
-              for c in model.components]
-    modes = [np.array([[index[w.mode_of(comp)] for comp, index in lookup]
-                       for w in layer], dtype=np.intp)
-             .reshape(len(layer), len(lookup)) for layer in layers]
-    priors = np.ones(len(layers[0]))
+    priors = np.ones(len(modes[0]))
     for ci, c in enumerate(model.components):
         pi_t = propagate_distribution(initials[c.id], c.matrix, instants[0])
         priors *= pi_t.probabilities[modes[0][:, ci]]
 
     powers: dict[tuple[int, int], np.ndarray] = {}
     factors, conditionals, admissible = [], [], []
-    for k in range(len(layers) - 1):
+    for k in range(len(modes) - 1):
         n = instants[k + 1] - instants[k]
         if n <= 0:
             raise NonIncreasingInstantsError(
                 f"step from t={instants[k]} to t={instants[k + 1]} does not "
                 "advance time")
-        shape = (len(layers[k]), len(layers[k + 1]))
+        shape = (len(modes[k]), len(modes[k + 1]))
         factor = np.empty(shape + (len(model.components),))
         # multiplied in component order from 1.0, as math.prod does per edge
         conditional = np.ones(shape)
@@ -309,7 +277,7 @@ def trellis_from_layers(
         conditionals.append(conditional)
         admissible.append(ok)
 
-    return Trellis(tuple(instants), tuple(map(tuple, layers)), tuple(modes),
+    return Trellis(tuple(instants), tuple(modes),
                    initials, tuple(priors.tolist()), tuple(factors),
                    tuple(conditionals), tuple(admissible))
 
@@ -330,7 +298,7 @@ def build_trellis(problem: DiagnosticProblem) -> Trellis:
     for entry in problem.observations.entries:
         candidates = solve_atemporal(model, entry, problem.criterion,
                                      problem.candidate_cap)
-        if not candidates:
+        if not len(candidates):
             raise NoCandidatesError(entry.t)
         layers.append(candidates)
 
@@ -348,7 +316,7 @@ def forward_paths(trellis: Trellis) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     step conditionals, multiplied left to right. A layer with no path leaves
     every later layer empty. Only the current layer is kept alive.
     """
-    paths = np.arange(len(trellis.layers[0]))[:, None]
+    paths = np.arange(len(trellis.modes[0]))[:, None]
     joints = np.array(trellis.priors)
     yield paths, joints
     for conditional, admissible in zip(trellis.conditionals,
@@ -379,9 +347,11 @@ def enumerate_temporal_diagnoses(
     steps = np.empty((len(paths), len(trellis.conditionals)))
     for k, conditional in enumerate(trellis.conditionals):
         steps[:, k] = conditional[paths[:, k], paths[:, k + 1]]
+    layers = [assignments(problem.model, t, modes)
+              for t, modes in zip(trellis.instants, trellis.modes)]
     results = [
         TemporalDiagnosis(
-            tuple(layer[i] for layer, i in zip(trellis.layers, indices)),
+            tuple(layer[i] for layer, i in zip(layers, indices)),
             joint, tuple(conditionals))
         for indices, joint, conditionals in zip(
             paths.tolist(), joints.tolist(), steps.tolist())]

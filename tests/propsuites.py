@@ -26,6 +26,7 @@ from tempdiag import (
     TransitionMatrix,
     TemporalDiagnosis,
     admissible_step,
+    assignments,
     build_trellis,
     classify_faults,
     classify_states,
@@ -99,6 +100,13 @@ def random_assignment(rng: np.random.Generator, model: SystemModel,
         c.id: c.modes[rng.integers(len(c.modes))] for c in model.components})
 
 
+def mode_indices(model: SystemModel, candidates) -> np.ndarray:
+    """Assignments as the |L| x C mode-index array the engine works on."""
+    return np.array([[c.modes.index(w.mode_of(c.id)) for c in model.components]
+                     for w in candidates]).reshape(len(candidates),
+                                                   len(model.components))
+
+
 def observation_from_assignment(rng: np.random.Generator,
                                 model: SystemModel,
                                 w: ModeAssignment) -> Observation:
@@ -162,10 +170,10 @@ def check_abductive_subset(cases: int, seed: int = 2027) -> None:
             present = frozenset(h for h in chosen if rng.random() < 0.5)
             obs = Observation(t=0, present=present,
                               absent=frozenset(chosen) - present)
-        abductive = set(solve_atemporal(model, obs,
-                                        ExplanationCriterion.ABDUCTIVE))
-        consistent = set(solve_atemporal(model, obs,
-                                         ExplanationCriterion.CONSISTENCY_BASED))
+        abductive = set(assignments(model, 0, solve_atemporal(
+            model, obs, ExplanationCriterion.ABDUCTIVE)))
+        consistent = set(assignments(model, 0, solve_atemporal(
+            model, obs, ExplanationCriterion.CONSISTENCY_BASED)))
         assert abductive <= consistent
 
 
@@ -216,10 +224,13 @@ def check_trellis_vs_bruteforce(cases: int, seed: int = 2028) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(cases):
         problem = _random_problem(rng)
-        layers = [solve_atemporal(problem.model, entry, problem.criterion)
-                  for entry in problem.observations.entries]
+        entries = problem.observations.entries
+        modes = [solve_atemporal(problem.model, entry, problem.criterion)
+                 for entry in entries]
+        layers = [assignments(problem.model, entry.t, m)
+                  for entry, m in zip(entries, modes)]
         initials = resolve_initial_distributions(
-            problem.model, problem.observations.entries[0].t, layers[0])
+            problem.model, entries[0].t, modes[0])
 
         expected = {}
         for combo in itertools.product(*layers):
@@ -244,7 +255,8 @@ def check_forward_paths_vs_bruteforce(cases: int, seed: int = 2033) -> None:
     for _ in range(cases):
         problem = _random_problem(rng)
         trellis = build_trellis(problem)
-        layers = trellis.layers
+        layers = [assignments(problem.model, t, m)
+                  for t, m in zip(trellis.instants, trellis.modes)]
         for k, (paths, joints) in enumerate(forward_paths(trellis)):
             expected = [
                 indices for indices in itertools.product(

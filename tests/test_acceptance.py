@@ -38,6 +38,7 @@ from propsuites import (
     check_revision_ranking_and_zeros,
     check_threshold_monotonicity,
     check_trellis_vs_bruteforce,
+    mode_indices,
 )
 
 
@@ -141,8 +142,8 @@ def test_criterion_5_propagation(hydraulic):
     """One-step propagation: container (0, 1/10, 9/10); pump
     (1/150, 7/15, 1/75, 16/75, 3/10), a proper distribution."""
     with criterion(5, "one-step distribution propagation"):
-        initials = induce_initial_distributions(first_layer_candidates(0),
-                                                model=hydraulic)
+        initials = induce_initial_distributions(
+            hydraulic, mode_indices(hydraulic, first_layer_candidates(0)))
         pi_c = propagate_distribution(initials["C"],
                                       hydraulic.component("C").matrix, 1)
         np.testing.assert_allclose(pi_c.probabilities, [0, 1 / 10, 9 / 10],

@@ -17,6 +17,7 @@ from tempdiag import (
     Observation,
     SystemModel,
     is_explanation,
+    assignments,
     predicted_manifestations,
     solve_atemporal,
 )
@@ -35,6 +36,12 @@ CONSISTENCY = ExplanationCriterion.CONSISTENCY_BASED
 
 def assignment(t=0, **modes):
     return ModeAssignment.from_mapping(t, modes)
+
+
+def solve(model, obs, criterion, **kwargs):
+    """The solver's candidates as ``ModeAssignment`` objects."""
+    return assignments(model, obs.t,
+                       solve_atemporal(model, obs, criterion, **kwargs))
 
 
 class TestPredictedManifestations:
@@ -91,26 +98,26 @@ def hydraulic_rules_no_exclusive():
 class TestSolveAtemporal:
     def test_blocked_pump_dry_container(self, hydraulic):
         obs = Observation(0, {"no_flow_out(P)"}, {"water_loss(C)"})
-        got = solve_atemporal(hydraulic, obs, ABDUCTIVE)
+        got = solve(hydraulic, obs, ABDUCTIVE)
         assert {w.as_dict()["P"] for w in got} == {"occluded", "broken"}
         assert all(w.as_dict()["C"] == "correct" for w in got)
 
     def test_vacuous_observation_keeps_everything(self, pump, container):
         model = SystemModel((pump, container), hydraulic_rules_no_exclusive())
         obs = Observation(0, set(), set())
-        got = solve_atemporal(model, obs, CONSISTENCY)
+        got = solve(model, obs, CONSISTENCY)
         assert len(got) == 15
 
     def test_contradictory_presents_unsatisfiable(self, hydraulic):
         obs = Observation(0, {"flow_out(P)", "no_flow_out(P)"}, set())
-        assert solve_atemporal(hydraulic, obs, ABDUCTIVE) == []
+        assert solve(hydraulic, obs, ABDUCTIVE) == []
 
     def test_output_order_deterministic(self, pump, container):
         # components sorted by id (C before P), each component's modes in
         # declared order, enumerated lexicographically
         model = SystemModel((pump, container), hydraulic_rules_no_exclusive())
         obs = Observation(0, set(), set())
-        got = solve_atemporal(model, obs, CONSISTENCY)
+        got = solve(model, obs, CONSISTENCY)
         expected = [
             assignment(C=c_mode, P=p_mode)
             for c_mode in container.modes
@@ -118,18 +125,30 @@ class TestSolveAtemporal:
         ]
         assert got == expected
 
+    def test_mode_indices_in_model_order(self, pump, container):
+        # rows in the id order above (C before P), columns in model order
+        # (P before C), each entry an index into the declared modes
+        model = SystemModel((pump, container), hydraulic_rules_no_exclusive())
+        got = solve_atemporal(model, Observation(0, set(), set()), CONSISTENCY)
+        assert got.tolist() == [[p, c] for c in range(len(container.modes))
+                                for p in range(len(pump.modes))]
+        empty = solve_atemporal(
+            model, Observation(0, {"flow_out(P)", "no_flow_out(P)"}, set()),
+            ABDUCTIVE)
+        assert empty.shape == (0, 2)
+
     def test_candidate_cap(self, hydraulic):
         obs = Observation(0, set(), set())
         with pytest.raises(SearchSpaceError):
-            solve_atemporal(hydraulic, obs, ABDUCTIVE, candidate_cap=10)
+            solve(hydraulic, obs, ABDUCTIVE, candidate_cap=10)
 
     def test_candidate_cap_boundary(self, hydraulic):
         # 5 pump modes x 3 container modes: a cap equal to the space passes
         obs = Observation(0, set(), set())
-        assert len(solve_atemporal(hydraulic, obs, CONSISTENCY,
-                                   candidate_cap=15)) == 15
+        assert len(solve(hydraulic, obs, CONSISTENCY,
+                         candidate_cap=15)) == 15
         with pytest.raises(SearchSpaceError) as exc:
-            solve_atemporal(hydraulic, obs, CONSISTENCY, candidate_cap=14)
+            solve(hydraulic, obs, CONSISTENCY, candidate_cap=14)
         assert exc.value.element == 15
 
     def test_rules_sharing_a_head(self, pump, container):
@@ -140,14 +159,14 @@ class TestSolveAtemporal:
         ))
         present = Observation(0, {"dry"}, set())
         got = {(w.mode_of("P"), w.mode_of("C"))
-               for w in solve_atemporal(model, present, ABDUCTIVE)}
+               for w in solve(model, present, ABDUCTIVE)}
         expected = {(p, c) for p in pump.modes for c in container.modes
                     if p == "broken" or c == "punctured"
                     or (p, c) == ("occluded", "correct")}
         assert got == expected
         absent = Observation(0, set(), {"dry"})
         got = {(w.mode_of("P"), w.mode_of("C"))
-               for w in solve_atemporal(model, absent, CONSISTENCY)}
+               for w in solve(model, absent, CONSISTENCY)}
         assert got == {(p, c) for p in pump.modes for c in container.modes
                        } - expected
 
@@ -158,10 +177,10 @@ class TestSolveAtemporal:
             HornRule(frozenset(), "alarm"),
             HornRule({("P", "broken")}, "dry"),
         ))
-        assert len(solve_atemporal(model, Observation(0, {"alarm"}, set()),
-                                   ABDUCTIVE)) == 15
-        assert solve_atemporal(model, Observation(0, set(), {"alarm"}),
-                               CONSISTENCY) == []
+        assert len(solve(model, Observation(0, {"alarm"}, set()),
+                         ABDUCTIVE)) == 15
+        assert solve(model, Observation(0, set(), {"alarm"}),
+                     CONSISTENCY) == []
 
     def test_unfireable_rule_bodies(self, pump, container):
         # unvalidated bodies naming an unknown component or mode, or giving
@@ -171,23 +190,22 @@ class TestSolveAtemporal:
             HornRule({("P", "melted")}, "odd"),
             HornRule({("P", "broken"), ("P", "correct")}, "odd"),
         ))
-        assert solve_atemporal(model, Observation(0, {"odd"}, set()),
-                               ABDUCTIVE) == []
-        assert len(solve_atemporal(model, Observation(0, set(), {"odd"}),
-                                   CONSISTENCY)) == 15
+        assert solve(model, Observation(0, {"odd"}, set()),
+                     ABDUCTIVE) == []
+        assert len(solve(model, Observation(0, set(), {"odd"}),
+                         CONSISTENCY)) == 15
 
     def test_underived_present_atom(self, hydraulic):
         # without validation an observation may name an atom no rule derives:
         # nothing covers it abductively, and it excludes nothing
         obs = Observation(0, {"ghost"}, set())
-        assert solve_atemporal(hydraulic, obs, ABDUCTIVE) == []
-        assert solve_atemporal(hydraulic, obs, CONSISTENCY) == \
-            solve_atemporal(hydraulic, Observation(0, set(), set()),
-                            CONSISTENCY)
+        assert solve(hydraulic, obs, ABDUCTIVE) == []
+        assert solve(hydraulic, obs, CONSISTENCY) == \
+            solve(hydraulic, Observation(0, set(), set()), CONSISTENCY)
 
     def test_assignment_time_stamped(self, hydraulic):
         obs = Observation(7, {"flow_out(P)"}, set())
-        got = solve_atemporal(hydraulic, obs, ABDUCTIVE)
+        got = solve(hydraulic, obs, ABDUCTIVE)
         assert got and all(w.t == 7 for w in got)
 
 
@@ -230,7 +248,7 @@ def test_oracle_equivalence_on_random_models():
             present = frozenset(h for h in chosen if rng.random() < 0.5)
             obs = Observation(0, present, frozenset(chosen) - present)
         for criterion in (ABDUCTIVE, CONSISTENCY):
-            assert solve_atemporal(model, obs, criterion) == \
+            assert solve(model, obs, criterion) == \
                 brute_force_solve(model, obs, criterion)
 
 
@@ -277,7 +295,7 @@ def test_oracle_equivalence_on_wide_models():
         observations.append(Observation(0, present, frozenset(chosen) - present))
         for obs in observations:
             for criterion in (ABDUCTIVE, CONSISTENCY):
-                assert solve_atemporal(model, obs, criterion) == \
+                assert solve(model, obs, criterion) == \
                     brute_force_solve(model, obs, criterion)
 
 
@@ -285,5 +303,5 @@ def test_abductive_monotone_in_present(hydraulic):
     # adding a present atom never enlarges the abductive solution set
     base = Observation(0, {"no_flow_out(P)"}, set())
     more = Observation(0, {"no_flow_out(P)", "water_loss(C)"}, set())
-    assert set(solve_atemporal(hydraulic, more, ABDUCTIVE)) <= \
-        set(solve_atemporal(hydraulic, base, ABDUCTIVE))
+    assert set(solve(hydraulic, more, ABDUCTIVE)) <= \
+        set(solve(hydraulic, base, ABDUCTIVE))

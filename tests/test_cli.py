@@ -261,6 +261,9 @@ MALFORMED_FIELDS = [
     (("components", 0, "modes"), [1, 2, 3, 4, 5]),
     (("rules", 0, "body"), 5),
     (("components", 0, "matrix", 0), 5),
+    (("components", 0, "matrix", 0), ["1", "0", "0", "0"]),
+    (("components", 0, "matrix", 0, 0), 10 ** 400),
+    (("components", 0, "matrix", 0, 0), "1e999"),
     (("components", 0, "initial_distribution"), 5),
     (("rules", 0, "head"), ["x"]),
     (("rules", 0, "body", 0, "mode"), ["x"]),
@@ -428,6 +431,8 @@ class TestRank:
          "invalid_input", -1),
         ({"t": 0, "assignment": {"P": "correct", "C": "correct", "Z": "x"}},
          "unknown_mode_atom", ["Z", "x"]),
+        ({"t": 0, "assignment": {"P": float("nan"), "C": "correct"}},
+         "invalid_input", "assignment"),
     ])
     def test_trajectory_checked_against_model(self, capsys, tmp_path, step,
                                               code, element):

@@ -1,0 +1,122 @@
+"""Fuzzed ingestion: mutated scenario files never end in a traceback.
+
+Each example mutates the shipped hydraulic model or its observation stream:
+a value replaced by one of another type (NaN, infinities, huge integers,
+strings, null, booleans, arrays, objects), a key dropped, a key written
+twice in the JSON text, an array element duplicated or an array shortened.
+Every subcommand that reads the files must then exit 0-3 and print exactly
+one JSON object on stdout, carrying ``error`` whenever it exits non-zero.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from tempdiag.cli import main
+
+from conftest import SCENARIOS
+
+MODEL = json.loads((SCENARIOS / "hydraulic_model.json").read_text())
+STREAM = json.loads((SCENARIOS / "hydraulic_obs.json").read_text())
+
+ODD_VALUES = st.sampled_from([
+    float("nan"), float("inf"), -float("inf"), 1e308, -1, 0, 10 ** 400,
+    -10 ** 400, 2 ** 63, "x", "", "1/0", "1e999", None, True, False, [], {},
+    [1], ["x"], [[]], {"t": 0}]).map(copy.deepcopy)
+
+
+class Twice(dict):
+    """An object whose JSON text repeats one key with a second value."""
+
+    def __init__(self, items, key, value):
+        super().__init__(items)
+        self.repeated = (key, value)
+
+
+def dump(value) -> str:
+    """JSON text, writing a ``Twice`` object's repeated key at the end."""
+    if isinstance(value, dict):
+        pairs = list(value.items())
+        if isinstance(value, Twice):
+            pairs.append(value.repeated)
+        return "{" + ", ".join(f"{json.dumps(k)}: {dump(v)}"
+                               for k, v in pairs) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(dump, value)) + "]"
+    return json.dumps(value)
+
+
+def locations(doc, path=()):
+    """Every (container path, key or index) in a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path, key
+        yield from locations(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three mutations applied."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        places = list(locations(doc))
+        if not places:
+            break
+        path, key = draw(st.sampled_from(places))
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        op = draw(st.sampled_from(["replace", "drop", "repeat", "shorten"]))
+        if op == "replace":
+            parent[key] = draw(ODD_VALUES)
+        elif op == "drop":
+            del parent[key]
+        elif op == "repeat" and isinstance(parent, dict):
+            twice = Twice(parent, key, draw(ODD_VALUES))
+            if path:
+                grand = doc
+                for step in path[:-1]:
+                    grand = grand[step]
+                grand[path[-1]] = twice
+            else:
+                doc = twice
+        elif op == "repeat":
+            parent.insert(key, copy.deepcopy(parent[key]))
+        elif isinstance(parent[key], list):
+            del parent[key][len(parent[key]) // 2:]
+        else:
+            del parent[key]
+    return doc
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(st.one_of(
+    st.tuples(mutated(MODEL), st.just(STREAM)),
+    st.tuples(st.just(MODEL), mutated(STREAM))))
+def test_mutated_inputs_exit_with_one_json_object(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        model, stream = Path(tmp) / "model.json", Path(tmp) / "obs.json"
+        model.write_text(dump(files[0]))
+        stream.write_text(dump(files[1]))
+        m, s = str(model), str(stream)
+        for argv in (["validate", m, s], ["classify", m],
+                     ["propagate", m, "--instants", "0,1,3"],
+                     ["diagnose", m, s], ["diagnose", m, s, "--revise"]):
+            code, out = run(argv)
+            assert code in (0, 1, 2, 3), argv
+            report = json.loads(out)
+            assert isinstance(report, dict), argv
+            assert ("error" in report) == (code != 0), (argv, report)

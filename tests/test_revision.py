@@ -200,7 +200,7 @@ def test_single_trajectory_per_component_matches_global():
                        for c in model.components]])
             for w in (w0, w1))
         trellis = Trellis(
-            instants=(0, w1.t), layers=((w0,), (w1,)), modes=modes,
+            instants=(0, w1.t), modes=modes,
             initials=initials, priors=(1.0,),
             factors=(np.array([[[factors[c.id]
                                  for c in model.components]]]),),

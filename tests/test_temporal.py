@@ -17,6 +17,7 @@ from tempdiag import (
     SystemModel,
     ThresholdMode,
     admissible_step,
+    assignments,
     build_trellis,
     conditional_probability,
     enumerate_temporal_diagnoses,
@@ -35,10 +36,10 @@ from tempdiag.errors import (
     NoCandidatesError,
     NonIncreasingInstantsError,
     ValidationError,
-    WeightSumError,
 )
 
 from propsuites import (
+    mode_indices,
     observation_from_assignment,
     random_assignment,
     random_model,
@@ -78,49 +79,61 @@ class TestRelevantInstants:
             relevant_instants(ObservationStream(()))
 
 
+def induced(model, candidates):
+    return induce_initial_distributions(model, mode_indices(model, candidates))
+
+
 class TestInduceInitialDistributions:
     def test_uniform_over_three_candidates(self, hydraulic):
-        got = induce_initial_distributions(w_candidates(0), model=hydraulic)
+        got = induced(hydraulic, w_candidates(0))
         np.testing.assert_allclose(got["C"].probabilities, [0, 0, 1],
                                    atol=1e-12)
         np.testing.assert_allclose(
             got["P"].probabilities, [0, 1 / 3, 0, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_single_candidate_gets_point_mass(self, hydraulic):
-        got = induce_initial_distributions(
-            [assignment(0, P="broken", C="correct")], model=hydraulic)
+        got = induced(hydraulic, [assignment(0, P="broken", C="correct")])
         assert got["P"].prob("broken") == 1.0
         assert got["C"].prob("correct") == 1.0
 
-    def test_weights_copy_through(self, hydraulic):
-        candidates = [assignment(0, P="occluded", C="correct"),
-                      assignment(0, P="correct", C="correct")]
-        got = induce_initial_distributions(candidates, weights=[0.9, 0.1],
-                                           model=hydraulic)
-        assert got["P"].prob("occluded") == pytest.approx(0.9, abs=1e-12)
-        assert got["P"].prob("correct") == pytest.approx(0.1, abs=1e-12)
-        assert got["C"].prob("correct") == pytest.approx(1.0, abs=1e-12)
-
-    def test_empty_candidate_set_rejected(self):
+    def test_empty_candidate_set_rejected(self, hydraulic):
         with pytest.raises(EmptyCandidateSetError):
-            induce_initial_distributions([])
+            induced(hydraulic, [])
 
-    def test_bad_weights_rejected(self, hydraulic):
-        with pytest.raises(WeightSumError):
-            induce_initial_distributions(w_candidates(0), weights=[0.5, 0.5, 0.5])
+    def test_bit_exact_left_to_right_sum(self):
+        """Each mode's mass equals, bit for bit, the candidates' 1/|L|
+        weights added one candidate at a time from 0.0, on random first
+        layers of 1 to 100 distinct candidates in lexicographic order."""
+        rng = np.random.default_rng(606)
+        division_differs = False
+        for _ in range(200):
+            model = random_model(rng, max_components=4, max_modes=4,
+                                 max_rules=0)
+            shape = tuple(len(c.modes) for c in model.components)
+            size = int(rng.integers(1, min(np.prod(shape), 100) + 1))
+            flat = np.sort(rng.choice(np.prod(shape), size, replace=False))
+            modes = np.stack(np.unravel_index(flat, shape), axis=1)
+            got = induce_initial_distributions(model, modes)
+            for ci, c in enumerate(model.components):
+                expected = [0.0] * len(c.modes)
+                for row in modes.tolist():
+                    expected[row[ci]] += 1.0 / size
+                assert got[c.id].modes == c.modes
+                assert got[c.id].probabilities.tolist() == expected
+                counts = np.bincount(modes[:, ci], minlength=len(c.modes))
+                division_differs |= (counts / size).tolist() != expected
+        assert division_differs
 
 
 class TestPriorProbability:
     def test_uniform_candidates_give_equal_priors(self, hydraulic):
-        initials = induce_initial_distributions(w_candidates(0),
-                                                model=hydraulic)
+        initials = induced(hydraulic, w_candidates(0))
         for w in w_candidates(0):
             assert prior_probability(w, initials, hydraulic) == \
                 pytest.approx(1 / 3, abs=1e-12)
 
     def test_zero_initial_mass_gives_zero(self, hydraulic):
-        initials = induce_initial_distributions(w_candidates(0),
-                                                model=hydraulic)
+        initials = induced(hydraulic, w_candidates(0))
         w = assignment(0, P="broken", C="correct")
         assert prior_probability(w, initials, hydraulic) == 0.0
 
@@ -209,24 +222,21 @@ class TestAdmissibleStep:
 
 class TestJointProbability:
     def test_partial_occlusion_evolution(self, hydraulic):
-        initials = induce_initial_distributions(w_candidates(0),
-                                                model=hydraulic)
+        initials = induced(hydraulic, w_candidates(0))
         trajectory = [assignment(0, P="partially_occluded", C="correct"),
                       assignment(1, P="occluded", C="correct")]
         assert joint_probability(trajectory, initials, hydraulic) == \
             pytest.approx(3 / 25, abs=1e-12)
 
     def test_full_occlusion_evolution(self, hydraulic):
-        initials = induce_initial_distributions(w_candidates(0),
-                                                model=hydraulic)
+        initials = induced(hydraulic, w_candidates(0))
         trajectory = [assignment(0, P="occluded", C="correct"),
                       assignment(1, P="occluded", C="correct")]
         assert joint_probability(trajectory, initials, hydraulic) == \
             pytest.approx(3 / 10, abs=1e-12)
 
     def test_length_one_trajectory_is_prior(self, hydraulic):
-        initials = induce_initial_distributions(w_candidates(0),
-                                                model=hydraulic)
+        initials = induced(hydraulic, w_candidates(0))
         w = assignment(0, P="correct", C="correct")
         assert joint_probability([w], initials, hydraulic) == \
             prior_probability(w, initials, hydraulic)
@@ -315,7 +325,8 @@ class TestResolveInitials:
             for c in hydraulic.components)
         model = SystemModel(comps, hydraulic.rules, hydraulic.exclusive)
         got = resolve_initial_distributions(
-            model, 0, [assignment(0, P="broken", C="punctured")])
+            model, 0, mode_indices(model, [assignment(0, P="broken",
+                                                      C="punctured")]))
         assert got["C"] == point                      # declared, kept
         assert got["P"].prob("broken") == 1.0         # induced
 
@@ -346,7 +357,8 @@ def test_trellis_arrays_equal_per_edge_definitions():
                 done % 2],
             criterion=ExplanationCriterion.CONSISTENCY_BASED)
         trellis = build_trellis(problem)
-        layers = trellis.layers
+        layers = [assignments(model, t, m)
+                  for t, m in zip(trellis.instants, trellis.modes)]
         if max(len(layer) for layer in layers) > 12:
             continue
 
