@@ -129,9 +129,11 @@ def solve_atemporal(model: SystemModel, observation: Observation,
     """All mode assignments explaining one observation entry, as a |L| x C
     array of mode indices with columns in model component order.
 
-    Row order is deterministic: components sorted by id, each component's
-    modes in declared order, enumerated lexicographically (the C order of
-    the assignment array), the order of the ``ModeAssignment`` objects.
+    Row order is deterministic: lexicographic over the components sorted
+    by id, each component's modes in declared order (the C order of the
+    assignment array). That is not ``ModeAssignment`` order, which compares
+    mode names, whenever a component's modes are not declared in name
+    order; ranking ties are broken by ``ModeAssignment`` order.
 
     Raises:
         SearchSpaceError: the assignment space exceeds ``candidate_cap``.

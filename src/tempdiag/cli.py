@@ -2,15 +2,17 @@
 
 Subcommands: validate, classify, propagate, diagnose, simulate, rank.
 Reports go to standard output as canonical JSON; a short human-readable
-summary goes to standard error. Exit codes: 0 success, 1 invalid input,
-2 no diagnosis (empty candidate set, no admissible evolution, or undefined
-revision), 3 internal limits (candidate cap).
+summary goes to standard error. ``main`` loads and validates the model and
+writes what every report carries (``command``, ``config`` and the input
+``files``); each ``_cmd_*`` function returns only its own sections. Exit
+codes: 0 success, 1 invalid input, 2 no diagnosis (empty candidate set, no
+admissible evolution, or undefined revision), 3 internal limits (candidate
+cap).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Sequence
 
@@ -40,6 +42,7 @@ from .temporal import (
     ThresholdMode,
     build_trellis,
     enumerate_temporal_diagnoses,
+    forward_paths,
     resolve_initial_distributions,
     trellis_from_layers,
 )
@@ -52,6 +55,8 @@ _THRESHOLD_MODES = {
     "global": ThresholdMode.GLOBAL,
     "per-component": ThresholdMode.PER_COMPONENT,
 }
+#: Input file arguments a report lists under ``files`` when given.
+_FILES = ("model", "observations", "trajectories")
 
 
 def _parse_instants(text: str) -> list[int]:
@@ -92,12 +97,8 @@ def _distribution_dict(dist) -> dict:
             "probabilities": [float(x) for x in dist.probabilities]}
 
 
-def _cmd_validate(args) -> dict:
-    model = _load(args.model, load_model, validate_model)
+def _cmd_validate(args, model) -> dict:
     report = {
-        "command": "validate",
-        "config": _config_dict(args),
-        "files": {"model": args.model},
         "ok": True,
         "model": {
             "components": [c.id for c in model.components],
@@ -107,7 +108,6 @@ def _cmd_validate(args) -> dict:
     }
     if args.observations:
         stream = _load(args.observations, load_stream, validate_stream, model)
-        report["files"]["observations"] = args.observations
         report["observations"] = {
             "entries": len(stream.entries),
             "instants": [e.t for e in stream.entries],
@@ -121,8 +121,7 @@ def _cmd_validate(args) -> dict:
     return report
 
 
-def _cmd_classify(args) -> dict:
-    model = _load(args.model, load_model, validate_model)
+def _cmd_classify(args, model) -> dict:
     components = {}
     for c in model.components:
         states = classify_states(c.matrix)
@@ -146,16 +145,10 @@ def _cmd_classify(args) -> dict:
         permanent = sorted(m for m, fc in faults.faults.items() if fc.permanent)
         print(f"{c.id}: permanent faults {permanent or 'none'}",
               file=sys.stderr)
-    return {
-        "command": "classify",
-        "config": _config_dict(args),
-        "files": {"model": args.model},
-        "components": components,
-    }
+    return {"components": components}
 
 
-def _cmd_propagate(args) -> dict:
-    model = _load(args.model, load_model, validate_model)
+def _cmd_propagate(args, model) -> dict:
     instants = _parse_instants(args.instants)
     if any(t < 0 for t in instants):
         raise ValidationError("instants must be nonnegative")
@@ -175,9 +168,6 @@ def _cmd_propagate(args) -> dict:
     print(f"propagated {len(model.components)} components over "
           f"{len(instants)} instants", file=sys.stderr)
     return {
-        "command": "propagate",
-        "config": _config_dict(args),
-        "files": {"model": args.model},
         "instants": instants,
         "initial_distributions": {
             c.id: _distribution_dict(initials[c.id]) for c in model.components},
@@ -234,8 +224,7 @@ def _trellis_report(trellis, model) -> list[dict]:
     return out
 
 
-def _cmd_diagnose(args) -> dict:
-    model = _load(args.model, load_model, validate_model)
+def _cmd_diagnose(args, model) -> dict:
     stream = _load(args.observations, load_stream, validate_stream, model)
     problem = DiagnosticProblem(
         model=model, observations=stream, sigma=args.sigma,
@@ -245,9 +234,6 @@ def _cmd_diagnose(args) -> dict:
     diagnoses = enumerate_temporal_diagnoses(problem, trellis)
 
     report = {
-        "command": "diagnose",
-        "config": _config_dict(args),
-        "files": {"model": args.model, "observations": args.observations},
         "instants": list(trellis.instants),
         "candidates": [
             {"t": t, "assignments": [w.as_dict()
@@ -281,8 +267,7 @@ def _cmd_diagnose(args) -> dict:
     return report
 
 
-def _cmd_simulate(args) -> dict:
-    model = _load(args.model, load_model, validate_model)
+def _cmd_simulate(args, model) -> dict:
     initials = resolve_initial_distributions(model)
     traj = sample_trajectory(model, initials, args.horizon, args.seed)
     instants = (_parse_instants(args.instants) if args.instants
@@ -291,9 +276,6 @@ def _cmd_simulate(args) -> dict:
     print(f"sampled horizon {args.horizon} with seed {args.seed} "
           f"({RNG_ALGORITHM})", file=sys.stderr)
     return {
-        "command": "simulate",
-        "config": _config_dict(args),
-        "files": {"model": args.model},
         "rng": RNG_ALGORITHM,
         "trajectory": {
             "seed": traj.seed,
@@ -305,8 +287,7 @@ def _cmd_simulate(args) -> dict:
     }
 
 
-def _cmd_rank(args) -> dict:
-    model = _load(args.model, load_model, validate_model)
+def _cmd_rank(args, model) -> dict:
     trajectories = _load(args.trajectories, load_trajectories,
                          validate_trajectories, model)
     initials = resolve_initial_distributions(model)
@@ -318,13 +299,13 @@ def _cmd_rank(args) -> dict:
                             for c in model.components]] for w in trajectory])
         trellis = trellis_from_layers(model, [w.t for w in trajectory],
                                       modes, initials)
-        prior = trellis.priors[0]
-        conditionals = [c.item() for c in trellis.conditionals]
-        joint = math.prod(conditionals, start=prior)
+        for _, joints in forward_paths(trellis):
+            pass  # the last layer holds the one whole path
+        joint = joints.item()
         scored.append((-joint, trajectory, {
             "joint_probability": joint,
-            "prior": prior,
-            "step_conditionals": conditionals,
+            "prior": trellis.priors[0],
+            "step_conditionals": [c.item() for c in trellis.conditionals],
             "trajectory": [_assignment_dicts(w) for w in trajectory],
         }))
     scored.sort(key=lambda s: s[:2])
@@ -332,12 +313,7 @@ def _cmd_rank(args) -> dict:
     for i, row in enumerate(rows):
         row["rank"] = i + 1
     print(f"ranked {len(rows)} trajectories", file=sys.stderr)
-    return {
-        "command": "rank",
-        "config": _config_dict(args),
-        "files": {"model": args.model, "trajectories": args.trajectories},
-        "trajectories": rows,
-    }
+    return {"trajectories": rows}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,7 +383,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        model = _load(args.model, load_model, validate_model)
+        report = {"command": args.command, "config": _config_dict(args),
+                  "files": {key: getattr(args, key) for key in _FILES
+                            if getattr(args, key, None)},
+                  **args.func(args, model)}
     except DiagnosisError as exc:
         error = {
             "error": {

@@ -222,6 +222,9 @@ def _load_json(path: str | Path) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"{path}: no such file", element=str(path)) from None
+    except OSError as exc:  # a directory, a file it may not read
+        raise ValidationError(f"{path}: cannot read ({exc.strerror or exc})",
+                              element=str(path)) from None
     except ValueError as exc:  # undecodable bytes and overlong integers too
         raise ValidationError(f"{path}: invalid JSON ({exc})",
                               element=str(path)) from None

@@ -59,6 +59,8 @@ def sample_trajectory(model: SystemModel,
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be positive, got {horizon}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     sequences = {}
     for c in sorted(model.components, key=lambda c: c.id):

@@ -17,9 +17,10 @@ returns; ``ModeAssignment`` objects are built only for ranked trajectories.
 For a step across a gap of n instants, each component's ``P^n`` is computed
 once and fancy-indexed by the two layers' mode columns into an
 |L_k| x |L_k+1| block of factors; the conditionals are the blocks' product
-in model component order, and admissibility is a boolean mask. ``forward_paths`` expands the admissible
-paths over those arrays with their joints, one layer at a time, for both
-enumeration and revision. ``prior_probability``, ``step_factors``,
+in model component order, and admissibility is a boolean mask.
+``forward_paths`` expands the admissible paths over those arrays with their
+joints, one layer at a time, for enumeration, revision and ``rank``; no
+other engine code computes a joint. ``prior_probability``, ``step_factors``,
 ``conditional_probability``, ``admissible_step`` and ``joint_probability``
 are the per-edge reference definitions the tests compare the arrays with.
 """
@@ -291,6 +292,9 @@ def build_trellis(problem: DiagnosticProblem) -> Trellis:
     if not 0.0 <= problem.sigma <= 1.0:
         raise ValidationError(
             f"sigma must lie in [0, 1], got {problem.sigma!r}")
+    if problem.candidate_cap < 1:  # every assignment space holds at least one
+        raise ValidationError(
+            f"candidate cap must be at least 1, got {problem.candidate_cap!r}")
     model = problem.model
     instants = relevant_instants(problem.observations)
 

@@ -29,6 +29,39 @@ SUDDEN = str(SCENARIOS / "sudden_stop_model.json")
 SUDDEN_OBS = str(SCENARIOS / "sudden_stop_obs.json")
 
 
+def desk_cases():
+    """The desk workload of bench/gen.py: each shipped scenario through all
+    six subcommands, diagnose in four configurations. The goldens under
+    bench/golden are their reports, captured from the CLI."""
+    cases = []
+    scenarios = ("hydraulic", "occlusion_onset", "sudden_stop")
+    for k, criterion, mode, sigma, revise in [
+            (0, "abductive", "global", 0.01, False),
+            (1, "abductive", "global", 0.0, True),
+            (2, "consistency", "per-component", 0.01, True),
+            (3, "consistency", "global", 0.0, False)]:
+        for s in scenarios:
+            argv = ["diagnose", f"scenarios/{s}_model.json",
+                    f"scenarios/{s}_obs.json", "--sigma", repr(sigma),
+                    "--threshold-mode", mode, "--criterion", criterion]
+            cases.append(pytest.param(
+                f"{s}_diagnose{k}", argv + ["--revise"] * revise,
+                id=f"{k}-{criterion}-{mode}-{sigma}-{revise}-{s}"))
+    for s in scenarios:
+        model, obs = f"scenarios/{s}_model.json", f"scenarios/{s}_obs.json"
+        for name, argv in [
+                ("validate", ["validate", model, obs]),
+                ("classify", ["classify", model]),
+                ("propagate", ["propagate", model, "--instants", "0,1,2"]),
+                ("simulate", ["simulate", model, "--horizon", "4"]),
+                ("rank", ["rank", model, f"bench/desk/{s}_trajectories.json"])]:
+            cases.append(pytest.param(f"{s}_{name}", argv, id=f"{name}-{s}"))
+    return cases
+
+
+DESK_CASES = desk_cases()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -90,6 +123,18 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "/no/such/file.json")
         assert code == 1
         assert json.loads(out)["error"]["code"] == "invalid_input"
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", str(SCENARIOS)],
+        ["diagnose", HYDRAULIC, str(SCENARIOS)],
+        ["diagnose", HYDRAULIC, ""],
+    ], ids=["model", "observations", "empty-observations"])
+    def test_directory_exits_1(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "invalid_input"
+        assert error["file"] == argv[-1]
 
 
 class TestClassify:
@@ -201,6 +246,13 @@ class TestDiagnose:
         assert code == 3
         assert json.loads(out)["error"]["code"] == "search_space_too_large"
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_exits_1(self, capsys, cap):
+        code, out, _ = run(capsys, "diagnose", HYDRAULIC, HYDRAULIC_OBS,
+                           "--cap", cap)
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "invalid_input"
+
     def test_byte_identical_reports(self, capsys):
         _, first, _ = run(capsys, "diagnose", OCCLUSION, OCCLUSION_OBS,
                           "--revise")
@@ -229,26 +281,13 @@ class TestDiagnose:
         _, _, err = run(capsys, "diagnose", SUDDEN, SUDDEN_OBS)
         assert "admissible evolution" in err
 
-    # the four desk configurations of bench/gen.py::DESK_DIAGNOSE; the
-    # goldens under bench/golden are their reports, captured from the CLI
-    @pytest.mark.parametrize("scenario", ["hydraulic", "occlusion_onset",
-                                          "sudden_stop"])
-    @pytest.mark.parametrize("k, criterion, mode, sigma, revise", [
-        (0, "abductive", "global", 0.01, False),
-        (1, "abductive", "global", 0.0, True),
-        (2, "consistency", "per-component", 0.01, True),
-        (3, "consistency", "global", 0.0, False),
-    ])
-    def test_desk_reports_match_goldens(self, capsys, monkeypatch, scenario,
-                                        k, criterion, mode, sigma, revise):
+    @pytest.mark.parametrize("golden, argv", DESK_CASES)
+    def test_desk_reports_match_goldens(self, capsys, monkeypatch, golden,
+                                        argv):
         monkeypatch.chdir(ROOT)
-        argv = ["diagnose", f"scenarios/{scenario}_model.json",
-                f"scenarios/{scenario}_obs.json", "--sigma", repr(sigma),
-                "--threshold-mode", mode, "--criterion", criterion]
-        code, out, err = run(capsys, *argv, *(["--revise"] if revise else []))
+        code, out, err = run(capsys, *argv)
         assert code == 0, err
-        golden = ROOT / "bench" / "golden" / f"{scenario}_diagnose{k}"
-        assert out.encode() == golden.read_bytes()
+        assert out.encode() == (ROOT / "bench" / "golden" / golden).read_bytes()
 
 
 #: A field of the hydraulic model, by its path, and a value of the wrong
@@ -382,6 +421,12 @@ class TestSimulate:
     def test_horizon_must_be_positive(self, capsys, horizon):
         code, out, _ = run(capsys, "simulate", HYDRAULIC, "--horizon",
                            horizon)
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "invalid_input"
+
+    def test_seed_must_be_nonnegative(self, capsys):
+        code, out, _ = run(capsys, "simulate", HYDRAULIC, "--horizon", "3",
+                           "--seed", "-1")
         assert code == 1
         assert json.loads(out)["error"]["code"] == "invalid_input"
 

@@ -1,11 +1,12 @@
 """Fuzzed ingestion: mutated scenario files never end in a traceback.
 
-Each example mutates the shipped hydraulic model or its observation stream:
-a value replaced by one of another type (NaN, infinities, huge integers,
-strings, null, booleans, arrays, objects), a key dropped, a key written
-twice in the JSON text, an array element duplicated or an array shortened.
-Every subcommand that reads the files must then exit 0-3 and print exactly
-one JSON object on stdout, carrying ``error`` whenever it exits non-zero.
+Each example takes one shipped scenario and mutates its model, its
+observation stream or the desk workload's trajectory file for it
+(``bench/desk``): a value replaced by one of another type (NaN, infinities,
+huge integers, strings, null, booleans, arrays, objects), a key dropped, a
+key written twice in the JSON text, an array element duplicated or an array
+shortened. Every subcommand must then exit 0-3 and print exactly one JSON
+object on stdout, carrying ``error`` whenever it exits non-zero.
 """
 
 import contextlib
@@ -21,8 +22,12 @@ from tempdiag.cli import main
 
 from conftest import SCENARIOS
 
-MODEL = json.loads((SCENARIOS / "hydraulic_model.json").read_text())
-STREAM = json.loads((SCENARIOS / "hydraulic_obs.json").read_text())
+DESK = SCENARIOS.parent / "bench" / "desk"
+#: Per scenario: its model, observation stream and trajectories.
+FILES = [tuple(json.loads(path.read_text()) for path in (
+    SCENARIOS / f"{s}_model.json", SCENARIOS / f"{s}_obs.json",
+    DESK / f"{s}_trajectories.json"))
+    for s in ("hydraulic", "occlusion_onset", "sudden_stop")]
 
 ODD_VALUES = st.sampled_from([
     float("nan"), float("inf"), -float("inf"), 1e308, -1, 0, 10 ** 400,
@@ -95,6 +100,15 @@ def mutated(draw, doc):
     return doc
 
 
+@st.composite
+def one_file_mutated(draw):
+    """A scenario's files with one of them mutated."""
+    files = list(draw(st.sampled_from(FILES)))
+    k = draw(st.integers(0, len(files) - 1))
+    files[k] = draw(mutated(files[k]))
+    return files
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -102,19 +116,18 @@ def run(argv):
     return code, out.getvalue()
 
 
-@settings(max_examples=120, derandomize=True, deadline=None, database=None)
-@given(st.one_of(
-    st.tuples(mutated(MODEL), st.just(STREAM)),
-    st.tuples(st.just(MODEL), mutated(STREAM))))
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(one_file_mutated())
 def test_mutated_inputs_exit_with_one_json_object(files):
     with tempfile.TemporaryDirectory() as tmp:
-        model, stream = Path(tmp) / "model.json", Path(tmp) / "obs.json"
-        model.write_text(dump(files[0]))
-        stream.write_text(dump(files[1]))
-        m, s = str(model), str(stream)
+        m, s, r = (str(Path(tmp) / name) for name in (
+            "model.json", "obs.json", "trajectories.json"))
+        for path, doc in zip((m, s, r), files):
+            Path(path).write_text(dump(doc))
         for argv in (["validate", m, s], ["classify", m],
                      ["propagate", m, "--instants", "0,1,3"],
-                     ["diagnose", m, s], ["diagnose", m, s, "--revise"]):
+                     ["diagnose", m, s], ["diagnose", m, s, "--revise"],
+                     ["rank", m, r]):
             code, out = run(argv)
             assert code in (0, 1, 2, 3), argv
             report = json.loads(out)
