@@ -54,7 +54,6 @@ from .revision import (
     revise_trellis,
 )
 from .simulate import (
-    EmpiricalMatrix,
     SampledTrajectory,
     empirical_transition_matrix,
     generate_observation_stream,
@@ -82,7 +81,6 @@ __all__ = [
     "ComponentSpec",
     "DiagnosisError",
     "DiagnosticProblem",
-    "EmpiricalMatrix",
     "ExplanationCriterion",
     "FaultClass",
     "FaultClassification",

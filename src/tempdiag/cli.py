@@ -5,9 +5,9 @@ Reports go to standard output as canonical JSON; a short human-readable
 summary goes to standard error. ``main`` loads and validates the model and
 writes what every report carries (``command``, ``config`` and the input
 ``files``); each ``_cmd_*`` function returns only its own sections. Exit
-codes: 0 success, 1 invalid input, 2 no diagnosis (empty candidate set, no
-admissible evolution, or undefined revision), 3 internal limits (candidate
-cap).
+codes: 0 success, 1 invalid input (usage errors included), 2 no diagnosis
+(empty candidate set, no admissible evolution, or undefined revision), 3
+internal limits (candidate cap).
 """
 
 from __future__ import annotations
@@ -176,35 +176,32 @@ def _cmd_propagate(args, model) -> dict:
 
 
 def _revision_report(trellis, model) -> list[dict]:
-    out = []
-    for rev in revise_trellis(trellis, model):
-        out.append({
-            "t": rev.t,
-            "normalization_factor": rev.factor,
-            "evolutions": [
-                {"path": list(indices), "joint": joint, "revised_joint": rj}
-                for indices, joint, rj in zip(rev.path_indices, rev.joints,
-                                              rev.revised_joints)
-            ],
-            "revised_conditionals": [
-                {"source": s, "target": t_, "conditional": c, "revised": r}
-                for s, t_, c, r in rev.revised_conditionals
-            ],
-            "components": {
-                comp: {
-                    "distribution": _distribution_dict(cr.distribution),
-                    "admitted": list(cr.admitted),
-                    "mass_factor": cr.factor,
-                    "posterior": _distribution_dict(cr.posterior),
-                    "revised_transitions": [
-                        {"from": a, "to": b, "probability": p, "revised": r}
-                        for a, b, p, r in cr.revised_transitions
-                    ],
-                }
-                for comp, cr in sorted(rev.components.items())
-            },
-        })
-    return out
+    return [{
+        "t": rev.t,
+        "normalization_factor": rev.factor,
+        "evolutions": [
+            {"path": path, "joint": joint, "revised_joint": rj}
+            for path, joint, rj in zip(rev.path_indices.tolist(), rev.joints,
+                                       rev.revised_joints)
+        ],
+        "revised_conditionals": [
+            {"source": s, "target": t_, "conditional": c, "revised": r}
+            for s, t_, c, r in rev.revised_conditionals
+        ],
+        "components": {
+            comp: {
+                "distribution": _distribution_dict(cr.distribution),
+                "admitted": list(cr.admitted),
+                "mass_factor": cr.factor,
+                "posterior": _distribution_dict(cr.posterior),
+                "revised_transitions": [
+                    {"from": a, "to": b, "probability": p, "revised": r}
+                    for a, b, p, r in cr.revised_transitions
+                ],
+            }
+            for comp, cr in sorted(rev.components.items())
+        },
+    } for rev in revise_trellis(trellis, model)]
 
 
 def _trellis_report(trellis, model) -> list[dict]:
@@ -316,8 +313,15 @@ def _cmd_rank(args, model) -> dict:
     return {"trajectories": rows}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as invalid input; subcommand parsers inherit it."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tempdiag",
         description="Temporal diagnosis of component-based systems with "
                     "Markov-chain mode dynamics.")
@@ -380,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         model = _load(args.model, load_model, validate_model)
         report = {"command": args.command, "config": _config_dict(args),
                   "files": {key: getattr(args, key) for key in _FILES

@@ -193,7 +193,7 @@ def validate_matrix(m: TransitionMatrix) -> TransitionMatrix:
     return m
 
 
-def validate_distribution(d: ModeDistribution, tol: float = ROW_SUM_TOL) -> ModeDistribution:
+def validate_distribution(d: ModeDistribution) -> ModeDistribution:
     """Check that ``d`` is a probability vector over its modes."""
     if d.probabilities.ndim != 1 or d.probabilities.shape[0] != len(d.modes):
         raise DimensionMismatchError(
@@ -202,7 +202,7 @@ def validate_distribution(d: ModeDistribution, tol: float = ROW_SUM_TOL) -> Mode
     if not np.all((d.probabilities >= 0.0) & (d.probabilities <= 1.0)):
         raise EntryRangeError("distribution entries must lie in [0, 1]")
     total = float(d.probabilities.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > ROW_SUM_TOL:
         raise ValidationError(f"distribution sums to {total!r}, expected 1")
     return d
 

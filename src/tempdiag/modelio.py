@@ -216,7 +216,7 @@ def trajectories_from_list(entries: Sequence, ) -> list[tuple[ModeAssignment, ..
 
 
 def _load_json(path: str | Path) -> Any:
-    path = Path(path)
+    """The JSON document at ``path``, named as given in any error."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)

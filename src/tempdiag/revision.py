@@ -25,9 +25,6 @@ from .markov import ModeDistribution, propagate_distribution
 from .model import SystemModel
 from .temporal import Trellis, forward_paths
 
-#: Revised probabilities are nonnegative scores and may exceed 1.
-RevisedScore = float
-
 
 def normalization_factor(joints: Sequence[float]) -> float:
     """Reciprocal of the summed joint probabilities at an instant.
@@ -46,7 +43,7 @@ def normalization_factor(joints: Sequence[float]) -> float:
 
 
 def revise_global(joints: Sequence[float], conditionals: Sequence[float],
-                  ) -> tuple[tuple[RevisedScore, ...], tuple[RevisedScore, ...]]:
+                  ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Scale joints and step conditionals by the normalization factor.
 
     The revised joints sum to 1; the revised conditionals are scores.
@@ -64,7 +61,11 @@ def component_mass_factor(pi_t: ModeDistribution,
     if not admitted:
         raise ZeroAdmittedMassError("no admitted modes")
     # summed in declared mode order: set order varies with the string-hash seed
-    mass = sum(pi_t.prob(m) for m in pi_t.modes if m in admitted)
+    return _mass_factor(
+        sum(pi_t.prob(m) for m in pi_t.modes if m in admitted), admitted)
+
+
+def _mass_factor(mass: float, admitted: Iterable[str]) -> float:
     factor = 1.0 / mass if mass > 0.0 else math.inf
     if not math.isfinite(factor):
         raise ZeroAdmittedMassError(f"admitted modes {sorted(admitted)} carry "
@@ -73,7 +74,7 @@ def component_mass_factor(pi_t: ModeDistribution,
     return factor
 
 
-def revise_transition(p_k: float, f: float) -> RevisedScore:
+def revise_transition(p_k: float, f: float) -> float:
     """Revised n-step transition score ``p_k * f(c, t)``."""
     return p_k * f
 
@@ -85,14 +86,9 @@ def posterior_component_distribution(pi_t: ModeDistribution,
     zero out everything else and renormalize. The result is a proper
     distribution usable as the next propagation input."""
     admitted = frozenset(admitted)
-    return _conditioned(pi_t, admitted, component_mass_factor(pi_t, admitted))
-
-
-def _conditioned(pi_t: ModeDistribution, admitted: frozenset[str],
-                 factor: float) -> ModeDistribution:
-    """``pi_t`` scaled by ``factor`` on the admitted modes, 0 elsewhere."""
+    f = component_mass_factor(pi_t, admitted)
     return ModeDistribution(pi_t.modes, np.array([
-        pi_t.prob(m) * factor if m in admitted else 0.0 for m in pi_t.modes]))
+        pi_t.prob(m) * f if m in admitted else 0.0 for m in pi_t.modes]))
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ class ComponentRevision:
     posterior: ModeDistribution
     #: (from_mode, to_mode, raw n-step entry, revised score) for each mode
     #: step used by an admissible trellis edge into this instant.
-    revised_transitions: tuple[tuple[str, str, float, RevisedScore], ...]
+    revised_transitions: tuple[tuple[str, str, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -114,12 +110,13 @@ class InstantRevision:
 
     t: int
     factor: float
-    path_indices: tuple[tuple[int, ...], ...]
+    #: the forward pass's |P| x (k + 1) array of candidate-index paths
+    path_indices: np.ndarray
     joints: tuple[float, ...]
-    revised_joints: tuple[RevisedScore, ...]
+    revised_joints: tuple[float, ...]
     #: (source index, target index, raw conditional, revised score) for each
     #: admissible edge into this instant; empty at the first instant.
-    revised_conditionals: tuple[tuple[int, int, float, RevisedScore], ...]
+    revised_conditionals: tuple[tuple[int, int, float, float], ...]
     components: Mapping[str, ComponentRevision]
 
 
@@ -130,15 +127,16 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
     At each instant the joints of the admissible partial evolutions ending
     there are renormalized (global revision) and every component's
     propagated distribution is renormalized over its admitted modes
-    (per-component revision).
+    (per-component revision). Modes are handled as indices; names are
+    looked up only for ``admitted`` and ``revised_transitions``.
     """
     revisions = []
     for k, (t, modes, (paths, joints)) in enumerate(zip(
             trellis.instants, trellis.modes, forward_paths(trellis))):
-        joints = joints.tolist()
+        joints = tuple(joints.tolist())
         factor = normalization_factor(joints)
         # (sources, targets, conditionals) of the admissible edges into k
-        edges, steps = ([], [], []), [{} for _ in model.components]
+        edges, steps = ((), (), ()), [{}] * len(model.components)
         if k > 0:
             sources, targets = np.nonzero(trellis.admissible[k - 1])
             edges = (sources.tolist(), targets.tolist(),
@@ -147,30 +145,30 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
             # n-step entry, so one entry per step speaks for all of them
             steps = [dict(zip(zip(a, b), entries)) for a, b, entries in zip(
                 trellis.modes[k - 1][sources].T.tolist(),
-                trellis.modes[k][targets].T.tolist(),
+                modes[targets].T.tolist(),
                 trellis.factors[k - 1][sources, targets].T.tolist())]
-        revised_joints, revised = revise_global(joints, edges[2])
 
         components = {}
-        for c, column, step in zip(model.components, modes.T, steps):
+        for c, column, step in zip(model.components, modes.T.tolist(), steps):
+            # pi0 . P^t, not the previous instant's pi . P^n: the two round
+            # differently, and chaining drifts from the definition's floats
             pi_t = propagate_distribution(trellis.initials[c.id], c.matrix, t)
-            admitted = tuple(sorted({c.modes[i] for i in column.tolist()}))
-            f = component_mass_factor(pi_t, admitted)
-            transitions = [(c.modes[a], c.modes[b], raw,
-                            revise_transition(raw, f))
-                           for (a, b), raw in step.items()]
+            probs = pi_t.probabilities.tolist()
+            kept = sorted(set(column))  # admitted mode indices
+            admitted = tuple(sorted(c.modes[i] for i in kept))
+            f = _mass_factor(sum(probs[i] for i in kept), admitted)
             components[c.id] = ComponentRevision(
-                distribution=pi_t,
-                admitted=admitted,
-                factor=f,
-                posterior=_conditioned(pi_t, frozenset(admitted), f),
-                revised_transitions=tuple(sorted(transitions)),
-            )
+                distribution=pi_t, admitted=admitted, factor=f,
+                posterior=ModeDistribution(pi_t.modes, [
+                    p * f if i in kept else 0.0 for i, p in enumerate(probs)]),
+                revised_transitions=tuple(sorted(
+                    (c.modes[a], c.modes[b], p, revise_transition(p, f))
+                    for (a, b), p in step.items())))
 
         revisions.append(InstantRevision(
-            t=t, factor=factor,
-            path_indices=tuple(map(tuple, paths.tolist())),
-            joints=tuple(joints), revised_joints=revised_joints,
-            revised_conditionals=tuple(zip(*edges, revised)),
+            t=t, factor=factor, path_indices=paths, joints=joints,
+            revised_joints=tuple(j * factor for j in joints),
+            revised_conditionals=tuple(zip(
+                *edges, (p * factor for p in edges[2]))),
             components=components))
     return tuple(revisions)

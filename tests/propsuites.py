@@ -30,18 +30,30 @@ from tempdiag import (
     build_trellis,
     classify_faults,
     classify_states,
+    component_mass_factor,
+    conditional_probability,
     enumerate_temporal_diagnoses,
     joint_probability,
     matrix_power,
+    normalization_factor,
+    posterior_component_distribution,
     predicted_manifestations,
+    propagate_distribution,
     resolve_initial_distributions,
     revise_global,
+    revise_transition,
+    revise_trellis,
     sojourn_pmf,
     solve_atemporal,
+    step_factors,
     validate_matrix,
     validate_model,
 )
-from tempdiag.errors import NoAdmissibleEvolutionError
+from tempdiag.errors import (
+    AllZeroJointsError,
+    NoAdmissibleEvolutionError,
+    ZeroAdmittedMassError,
+)
 from tempdiag.markov import ABSORBING_TOL
 from tempdiag.temporal import forward_paths
 
@@ -337,6 +349,133 @@ def check_revision_ranking_and_zeros(cases: int, seed: int = 2031) -> None:
             assert (raw == 0.0) == (revised == 0.0)
         for raw, revised in zip(conditionals, revised_conditionals):
             assert (raw == 0.0) == (revised == 0.0)
+
+
+def _renamed_modes(rng: np.random.Generator, model: SystemModel,
+                   ) -> SystemModel:
+    """``model`` with every component's modes renamed from a shuffled pool,
+    so that declared mode order is seldom name order."""
+    rename, components = {}, []
+    for c in model.components:
+        names = tuple(str(x) for x in rng.permutation(list("qwertyuiop"))[
+            :len(c.modes)])
+        rename.update(((c.id, old), new) for old, new in zip(c.modes, names))
+        components.append(ComponentSpec(
+            id=c.id, modes=names, correct_mode=rename[c.id, c.correct_mode],
+            matrix=TransitionMatrix(names, c.matrix.entries)))
+    rules = tuple(HornRule(body={(cid, rename[cid, m]) for cid, m in r.body},
+                           head=r.head) for r in model.rules)
+    return validate_model(SystemModel(tuple(components), rules,
+                                      model.exclusive))
+
+
+def _revision_problem(rng: np.random.Generator) -> DiagnosticProblem:
+    """A random problem of 1-5 instants with gaps of 1 to 5, layers of up
+    to 12 candidates and at most 400 whole paths, renamed modes, either
+    criterion and either threshold mode."""
+    while True:
+        model = _renamed_modes(rng, random_model(
+            rng, max_components=3, max_modes=4, max_rules=6))
+        t = int(rng.integers(0, 3))
+        entries = []
+        for _ in range(int(rng.integers(1, 6))):
+            entries.append(observation_from_assignment(
+                rng, model, random_assignment(rng, model, t)))
+            t += int(rng.integers(1, 6))
+        criterion = (ExplanationCriterion.ABDUCTIVE if rng.random() < 0.5
+                     else ExplanationCriterion.CONSISTENCY_BASED)
+        sizes = [len(solve_atemporal(model, entry, criterion))
+                 for entry in entries]
+        if not 0 < max(sizes) <= 12 or min(sizes) == 0 or \
+                np.prod(sizes) > 400:
+            continue
+        return DiagnosticProblem(
+            model=model, observations=ObservationStream(tuple(entries)),
+            sigma=0.0 if rng.random() < 0.4 else float(rng.random()) * 0.2,
+            threshold_mode=(ThresholdMode.GLOBAL if rng.random() < 0.5
+                            else ThresholdMode.PER_COMPONENT),
+            criterion=criterion)
+
+
+def _revision_by_definitions(problem: DiagnosticProblem, trellis):
+    """Per instant: (t, paths, joints, factor, revised joints, revised
+    conditionals, per-component fields), from the definitions applied to
+    the layer's admissible paths and the admissible edges into it."""
+    model = problem.model
+    layers = [assignments(model, t, m)
+              for t, m in zip(trellis.instants, trellis.modes)]
+    expected = []
+    for k, (paths, joints) in enumerate(forward_paths(trellis)):
+        t, joints = trellis.instants[k], joints.tolist()
+        edges = [] if k == 0 else [
+            (i, j, a, b) for i, a in enumerate(layers[k - 1])
+            for j, b in enumerate(layers[k]) if admissible_step(a, b, problem)]
+        factors = [step_factors(a, b, model) for *_, a, b in edges]
+        conditionals = [conditional_probability(a, b, model)
+                        for *_, a, b in edges]
+        revised_joints, revised = revise_global(joints, conditionals)
+        components = {}
+        for c in model.components:
+            pi_t = propagate_distribution(trellis.initials[c.id], c.matrix, t)
+            admitted = {w.mode_of(c.id) for w in layers[k]}
+            f = component_mass_factor(pi_t, admitted)
+            steps = {(a.mode_of(c.id), b.mode_of(c.id), step[c.id])
+                     for (*_, a, b), step in zip(edges, factors)}
+            components[c.id] = (
+                pi_t, tuple(sorted(admitted)), f,
+                posterior_component_distribution(pi_t, admitted),
+                tuple(sorted((a, b, p, revise_transition(p, f))
+                             for a, b, p in steps)))
+        expected.append((
+            t, paths.tolist(), tuple(joints), normalization_factor(joints),
+            revised_joints, tuple((i, j, p, r) for (i, j, *_), p, r in zip(
+                edges, conditionals, revised)),
+            components))
+    return expected
+
+
+def check_revision_matches_definitions(cases: int, seed: int = 2034) -> None:
+    """At every instant, ``revise_trellis`` equals (``==``, bit for bit) the
+    revision definitions applied to that layer's admissible paths and
+    edges: the factor, revised joints and revised conditionals, and per
+    component the propagated distribution, admitted modes, mass factor,
+    posterior and revised transitions; or both raise the same error. Modes
+    are renamed so declared order differs from name order."""
+    rng = np.random.default_rng(seed)
+    seen, gaps, revised, summed = set(), set(), 0, False
+    for _ in range(cases):
+        problem = _revision_problem(rng)
+        model = problem.model
+        trellis = build_trellis(problem)
+        try:
+            expected = _revision_by_definitions(problem, trellis)
+        except (AllZeroJointsError, ZeroAdmittedMassError) as exc:
+            expected = exc
+        try:
+            actual = revise_trellis(trellis, model)
+        except (AllZeroJointsError, ZeroAdmittedMassError) as exc:
+            assert (type(exc), str(exc)) == (type(expected), str(expected))
+            continue
+        assert isinstance(expected, list) and len(actual) == len(expected)
+        for rev, (t, paths, joints, factor, revised_joints,
+                  revised_conditionals, components) in zip(actual, expected):
+            assert (rev.t, rev.path_indices.tolist(), rev.joints) == (
+                t, paths, joints)
+            assert rev.factor == factor
+            assert rev.revised_joints == revised_joints
+            assert rev.revised_conditionals == revised_conditionals
+            assert list(rev.components) == [c.id for c in model.components]
+            for c in model.components:
+                cr = rev.components[c.id]
+                assert (cr.distribution, cr.admitted, cr.factor, cr.posterior,
+                        cr.revised_transitions) == components[c.id]
+                summed |= len(cr.admitted) > 2 and list(cr.admitted) != [
+                    m for m in c.modes if m in cr.admitted]
+        revised += 1
+        seen.add((problem.threshold_mode, problem.criterion))
+        gaps.update(np.diff(trellis.instants).tolist())
+    assert len(seen) == 4 and gaps == {1, 2, 3, 4, 5}
+    assert summed and revised >= cases // 2
 
 
 # --- classification suite ---------------------------------------------------------

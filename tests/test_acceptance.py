@@ -35,6 +35,7 @@ from propsuites import (
     check_classification_matches_reachability,
     check_memorylessness,
     check_power_stochasticity,
+    check_revision_matches_definitions,
     check_revision_ranking_and_zeros,
     check_threshold_monotonicity,
     check_trellis_vs_bruteforce,
@@ -183,8 +184,8 @@ def test_criterion_6_classification(hydraulic):
 
 
 def test_criterion_7_property_suites():
-    """Eight randomized suites, 1000 cases each, at their tolerances."""
-    with criterion(7, "randomized property suites (8 x 1000 cases)"):
+    """Nine randomized suites, 1000 cases each, at their tolerances."""
+    with criterion(7, "randomized property suites (9 x 1000 cases)"):
         cases = 1000
         check_chapman_kolmogorov(cases)
         check_power_stochasticity(cases)
@@ -193,6 +194,7 @@ def test_criterion_7_property_suites():
         check_threshold_monotonicity(cases)
         check_trellis_vs_bruteforce(cases)
         check_revision_ranking_and_zeros(cases)
+        check_revision_matches_definitions(cases)
         check_classification_matches_reachability(cases)
 
 

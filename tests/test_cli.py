@@ -128,13 +128,16 @@ class TestValidate:
         ["validate", str(SCENARIOS)],
         ["diagnose", HYDRAULIC, str(SCENARIOS)],
         ["diagnose", HYDRAULIC, ""],
-    ], ids=["model", "observations", "empty-observations"])
-    def test_directory_exits_1(self, capsys, argv):
+        ["validate", "./scenarios//"],
+    ], ids=["model", "observations", "empty-observations", "unnormalized"])
+    def test_directory_exits_1(self, capsys, monkeypatch, argv):
+        monkeypatch.chdir(ROOT)
         code, out, _ = run(capsys, *argv)
         assert code == 1
         error = json.loads(out)["error"]
         assert error["code"] == "invalid_input"
-        assert error["file"] == argv[-1]
+        # the path as given, not as pathlib would normalize it
+        assert error["file"] == error["element"] == argv[-1]
 
 
 class TestClassify:
@@ -281,6 +284,19 @@ class TestDiagnose:
         _, _, err = run(capsys, "diagnose", SUDDEN, SUDDEN_OBS)
         assert "admissible evolution" in err
 
+    def test_reversible_stream_matches_golden(self, capsys, monkeypatch):
+        """30 instants of a reversible 3 x 4-mode model, gaps of 1 to 5,
+        some instants with two candidates. Each revised distribution is
+        pi0 . P^t; chaining the previous instant's through P^n changes its
+        floats here, unlike on the shipped scenarios."""
+        monkeypatch.chdir(ROOT)
+        code, out, err = run(capsys, "diagnose",
+                             "tests/data/reversible_model.json",
+                             "tests/data/reversible_obs.json", "--revise")
+        assert code == 0, err
+        assert out.encode() == (
+            ROOT / "tests" / "data" / "reversible_diagnose_revise").read_bytes()
+
     @pytest.mark.parametrize("golden, argv", DESK_CASES)
     def test_desk_reports_match_goldens(self, capsys, monkeypatch, golden,
                                         argv):
@@ -288,6 +304,30 @@ class TestDiagnose:
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert out.encode() == (ROOT / "bench" / "golden" / golden).read_bytes()
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", HYDRAULIC, HYDRAULIC_OBS, "--sigma", "abc"],
+        ["diagnose", HYDRAULIC, HYDRAULIC_OBS, "--cap", "1.5"],
+        ["diagnose", HYDRAULIC, HYDRAULIC_OBS, "--threshold-mode", "bogus"],
+        ["simulate", HYDRAULIC, "--horizon", "x"],
+        ["bogus", HYDRAULIC],
+        [],
+    ], ids=["sigma", "cap", "threshold-mode", "horizon", "unknown-command",
+            "no-command"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "invalid_input"
+        assert err.startswith("error [invalid_input]: tempdiag")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 #: A field of the hydraulic model, by its path, and a value of the wrong

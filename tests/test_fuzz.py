@@ -1,12 +1,16 @@
-"""Fuzzed ingestion: mutated scenario files never end in a traceback.
+"""Fuzzed ingestion: mutated scenario files and odd option values never
+end in a traceback.
 
-Each example takes one shipped scenario and mutates its model, its
+Each file example takes one shipped scenario and mutates its model, its
 observation stream or the desk workload's trajectory file for it
 (``bench/desk``): a value replaced by one of another type (NaN, infinities,
 huge integers, strings, null, booleans, arrays, objects), a key dropped, a
 key written twice in the JSON text, an array element duplicated or an array
-shortened. Every subcommand must then exit 0-3 and print exactly one JSON
-object on stdout, carrying ``error`` whenever it exits non-zero.
+shortened. Each option example runs ``diagnose``, ``propagate`` or
+``simulate`` on an unchanged scenario with options set to valid values,
+NaN, infinities, negatives, huge integers, blanks or non-numbers. Every
+call must exit 0-3 and print exactly one JSON object on stdout, carrying
+``error`` whenever it exits non-zero.
 """
 
 import contextlib
@@ -109,11 +113,16 @@ def one_file_mutated(draw):
     return files
 
 
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+def check_one_json_object(argv):
+    """``main(argv)`` exits 0-3 with one JSON object, an error iff nonzero."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    return code, out.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    report = json.loads(out.getvalue())
+    assert isinstance(report, dict), argv
+    assert ("error" in report) == (code != 0), (argv, report)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -128,8 +137,48 @@ def test_mutated_inputs_exit_with_one_json_object(files):
                      ["propagate", m, "--instants", "0,1,3"],
                      ["diagnose", m, s], ["diagnose", m, s, "--revise"],
                      ["rank", m, r]):
-            code, out = run(argv)
-            assert code in (0, 1, 2, 3), argv
-            report = json.loads(out)
-            assert isinstance(report, dict), argv
-            assert ("error" in report) == (code != 0), (argv, report)
+            check_one_json_object(argv)
+
+
+NUMBERS = ["0", "0.01", "1", "3", "-1", "-0.0", "nan", "inf", "-inf",
+           "1e999", "1e-400", "1.5", str(2 ** 63), str(10 ** 400), "", " ",
+           "x", "1/2"]
+CHOICES = ["global", "per-component", "abductive", "consistency", "bogus",
+           "", "GLOBAL", "per_component"]
+INSTANTS = ["0,1,3", "0", "", ",", "3,1", "2,2", "-1", "0,,2", " 4 , 2 ",
+            "x", "1.5", "nan", "0,1e3", str(10 ** 30)]
+#: ``simulate`` allocates horizon + 1 floats per component: at most 50.
+HORIZONS = ["1", "4", "50", "0", "-3", "", "x", "nan", "inf", "2.5", "1e1"]
+#: Per subcommand: the options fuzzed and the values each is set to.
+OPTIONS = {
+    "diagnose": {"--sigma": NUMBERS, "--threshold-mode": CHOICES,
+                 "--criterion": CHOICES, "--cap": NUMBERS},
+    "propagate": {"--instants": INSTANTS},
+    "simulate": {"--horizon": HORIZONS, "--seed": NUMBERS,
+                 "--instants": INSTANTS},
+}
+REQUIRED = {"propagate": "--instants", "simulate": "--horizon"}
+
+
+@st.composite
+def option_calls(draw):
+    """A subcommand on a shipped scenario with some options set."""
+    scenario = draw(st.sampled_from(("hydraulic", "occlusion_onset",
+                                     "sudden_stop")))
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command, str(SCENARIOS / f"{scenario}_model.json")]
+    if command == "diagnose":
+        argv.append(str(SCENARIOS / f"{scenario}_obs.json"))
+        if draw(st.booleans()):
+            argv.append("--revise")
+    names = draw(st.lists(st.sampled_from(sorted(OPTIONS[command])),
+                          unique=True))
+    for name in sorted({REQUIRED.get(command), *names} - {None}):
+        argv += [name, draw(st.sampled_from(OPTIONS[command][name]))]
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(option_calls())
+def test_odd_option_values_exit_with_one_json_object(argv):
+    check_one_json_object(argv)

@@ -9,6 +9,7 @@ from propsuites import (
     check_forward_paths_vs_bruteforce,
     check_memorylessness,
     check_power_stochasticity,
+    check_revision_matches_definitions,
     check_revision_ranking_and_zeros,
     check_threshold_monotonicity,
     check_trellis_vs_bruteforce,
@@ -47,6 +48,10 @@ def test_threshold_monotonicity():
 
 def test_revision_preserves_ranking_and_zeros():
     check_revision_ranking_and_zeros(CASES)
+
+
+def test_revision_matches_definitions():
+    check_revision_matches_definitions(CASES)
 
 
 def test_per_component_factors_bound_global():

@@ -142,6 +142,8 @@ class TestReviseTrellis:
         assert first.factor == pytest.approx(1.0, abs=1e-12)
 
         assert second.t == 1
+        # the forward pass's path array: three starts into one candidate
+        assert second.path_indices.tolist() == [[0, 0], [1, 0], [2, 0]]
         assert second.factor == pytest.approx(50 / 21, abs=1e-12)
         assert sum(second.revised_joints) == pytest.approx(1.0, abs=1e-12)
 
