@@ -71,6 +71,7 @@ from .temporal import (
     induce_initial_distributions,
     joint_probability,
     prior_probability,
+    rank_trajectories,
     relevant_instants,
     resolve_initial_distributions,
     step_factors,
@@ -118,6 +119,7 @@ __all__ = [
     "predicted_manifestations",
     "prior_probability",
     "propagate_distribution",
+    "rank_trajectories",
     "relevant_instants",
     "resolve_initial_distributions",
     "revise_global",

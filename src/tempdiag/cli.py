@@ -16,13 +16,10 @@ import argparse
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
 from .atemporal import (
     DEFAULT_CANDIDATE_CAP,
     ExplanationCriterion,
-    ModeAssignment,
     assignments,
 )
 from .errors import DiagnosisError, ValidationError
@@ -42,9 +39,8 @@ from .temporal import (
     ThresholdMode,
     build_trellis,
     enumerate_temporal_diagnoses,
-    forward_paths,
+    rank_trajectories,
     resolve_initial_distributions,
-    trellis_from_layers,
 )
 
 _CRITERIA = {
@@ -61,7 +57,7 @@ _FILES = ("model", "observations", "trajectories")
 
 def _parse_instants(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValidationError(f"cannot parse instants {text!r}; expected "
                               "comma-separated integers") from None
@@ -88,13 +84,16 @@ def _load(path, load, validate, *context):
         raise
 
 
-def _assignment_dicts(w: ModeAssignment) -> dict:
-    return {"t": w.t, "assignment": w.as_dict()}
+def _evolution_row(rank: int, d) -> dict:
+    return {"rank": rank, "joint_probability": d.joint_probability,
+            "step_conditionals": list(d.step_conditionals),
+            "trajectory": [{"t": w.t, "assignment": w.as_dict()}
+                           for w in d.trajectory]}
 
 
 def _distribution_dict(dist) -> dict:
     return {"modes": list(dist.modes),
-            "probabilities": [float(x) for x in dist.probabilities]}
+            "probabilities": dist.probabilities.tolist()}
 
 
 def _cmd_validate(args, model) -> dict:
@@ -153,18 +152,13 @@ def _cmd_propagate(args, model) -> dict:
     if any(t < 0 for t in instants):
         raise ValidationError("instants must be nonnegative")
     initials = resolve_initial_distributions(model)
-    components = {}
-    for c in model.components:
-        components[c.id] = {
-            "modes": list(c.modes),
-            "distributions": [
-                {"t": t, "probabilities": [
-                    float(x) for x in
-                    propagate_distribution(initials[c.id], c.matrix, t)
-                    .probabilities]}
-                for t in instants
-            ],
-        }
+    components = {c.id: {
+        "modes": list(c.modes),
+        "distributions": [
+            {"t": t, "probabilities": propagate_distribution(
+                initials[c.id], c.matrix, t).probabilities.tolist()}
+            for t in instants]}
+        for c in model.components}
     print(f"propagated {len(model.components)} components over "
           f"{len(instants)} instants", file=sys.stderr)
     return {
@@ -242,15 +236,8 @@ def _cmd_diagnose(args, model) -> dict:
             for comp, dist in sorted(trellis.initials.items())},
         "priors": list(trellis.priors),
         "trellis": _trellis_report(trellis, model),
-        "diagnoses": [
-            {
-                "rank": i + 1,
-                "joint_probability": d.joint_probability,
-                "step_conditionals": list(d.step_conditionals),
-                "trajectory": [_assignment_dicts(w) for w in d.trajectory],
-            }
-            for i, d in enumerate(diagnoses)
-        ],
+        "diagnoses": [_evolution_row(i, d)
+                      for i, d in enumerate(diagnoses, 1)],
     }
     if args.revise:
         report["revision"] = _revision_report(trellis, model)
@@ -267,7 +254,7 @@ def _cmd_diagnose(args, model) -> dict:
 def _cmd_simulate(args, model) -> dict:
     initials = resolve_initial_distributions(model)
     traj = sample_trajectory(model, initials, args.horizon, args.seed)
-    instants = (_parse_instants(args.instants) if args.instants
+    instants = (_parse_instants(args.instants) if args.instants is not None
                 else list(range(args.horizon + 1)))
     stream = generate_observation_stream(traj, model, instants)
     print(f"sampled horizon {args.horizon} with seed {args.seed} "
@@ -287,30 +274,10 @@ def _cmd_simulate(args, model) -> dict:
 def _cmd_rank(args, model) -> dict:
     trajectories = _load(args.trajectories, load_trajectories,
                          validate_trajectories, model)
-    initials = resolve_initial_distributions(model)
-
-    scored = []
-    for trajectory in trajectories:
-        # a trellis with one candidate per instant: a 1 x C layer per step
-        modes = np.array([[[c.modes.index(w.mode_of(c.id))
-                            for c in model.components]] for w in trajectory])
-        trellis = trellis_from_layers(model, [w.t for w in trajectory],
-                                      modes, initials)
-        for _, joints in forward_paths(trellis):
-            pass  # the last layer holds the one whole path
-        joint = joints.item()
-        scored.append((-joint, trajectory, {
-            "joint_probability": joint,
-            "prior": trellis.priors[0],
-            "step_conditionals": [c.item() for c in trellis.conditionals],
-            "trajectory": [_assignment_dicts(w) for w in trajectory],
-        }))
-    scored.sort(key=lambda s: s[:2])
-    rows = [row for *_, row in scored]
-    for i, row in enumerate(rows):
-        row["rank"] = i + 1
-    print(f"ranked {len(rows)} trajectories", file=sys.stderr)
-    return {"trajectories": rows}
+    ranked = rank_trajectories(model, trajectories)
+    print(f"ranked {len(ranked)} trajectories", file=sys.stderr)
+    return {"trajectories": [{**_evolution_row(i, d), "prior": d.prior}
+                             for i, d in enumerate(ranked, 1)]}
 
 
 class _Parser(argparse.ArgumentParser):

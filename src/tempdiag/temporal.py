@@ -19,8 +19,9 @@ once and fancy-indexed by the two layers' mode columns into an
 |L_k| x |L_k+1| block of factors; the conditionals are the blocks' product
 in model component order, and admissibility is a boolean mask.
 ``forward_paths`` expands the admissible paths over those arrays with their
-joints, one layer at a time, for enumeration, revision and ``rank``; no
-other engine code computes a joint. ``prior_probability``, ``step_factors``,
+joints, one layer at a time, for enumeration, revision and
+``rank_trajectories``; no other engine code computes a joint, and ``_ranked``
+holds the only ranking rule. ``prior_probability``, ``step_factors``,
 ``conditional_probability``, ``admissible_step`` and ``joint_probability``
 are the per-edge reference definitions the tests compare the arrays with.
 """
@@ -87,13 +88,14 @@ class DiagnosticProblem:
 class TemporalDiagnosis:
     """One admissible evolution: an assignment per relevant instant.
 
-    ``joint_probability`` equals the prior of the first assignment times the
-    product of ``step_conditionals``.
+    ``joint_probability`` equals ``prior``, the probability of the first
+    assignment, times the product of ``step_conditionals``.
     """
 
     trajectory: tuple[ModeAssignment, ...]
     joint_probability: float
-    step_conditionals: tuple[float, ...] = ()
+    step_conditionals: tuple[float, ...]
+    prior: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,12 +334,39 @@ def forward_paths(trellis: Trellis) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield paths, joints
 
 
+def _evolutions(model: SystemModel,
+                trellis: Trellis) -> list[TemporalDiagnosis]:
+    """One diagnosis per admissible path through the whole trellis, in the
+    forward pass's order, with its prior, step conditionals and joint."""
+    for paths, joints in forward_paths(trellis):
+        pass  # the last layer's paths are the complete evolutions
+    steps = np.empty((len(paths), len(trellis.conditionals)))
+    for k, conditional in enumerate(trellis.conditionals):
+        steps[:, k] = conditional[paths[:, k], paths[:, k + 1]]
+    layers = [assignments(model, t, modes)
+              for t, modes in zip(trellis.instants, trellis.modes)]
+    return [
+        TemporalDiagnosis(
+            tuple(layer[i] for layer, i in zip(layers, indices)),
+            joint, tuple(conditionals), trellis.priors[indices[0]])
+        for indices, joint, conditionals in zip(
+            paths.tolist(), joints.tolist(), steps.tolist())]
+
+
+def _ranked(diagnoses: list[TemporalDiagnosis]) -> list[TemporalDiagnosis]:
+    """By descending joint probability; ties go to the trajectory that sorts
+    first instant by instant, by ``t`` and then by mode name in component-id
+    order (``ModeAssignment`` order, not candidate-row order when modes are
+    not declared in name order). Equal trajectories keep their order."""
+    return sorted(diagnoses,
+                  key=lambda d: (-d.joint_probability, d.trajectory))
+
+
 def enumerate_temporal_diagnoses(
         problem: DiagnosticProblem,
         trellis: Trellis | None = None) -> list[TemporalDiagnosis]:
     """Every evolution whose consecutive steps are admissible, ranked by
-    joint probability (descending; ties broken lexicographically by the
-    trajectory encoding).
+    descending joint probability with ties broken as ``_ranked`` says.
 
     Raises:
         NoAdmissibleEvolutionError: candidates exist at every instant but no
@@ -345,24 +374,24 @@ def enumerate_temporal_diagnoses(
     """
     if trellis is None:
         trellis = build_trellis(problem)
-
-    for paths, joints in forward_paths(trellis):
-        pass  # the last layer's paths are the complete evolutions
-    steps = np.empty((len(paths), len(trellis.conditionals)))
-    for k, conditional in enumerate(trellis.conditionals):
-        steps[:, k] = conditional[paths[:, k], paths[:, k + 1]]
-    layers = [assignments(problem.model, t, modes)
-              for t, modes in zip(trellis.instants, trellis.modes)]
-    results = [
-        TemporalDiagnosis(
-            tuple(layer[i] for layer, i in zip(layers, indices)),
-            joint, tuple(conditionals))
-        for indices, joint, conditionals in zip(
-            paths.tolist(), joints.tolist(), steps.tolist())]
-
+    results = _evolutions(problem.model, trellis)
     if not results:
         raise NoAdmissibleEvolutionError(
             "no evolution passes the plausibility filter at "
             f"sigma={problem.sigma}")
-    results.sort(key=lambda d: (-d.joint_probability, d.trajectory))
-    return results
+    return _ranked(results)
+
+
+def rank_trajectories(model: SystemModel, trajectories: Sequence[Sequence[
+        ModeAssignment]]) -> list[TemporalDiagnosis]:
+    """Given trajectories, scored and ranked like diagnoses: each is a trellis
+    with one candidate per instant, under the initial distributions resolved
+    without induction."""
+    initials = resolve_initial_distributions(model)
+    scored = []
+    for trajectory in trajectories:
+        modes = np.array([[[c.modes.index(w.mode_of(c.id))
+                            for c in model.components]] for w in trajectory])
+        scored += _evolutions(model, trellis_from_layers(
+            model, [w.t for w in trajectory], modes, initials))
+    return _ranked(scored)

@@ -39,6 +39,7 @@ from tempdiag import (
     posterior_component_distribution,
     predicted_manifestations,
     propagate_distribution,
+    rank_trajectories,
     resolve_initial_distributions,
     revise_global,
     revise_transition,
@@ -476,6 +477,50 @@ def check_revision_matches_definitions(cases: int, seed: int = 2034) -> None:
         gaps.update(np.diff(trellis.instants).tolist())
     assert len(seen) == 4 and gaps == {1, 2, 3, 4, 5}
     assert summed and revised >= cases // 2
+
+
+def check_rank_matches_diagnose(cases: int, seed: int = 2035) -> None:
+    """``rank_trajectories``, given the trajectories of
+    ``enumerate_temporal_diagnoses`` in shuffled order, returns them in the
+    diagnoses' order with equal (``==``) priors, joints and step
+    conditionals, and that order is descending joint with ties broken by
+    mode name in component-id order. Problems whose first instant is 0 are
+    skipped: there diagnose induces the initial distributions and rank does
+    not. Modes are renamed, so names and declared indices order ties
+    differently."""
+    def by_name(d):
+        return [(w.t, sorted(w.as_dict().items())) for w in d.trajectory]
+
+    def by_index(d, model):
+        return [(w.t, [c.modes.index(w.mode_of(c.id))
+                       for c in model.components]) for w in d.trajectory]
+
+    rng = np.random.default_rng(seed)
+    compared, tied, names_not_rows = 0, 0, 0
+    for _ in range(cases):
+        problem = _revision_problem(rng)
+        model = problem.model
+        if problem.observations.entries[0].t == 0:
+            continue
+        try:
+            diagnoses = enumerate_temporal_diagnoses(problem)
+        except NoAdmissibleEvolutionError:
+            continue
+        ranked = rank_trajectories(model, [
+            diagnoses[i].trajectory for i in rng.permutation(len(diagnoses))])
+        assert [(d.trajectory, d.prior, d.joint_probability,
+                 d.step_conditionals) for d in ranked] == [
+            (d.trajectory, d.prior, d.joint_probability, d.step_conditionals)
+            for d in diagnoses]
+        for a, b in zip(ranked, ranked[1:]):
+            assert a.joint_probability >= b.joint_probability
+            if a.joint_probability == b.joint_probability:
+                assert by_name(a) < by_name(b)
+                tied += 1
+                names_not_rows += by_index(a, model) > by_index(b, model)
+        compared += 1
+    assert compared >= cases // 2 and tied >= cases // 2
+    assert names_not_rows >= cases // 4
 
 
 # --- classification suite ---------------------------------------------------------

@@ -166,6 +166,15 @@ class TestPropagate:
         code, *_ = run(capsys, "propagate", HYDRAULIC, "--instants", "x,y")
         assert code == 1
 
+    @pytest.mark.parametrize("instants", [",", "", "0,,2"])
+    @pytest.mark.parametrize("command", [["propagate"],
+                                         ["simulate", "--horizon", "3"]],
+                             ids=["propagate", "simulate"])
+    def test_blank_instants_exit_1(self, capsys, command, instants):
+        report = run_json(capsys, command[0], HYDRAULIC, *command[1:],
+                          "--instants", instants, expect=1)
+        assert report["error"]["code"] == "invalid_input"
+
 
 class TestDiagnose:
     def test_sudden_stop_single_diagnosis(self, capsys):

@@ -9,6 +9,7 @@ from propsuites import (
     check_forward_paths_vs_bruteforce,
     check_memorylessness,
     check_power_stochasticity,
+    check_rank_matches_diagnose,
     check_revision_matches_definitions,
     check_revision_ranking_and_zeros,
     check_threshold_monotonicity,
@@ -52,6 +53,10 @@ def test_revision_preserves_ranking_and_zeros():
 
 def test_revision_matches_definitions():
     check_revision_matches_definitions(CASES)
+
+
+def test_rank_matches_diagnose():
+    check_rank_matches_diagnose(CASES)
 
 
 def test_per_component_factors_bound_global():
