@@ -4,16 +4,23 @@ Subcommands: validate, classify, propagate, diagnose, simulate, rank.
 Reports go to standard output as canonical JSON; a short human-readable
 summary goes to standard error. ``main`` loads and validates the model and
 writes what every report carries (``command``, ``config`` and the input
-``files``); each ``_cmd_*`` function returns only its own sections. Exit
-codes: 0 success, 1 invalid input (usage errors included), 2 no diagnosis
-(empty candidate set, no admissible evolution, or undefined revision), 3
-internal limits (candidate cap).
+``files``); each ``_cmd_*`` function returns only its own sections. The
+bulk sections (trellis edges, diagnoses and ranked trajectories, revised
+evolutions and conditionals) are section writers that ``dumps_report``
+calls: they render rows from the trellis arrays and the engine's tuples
+with ``modelio`` templates, never as a dict per row. Exit codes: 0
+success, 1 invalid input (usage errors included), 2 no diagnosis (empty
+candidate set, no admissible evolution, or undefined revision), 3 internal
+limits (candidate cap).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache, partial
+from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 from . import __version__
@@ -26,11 +33,18 @@ from .errors import DiagnosisError, ValidationError
 from .markov import classify_faults, classify_states, propagate_distribution
 from .model import validate_model, validate_stream, validate_trajectories
 from .modelio import (
+    FLOAT,
+    INT,
+    TEXT,
     dumps_report,
+    finite,
     load_model,
     load_stream,
     load_trajectories,
+    quote,
+    rows,
     stream_to_list,
+    template,
 )
 from .revision import revise_trellis
 from .simulate import RNG_ALGORITHM, generate_observation_stream, sample_trajectory
@@ -53,6 +67,7 @@ _THRESHOLD_MODES = {
 }
 #: Input file arguments a report lists under ``files`` when given.
 _FILES = ("model", "observations", "trajectories")
+_JSON_BOOLS = ("false", "true")
 
 
 def _parse_instants(text: str) -> list[int]:
@@ -84,11 +99,37 @@ def _load(path, load, validate, *context):
         raise
 
 
-def _evolution_row(rank: int, d) -> dict:
-    return {"rank": rank, "joint_probability": d.joint_probability,
-            "step_conditionals": list(d.step_conditionals),
-            "trajectory": [{"t": w.t, "assignment": w.as_dict()}
-                           for w in d.trajectory]}
+def _evolution_rows(model, diagnoses, prior: bool = False):
+    """``diagnoses`` or ``rank``'s ``trajectories``: one row per evolution,
+    ranked 1, 2, ... as listed, rendered with one template per trajectory
+    length. ``rank`` adds each evolution's ``prior``."""
+    ids = sorted(c.id for c in model.components)
+    names = {m: quote(m) for c in model.components for m in c.modes}
+
+    @cache
+    def step(w):  # mode names in component-id order, as w.modes holds them
+        return (*[names[m] for _, m in w.modes], w.t)
+
+    def render(nl):
+        @cache
+        def row(length):
+            shape = {"joint_probability": FLOAT, "rank": INT,
+                     "step_conditionals": [FLOAT] * (length - 1),
+                     "trajectory": [{"assignment": dict.fromkeys(ids, TEXT),
+                                     "t": INT}] * length}
+            if prior:
+                shape["prior"] = FLOAT
+            return template(shape, nl)
+
+        finite([(d.joint_probability, d.prior) for d in diagnoses])
+        finite([x for d in diagnoses for x in d.step_conditionals])
+        for rank, d in enumerate(diagnoses, 1):
+            head = ((d.joint_probability, d.prior, rank) if prior
+                    else (d.joint_probability, rank))
+            yield row(len(d.trajectory)) % (*head, *d.step_conditionals,
+                                            *chain.from_iterable(
+                                                map(step, d.trajectory)))
+    return rows(render)
 
 
 def _distribution_dict(dist) -> dict:
@@ -169,19 +210,38 @@ def _cmd_propagate(args, model) -> dict:
     }
 
 
-def _revision_report(trellis, model) -> list[dict]:
+def _revision_report(revisions) -> list[dict]:
+    """``revision``: per instant, the revised joints of the paths ending
+    there and the revised conditionals of the edges into it, each rendered
+    with one template, and every component's revision."""
+    conditional = cache(partial(template, {
+        "conditional": FLOAT, "revised": FLOAT, "source": INT, "target": INT}))
+    # rows are (source, target, conditional, revised); keys sort otherwise
+    by_key_order = itemgetter(2, 3, 0, 1)
+
+    def evolutions(rev):
+        def render(nl):
+            finite((rev.joints, rev.revised_joints))
+            paths = rev.path_indices
+            evolution = template({"joint": FLOAT,
+                                  "path": [INT] * paths.shape[1],
+                                  "revised_joint": FLOAT}, nl)
+            return map(evolution.__mod__, zip(rev.joints, *paths.T.tolist(),
+                                              rev.revised_joints))
+        return rows(render)
+
+    def revised_conditionals(rev):
+        def render(nl):
+            finite(rev.revised_conditionals)
+            return map(conditional(nl).__mod__,
+                       map(by_key_order, rev.revised_conditionals))
+        return rows(render)
+
     return [{
         "t": rev.t,
         "normalization_factor": rev.factor,
-        "evolutions": [
-            {"path": path, "joint": joint, "revised_joint": rj}
-            for path, joint, rj in zip(rev.path_indices.tolist(), rev.joints,
-                                       rev.revised_joints)
-        ],
-        "revised_conditionals": [
-            {"source": s, "target": t_, "conditional": c, "revised": r}
-            for s, t_, c, r in rev.revised_conditionals
-        ],
+        "evolutions": evolutions(rev),
+        "revised_conditionals": revised_conditionals(rev),
         "components": {
             comp: {
                 "distribution": _distribution_dict(cr.distribution),
@@ -195,24 +255,34 @@ def _revision_report(trellis, model) -> list[dict]:
             }
             for comp, cr in sorted(rev.components.items())
         },
-    } for rev in revise_trellis(trellis, model)]
+    } for rev in revisions]
 
 
 def _trellis_report(trellis, model) -> list[dict]:
+    """``trellis``: per step, every edge with its factors (by component id),
+    conditional and admissibility, rendered with one template straight from
+    the step's arrays."""
     ids = [c.id for c in model.components]
-    out = []
-    for k, (factors, conditionals, admissible) in enumerate(zip(
-            trellis.factors, trellis.conditionals, trellis.admissible)):
-        edges = [
-            {"source": i, "target": j, "conditional": p,
-             "factors": dict(zip(ids, f)), "admissible": ok}
-            for i, (f_row, p_row, ok_row) in enumerate(zip(
-                factors.tolist(), conditionals.tolist(), admissible.tolist()))
-            for j, (f, p, ok) in enumerate(zip(f_row, p_row, ok_row))
-        ]
-        out.append({"from_t": trellis.instants[k],
-                    "to_t": trellis.instants[k + 1], "edges": edges})
-    return out
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    edge = cache(partial(template, {
+        "admissible": TEXT, "conditional": FLOAT,
+        "factors": {ids[c]: FLOAT for c in order},
+        "source": INT, "target": INT}))
+
+    def edges(factors, conditionals, admissible):
+        def render(nl):
+            n, m = conditionals.shape
+            columns = finite(factors[..., order]).reshape(n * m, -1).T.tolist()
+            return map(edge(nl).__mod__, zip(
+                map(_JSON_BOOLS.__getitem__, admissible.ravel().tolist()),
+                finite(conditionals).ravel().tolist(), *columns,
+                [i for i in range(n) for _ in range(m)], list(range(m)) * n))
+        return rows(render)
+
+    return [{"from_t": trellis.instants[k], "to_t": trellis.instants[k + 1],
+             "edges": edges(*step)}
+            for k, step in enumerate(zip(trellis.factors, trellis.conditionals,
+                                         trellis.admissible))]
 
 
 def _cmd_diagnose(args, model) -> dict:
@@ -236,11 +306,10 @@ def _cmd_diagnose(args, model) -> dict:
             for comp, dist in sorted(trellis.initials.items())},
         "priors": list(trellis.priors),
         "trellis": _trellis_report(trellis, model),
-        "diagnoses": [_evolution_row(i, d)
-                      for i, d in enumerate(diagnoses, 1)],
+        "diagnoses": _evolution_rows(model, diagnoses),
     }
     if args.revise:
-        report["revision"] = _revision_report(trellis, model)
+        report["revision"] = _revision_report(revise_trellis(trellis, model))
 
     sizes = ", ".join(f"{len(modes)} at t={t}"
                       for t, modes in zip(trellis.instants, trellis.modes))
@@ -276,8 +345,7 @@ def _cmd_rank(args, model) -> dict:
                          validate_trajectories, model)
     ranked = rank_trajectories(model, trajectories)
     print(f"ranked {len(ranked)} trajectories", file=sys.stderr)
-    return {"trajectories": [{**_evolution_row(i, d), "prior": d.prior}
-                             for i, d in enumerate(ranked, 1)]}
+    return {"trajectories": _evolution_rows(model, ranked, prior=True)}
 
 
 class _Parser(argparse.ArgumentParser):

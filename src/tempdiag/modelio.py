@@ -3,15 +3,25 @@
 Probabilities in input files may be decimal numbers or exact fraction
 strings like ``"3/10"``; fractions are parsed exactly and then converted to
 float, so hand-written matrices survive ingestion without parse round-off.
+
+Reports are written by one canonical writer, ``dumps_report``: a recursive
+function appending to one list, whose text equals the stdlib's
+``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)`` plus a
+newline (the stdlib encoder has no C path when it indents). Bulk sections
+are section writers built with ``rows``: each renders its rows from arrays
+and tuples with one ``%``-template per row shape, which the writer itself
+renders (``template``), and checks each array for NaN and infinities once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 from .atemporal import ModeAssignment
 from .errors import ValidationError
@@ -242,22 +252,127 @@ def load_trajectories(path: str | Path) -> list[tuple[ModeAssignment, ...]]:
     return trajectories_from_list(_load_json(path))
 
 
-_REPORT_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
-#: Encoder chunks joined at a time: ``json.dumps`` would hold every chunk
-#: (about 30 bytes each) of a large report in one list.
-_CHUNK_BATCH = 1 << 16
+#: JSON string literal of a str, ``\\u`` escapes for everything outside ASCII
+#: (the C function ``json`` uses with ``ensure_ascii``).
+quote = json.encoder.encode_basestring_ascii
+_INDENT = "  "
+#: Output pieces a container may leave before ``_close`` joins them.
+_JOIN_AT = 64
 
 
-def dumps_report(report: dict) -> str:
-    """Canonical report encoding: sorted keys, two-space indent, trailing
-    newline. Identical inputs yield byte-identical output.
+def dumps_report(report: Any) -> str:
+    """Canonical report encoding: sorted keys, two-space indent, ASCII with
+    ``\\u`` escapes, floats by ``repr``, trailing newline. The text equals
+    ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\\n"``
+    for every report of JSON types with string keys.
+
+    A value may also be a section writer, such as ``rows`` returns: a
+    function of ``(out, nl)`` that appends its own text to ``out``, ``nl``
+    being the newline and indentation before its closing bracket.
 
     Raises:
-        ValueError: the report holds a NaN or infinite float.
+        ValueError: the report holds a NaN or infinite float; nothing of
+            the report has been returned.
     """
-    chunks = _REPORT_ENCODER.iterencode(report)
-    batches = []
-    while batch := list(islice(chunks, _CHUNK_BATCH)):
-        batches.append("".join(batch))
-    batches.append("\n")
-    return "".join(batches)
+    out: list[str] = []
+    _write(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: Any, out: list[str], nl: str) -> None:
+    """Append the text of ``value``, whose closing bracket follows ``nl``."""
+    if isinstance(value, str):
+        out.append(quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON "
+                             f"compliant: {value!r}")
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner, sep, start = nl + _INDENT, "[", len(out)
+        for item in value:
+            out.append(sep + inner)
+            _write(item, out, inner)
+            sep = ","
+        _close(out, start, nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, sep, start = nl + _INDENT, "{", len(out)
+        for key in sorted(value):  # quote raises TypeError on a non-str key
+            out.append(sep + inner + quote(key) + ": ")
+            _write(value[key], out, inner)
+            sep = ","
+        _close(out, start, nl + "}")
+    elif callable(value):
+        value(out, nl)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+
+
+def _close(out: list[str], start: int, bracket: str) -> None:
+    """Append a container's closing ``bracket``, and join the container's
+    pieces from ``start`` on into one when they are many: each piece costs
+    about 50 bytes beside its text."""
+    out.append(bracket)
+    if len(out) - start > _JOIN_AT:
+        out[start:] = ["".join(out[start:])]
+
+
+def finite(values: Any) -> Any:
+    """``values`` (a float, an array or a nested sequence of numbers), if
+    none of them is NaN or infinite: JSON has no form for those.
+
+    Raises:
+        ValueError: some value is NaN or infinite.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return values
+
+
+def _placeholder(spec: str) -> Callable[[list, str], None]:
+    return lambda out, nl: out.append(spec)
+
+
+#: Row-shape placeholders for a float, an int and text already in JSON
+#: form. The writer escapes every control character it is given, so a NUL
+#: in its text can only be a placeholder's.
+FLOAT, INT, TEXT = (_placeholder("\0r"), _placeholder("\0d"),
+                    _placeholder("\0s"))
+
+
+def template(shape: Any, nl: str) -> str:
+    """The canonical text of ``shape``, whose closing bracket follows
+    ``nl``, as a ``%``-template: ``shape`` is a report whose leaves are
+    ``FLOAT``, ``INT`` and ``TEXT``. Fill them in the order the text holds
+    them, dict entries in sorted key order."""
+    out: list[str] = []
+    _write(shape, out, nl)
+    return "".join(out).replace("%", "%%").replace("\0", "%")
+
+
+def rows(render: Callable[[str], Iterable[str]],
+         ) -> Callable[[list, str], None]:
+    """A section writer for a JSON array of items rendered in bulk:
+    ``render(nl)`` yields the text of each item, whose closing bracket
+    follows ``nl``."""
+    def write(out: list[str], nl: str) -> None:
+        inner = nl + _INDENT
+        items = ("," + inner).join(render(inner))
+        out += ["[" + inner, items, nl + "]"] if items else ["[]"]
+    return write

@@ -4,15 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tempdiag.cli
 from tempdiag import (
+    ModeAssignment,
     conditional_probability,
     prior_probability,
     resolve_initial_distributions,
+    step_factors,
 )
 from tempdiag.cli import main
 from tempdiag.modelio import load_model, model_to_dict
@@ -589,6 +593,148 @@ class TestRank:
         code, out, _ = run(capsys, "rank", HYDRAULIC, str(path))
         assert code == 1
         assert json.loads(out)["error"]["code"] == "non_increasing_instants"
+
+
+def canonical(out: str) -> str:
+    """``out`` re-encoded by the stdlib. Floats round-trip through repr, so
+    a canonical report equals it exactly."""
+    return json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+#: Four two-mode components whose ids and mode names need JSON escaping or
+#: hold a ``%``, declared in an order other than their sorted one.
+ESCAPED_MODES = {"x\\y": ["ok", "f\"1"], "\u00e9": ["ok", "w\u00e9\\"],
+                 "a\"b": ["ok", "%d"], "p%s": ["ok", "\u2028\U0001f600"]}
+
+
+def escaped_model() -> dict:
+    return {
+        "components": [
+            {"id": comp, "modes": modes, "correct_mode": "ok",
+             "matrix": [[0.9, 0.1], [0.25, 0.75]]}
+            for comp, modes in ESCAPED_MODES.items()],
+        "rules": [{"body": [{"component": "x\\y", "mode": "f\"1"}],
+                   "head": "alarm"}],
+    }
+
+
+class TestCanonicalWriter:
+    """Reports rendered in bulk from the trellis arrays, the evolutions and
+    the revisions equal the stdlib encoder's text, escape ids and mode
+    names, and keep each value under its own key."""
+
+    def test_escaped_ids_and_sorted_order(self, capsys, tmp_path):
+        assert list(ESCAPED_MODES) != sorted(ESCAPED_MODES)
+        model_path, obs_path = tmp_path / "model.json", tmp_path / "obs.json"
+        model_path.write_text(json.dumps(escaped_model()))
+        obs_path.write_text(json.dumps([{"t": 0}, {"t": 1, "absent": ["alarm"]},
+                                        {"t": 3}]))
+        code, out, err = run(capsys, "diagnose", str(model_path),
+                             str(obs_path), "--criterion", "consistency",
+                             "--sigma", "0.001", "--revise")
+        assert code == 0, err
+        assert out == canonical(out)
+        report = json.loads(out)
+        assert len(report["diagnoses"]) > 1
+        assert any(len(r["evolutions"]) > 1 for r in report["revision"])
+
+        model = load_model(model_path)
+        candidates = [c["assignments"] for c in report["candidates"]]
+        for k, step in enumerate(report["trellis"]):
+            for edge in step["edges"]:
+                a = ModeAssignment.from_mapping(
+                    step["from_t"], candidates[k][edge["source"]])
+                b = ModeAssignment.from_mapping(
+                    step["to_t"], candidates[k + 1][edge["target"]])
+                assert edge["factors"] == step_factors(a, b, model)
+        for row in report["diagnoses"]:
+            for k, w in enumerate(row["trajectory"]):
+                assert w["assignment"] in candidates[k]
+
+        trajectories = [[{"t": t, "assignment": candidates[k][i]}
+                         for k, t in enumerate(report["instants"][:length])]
+                        for length, i in ((1, 3), (3, 5), (2, 0))]
+        trajectories_path = tmp_path / "trajectories.json"
+        trajectories_path.write_text(json.dumps(trajectories))
+        code, out, err = run(capsys, "rank", str(model_path),
+                             str(trajectories_path))
+        assert code == 0, err
+        assert out == canonical(out)
+        rows = json.loads(out)["trajectories"]
+        assert sorted(len(r["trajectory"]) for r in rows) == [1, 2, 3]
+        ranked = [json.dumps(r["trajectory"], sort_keys=True) for r in rows]
+        given = [json.dumps(t, sort_keys=True) for t in trajectories]
+        assert sorted(ranked) == sorted(given)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    @pytest.mark.parametrize("where", ["conditional", "factor", "joint",
+                                       "step_conditional", "revision_joint"])
+    def test_non_finite_raises_before_writing(self, capsys, monkeypatch,
+                                              where, value):
+        """A NaN or infinite number anywhere in the bulk sections raises
+        ValueError, and nothing reaches stdout. Trellis values go on an
+        inadmissible edge, which no evolution or revision reads."""
+        build, enumerate_, revise = (tempdiag.cli.build_trellis,
+                                     tempdiag.cli.enumerate_temporal_diagnoses,
+                                     tempdiag.cli.revise_trellis)
+
+        def poisoned_trellis(problem):
+            trellis = build(problem)
+            conditionals = trellis.conditionals[0].copy()
+            factors = trellis.factors[0].copy()
+            i, j = np.argwhere(~trellis.admissible[0])[0]
+            if where == "conditional":
+                conditionals[i, j] = value
+            elif where == "factor":
+                factors[i, j, -1] = value
+            return replace(trellis, factors=(factors, *trellis.factors[1:]),
+                           conditionals=(conditionals,
+                                         *trellis.conditionals[1:]))
+
+        def poisoned_diagnoses(problem, trellis):
+            first, *rest = enumerate_(problem, trellis)
+            if where == "joint":
+                first = replace(first, joint_probability=value)
+            elif where == "step_conditional":
+                first = replace(first, step_conditionals=(value,))
+            return [first, *rest]
+
+        def poisoned_revisions(trellis, model):
+            *rest, last = revise(trellis, model)
+            if where == "revision_joint":
+                last = replace(last, joints=(value, *last.joints[1:]))
+            return (*rest, last)
+
+        monkeypatch.setattr(tempdiag.cli, "build_trellis", poisoned_trellis)
+        monkeypatch.setattr(tempdiag.cli, "enumerate_temporal_diagnoses",
+                            poisoned_diagnoses)
+        monkeypatch.setattr(tempdiag.cli, "revise_trellis", poisoned_revisions)
+        argv = ["diagnose", SUDDEN, SUDDEN_OBS, "--sigma", "0.01", "--revise"]
+        with pytest.raises(ValueError):
+            main(argv)
+        assert capsys.readouterr().out == ""
+
+    def test_bench_workload_shapes(self, capsys, tmp_path):
+        """The dense and long workloads of bench/gen.py at seed 7: a dense
+        case (81 candidates per instant, ~20k edges, --revise) and the
+        450-instant long diagnose --revise."""
+        argvs = []
+        for workload in ("dense", "long"):
+            out = tmp_path / workload
+            subprocess.run([sys.executable, "bench/gen.py", "--workload",
+                            workload, "--seed", "7", "--out", str(out)],
+                           cwd=ROOT, check=True, capture_output=True)
+            argvs.append([c["argv"] for c in json.loads(
+                (out / "cases.json").read_text()) if c["kind"] == "diagnose"])
+        dense, long = argvs
+        (long450,) = [argv for argv in long if len(json.loads(
+            Path(argv[2]).read_text())) == 450]
+        for argv in dense[0], long450:
+            assert "--revise" in argv
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+            assert out == canonical(out)
 
 
 def test_import_leaves_networkx_unloaded():

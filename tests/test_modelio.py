@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tempdiag import validate_model, validate_stream
 from tempdiag.errors import ValidationError
@@ -139,3 +140,32 @@ class TestCanonicalReports:
         out = dumps_report({"b": 1, "a": 2})
         assert out.index('"a"') < out.index('"b"')
         assert out.endswith("\n")
+
+
+#: Floats at the edges of repr and of the double range, beside arbitrary ones.
+EDGE_FLOATS = (5e-324, 2.2250738585072014e-308, 1e-310, -1e-320, -0.0, 0.0,
+               1e16, 1e308, -1.7976931348623157e308, 0.1, 1 / 3, 1e22)
+#: Plain characters, those JSON must escape, and non-ASCII, lone-surrogate,
+#: astral and template ones.
+ALPHABET = ("aZ0 ~\"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u2028\ud800\ue9e9"
+            "\uffff\U0001f600\U0010ffff%")
+TEXT = st.text(st.sampled_from(ALPHABET), max_size=6)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), TEXT,
+    st.integers(), st.integers(-10 ** 400, 10 ** 400),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_FLOATS))
+REPORTS = st.recursive(
+    SCALARS, lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                     st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(REPORTS)
+def test_dumps_report_equals_stdlib_encoder(report):
+    """The stdlib encoder is the oracle: nested lists and dicts (empty ones
+    too), subnormal, signed-zero and extreme floats, huge ints, booleans
+    and null, and strings needing every kind of escape."""
+    assert dumps_report(report) == json.dumps(
+        report, indent=2, sort_keys=True, allow_nan=False) + "\n"
