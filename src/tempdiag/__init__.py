@@ -14,7 +14,6 @@ from .atemporal import (
     ExplanationCriterion,
     ModeAssignment,
     assignments,
-    is_explanation,
     predicted_manifestations,
     solve_atemporal,
 )
@@ -46,9 +45,7 @@ from .model import (
 from .revision import (
     ComponentRevision,
     InstantRevision,
-    component_mass_factor,
     normalization_factor,
-    posterior_component_distribution,
     revise_global,
     revise_transition,
     revise_trellis,
@@ -64,17 +61,13 @@ from .temporal import (
     TemporalDiagnosis,
     ThresholdMode,
     Trellis,
-    admissible_step,
     build_trellis,
     conditional_probability,
     enumerate_temporal_diagnoses,
     induce_initial_distributions,
-    joint_probability,
-    prior_probability,
     rank_trajectories,
     relevant_instants,
     resolve_initial_distributions,
-    step_factors,
 )
 
 __all__ = [
@@ -100,24 +93,18 @@ __all__ = [
     "TransitionMatrix",
     "Trellis",
     "ValidationError",
-    "admissible_step",
     "assignments",
     "build_trellis",
     "classify_faults",
     "classify_states",
-    "component_mass_factor",
     "conditional_probability",
     "empirical_transition_matrix",
     "enumerate_temporal_diagnoses",
     "generate_observation_stream",
     "induce_initial_distributions",
-    "is_explanation",
-    "joint_probability",
     "matrix_power",
     "normalization_factor",
-    "posterior_component_distribution",
     "predicted_manifestations",
-    "prior_probability",
     "propagate_distribution",
     "rank_trajectories",
     "relevant_instants",
@@ -128,7 +115,6 @@ __all__ = [
     "sample_trajectory",
     "sojourn_pmf",
     "solve_atemporal",
-    "step_factors",
     "validate_distribution",
     "validate_matrix",
     "validate_model",

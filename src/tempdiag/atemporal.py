@@ -15,9 +15,10 @@ The assignments firing a rule form the sub-block of the array that fixes
 each body atom's axis to its mode. Blocks of heads that must not be predicted
 are cleared, and each present atom ANDs in the union of its blocks
 (abductive). The survivors are returned as a |L| x C mode-index array, which
-the trellis, induction and revision read; ``assignments`` builds
-``ModeAssignment`` objects from it for reports. ``is_explanation`` states
-the same criteria for one assignment.
+the trellis, induction, revision and the report read; ``assignments``
+builds ``ModeAssignment`` objects from it for API callers.
+``predicted_manifestations`` gives one assignment's rule heads, from which
+the simulator synthesizes observations.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -87,25 +88,6 @@ def predicted_manifestations(w: ModeAssignment,
     return frozenset(
         rule.head for rule in model.rules
         if all(assigned.get(comp) == mode for comp, mode in rule.body))
-
-
-def is_explanation(w: ModeAssignment, obs_present: Iterable[str],
-                   obs_absent: Iterable[str],
-                   criterion: ExplanationCriterion,
-                   model: SystemModel) -> bool:
-    """Does ``w`` explain the observation under the given criterion?"""
-    present = frozenset(obs_present)
-    absent = frozenset(obs_absent)
-    predicted = predicted_manifestations(w, model)
-
-    if predicted & absent:
-        return False
-    for atom in present:
-        if model.exclusive_partners(atom) & predicted:
-            return False
-    if criterion is ExplanationCriterion.ABDUCTIVE:
-        return present <= predicted
-    return True
 
 
 def _body_block(rule: HornRule, axes: Mapping[str, tuple[int, tuple[str, ...]]],

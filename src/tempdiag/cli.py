@@ -5,13 +5,14 @@ Reports go to standard output as canonical JSON; a short human-readable
 summary goes to standard error. ``main`` loads and validates the model and
 writes what every report carries (``command``, ``config`` and the input
 ``files``); each ``_cmd_*`` function returns only its own sections. The
-bulk sections (trellis edges, diagnoses and ranked trajectories, revised
-evolutions and conditionals) are section writers that ``dumps_report``
-calls: they render rows from the trellis arrays and the engine's tuples
-with ``modelio`` templates, never as a dict per row. Exit codes: 0
+bulk sections (candidates, trellis edges, diagnoses and ranked
+trajectories, revised evolutions and conditionals) are section writers
+that ``dumps_report`` calls: they render rows from the engine's mode-index
+and probability arrays with ``modelio`` templates, mode names from
+per-component tables of JSON text, never as a dict per row. Exit codes: 0
 success, 1 invalid input (usage errors included), 2 no diagnosis (empty
 candidate set, no admissible evolution, or undefined revision), 3 internal
-limits (candidate cap).
+limits (candidate cap, simulation horizon).
 """
 
 from __future__ import annotations
@@ -19,16 +20,13 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache, partial
-from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
-from .atemporal import (
-    DEFAULT_CANDIDATE_CAP,
-    ExplanationCriterion,
-    assignments,
-)
+from .atemporal import DEFAULT_CANDIDATE_CAP, ExplanationCriterion
 from .errors import DiagnosisError, ValidationError
 from .markov import classify_faults, classify_states, propagate_distribution
 from .model import validate_model, validate_stream, validate_trajectories
@@ -52,8 +50,8 @@ from .temporal import (
     DiagnosticProblem,
     ThresholdMode,
     build_trellis,
-    enumerate_temporal_diagnoses,
-    rank_trajectories,
+    enumerate_evolutions,
+    rank_evolutions,
     resolve_initial_distributions,
 )
 
@@ -99,16 +97,39 @@ def _load(path, load, validate, *context):
         raise
 
 
-def _evolution_rows(model, diagnoses, prior: bool = False):
+def _by_id(model) -> list[int]:
+    """Component indices in component-id order, the order of report keys."""
+    return sorted(range(len(model.components)),
+                  key=lambda c: model.components[c].id)
+
+
+def _quoted(model, modes) -> np.ndarray:
+    """A mode-index array's mode names as JSON text, its last axis in
+    component-id order. Indices of -1 give some name of the component."""
+    out = np.empty(modes.shape, dtype=object)
+    for k, c in enumerate(_by_id(model)):
+        names = np.array([quote(m) for m in model.components[c].modes],
+                         dtype=object)
+        out[..., k] = names[modes[..., c]]
+    return out
+
+
+def _candidate_rows(model, modes):
+    """A ``candidates`` entry's ``assignments``: one object per row of a
+    mode-index array, rendered with one template."""
+    def render(nl):
+        assignment = template(dict.fromkeys(sorted(
+            c.id for c in model.components), TEXT), nl)
+        return map(assignment.__mod__,
+                   map(tuple, _quoted(model, modes).tolist()))
+    return rows(render)
+
+
+def _evolution_rows(model, evolutions, prior: bool = False):
     """``diagnoses`` or ``rank``'s ``trajectories``: one row per evolution,
     ranked 1, 2, ... as listed, rendered with one template per trajectory
     length. ``rank`` adds each evolution's ``prior``."""
     ids = sorted(c.id for c in model.components)
-    names = {m: quote(m) for c in model.components for m in c.modes}
-
-    @cache
-    def step(w):  # mode names in component-id order, as w.modes holds them
-        return (*[names[m] for _, m in w.modes], w.t)
 
     def render(nl):
         @cache
@@ -121,14 +142,20 @@ def _evolution_rows(model, diagnoses, prior: bool = False):
                 shape["prior"] = FLOAT
             return template(shape, nl)
 
-        finite([(d.joint_probability, d.prior) for d in diagnoses])
-        finite([x for d in diagnoses for x in d.step_conditionals])
-        for rank, d in enumerate(diagnoses, 1):
-            head = ((d.joint_probability, d.prior, rank) if prior
-                    else (d.joint_probability, rank))
-            yield row(len(d.trajectory)) % (*head, *d.step_conditionals,
-                                            *chain.from_iterable(
-                                                map(step, d.trajectory)))
+        finite((evolutions.joints, evolutions.priors))
+        finite(evolutions.steps[evolutions.instants[:, 1:] >= 0])
+        # per instant the mode names in component-id order, then t
+        times = np.array(evolutions.times, dtype=object)
+        cells = np.concatenate((_quoted(model, evolutions.modes),
+                                times[evolutions.instants, None]), axis=2)
+        width = cells.shape[2]
+        for rank, (joint, p, steps, row_cells, n) in enumerate(zip(
+                evolutions.joints.tolist(), evolutions.priors.tolist(),
+                evolutions.steps.tolist(),
+                cells.reshape(-1, cells.shape[1] * width).tolist(),
+                evolutions.lengths.tolist()), 1):
+            head = (joint, p, rank) if prior else (joint, rank)
+            yield row(n) % (*head, *steps[:n - 1], *row_cells[:n * width])
     return rows(render)
 
 
@@ -262,11 +289,10 @@ def _trellis_report(trellis, model) -> list[dict]:
     """``trellis``: per step, every edge with its factors (by component id),
     conditional and admissibility, rendered with one template straight from
     the step's arrays."""
-    ids = [c.id for c in model.components]
-    order = sorted(range(len(ids)), key=ids.__getitem__)
+    order = _by_id(model)
     edge = cache(partial(template, {
         "admissible": TEXT, "conditional": FLOAT,
-        "factors": {ids[c]: FLOAT for c in order},
+        "factors": {model.components[c].id: FLOAT for c in order},
         "source": INT, "target": INT}))
 
     def edges(factors, conditionals, admissible):
@@ -292,13 +318,12 @@ def _cmd_diagnose(args, model) -> dict:
         threshold_mode=_THRESHOLD_MODES[args.threshold_mode],
         criterion=_CRITERIA[args.criterion], candidate_cap=args.cap)
     trellis = build_trellis(problem)
-    diagnoses = enumerate_temporal_diagnoses(problem, trellis)
+    evolutions = enumerate_evolutions(problem, trellis)
 
     report = {
         "instants": list(trellis.instants),
         "candidates": [
-            {"t": t, "assignments": [w.as_dict()
-                                     for w in assignments(model, t, modes)]}
+            {"t": t, "assignments": _candidate_rows(model, modes)}
             for t, modes in zip(trellis.instants, trellis.modes)
         ],
         "initial_distributions": {
@@ -306,16 +331,15 @@ def _cmd_diagnose(args, model) -> dict:
             for comp, dist in sorted(trellis.initials.items())},
         "priors": list(trellis.priors),
         "trellis": _trellis_report(trellis, model),
-        "diagnoses": _evolution_rows(model, diagnoses),
+        "diagnoses": _evolution_rows(model, evolutions),
     }
     if args.revise:
         report["revision"] = _revision_report(revise_trellis(trellis, model))
 
     sizes = ", ".join(f"{len(modes)} at t={t}"
                       for t, modes in zip(trellis.instants, trellis.modes))
-    best = diagnoses[0]
-    print(f"candidates: {sizes}; {len(diagnoses)} admissible evolution(s); "
-          f"best joint probability {best.joint_probability:.6g}",
+    print(f"candidates: {sizes}; {len(evolutions.joints)} admissible "
+          f"evolution(s); best joint probability {evolutions.joints[0]:.6g}",
           file=sys.stderr)
     return report
 
@@ -343,8 +367,8 @@ def _cmd_simulate(args, model) -> dict:
 def _cmd_rank(args, model) -> dict:
     trajectories = _load(args.trajectories, load_trajectories,
                          validate_trajectories, model)
-    ranked = rank_trajectories(model, trajectories)
-    print(f"ranked {len(ranked)} trajectories", file=sys.stderr)
+    ranked = rank_evolutions(model, trajectories)
+    print(f"ranked {len(ranked.joints)} trajectories", file=sys.stderr)
     return {"trajectories": _evolution_rows(model, ranked, prior=True)}
 
 

@@ -84,7 +84,8 @@ class EmptyStreamError(ValidationError):
 # --- solving and ranking ----------------------------------------------------
 
 class SearchSpaceError(DiagnosisError):
-    """The assignment space exceeds the configured candidate cap."""
+    """The assignment space exceeds the configured candidate cap, or a
+    simulation horizon the longest one sampled."""
 
     code = "search_space_too_large"
     exit_code = 3
@@ -92,10 +93,6 @@ class SearchSpaceError(DiagnosisError):
 
 class EmptyCandidateSetError(DiagnosisError):
     code = "empty_candidate_set"
-
-
-class MissingInitialDistributionError(DiagnosisError):
-    code = "missing_initial_distribution"
 
 
 class NonIncreasingInstantsError(DiagnosisError):

@@ -10,13 +10,18 @@ over the modes the logic still admits.
 Revised conditionals and transition scores can exceed 1; they are plain
 scores, not probabilities, and the plausibility threshold may be re-checked
 against them.
+
+``revise_trellis`` computes both revisions over the trellis arrays, each
+component's admitted modes and mass factor from mode indices;
+``normalization_factor``, ``revise_global`` and ``revise_transition`` state
+the global revision and a transition's revised score.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -53,42 +58,9 @@ def revise_global(joints: Sequence[float], conditionals: Sequence[float],
             tuple(c * factor for c in conditionals))
 
 
-def component_mass_factor(pi_t: ModeDistribution,
-                          admitted: Iterable[str]) -> float:
-    """Per-component normalization: reciprocal of the chain mass the
-    distribution puts on the logically admitted modes."""
-    admitted = frozenset(admitted)
-    if not admitted:
-        raise ZeroAdmittedMassError("no admitted modes")
-    # summed in declared mode order: set order varies with the string-hash seed
-    return _mass_factor(
-        sum(pi_t.prob(m) for m in pi_t.modes if m in admitted), admitted)
-
-
-def _mass_factor(mass: float, admitted: Iterable[str]) -> float:
-    factor = 1.0 / mass if mass > 0.0 else math.inf
-    if not math.isfinite(factor):
-        raise ZeroAdmittedMassError(f"admitted modes {sorted(admitted)} carry "
-                                    f"probability {mass!r}, too little to "
-                                    "renormalize")
-    return factor
-
-
 def revise_transition(p_k: float, f: float) -> float:
     """Revised n-step transition score ``p_k * f(c, t)``."""
     return p_k * f
-
-
-def posterior_component_distribution(pi_t: ModeDistribution,
-                                     admitted: Iterable[str],
-                                     ) -> ModeDistribution:
-    """Condition a component's distribution on the admitted mode set:
-    zero out everything else and renormalize. The result is a proper
-    distribution usable as the next propagation input."""
-    admitted = frozenset(admitted)
-    f = component_mass_factor(pi_t, admitted)
-    return ModeDistribution(pi_t.modes, np.array([
-        pi_t.prob(m) * f if m in admitted else 0.0 for m in pi_t.modes]))
 
 
 @dataclass(frozen=True)
@@ -156,7 +128,12 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
             probs = pi_t.probabilities.tolist()
             kept = sorted(set(column))  # admitted mode indices
             admitted = tuple(sorted(c.modes[i] for i in kept))
-            f = _mass_factor(sum(probs[i] for i in kept), admitted)
+            mass = sum(probs[i] for i in kept)
+            f = 1.0 / mass if mass > 0.0 else math.inf
+            if not math.isfinite(f):
+                raise ZeroAdmittedMassError(
+                    f"admitted modes {list(admitted)} carry probability "
+                    f"{mass!r}, too little to renormalize")
             components[c.id] = ComponentRevision(
                 distribution=pi_t, admitted=admitted, factor=f,
                 posterior=ModeDistribution(pi_t.modes, [

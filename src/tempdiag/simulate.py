@@ -17,12 +17,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .atemporal import ModeAssignment, predicted_manifestations
-from .errors import InstantOutOfRangeError, ValidationError
+from .errors import InstantOutOfRangeError, SearchSpaceError, ValidationError
 from .markov import ModeDistribution
 from .model import ComponentSpec, Observation, ObservationStream, SystemModel
 
 #: Identifier of the random generator algorithm, recorded in run metadata.
 RNG_ALGORITHM = "numpy-pcg64"
+#: Longest horizon sampled: time and report size grow linearly with it.
+MAX_HORIZON = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,15 @@ def sample_trajectory(model: SystemModel,
     each step from the current mode's matrix row; only the current mode
     matters. Components are drawn in sorted id order, so a fixed seed yields
     an identical trajectory on every run.
+
+    Raises:
+        SearchSpaceError: the horizon exceeds ``MAX_HORIZON``.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be positive, got {horizon}")
+    if horizon > MAX_HORIZON:
+        raise SearchSpaceError(f"horizon {horizon} exceeds the limit of "
+                               f"{MAX_HORIZON}", element=horizon)
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)

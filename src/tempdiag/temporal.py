@@ -13,17 +13,18 @@ which is itself a product of per-component n-step matrix entries.
 
 The trellis is built as arrays, one step at a time (the HMM trellis layout).
 Each layer is the |L| x C array of mode indices the atemporal solver
-returns; ``ModeAssignment`` objects are built only for ranked trajectories.
-For a step across a gap of n instants, each component's ``P^n`` is computed
-once and fancy-indexed by the two layers' mode columns into an
+returns. For a step across a gap of n instants, each component's ``P^n`` is
+computed once and fancy-indexed by the two layers' mode columns into an
 |L_k| x |L_k+1| block of factors; the conditionals are the blocks' product
 in model component order, and admissibility is a boolean mask.
 ``forward_paths`` expands the admissible paths over those arrays with their
-joints, one layer at a time, for enumeration, revision and
-``rank_trajectories``; no other engine code computes a joint, and ``_ranked``
-holds the only ranking rule. ``prior_probability``, ``step_factors``,
-``conditional_probability``, ``admissible_step`` and ``joint_probability``
-are the per-edge reference definitions the tests compare the arrays with.
+joints, one layer at a time, for enumeration, revision and ranking; no
+other engine code computes a joint. ``ranked_paths`` lays the complete
+paths out as mode-index arrays (``Evolutions``) and holds the only ranking
+rule, one ``np.lexsort``; ``ModeAssignment`` objects are built only for the
+``TemporalDiagnosis`` lists of ``enumerate_temporal_diagnoses`` and
+``rank_trajectories``. ``conditional_probability`` states one step's
+conditional for a pair of assignments.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -39,13 +41,11 @@ from .atemporal import (
     DEFAULT_CANDIDATE_CAP,
     ExplanationCriterion,
     ModeAssignment,
-    assignments,
     solve_atemporal,
 )
 from .errors import (
     EmptyCandidateSetError,
     EmptyStreamError,
-    MissingInitialDistributionError,
     NoAdmissibleEvolutionError,
     NoCandidatesError,
     NonIncreasingInstantsError,
@@ -171,69 +171,17 @@ def resolve_initial_distributions(
     return out
 
 
-def prior_probability(w: ModeAssignment,
-                      initials: Mapping[str, ModeDistribution],
-                      model: SystemModel) -> float:
-    """Probability of assignment ``w`` at its instant, from the initial
-    distributions: the product over components of the assigned mode's mass
-    after ``w.t`` propagation steps."""
-    product = 1.0
-    for c in model.components:
-        pi0 = initials.get(c.id)
-        if pi0 is None:
-            raise MissingInitialDistributionError(
-                f"no initial distribution for component {c.id!r}",
-                element=c.id)
-        pi_t = propagate_distribution(pi0, c.matrix, w.t)
-        product *= pi_t.prob(w.mode_of(c.id))
-    return product
-
-
-def step_factors(w_prev: ModeAssignment, w_next: ModeAssignment,
-                 model: SystemModel) -> dict[str, float]:
-    """Per-component n-step transition entries for a candidate step."""
-    n = w_next.t - w_prev.t
-    if n <= 0:
-        raise NonIncreasingInstantsError(
-            f"step from t={w_prev.t} to t={w_next.t} does not advance time")
-    return {
-        c.id: matrix_power(c.matrix, n).prob(w_prev.mode_of(c.id),
-                                             w_next.mode_of(c.id))
-        for c in model.components
-    }
-
-
 def conditional_probability(w_prev: ModeAssignment, w_next: ModeAssignment,
                             model: SystemModel) -> float:
     """P[next assignment | previous assignment] across a time gap: the
     product of per-component n-step entries (components are independent)."""
-    return math.prod(step_factors(w_prev, w_next, model).values())
-
-
-def admissible_step(w_prev: ModeAssignment, w_next: ModeAssignment,
-                    problem: DiagnosticProblem) -> bool:
-    """Does the step meet the plausibility threshold?
-
-    The comparison is ``>=``, so at sigma = 0 even probability-0 steps pass
-    (they rank last with joint probability 0).
-    """
-    factors = step_factors(w_prev, w_next, problem.model)
-    if problem.threshold_mode is ThresholdMode.PER_COMPONENT:
-        return all(p >= problem.sigma for p in factors.values())
-    return math.prod(factors.values()) >= problem.sigma
-
-
-def joint_probability(trajectory: Sequence[ModeAssignment],
-                      initials: Mapping[str, ModeDistribution],
-                      model: SystemModel) -> float:
-    """Joint probability of a whole evolution, computed by the recursion
-    joint(k) = joint(k-1) * P[W(t_k) | W(t_{k-1})]."""
-    if not trajectory:
-        raise EmptyCandidateSetError("empty trajectory")
-    joint = prior_probability(trajectory[0], initials, model)
-    for prev, nxt in zip(trajectory, trajectory[1:]):
-        joint *= conditional_probability(prev, nxt, model)
-    return joint
+    n = w_next.t - w_prev.t
+    if n <= 0:
+        raise NonIncreasingInstantsError(
+            f"step from t={w_prev.t} to t={w_next.t} does not advance time")
+    return math.prod(matrix_power(c.matrix, n).prob(w_prev.mode_of(c.id),
+                                                    w_next.mode_of(c.id))
+                     for c in model.components)
 
 
 def trellis_from_layers(
@@ -334,64 +282,139 @@ def forward_paths(trellis: Trellis) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield paths, joints
 
 
-def _evolutions(model: SystemModel,
-                trellis: Trellis) -> list[TemporalDiagnosis]:
-    """One diagnosis per admissible path through the whole trellis, in the
-    forward pass's order, with its prior, step conditionals and joint."""
-    for paths, joints in forward_paths(trellis):
-        pass  # the last layer's paths are the complete evolutions
-    steps = np.empty((len(paths), len(trellis.conditionals)))
-    for k, conditional in enumerate(trellis.conditionals):
-        steps[:, k] = conditional[paths[:, k], paths[:, k + 1]]
-    layers = [assignments(model, t, modes)
-              for t, modes in zip(trellis.instants, trellis.modes)]
-    return [
-        TemporalDiagnosis(
-            tuple(layer[i] for layer, i in zip(layers, indices)),
-            joint, tuple(conditionals), trellis.priors[indices[0]])
-        for indices, joint, conditionals in zip(
-            paths.tolist(), joints.tolist(), steps.tolist())]
+@dataclass(frozen=True, eq=False)
+class Evolutions:
+    """Evolutions as arrays, one row each, in ranked order.
+
+    At its k-th step evolution e is at instant ``times[instants[e, k]]`` in
+    the modes ``modes[e, k]`` (column c indexes the declared modes of
+    ``model.components[c]``); both hold -1 past the end of an evolution
+    shorter than the longest. ``steps[e, k]`` is its k-th step conditional
+    (NaN past the end), ``priors[e]`` the probability of its first
+    assignment and ``joints[e]`` the prior times the steps.
+    """
+
+    times: tuple[int, ...]
+    instants: np.ndarray
+    modes: np.ndarray
+    priors: np.ndarray
+    steps: np.ndarray
+    joints: np.ndarray
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """The number of instants of each evolution."""
+        return np.count_nonzero(self.instants >= 0, axis=1)
 
 
-def _ranked(diagnoses: list[TemporalDiagnosis]) -> list[TemporalDiagnosis]:
-    """By descending joint probability; ties go to the trajectory that sorts
-    first instant by instant, by ``t`` and then by mode name in component-id
-    order (``ModeAssignment`` order, not candidate-row order when modes are
-    not declared in name order). Equal trajectories keep their order."""
-    return sorted(diagnoses,
-                  key=lambda d: (-d.joint_probability, d.trajectory))
+def ranked_paths(model: SystemModel,
+                 trellises: Sequence[Trellis]) -> Evolutions:
+    """The complete admissible paths of the trellises, ranked by descending
+    joint. Ties go to the evolution that sorts first instant by instant, by
+    ``t`` and then by mode name in component-id order (``ModeAssignment``
+    order, not declared mode order), and a prefix sorts before its
+    extensions. Equal evolutions keep their order: the trellises' and,
+    within one trellis, the forward pass's."""
+    times = sorted({t for trellis in trellises for t in trellis.instants})
+    position = {t: i for i, t in enumerate(times)}
+    # with no trellis any length will do; one keeps every shape valid
+    n = max((len(trellis.instants) for trellis in trellises), default=1)
+    width = len(model.components)
+    parts = [(np.empty((0, n), int), np.empty((0, n, width), int),
+              np.empty(0), np.empty((0, n - 1)), np.empty(0))]
+    for trellis in trellises:
+        for paths, joints in forward_paths(trellis):
+            pass  # the last layer's paths are the complete evolutions
+        count, length = paths.shape
+        instants = np.full((count, n), -1)
+        instants[:, :length] = [position[t] for t in trellis.instants]
+        modes = np.full((count, n, width), -1)
+        steps = np.full((count, n - 1), np.nan)
+        for k, layer in enumerate(trellis.modes):
+            modes[:, k] = layer[paths[:, k]]
+        for k, conditional in enumerate(trellis.conditionals):
+            steps[:, k] = conditional[paths[:, k], paths[:, k + 1]]
+        parts.append((instants, modes, np.array(trellis.priors)[paths[:, 0]],
+                      steps, joints))
+    instants, modes, priors, steps, joints = map(np.concatenate, zip(*parts))
+
+    # per instant the keys are its t and each component's mode rank by
+    # name, in id order; the -1 past an evolution's end sorts it first
+    keys = [instants[..., None]]
+    for ci in sorted(range(width), key=lambda ci: model.components[ci].id):
+        names = model.components[ci].modes
+        ranks = np.array([sorted(names).index(m) for m in names] + [-1])
+        keys.append(ranks[modes[..., ci, None]])  # index -1 stays -1
+    keys = np.concatenate(keys, axis=2).reshape(len(joints), n * (width + 1))
+    order = np.lexsort((*keys.T[::-1], -joints))
+    return Evolutions(tuple(times), instants[order], modes[order],
+                      priors[order], steps[order], joints[order])
 
 
-def enumerate_temporal_diagnoses(
-        problem: DiagnosticProblem,
-        trellis: Trellis | None = None) -> list[TemporalDiagnosis]:
-    """Every evolution whose consecutive steps are admissible, ranked by
-    descending joint probability with ties broken as ``_ranked`` says.
+def enumerate_evolutions(problem: DiagnosticProblem,
+                         trellis: Trellis) -> Evolutions:
+    """Every evolution of the problem's trellis whose consecutive steps are
+    admissible, ranked as ``ranked_paths`` says.
 
     Raises:
         NoAdmissibleEvolutionError: candidates exist at every instant but no
             evolution survives the threshold.
     """
-    if trellis is None:
-        trellis = build_trellis(problem)
-    results = _evolutions(problem.model, trellis)
-    if not results:
+    evolutions = ranked_paths(problem.model, [trellis])
+    if not len(evolutions.joints):
         raise NoAdmissibleEvolutionError(
             "no evolution passes the plausibility filter at "
             f"sigma={problem.sigma}")
-    return _ranked(results)
+    return evolutions
 
 
-def rank_trajectories(model: SystemModel, trajectories: Sequence[Sequence[
-        ModeAssignment]]) -> list[TemporalDiagnosis]:
+def rank_evolutions(model: SystemModel, trajectories: Sequence[Sequence[
+        ModeAssignment]]) -> Evolutions:
     """Given trajectories, scored and ranked like diagnoses: each is a trellis
     with one candidate per instant, under the initial distributions resolved
     without induction."""
     initials = resolve_initial_distributions(model)
-    scored = []
+    ids = [c.id for c in model.components]
+    index = [{m: i for i, m in enumerate(c.modes)} for c in model.components]
+    trellises = []
     for trajectory in trajectories:
-        modes = np.array([[[c.modes.index(w.mode_of(c.id))
-                            for c in model.components]] for w in trajectory])
-        scored += _evolutions(model, trellis_from_layers(
-            model, [w.t for w in trajectory], modes, initials))
-    return _ranked(scored)
+        layers = np.array([[[i[m] for i, m in zip(index, map(
+            w.as_dict().__getitem__, ids))]] for w in trajectory], dtype=int)
+        trellises.append(trellis_from_layers(
+            model, [w.t for w in trajectory], layers, initials))
+    return ranked_paths(model, trellises)
+
+
+def _diagnoses(model: SystemModel,
+               evolutions: Evolutions) -> list[TemporalDiagnosis]:
+    """The evolutions as ``TemporalDiagnosis`` objects, in their order."""
+    pairs = [[(c.id, m) for m in c.modes] for c in model.components]
+
+    @cache  # one object per distinct assignment, shared by its evolutions
+    def assignment(i, row):
+        return ModeAssignment(evolutions.times[i],
+                              tuple(p[m] for p, m in zip(pairs, row)))
+
+    return [
+        TemporalDiagnosis(
+            tuple(map(assignment, instants[:n], map(tuple, modes[:n]))),
+            joint, tuple(steps[:n - 1]), prior)
+        for instants, modes, prior, steps, joint, n in zip(
+            evolutions.instants.tolist(), evolutions.modes.tolist(),
+            evolutions.priors.tolist(), evolutions.steps.tolist(),
+            evolutions.joints.tolist(), evolutions.lengths.tolist())]
+
+
+def enumerate_temporal_diagnoses(
+        problem: DiagnosticProblem,
+        trellis: Trellis | None = None) -> list[TemporalDiagnosis]:
+    """``enumerate_evolutions`` as diagnoses, on ``build_trellis(problem)``
+    unless a trellis is given."""
+    return _diagnoses(problem.model, enumerate_evolutions(
+        problem, trellis or build_trellis(problem)))
+
+
+def rank_trajectories(model: SystemModel, trajectories: Sequence[Sequence[
+        ModeAssignment]]) -> list[TemporalDiagnosis]:
+    """``rank_evolutions`` as diagnoses."""
+    return _diagnoses(model, rank_evolutions(model, trajectories))

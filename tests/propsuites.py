@@ -25,18 +25,14 @@ from tempdiag import (
     ThresholdMode,
     TransitionMatrix,
     TemporalDiagnosis,
-    admissible_step,
     assignments,
     build_trellis,
     classify_faults,
     classify_states,
-    component_mass_factor,
     conditional_probability,
     enumerate_temporal_diagnoses,
-    joint_probability,
     matrix_power,
     normalization_factor,
-    posterior_component_distribution,
     predicted_manifestations,
     propagate_distribution,
     rank_trajectories,
@@ -46,7 +42,6 @@ from tempdiag import (
     revise_trellis,
     sojourn_pmf,
     solve_atemporal,
-    step_factors,
     validate_matrix,
     validate_model,
 )
@@ -57,6 +52,14 @@ from tempdiag.errors import (
 )
 from tempdiag.markov import ABSORBING_TOL
 from tempdiag.temporal import forward_paths
+
+from reference import (
+    admissible_step,
+    component_mass_factor,
+    joint_probability,
+    posterior_component_distribution,
+    step_factors,
+)
 
 
 def random_stochastic(rng: np.random.Generator, n: int) -> TransitionMatrix:
@@ -487,7 +490,13 @@ def check_rank_matches_diagnose(cases: int, seed: int = 2035) -> None:
     mode name in component-id order. Problems whose first instant is 0 are
     skipped: there diagnose induces the initial distributions and rank does
     not. Modes are renamed, so names and declared indices order ties
-    differently."""
+    differently.
+
+    On every problem, ranking a shuffled mix of those trajectories, their
+    prefixes, their suffixes (starting at a later instant), exact
+    duplicates and random trajectories (mostly of joint 0) equals Python's
+    stable ``sorted`` of the mix, each trajectory scored on its own, by
+    (-joint, trajectory)."""
     def by_name(d):
         return [(w.t, sorted(w.as_dict().items())) for w in d.trajectory]
 
@@ -497,14 +506,18 @@ def check_rank_matches_diagnose(cases: int, seed: int = 2035) -> None:
 
     rng = np.random.default_rng(seed)
     compared, tied, names_not_rows = 0, 0, 0
+    mixed = {"prefix": 0, "zero": 0, "duplicate": 0}
     for _ in range(cases):
         problem = _revision_problem(rng)
         model = problem.model
-        if problem.observations.entries[0].t == 0:
-            continue
         try:
             diagnoses = enumerate_temporal_diagnoses(problem)
         except NoAdmissibleEvolutionError:
+            continue
+        mixed_order = _check_mixed_rank(rng, model, diagnoses)
+        for key in mixed:
+            mixed[key] += mixed_order[key]
+        if problem.observations.entries[0].t == 0:
             continue
         ranked = rank_trajectories(model, [
             diagnoses[i].trajectory for i in rng.permutation(len(diagnoses))])
@@ -521,6 +534,38 @@ def check_rank_matches_diagnose(cases: int, seed: int = 2035) -> None:
         compared += 1
     assert compared >= cases // 2 and tied >= cases // 2
     assert names_not_rows >= cases // 4
+    assert min(mixed.values()) >= cases // 2
+
+
+def _check_mixed_rank(rng: np.random.Generator, model: SystemModel,
+                      diagnoses: list[TemporalDiagnosis]) -> dict:
+    """Rank a shuffled mix built from ``diagnoses`` and check it against
+    ``sorted``; count the adjacent ranked pairs where a prefix comes just
+    before its extension, joints of 0 and exact duplicates."""
+    full = [d.trajectory for d in diagnoses[:4]]
+    mix = list(full)
+    for trajectory in full:
+        k = int(rng.integers(1, len(trajectory) + 1))
+        mix += [trajectory[:k], trajectory[-k:]]
+    mix += [full[int(i)] for i in rng.integers(len(full), size=2)]
+    for _ in range(2):
+        t, trajectory = int(rng.integers(0, 3)), []
+        for _ in range(int(rng.integers(1, 5))):
+            trajectory.append(random_assignment(rng, model, t))
+            t += int(rng.integers(1, 4))
+        mix.append(tuple(trajectory))
+    mix = [mix[i] for i in rng.permutation(len(mix))]
+
+    scored = [rank_trajectories(model, [trajectory])[0] for trajectory in mix]
+    ranked = rank_trajectories(model, mix)
+    assert ranked == sorted(
+        scored, key=lambda d: (-d.joint_probability, d.trajectory))
+    pairs = list(zip(ranked, ranked[1:]))
+    return {
+        "prefix": sum(a.trajectory == b.trajectory[:len(a.trajectory)]
+                      and a.trajectory != b.trajectory for a, b in pairs),
+        "zero": sum(d.joint_probability == 0.0 for d in ranked),
+        "duplicate": sum(a.trajectory == b.trajectory for a, b in pairs)}
 
 
 # --- classification suite ---------------------------------------------------------

@@ -16,7 +16,6 @@ from tempdiag import (
     ModeAssignment,
     Observation,
     SystemModel,
-    is_explanation,
     assignments,
     predicted_manifestations,
     solve_atemporal,
@@ -29,6 +28,7 @@ from propsuites import (
     random_model,
     random_stochastic,
 )
+from reference import is_explanation
 
 ABDUCTIVE = ExplanationCriterion.ABDUCTIVE
 CONSISTENCY = ExplanationCriterion.CONSISTENCY_BASED

@@ -14,15 +14,14 @@ import tempdiag.cli
 from tempdiag import (
     ModeAssignment,
     conditional_probability,
-    prior_probability,
     resolve_initial_distributions,
-    step_factors,
 )
 from tempdiag.cli import main
 from tempdiag.modelio import load_model, model_to_dict
 
 from conftest import SCENARIOS
 from propsuites import random_assignment, random_model
+from reference import prior_probability, step_factors
 
 ROOT = SCENARIOS.parent
 HYDRAULIC = str(SCENARIOS / "hydraulic_model.json")
@@ -301,14 +300,25 @@ class TestDiagnose:
         """30 instants of a reversible 3 x 4-mode model, gaps of 1 to 5,
         some instants with two candidates. Each revised distribution is
         pi0 . P^t; chaining the previous instant's through P^n changes its
-        floats here, unlike on the shipped scenarios."""
+        floats here, unlike on the shipped scenarios. Also a model with no
+        components, through diagnose --revise and through rank with a
+        trajectory, its prefix and a later start: every array has an empty
+        last axis and the ranking key holds only instants."""
         monkeypatch.chdir(ROOT)
-        code, out, err = run(capsys, "diagnose",
-                             "tests/data/reversible_model.json",
-                             "tests/data/reversible_obs.json", "--revise")
-        assert code == 0, err
-        assert out.encode() == (
-            ROOT / "tests" / "data" / "reversible_diagnose_revise").read_bytes()
+        data = "tests/data/"
+        for golden, argv in [
+                ("reversible_diagnose_revise",
+                 ["diagnose", data + "reversible_model.json",
+                  data + "reversible_obs.json", "--revise"]),
+                ("zero_components_diagnose_revise",
+                 ["diagnose", data + "zero_components_model.json",
+                  data + "zero_components_obs.json", "--revise"]),
+                ("zero_components_rank",
+                 ["rank", data + "zero_components_model.json",
+                  data + "zero_components_trajectories.json"])]:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+            assert out.encode() == (ROOT / data / golden).read_bytes()
 
     @pytest.mark.parametrize("golden, argv", DESK_CASES)
     def test_desk_reports_match_goldens(self, capsys, monkeypatch, golden,
@@ -477,6 +487,14 @@ class TestSimulate:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "invalid_input"
 
+    def test_horizon_above_limit_exits_3(self, capsys):
+        code, out, _ = run(capsys, "simulate", HYDRAULIC, "--horizon",
+                           "1000001")
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert (error["code"], error["element"]) == ("search_space_too_large",
+                                                     1000001)
+
     def test_seed_must_be_nonnegative(self, capsys):
         code, out, _ = run(capsys, "simulate", HYDRAULIC, "--horizon", "3",
                            "--seed", "-1")
@@ -514,6 +532,12 @@ class TestRank:
         assert row["prior"] == pytest.approx(1 / 15, abs=1e-12)
         assert row["joint_probability"] == pytest.approx((1 / 15) * (9 / 10),
                                                          abs=1e-12)
+
+    def test_no_trajectories(self, capsys, tmp_path):
+        path = tmp_path / "trajectories.json"
+        path.write_text("[]")
+        report = run_json(capsys, "rank", HYDRAULIC, str(path))
+        assert report["trajectories"] == []
 
     def test_missing_file_exits_1(self, capsys):
         code, out, _ = run(capsys, "rank", HYDRAULIC, "/no/file.json")
@@ -676,7 +700,7 @@ class TestCanonicalWriter:
         ValueError, and nothing reaches stdout. Trellis values go on an
         inadmissible edge, which no evolution or revision reads."""
         build, enumerate_, revise = (tempdiag.cli.build_trellis,
-                                     tempdiag.cli.enumerate_temporal_diagnoses,
+                                     tempdiag.cli.enumerate_evolutions,
                                      tempdiag.cli.revise_trellis)
 
         def poisoned_trellis(problem):
@@ -692,13 +716,14 @@ class TestCanonicalWriter:
                            conditionals=(conditionals,
                                          *trellis.conditionals[1:]))
 
-        def poisoned_diagnoses(problem, trellis):
-            first, *rest = enumerate_(problem, trellis)
+        def poisoned_evolutions(problem, trellis):
+            evolutions = enumerate_(problem, trellis)
+            joints, steps = evolutions.joints.copy(), evolutions.steps.copy()
             if where == "joint":
-                first = replace(first, joint_probability=value)
+                joints[0] = value
             elif where == "step_conditional":
-                first = replace(first, step_conditionals=(value,))
-            return [first, *rest]
+                steps[0, 0] = value
+            return replace(evolutions, joints=joints, steps=steps)
 
         def poisoned_revisions(trellis, model):
             *rest, last = revise(trellis, model)
@@ -707,8 +732,8 @@ class TestCanonicalWriter:
             return (*rest, last)
 
         monkeypatch.setattr(tempdiag.cli, "build_trellis", poisoned_trellis)
-        monkeypatch.setattr(tempdiag.cli, "enumerate_temporal_diagnoses",
-                            poisoned_diagnoses)
+        monkeypatch.setattr(tempdiag.cli, "enumerate_evolutions",
+                            poisoned_evolutions)
         monkeypatch.setattr(tempdiag.cli, "revise_trellis", poisoned_revisions)
         argv = ["diagnose", SUDDEN, SUDDEN_OBS, "--sigma", "0.01", "--revise"]
         with pytest.raises(ValueError):

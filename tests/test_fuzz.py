@@ -148,7 +148,8 @@ CHOICES = ["global", "per-component", "abductive", "consistency", "bogus",
 INSTANTS = ["0,1,3", "0", "", ",", "3,1", "2,2", "-1", "0,,2", " 4 , 2 ",
             "x", "1.5", "nan", "0,1e3", str(10 ** 30)]
 #: ``simulate`` allocates horizon + 1 floats per component: at most 50.
-HORIZONS = ["1", "4", "50", "0", "-3", "", "x", "nan", "inf", "2.5", "1e1"]
+HORIZONS = ["1", "4", "50", "0", "-3", "", "x", "nan", "inf", "2.5", "1e1",
+            "100000000000000000000"]
 #: Per subcommand: the options fuzzed and the values each is set to.
 OPTIONS = {
     "diagnose": {"--sigma": NUMBERS, "--threshold-mode": CHOICES,

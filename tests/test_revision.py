@@ -14,18 +14,20 @@ from tempdiag import (
     ModeDistribution,
     Trellis,
     build_trellis,
-    component_mass_factor,
     normalization_factor,
-    posterior_component_distribution,
-    prior_probability,
     revise_global,
     revise_transition,
     revise_trellis,
-    step_factors,
 )
 from tempdiag.errors import AllZeroJointsError, ZeroAdmittedMassError
 
 from propsuites import random_assignment, random_model
+from reference import (
+    component_mass_factor,
+    posterior_component_distribution,
+    prior_probability,
+    step_factors,
+)
 
 PI_C_1 = (0.0, 1 / 10, 9 / 10)
 PI_P_1 = (1 / 150, 7 / 15, 1 / 75, 16 / 75, 3 / 10)
