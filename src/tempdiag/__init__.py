@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .atemporal import (
     ExplanationCriterion,
     ModeAssignment,
-    assignments,
     predicted_manifestations,
     solve_atemporal,
 )
@@ -46,8 +45,6 @@ from .revision import (
     ComponentRevision,
     InstantRevision,
     normalization_factor,
-    revise_global,
-    revise_transition,
     revise_trellis,
 )
 from .simulate import (
@@ -58,14 +55,13 @@ from .simulate import (
 )
 from .temporal import (
     DiagnosticProblem,
-    TemporalDiagnosis,
+    Evolutions,
     ThresholdMode,
     Trellis,
     build_trellis,
-    conditional_probability,
-    enumerate_temporal_diagnoses,
+    enumerate_evolutions,
     induce_initial_distributions,
-    rank_trajectories,
+    rank_evolutions,
     relevant_instants,
     resolve_initial_distributions,
 )
@@ -75,6 +71,7 @@ __all__ = [
     "ComponentSpec",
     "DiagnosisError",
     "DiagnosticProblem",
+    "Evolutions",
     "ExplanationCriterion",
     "FaultClass",
     "FaultClassification",
@@ -88,29 +85,24 @@ __all__ = [
     "StateClassification",
     "StateLabel",
     "SystemModel",
-    "TemporalDiagnosis",
     "ThresholdMode",
     "TransitionMatrix",
     "Trellis",
     "ValidationError",
-    "assignments",
     "build_trellis",
     "classify_faults",
     "classify_states",
-    "conditional_probability",
     "empirical_transition_matrix",
-    "enumerate_temporal_diagnoses",
+    "enumerate_evolutions",
     "generate_observation_stream",
     "induce_initial_distributions",
     "matrix_power",
     "normalization_factor",
     "predicted_manifestations",
     "propagate_distribution",
-    "rank_trajectories",
+    "rank_evolutions",
     "relevant_instants",
     "resolve_initial_distributions",
-    "revise_global",
-    "revise_transition",
     "revise_trellis",
     "sample_trajectory",
     "sojourn_pmf",

@@ -15,8 +15,7 @@ The assignments firing a rule form the sub-block of the array that fixes
 each body atom's axis to its mode. Blocks of heads that must not be predicted
 are cleared, and each present atom ANDs in the union of its blocks
 (abductive). The survivors are returned as a |L| x C mode-index array, which
-the trellis, induction, revision and the report read; ``assignments``
-builds ``ModeAssignment`` objects from it for API callers.
+the trellis, induction, revision and the report read.
 ``predicted_manifestations`` gives one assignment's rule heads, from which
 the simulator synthesizes observations.
 """
@@ -70,15 +69,6 @@ class ModeAssignment:
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.modes)
-
-
-def assignments(model: SystemModel, t: int,
-                modes: np.ndarray) -> list[ModeAssignment]:
-    """The rows of a |L| x C mode-index array as assignments at ``t``:
-    column c indexes the declared modes of ``model.components[c]``."""
-    return [ModeAssignment(t, tuple((c.id, c.modes[i])
-                                    for c, i in zip(model.components, row)))
-            for row in modes.tolist()]
 
 
 def predicted_manifestations(w: ModeAssignment,

@@ -32,6 +32,7 @@ from .markov import classify_faults, classify_states, propagate_distribution
 from .model import validate_model, validate_stream, validate_trajectories
 from .modelio import (
     FLOAT,
+    INDENT,
     INT,
     TEXT,
     dumps_report,
@@ -240,7 +241,9 @@ def _cmd_propagate(args, model) -> dict:
 def _revision_report(revisions) -> list[dict]:
     """``revision``: per instant, the revised joints of the paths ending
     there and the revised conditionals of the edges into it, each rendered
-    with one template, and every component's revision."""
+    with one template for the whole run, and every component's revision."""
+    evolution = cache(partial(template, {
+        "joint": FLOAT, "path": TEXT, "revised_joint": FLOAT}))
     conditional = cache(partial(template, {
         "conditional": FLOAT, "revised": FLOAT, "source": INT, "target": INT}))
     # rows are (source, target, conditional, revised); keys sort otherwise
@@ -249,12 +252,12 @@ def _revision_report(revisions) -> list[dict]:
     def evolutions(rev):
         def render(nl):
             finite((rev.joints, rev.revised_joints))
-            paths = rev.path_indices
-            evolution = template({"joint": FLOAT,
-                                  "path": [INT] * paths.shape[1],
-                                  "revised_joint": FLOAT}, nl)
-            return map(evolution.__mod__, zip(rev.joints, *paths.T.tolist(),
-                                              rev.revised_joints))
+            # each path is an array of indices inside the row's object
+            inner, close = nl + 2 * INDENT, nl + INDENT + "]"
+            paths = ("[" + inner + ("," + inner).join(map(str, path)) + close
+                     for path in rev.path_indices.tolist())
+            return map(evolution(nl).__mod__,
+                       zip(rev.joints, paths, rev.revised_joints))
         return rows(render)
 
     def revised_conditionals(rev):

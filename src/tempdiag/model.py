@@ -18,6 +18,7 @@ from .errors import (
     CorrectModeMissingError,
     DimensionMismatchError,
     DuplicateComponentError,
+    NonIncreasingInstantsError,
     UnknownManifestationError,
     UnknownModeAtomError,
     ValidationError,
@@ -226,15 +227,19 @@ def validate_trajectories(
         trajectories: Sequence[Sequence[ModeAssignment]],
         model: SystemModel) -> Sequence[Sequence[ModeAssignment]]:
     """Validate supplied trajectories against a model: every step is at a
-    nonnegative time point and assigns every component one of its declared
-    modes, and no other component."""
+    nonnegative time point after the step before it and assigns every
+    component one of its declared modes, and no other component."""
     by_id = {c.id: c for c in model.components}
     for i, trajectory in enumerate(trajectories):
-        for w in trajectory:
+        for k, w in enumerate(trajectory):
             where = f"trajectory #{i} at t={w.t}"
             if w.t < 0:
                 raise ValidationError(
                     f"{where}: time points must be nonnegative", element=w.t)
+            if k and w.t <= trajectory[k - 1].t:
+                raise NonIncreasingInstantsError(
+                    f"{where}: time points must strictly increase, got "
+                    f"{w.t} after {trajectory[k - 1].t}", element=w.t)
             assigned = w.as_dict()
             for c in model.components:
                 if c.id not in assigned:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -226,10 +227,20 @@ def trajectories_from_list(entries: Sequence, ) -> list[tuple[ModeAssignment, ..
 
 
 def _load_json(path: str | Path) -> Any:
-    """The JSON document at ``path``, named as given in any error."""
+    """The JSON document at ``path``, named as given in any error. An
+    object that repeats a key is an error, not its last value."""
+    def unique(pairs: list[tuple[str, Any]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items()
+                       if n > 1)
+            raise ValidationError(f"{path}: key {key!r} repeated in an object",
+                                  element=key)
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except FileNotFoundError:
         raise ValidationError(f"{path}: no such file", element=str(path)) from None
     except OSError as exc:  # a directory, a file it may not read
@@ -255,7 +266,8 @@ def load_trajectories(path: str | Path) -> list[tuple[ModeAssignment, ...]]:
 #: JSON string literal of a str, ``\\u`` escapes for everything outside ASCII
 #: (the C function ``json`` uses with ``ensure_ascii``).
 quote = json.encoder.encode_basestring_ascii
-_INDENT = "  "
+#: One level of indentation in report text.
+INDENT = "  "
 #: Output pieces a container may leave before ``_close`` joins them.
 _JOIN_AT = 64
 
@@ -301,7 +313,7 @@ def _write(value: Any, out: list[str], nl: str) -> None:
         if not value:
             out.append("[]")
             return
-        inner, sep, start = nl + _INDENT, "[", len(out)
+        inner, sep, start = nl + INDENT, "[", len(out)
         for item in value:
             out.append(sep + inner)
             _write(item, out, inner)
@@ -311,7 +323,7 @@ def _write(value: Any, out: list[str], nl: str) -> None:
         if not value:
             out.append("{}")
             return
-        inner, sep, start = nl + _INDENT, "{", len(out)
+        inner, sep, start = nl + INDENT, "{", len(out)
         for key in sorted(value):  # quote raises TypeError on a non-str key
             out.append(sep + inner + quote(key) + ": ")
             _write(value[key], out, inner)
@@ -372,7 +384,7 @@ def rows(render: Callable[[str], Iterable[str]],
     ``render(nl)`` yields the text of each item, whose closing bracket
     follows ``nl``."""
     def write(out: list[str], nl: str) -> None:
-        inner = nl + _INDENT
+        inner = nl + INDENT
         items = ("," + inner).join(render(inner))
         out += ["[" + inner, items, nl + "]"] if items else ["[]"]
     return write

@@ -11,10 +11,9 @@ Revised conditionals and transition scores can exceed 1; they are plain
 scores, not probabilities, and the plausibility threshold may be re-checked
 against them.
 
-``revise_trellis`` computes both revisions over the trellis arrays, each
-component's admitted modes and mass factor from mode indices;
-``normalization_factor``, ``revise_global`` and ``revise_transition`` state
-the global revision and a transition's revised score.
+``revise_trellis`` computes both revisions over the trellis arrays in one
+pass, each component's admitted modes and mass factor from mode indices;
+``normalization_factor`` is the global revision's factor.
 """
 
 from __future__ import annotations
@@ -45,22 +44,6 @@ def normalization_factor(joints: Sequence[float]) -> float:
         raise AllZeroJointsError(f"joint probabilities sum to {total!r}, too "
                                  "little to renormalize; revision is undefined")
     return factor
-
-
-def revise_global(joints: Sequence[float], conditionals: Sequence[float],
-                  ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Scale joints and step conditionals by the normalization factor.
-
-    The revised joints sum to 1; the revised conditionals are scores.
-    """
-    factor = normalization_factor(joints)
-    return (tuple(j * factor for j in joints),
-            tuple(c * factor for c in conditionals))
-
-
-def revise_transition(p_k: float, f: float) -> float:
-    """Revised n-step transition score ``p_k * f(c, t)``."""
-    return p_k * f
 
 
 @dataclass(frozen=True)
@@ -139,7 +122,7 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
                 posterior=ModeDistribution(pi_t.modes, [
                     p * f if i in kept else 0.0 for i, p in enumerate(probs)]),
                 revised_transitions=tuple(sorted(
-                    (c.modes[a], c.modes[b], p, revise_transition(p, f))
+                    (c.modes[a], c.modes[b], p, p * f)
                     for (a, b), p in step.items())))
 
         revisions.append(InstantRevision(

@@ -21,18 +21,15 @@ in model component order, and admissibility is a boolean mask.
 joints, one layer at a time, for enumeration, revision and ranking; no
 other engine code computes a joint. ``ranked_paths`` lays the complete
 paths out as mode-index arrays (``Evolutions``) and holds the only ranking
-rule, one ``np.lexsort``; ``ModeAssignment`` objects are built only for the
-``TemporalDiagnosis`` lists of ``enumerate_temporal_diagnoses`` and
-``rank_trajectories``. ``conditional_probability`` states one step's
-conditional for a pair of assignments.
+rule, one ``np.lexsort``. ``enumerate_evolutions`` serves a diagnostic
+problem and ``rank_evolutions`` supplied trajectories; both return
+``Evolutions``, the one form an evolution takes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -82,20 +79,6 @@ class DiagnosticProblem:
     threshold_mode: ThresholdMode = ThresholdMode.GLOBAL
     criterion: ExplanationCriterion = ExplanationCriterion.ABDUCTIVE
     candidate_cap: int = DEFAULT_CANDIDATE_CAP
-
-
-@dataclass(frozen=True)
-class TemporalDiagnosis:
-    """One admissible evolution: an assignment per relevant instant.
-
-    ``joint_probability`` equals ``prior``, the probability of the first
-    assignment, times the product of ``step_conditionals``.
-    """
-
-    trajectory: tuple[ModeAssignment, ...]
-    joint_probability: float
-    step_conditionals: tuple[float, ...]
-    prior: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,19 +154,6 @@ def resolve_initial_distributions(
     return out
 
 
-def conditional_probability(w_prev: ModeAssignment, w_next: ModeAssignment,
-                            model: SystemModel) -> float:
-    """P[next assignment | previous assignment] across a time gap: the
-    product of per-component n-step entries (components are independent)."""
-    n = w_next.t - w_prev.t
-    if n <= 0:
-        raise NonIncreasingInstantsError(
-            f"step from t={w_prev.t} to t={w_next.t} does not advance time")
-    return math.prod(matrix_power(c.matrix, n).prob(w_prev.mode_of(c.id),
-                                                    w_next.mode_of(c.id))
-                     for c in model.components)
-
-
 def trellis_from_layers(
         model: SystemModel, instants: Sequence[int],
         modes: Sequence[np.ndarray],
@@ -212,7 +182,7 @@ def trellis_from_layers(
                 "advance time")
         shape = (len(modes[k]), len(modes[k + 1]))
         factor = np.empty(shape + (len(model.components),))
-        # multiplied in component order from 1.0, as math.prod does per edge
+        # multiplied in component order from 1.0, as the product per edge
         conditional = np.ones(shape)
         for ci, c in enumerate(model.components):
             if (ci, n) not in powers:
@@ -383,38 +353,3 @@ def rank_evolutions(model: SystemModel, trajectories: Sequence[Sequence[
         trellises.append(trellis_from_layers(
             model, [w.t for w in trajectory], layers, initials))
     return ranked_paths(model, trellises)
-
-
-def _diagnoses(model: SystemModel,
-               evolutions: Evolutions) -> list[TemporalDiagnosis]:
-    """The evolutions as ``TemporalDiagnosis`` objects, in their order."""
-    pairs = [[(c.id, m) for m in c.modes] for c in model.components]
-
-    @cache  # one object per distinct assignment, shared by its evolutions
-    def assignment(i, row):
-        return ModeAssignment(evolutions.times[i],
-                              tuple(p[m] for p, m in zip(pairs, row)))
-
-    return [
-        TemporalDiagnosis(
-            tuple(map(assignment, instants[:n], map(tuple, modes[:n]))),
-            joint, tuple(steps[:n - 1]), prior)
-        for instants, modes, prior, steps, joint, n in zip(
-            evolutions.instants.tolist(), evolutions.modes.tolist(),
-            evolutions.priors.tolist(), evolutions.steps.tolist(),
-            evolutions.joints.tolist(), evolutions.lengths.tolist())]
-
-
-def enumerate_temporal_diagnoses(
-        problem: DiagnosticProblem,
-        trellis: Trellis | None = None) -> list[TemporalDiagnosis]:
-    """``enumerate_evolutions`` as diagnoses, on ``build_trellis(problem)``
-    unless a trellis is given."""
-    return _diagnoses(problem.model, enumerate_evolutions(
-        problem, trellis or build_trellis(problem)))
-
-
-def rank_trajectories(model: SystemModel, trajectories: Sequence[Sequence[
-        ModeAssignment]]) -> list[TemporalDiagnosis]:
-    """``rank_evolutions`` as diagnoses."""
-    return _diagnoses(model, rank_evolutions(model, trajectories))

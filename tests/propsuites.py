@@ -17,6 +17,7 @@ from tempdiag import (
     ExplanationCriterion,
     HornRule,
     ModeAssignment,
+    ModeDistribution,
     ComponentSpec,
     ObservationStream,
     Observation,
@@ -24,21 +25,17 @@ from tempdiag import (
     SystemModel,
     ThresholdMode,
     TransitionMatrix,
-    TemporalDiagnosis,
-    assignments,
+    Trellis,
     build_trellis,
     classify_faults,
     classify_states,
-    conditional_probability,
-    enumerate_temporal_diagnoses,
+    enumerate_evolutions,
     matrix_power,
     normalization_factor,
     predicted_manifestations,
     propagate_distribution,
-    rank_trajectories,
+    rank_evolutions,
     resolve_initial_distributions,
-    revise_global,
-    revise_transition,
     revise_trellis,
     sojourn_pmf,
     solve_atemporal,
@@ -54,10 +51,16 @@ from tempdiag.markov import ABSORBING_TOL
 from tempdiag.temporal import forward_paths
 
 from reference import (
+    Diagnosis,
     admissible_step,
+    assignments,
     component_mass_factor,
+    conditional_probability,
+    decode,
     joint_probability,
     posterior_component_distribution,
+    revise_global,
+    revise_transition,
     step_factors,
 )
 
@@ -223,13 +226,24 @@ def _random_problem(rng: np.random.Generator, sigma: float | None = None,
                                  sigma=sigma, threshold_mode=mode)
 
 
-def _trajectory_set(diagnoses: list[TemporalDiagnosis]) -> dict:
+def enumerated(problem: DiagnosticProblem) -> list[Diagnosis]:
+    """``enumerate_evolutions`` on the problem's trellis, decoded."""
+    return decode(problem.model,
+                  enumerate_evolutions(problem, build_trellis(problem)))
+
+
+def ranked(model: SystemModel, trajectories) -> list[Diagnosis]:
+    """``rank_evolutions`` on the trajectories, decoded."""
+    return decode(model, rank_evolutions(model, trajectories))
+
+
+def _trajectory_set(diagnoses: list[Diagnosis]) -> dict:
     return {d.trajectory: d.joint_probability for d in diagnoses}
 
 
 def _enumerate_or_empty(problem: DiagnosticProblem) -> dict:
     try:
-        return _trajectory_set(enumerate_temporal_diagnoses(problem))
+        return _trajectory_set(enumerated(problem))
     except NoAdmissibleEvolutionError:
         return {}
 
@@ -334,8 +348,17 @@ def check_factor_threshold_relation(cases: int, seed: int = 2030) -> None:
 def check_revision_ranking_and_zeros(cases: int, seed: int = 2031) -> None:
     """Revision rescales by one positive factor: the descending order of
     revised joints equals that of the raw joints, zeros map to zeros, and
-    the revised joints sum to 1."""
+    the revised joints sum to 1.
+
+    ``revise_trellis`` revises a two-instant trellis of one single-mode
+    component that carries the random numbers: the edges from a start of
+    prior 1 carry the joints, those from a start of prior 0 the
+    conditionals, so the second instant's paths have the random joints
+    followed by zeros."""
     rng = np.random.default_rng(seed)
+    model = SystemModel((ComponentSpec(
+        id="c", modes=("m",), correct_mode="m",
+        matrix=TransitionMatrix(("m",), [[1.0]])),), ())
     for _ in range(cases):
         n = int(rng.integers(1, 9))
         joints = rng.random(n)
@@ -343,8 +366,17 @@ def check_revision_ranking_and_zeros(cases: int, seed: int = 2031) -> None:
         if joints.sum() == 0.0:
             joints[rng.integers(n)] = float(rng.random()) + 0.01
         conditionals = rng.random(n)
-        revised_joints, revised_conditionals = revise_global(
-            list(joints), list(conditionals))
+        steps = np.stack((joints, conditionals))
+        _, second = revise_trellis(Trellis(
+            instants=(0, 1), modes=(np.zeros((2, 1), int),
+                                    np.zeros((n, 1), int)),
+            initials={"c": ModeDistribution(("m",), [1.0])},
+            priors=(1.0, 0.0), factors=(steps[..., None],),
+            conditionals=(steps,), admissible=(np.ones((2, n), bool),)),
+            model)
+        assert second.joints == (*joints.tolist(), *[0.0] * n)
+        revised_joints = second.revised_joints[:n]
+        revised_conditionals = [r for *_, r in second.revised_conditionals[n:]]
 
         assert abs(sum(revised_joints) - 1.0) <= 1e-12
         assert list(np.argsort(-joints, kind="stable")) == \
@@ -483,8 +515,8 @@ def check_revision_matches_definitions(cases: int, seed: int = 2034) -> None:
 
 
 def check_rank_matches_diagnose(cases: int, seed: int = 2035) -> None:
-    """``rank_trajectories``, given the trajectories of
-    ``enumerate_temporal_diagnoses`` in shuffled order, returns them in the
+    """``rank_evolutions``, given the trajectories of
+    ``enumerate_evolutions`` in shuffled order, returns them in the
     diagnoses' order with equal (``==``) priors, joints and step
     conditionals, and that order is descending joint with ties broken by
     mode name in component-id order. Problems whose first instant is 0 are
@@ -511,7 +543,7 @@ def check_rank_matches_diagnose(cases: int, seed: int = 2035) -> None:
         problem = _revision_problem(rng)
         model = problem.model
         try:
-            diagnoses = enumerate_temporal_diagnoses(problem)
+            diagnoses = enumerated(problem)
         except NoAdmissibleEvolutionError:
             continue
         mixed_order = _check_mixed_rank(rng, model, diagnoses)
@@ -519,13 +551,13 @@ def check_rank_matches_diagnose(cases: int, seed: int = 2035) -> None:
             mixed[key] += mixed_order[key]
         if problem.observations.entries[0].t == 0:
             continue
-        ranked = rank_trajectories(model, [
+        rows = ranked(model, [
             diagnoses[i].trajectory for i in rng.permutation(len(diagnoses))])
         assert [(d.trajectory, d.prior, d.joint_probability,
-                 d.step_conditionals) for d in ranked] == [
+                 d.step_conditionals) for d in rows] == [
             (d.trajectory, d.prior, d.joint_probability, d.step_conditionals)
             for d in diagnoses]
-        for a, b in zip(ranked, ranked[1:]):
+        for a, b in zip(rows, rows[1:]):
             assert a.joint_probability >= b.joint_probability
             if a.joint_probability == b.joint_probability:
                 assert by_name(a) < by_name(b)
@@ -538,7 +570,7 @@ def check_rank_matches_diagnose(cases: int, seed: int = 2035) -> None:
 
 
 def _check_mixed_rank(rng: np.random.Generator, model: SystemModel,
-                      diagnoses: list[TemporalDiagnosis]) -> dict:
+                      diagnoses: list[Diagnosis]) -> dict:
     """Rank a shuffled mix built from ``diagnoses`` and check it against
     ``sorted``; count the adjacent ranked pairs where a prefix comes just
     before its extension, joints of 0 and exact duplicates."""
@@ -556,15 +588,15 @@ def _check_mixed_rank(rng: np.random.Generator, model: SystemModel,
         mix.append(tuple(trajectory))
     mix = [mix[i] for i in rng.permutation(len(mix))]
 
-    scored = [rank_trajectories(model, [trajectory])[0] for trajectory in mix]
-    ranked = rank_trajectories(model, mix)
-    assert ranked == sorted(
+    scored = [ranked(model, [trajectory])[0] for trajectory in mix]
+    rows = ranked(model, mix)
+    assert rows == sorted(
         scored, key=lambda d: (-d.joint_probability, d.trajectory))
-    pairs = list(zip(ranked, ranked[1:]))
+    pairs = list(zip(rows, rows[1:]))
     return {
         "prefix": sum(a.trajectory == b.trajectory[:len(a.trajectory)]
                       and a.trajectory != b.trajectory for a, b in pairs),
-        "zero": sum(d.joint_probability == 0.0 for d in ranked),
+        "zero": sum(d.joint_probability == 0.0 for d in rows),
         "duplicate": sum(a.trajectory == b.trajectory for a, b in pairs)}
 
 

@@ -2,29 +2,36 @@
 
 Each states one quantity for a single assignment, step or trajectory as
 the definitions write it, with ``ModeAssignment`` objects and no arrays:
-the explanation criteria, the prior and the per-component step factors,
-the admissibility check, the joint by its recursion, and the
-per-component revision. The engine computes all of them over mode-index
-arrays; the property suites and unit tests check it against these,
-bit for bit where the arithmetic is the same.
+the explanation criteria, the prior, the per-component step factors and
+the step conditional, the admissibility check, the joint by its
+recursion, the global revision of joints and conditionals, and the
+per-component revision and revised transition score. The engine computes
+all of them over mode-index arrays; the property suites and unit tests
+check it against these, bit for bit where the arithmetic is the same.
+
+Two bridges read the engine's arrays back as objects: ``assignments``
+turns a mode-index array into ``ModeAssignment`` objects, and
+``decode`` turns ``Evolutions`` into ``Diagnosis`` rows, so the suites
+compare whole trajectories with ``==``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from tempdiag import (
     DiagnosticProblem,
+    Evolutions,
     ExplanationCriterion,
     ModeAssignment,
     ModeDistribution,
     SystemModel,
     ThresholdMode,
-    conditional_probability,
     matrix_power,
+    normalization_factor,
     predicted_manifestations,
     propagate_distribution,
 )
@@ -81,6 +88,13 @@ def step_factors(w_prev: ModeAssignment, w_next: ModeAssignment,
     }
 
 
+def conditional_probability(w_prev: ModeAssignment, w_next: ModeAssignment,
+                            model: SystemModel) -> float:
+    """P[next assignment | previous assignment] across a time gap: the
+    product of per-component n-step entries (components are independent)."""
+    return math.prod(step_factors(w_prev, w_next, model).values())
+
+
 def admissible_step(w_prev: ModeAssignment, w_next: ModeAssignment,
                     problem: DiagnosticProblem) -> bool:
     """Does the step meet the plausibility threshold?
@@ -105,6 +119,17 @@ def joint_probability(trajectory: Sequence[ModeAssignment],
     for prev, nxt in zip(trajectory, trajectory[1:]):
         joint *= conditional_probability(prev, nxt, model)
     return joint
+
+
+def revise_global(joints: Sequence[float], conditionals: Sequence[float],
+                  ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Scale joints and step conditionals by the normalization factor.
+
+    The revised joints sum to 1; the revised conditionals are scores.
+    """
+    factor = normalization_factor(joints)
+    return (tuple(j * factor for j in joints),
+            tuple(c * factor for c in conditionals))
 
 
 def component_mass_factor(pi_t: ModeDistribution,
@@ -134,3 +159,43 @@ def posterior_component_distribution(pi_t: ModeDistribution,
     f = component_mass_factor(pi_t, admitted)
     return ModeDistribution(pi_t.modes, np.array([
         pi_t.prob(m) * f if m in admitted else 0.0 for m in pi_t.modes]))
+
+
+def revise_transition(p_k: float, f: float) -> float:
+    """Revised n-step transition score ``p_k * f(c, t)``."""
+    return p_k * f
+
+
+def assignments(model: SystemModel, t: int,
+                modes: np.ndarray) -> list[ModeAssignment]:
+    """The rows of a |L| x C mode-index array as assignments at ``t``:
+    column c indexes the declared modes of ``model.components[c]``."""
+    return [_assignment(model, t, row) for row in modes.tolist()]
+
+
+def _assignment(model: SystemModel, t: int,
+                row: Sequence[int]) -> ModeAssignment:
+    return ModeAssignment(t, tuple((c.id, c.modes[i])
+                                   for c, i in zip(model.components, row)))
+
+
+class Diagnosis(NamedTuple):
+    """One evolution: an assignment per instant, the probability of the
+    first, the step conditionals and their product with it."""
+
+    trajectory: tuple[ModeAssignment, ...]
+    prior: float
+    step_conditionals: tuple[float, ...]
+    joint_probability: float
+
+
+def decode(model: SystemModel, evolutions: Evolutions) -> list[Diagnosis]:
+    """The rows of ``evolutions`` as ``Diagnosis`` tuples, in their order."""
+    return [
+        Diagnosis(tuple(_assignment(model, evolutions.times[i], row)
+                        for i, row in zip(instants[:n], modes[:n])),
+                  prior, tuple(steps[:n - 1]), joint)
+        for instants, modes, prior, steps, joint, n in zip(
+            evolutions.instants.tolist(), evolutions.modes.tolist(),
+            evolutions.priors.tolist(), evolutions.steps.tolist(),
+            evolutions.joints.tolist(), evolutions.lengths.tolist())]

@@ -17,17 +17,16 @@ from tempdiag import (
     build_trellis,
     classify_faults,
     classify_states,
-    conditional_probability,
-    enumerate_temporal_diagnoses,
+    enumerate_evolutions,
     induce_initial_distributions,
     propagate_distribution,
-    revise_global,
-    revise_transition,
+    resolve_initial_distributions,
     revise_trellis,
     sample_trajectory,
     empirical_transition_matrix,
     ModeDistribution,
 )
+from tempdiag.temporal import trellis_from_layers
 
 from propsuites import (
     check_abductive_subset,
@@ -57,6 +56,12 @@ def assignment(t, **modes):
     return ModeAssignment.from_mapping(t, modes)
 
 
+def mode_name(model, evolutions, e, k, component):
+    """The mode of ``component`` at step k of evolution e."""
+    c = [c.id for c in model.components].index(component)
+    return model.components[c].modes[evolutions.modes[e, k, c]]
+
+
 def first_layer_candidates(t):
     return [
         assignment(t, P="correct", C="correct"),
@@ -65,13 +70,22 @@ def first_layer_candidates(t):
     ]
 
 
+def conditionals(model, source, target):
+    """The trellis's step conditionals from every assignment in ``source``
+    to every one in ``target``; each list holds assignments at one t."""
+    return trellis_from_layers(
+        model, [source[0].t, target[0].t],
+        [mode_indices(model, source), mode_indices(model, target)],
+        resolve_initial_distributions(model)).conditionals[0]
+
+
 def test_criterion_1_step_conditionals(hydraulic):
     """One-step conditionals from the three initial hypotheses to the
     occluded-pump assignment are exactly (0, 9/25, 9/10)."""
     with criterion(1, "one-step conditional probabilities"):
         target = assignment(1, P="occluded", C="correct")
-        got = [conditional_probability(w, target, hydraulic)
-               for w in first_layer_candidates(0)]
+        got = conditionals(hydraulic, first_layer_candidates(0),
+                           [target])[:, 0].tolist()
         assert got[0] == pytest.approx(0.0, abs=1e-12)
         assert got[1] == pytest.approx(9 / 25, abs=1e-12)
         assert got[2] == pytest.approx(9 / 10, abs=1e-12)
@@ -81,14 +95,15 @@ def test_criterion_2_joints_and_ranking(occlusion_problem):
     """Joint probabilities (0, 3/25, 3/10) and the occluded-start evolution
     ranked first."""
     with criterion(2, "joint probabilities and ranking"):
-        diagnoses = enumerate_temporal_diagnoses(occlusion_problem)
-        joints = sorted(d.joint_probability for d in diagnoses)
+        model = occlusion_problem.model
+        evolutions = enumerate_evolutions(occlusion_problem,
+                                          build_trellis(occlusion_problem))
+        joints = sorted(evolutions.joints.tolist())
         assert joints[0] == pytest.approx(0.0, abs=1e-12)
         assert joints[1] == pytest.approx(3 / 25, abs=1e-12)
         assert joints[2] == pytest.approx(3 / 10, abs=1e-12)
-        top = diagnoses[0]
-        assert top.trajectory[0].mode_of("P") == "occluded"
-        assert top.joint_probability == pytest.approx(3 / 10, abs=1e-12)
+        assert mode_name(model, evolutions, 0, 0, "P") == "occluded"
+        assert evolutions.joints[0] == pytest.approx(3 / 10, abs=1e-12)
 
 
 def test_criterion_3_plausibility_filter(sudden_stop_problem):
@@ -101,14 +116,15 @@ def test_criterion_3_plausibility_filter(sudden_stop_problem):
     inadmissible across one instant can become admissible across two.
     """
     with criterion(3, "plausibility filter at sigma = 1/100"):
-        diagnoses = enumerate_temporal_diagnoses(sudden_stop_problem)
-        assert len(diagnoses) == 1
-        assert diagnoses[0].trajectory[1].mode_of("P") == "broken"
-
         model = sudden_stop_problem.model
-        two_step = conditional_probability(
-            assignment(0, P="correct", C="correct"),
-            assignment(2, P="occluded", C="correct"), model)
+        evolutions = enumerate_evolutions(sudden_stop_problem,
+                                          build_trellis(sudden_stop_problem))
+        assert len(evolutions.joints) == 1
+        assert mode_name(model, evolutions, 0, 1, "P") == "broken"
+
+        two_step = conditionals(
+            model, [assignment(0, P="correct", C="correct")],
+            [assignment(2, P="occluded", C="correct")])[0, 0]
         assert two_step == pytest.approx(81 / 6250, abs=1e-12)
         assert two_step >= sudden_stop_problem.sigma
 
@@ -126,17 +142,24 @@ def test_criterion_4_revision(occlusion_problem):
         assert revised[1] == pytest.approx(6 / 7, abs=1e-12)
         assert revised[2] == pytest.approx(15 / 7, abs=1e-12)
 
-        _, conditionals = revise_global([0, 3 / 25, 3 / 10],
-                                        [0, 9 / 25, 9 / 10])
-        np.testing.assert_allclose(conditionals, [0, 6 / 7, 15 / 7],
-                                   atol=1e-12)
+        # each edge's raw conditional beside its revised score
+        np.testing.assert_allclose(
+            sorted((p, r) for *_, p, r in second.revised_conditionals),
+            [(0, 0), (9 / 25, 6 / 7), (9 / 10, 15 / 7)], atol=1e-12)
 
         f_c = second.components["C"].factor
         f_p = second.components["P"].factor
         assert f_c == pytest.approx(10 / 9, abs=1e-12)
         assert f_p == pytest.approx(15 / 7, abs=1e-12)
-        assert revise_transition(2 / 5, f_p) == pytest.approx(6 / 7, abs=1e-12)
-        assert revise_transition(9 / 10, f_c) == pytest.approx(1.0, abs=1e-12)
+        scores = {(a, b): (p, r) for a, b, p, r in
+                  second.components["P"].revised_transitions}
+        p, r = scores["partially_occluded", "occluded"]
+        assert p == pytest.approx(2 / 5, abs=1e-12)
+        assert r == pytest.approx(6 / 7, abs=1e-12)
+        (step,) = second.components["C"].revised_transitions
+        assert step[:2] == ("correct", "correct")
+        assert step[2] == pytest.approx(9 / 10, abs=1e-12)
+        assert step[3] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_criterion_5_propagation(hydraulic):

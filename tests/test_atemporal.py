@@ -16,7 +16,6 @@ from tempdiag import (
     ModeAssignment,
     Observation,
     SystemModel,
-    assignments,
     predicted_manifestations,
     solve_atemporal,
 )
@@ -28,7 +27,7 @@ from propsuites import (
     random_model,
     random_stochastic,
 )
-from reference import is_explanation
+from reference import assignments, is_explanation
 
 ABDUCTIVE = ExplanationCriterion.ABDUCTIVE
 CONSISTENCY = ExplanationCriterion.CONSISTENCY_BASED

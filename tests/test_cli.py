@@ -11,17 +11,13 @@ import numpy as np
 import pytest
 
 import tempdiag.cli
-from tempdiag import (
-    ModeAssignment,
-    conditional_probability,
-    resolve_initial_distributions,
-)
+from tempdiag import ModeAssignment, resolve_initial_distributions
 from tempdiag.cli import main
 from tempdiag.modelio import load_model, model_to_dict
 
 from conftest import SCENARIOS
 from propsuites import random_assignment, random_model
-from reference import prior_probability, step_factors
+from reference import conditional_probability, prior_probability, step_factors
 
 ROOT = SCENARIOS.parent
 HYDRAULIC = str(SCENARIOS / "hydraulic_model.json")
@@ -320,6 +316,25 @@ class TestDiagnose:
             assert code == 0, err
             assert out.encode() == (ROOT / data / golden).read_bytes()
 
+    def test_one_revised_evolution_template_per_run(self, capsys,
+                                                    monkeypatch):
+        """The revised evolutions of all 30 instants share one row
+        template: a template per instant would hold a placeholder per path
+        cell, quadratic over a stream."""
+        shapes, original = [], tempdiag.cli.template
+
+        def template(shape, nl):
+            shapes.append(shape)
+            return original(shape, nl)
+
+        monkeypatch.setattr(tempdiag.cli, "template", template)
+        data = ROOT / "tests" / "data"
+        code, _, err = run(capsys, "diagnose",
+                           str(data / "reversible_model.json"),
+                           str(data / "reversible_obs.json"), "--revise")
+        assert code == 0, err
+        assert sum("path" in shape for shape in shapes) == 1
+
     @pytest.mark.parametrize("golden, argv", DESK_CASES)
     def test_desk_reports_match_goldens(self, capsys, monkeypatch, golden,
                                         argv):
@@ -429,6 +444,29 @@ class TestMalformedInput:
         assert error["code"] == "invalid_input"
         assert "expected an object" in error["message"]
         assert error["file"] == str(path)
+
+    # without the check the last value would win: the trajectory would rank
+    # as broken and the observation be diagnosed at t=3
+    @pytest.mark.parametrize("command, name, text, key", [
+        ("rank", "trajectories.json", '[[{"t": 0, "assignment": {"P": '
+         '"correct", "C": "correct", "P": "broken"}}]]', "P"),
+        ("diagnose", "obs.json",
+         '[{"t": 0, "t": 3, "present": [], "absent": []}]', "t"),
+        ("validate", "model.json",
+         '{"rules": [], ' + Path(HYDRAULIC).read_text().lstrip()[1:], "rules"),
+    ], ids=["trajectories", "observations", "model"])
+    def test_repeated_key_exits_1(self, capsys, tmp_path, command, name,
+                                  text, key):
+        path = tmp_path / name
+        path.write_text(text)
+        argv = ([command, str(path)] if command == "validate"
+                else [command, HYDRAULIC, str(path)])
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert (error["code"], error["element"], error["file"]) == (
+            "invalid_input", key, str(path))
+        assert f"key {key!r} repeated" in error["message"]
 
 
     @pytest.mark.parametrize("path, value", MALFORMED_FIELDS,
@@ -616,7 +654,11 @@ class TestRank:
             for t in times]]))
         code, out, _ = run(capsys, "rank", HYDRAULIC, str(path))
         assert code == 1
-        assert json.loads(out)["error"]["code"] == "non_increasing_instants"
+        error = json.loads(out)["error"]
+        t = next(b for a, b in zip(times, times[1:]) if b <= a)
+        assert (error["code"], error["element"], error["file"]) == (
+            "non_increasing_instants", t, str(path))
+        assert error["message"].startswith(f"trajectory #0 at t={t}:")
 
 
 def canonical(out: str) -> str:

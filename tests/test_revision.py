@@ -11,15 +11,17 @@ import numpy as np
 import pytest
 
 from tempdiag import (
+    ComponentSpec,
     ModeDistribution,
+    SystemModel,
+    TransitionMatrix,
     Trellis,
     build_trellis,
     normalization_factor,
-    revise_global,
-    revise_transition,
     revise_trellis,
 )
 from tempdiag.errors import AllZeroJointsError, ZeroAdmittedMassError
+from tempdiag.temporal import trellis_from_layers
 
 from propsuites import random_assignment, random_model
 from reference import (
@@ -53,17 +55,23 @@ class TestNormalizationFactor:
 
 
 class TestReviseGlobal:
-    def test_worked_values(self):
-        joints, conditionals = revise_global([0, 3 / 25, 3 / 10],
-                                             [0, 9 / 25, 9 / 10])
-        np.testing.assert_allclose(conditionals, [0, 6 / 7, 15 / 7],
-                                   atol=1e-12)
-        np.testing.assert_allclose(joints, [0, 2 / 7, 5 / 7], atol=1e-12)
-        assert sum(joints) == pytest.approx(1.0, abs=1e-12)
+    def test_worked_values(self, occlusion_problem):
+        trellis = build_trellis(occlusion_problem)
+        _, second = revise_trellis(trellis, occlusion_problem.model)
+        # (raw, revised) per edge and per path
+        np.testing.assert_allclose(
+            sorted((p, r) for *_, p, r in second.revised_conditionals),
+            [(0, 0), (9 / 25, 6 / 7), (9 / 10, 15 / 7)], atol=1e-12)
+        np.testing.assert_allclose(
+            sorted(zip(second.joints, second.revised_joints)),
+            [(0, 0), (3 / 25, 2 / 7), (3 / 10, 5 / 7)], atol=1e-12)
+        assert sum(second.revised_joints) == pytest.approx(1.0, abs=1e-12)
 
-    def test_single_candidate_becomes_certain(self):
-        joints, _ = revise_global([0.32], [0.32])
-        assert joints == (pytest.approx(1.0, abs=1e-12),)
+    def test_single_candidate_becomes_certain(self, sudden_stop_problem):
+        trellis = build_trellis(sudden_stop_problem)
+        *_, last = revise_trellis(trellis, sudden_stop_problem.model)
+        assert last.joints == (pytest.approx(9 / 500, abs=1e-12),)
+        assert last.revised_joints == (pytest.approx(1.0, abs=1e-12),)
 
 
 class TestComponentMassFactor:
@@ -97,16 +105,38 @@ class TestComponentMassFactor:
 
 
 class TestReviseTransition:
-    def test_pump_progression_score(self):
-        assert revise_transition(2 / 5, 15 / 7) == \
-            pytest.approx(6 / 7, abs=1e-12)
+    """Each component's revised transition score, the n-step entry times
+    the component's mass factor at the target instant."""
 
-    def test_container_self_loop_saturates(self):
-        assert revise_transition(9 / 10, 10 / 9) == \
-            pytest.approx(1.0, abs=1e-12)
+    def scores(self, problem):
+        _, second = revise_trellis(build_trellis(problem), problem.model)
+        return {c: {(a, b): (p, r) for a, b, p, r in cr.revised_transitions}
+                for c, cr in second.components.items()}
+
+    def test_pump_progression_score(self, occlusion_problem):
+        p, r = self.scores(occlusion_problem)["P"][
+            "partially_occluded", "occluded"]
+        assert p == pytest.approx(2 / 5, abs=1e-12)
+        assert r == pytest.approx(6 / 7, abs=1e-12)
+
+    def test_container_self_loop_saturates(self, occlusion_problem):
+        p, r = self.scores(occlusion_problem)["C"]["correct", "correct"]
+        assert p == pytest.approx(9 / 10, abs=1e-12)
+        assert r == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_factor_is_identity(self):
-        assert revise_transition(0.37, 1.0) == 0.37
+        # every mode the chain reaches is admitted: mass 0.37 + 0.63 = 1
+        component = ComponentSpec(
+            id="x", modes=("a", "b"), correct_mode="a",
+            matrix=TransitionMatrix(("a", "b"), [[0.37, 0.63], [0.0, 1.0]]))
+        model = SystemModel((component,), ())
+        trellis = trellis_from_layers(
+            model, [0, 1], [np.array([[0]]), np.array([[0], [1]])],
+            {"x": ModeDistribution(("a", "b"), [1.0, 0.0])})
+        _, second = revise_trellis(trellis, model)
+        assert second.components["x"].factor == 1.0
+        assert second.components["x"].revised_transitions == (
+            ("a", "a", 0.37, 0.37), ("a", "b", 0.63, 0.63))
 
 
 class TestPosteriorDistribution:

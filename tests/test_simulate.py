@@ -8,13 +8,15 @@ import pytest
 from tempdiag import (
     ExplanationCriterion,
     ModeDistribution,
-    assignments,
     empirical_transition_matrix,
     generate_observation_stream,
     sample_trajectory,
     solve_atemporal,
 )
 from tempdiag.errors import InstantOutOfRangeError
+
+from propsuites import enumerated
+from reference import assignments
 
 
 def point_initials(model, **modes):
@@ -159,7 +161,6 @@ def test_trajectory_frequencies_match_joint_probabilities(hydraulic):
         ExplanationCriterion,
         Observation,
         ObservationStream,
-        enumerate_temporal_diagnoses,
     )
 
     point = point_initials(hydraulic, P="correct", C="correct")
@@ -173,7 +174,7 @@ def test_trajectory_frequencies_match_joint_probabilities(hydraulic):
     problem = DiagnosticProblem(
         model, stream, sigma=0.0,
         criterion=ExplanationCriterion.CONSISTENCY_BASED)
-    diagnoses = enumerate_temporal_diagnoses(problem)
+    diagnoses = enumerated(problem)
 
     n_samples = 30_000
     counts = {}

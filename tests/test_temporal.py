@@ -16,10 +16,8 @@ from tempdiag import (
     ObservationStream,
     SystemModel,
     ThresholdMode,
-    assignments,
     build_trellis,
-    conditional_probability,
-    enumerate_temporal_diagnoses,
+    enumerate_evolutions,
     induce_initial_distributions,
     relevant_instants,
     resolve_initial_distributions,
@@ -32,8 +30,10 @@ from tempdiag.errors import (
     NonIncreasingInstantsError,
     ValidationError,
 )
+from tempdiag.temporal import trellis_from_layers
 
 from propsuites import (
+    enumerated,
     mode_indices,
     observation_from_assignment,
     random_assignment,
@@ -41,6 +41,9 @@ from propsuites import (
 )
 from reference import (
     admissible_step,
+    assignments,
+    conditional_probability,
+    decode,
     joint_probability,
     prior_probability,
     step_factors,
@@ -149,31 +152,40 @@ class TestPriorProbability:
             pytest.approx(81 / 100, abs=1e-12)
 
 
+def step_conditional(model, w_prev, w_next):
+    """The trellis's conditional for the step from ``w_prev`` to ``w_next``."""
+    trellis = trellis_from_layers(
+        model, [w_prev.t, w_next.t],
+        [mode_indices(model, [w_prev]), mode_indices(model, [w_next])],
+        resolve_initial_distributions(model))
+    return trellis.conditionals[0][0, 0]
+
+
 class TestConditionalProbability:
     def test_partial_occlusion_progresses(self, hydraulic):
-        got = conditional_probability(
-            assignment(0, P="partially_occluded", C="correct"),
-            assignment(1, P="occluded", C="correct"), hydraulic)
+        got = step_conditional(
+            hydraulic, assignment(0, P="partially_occluded", C="correct"),
+            assignment(1, P="occluded", C="correct"))
         assert got == pytest.approx(9 / 25, abs=1e-12)
 
     def test_impossible_one_step_change(self, hydraulic):
-        got = conditional_probability(
-            assignment(0, P="correct", C="correct"),
-            assignment(1, P="occluded", C="correct"), hydraulic)
+        got = step_conditional(
+            hydraulic, assignment(0, P="correct", C="correct"),
+            assignment(1, P="occluded", C="correct"))
         assert got == 0.0
 
     def test_two_step_occlusion(self, hydraulic):
         # (P^2)[correct, occluded] = 2/125 and (C^2)[correct, correct] = 81/100
-        got = conditional_probability(
-            assignment(0, P="correct", C="correct"),
-            assignment(2, P="occluded", C="correct"), hydraulic)
+        got = step_conditional(
+            hydraulic, assignment(0, P="correct", C="correct"),
+            assignment(2, P="occluded", C="correct"))
         assert got == pytest.approx(81 / 6250, abs=1e-12)
 
     def test_time_must_advance(self, hydraulic):
         with pytest.raises(NonIncreasingInstantsError):
-            conditional_probability(
-                assignment(1, P="correct", C="correct"),
-                assignment(1, P="correct", C="correct"), hydraulic)
+            step_conditional(
+                hydraulic, assignment(1, P="correct", C="correct"),
+                assignment(1, P="correct", C="correct"))
 
 
 class TestAdmissibleStep:
@@ -240,7 +252,7 @@ class TestJointProbability:
 
 class TestEnumerate:
     def test_sudden_stop_single_survivor(self, sudden_stop_problem):
-        got = enumerate_temporal_diagnoses(sudden_stop_problem)
+        got = enumerated(sudden_stop_problem)
         assert len(got) == 1
         (diagnosis,) = got
         assert [w.as_dict() for w in diagnosis.trajectory] == [
@@ -250,7 +262,7 @@ class TestEnumerate:
         assert diagnosis.joint_probability == pytest.approx(9 / 500, abs=1e-12)
 
     def test_occlusion_ranking(self, occlusion_problem):
-        got = enumerate_temporal_diagnoses(occlusion_problem)
+        got = enumerated(occlusion_problem)
         assert len(got) == 3
         best = got[0]
         assert best.trajectory[0].as_dict()["P"] == "occluded"
@@ -264,7 +276,7 @@ class TestEnumerate:
             model=occlusion_problem.model,
             observations=ObservationStream(
                 occlusion_problem.observations.entries[:1]))
-        got = enumerate_temporal_diagnoses(problem)
+        got = enumerated(problem)
         assert len(got) == 3
         for d in got:
             assert d.step_conditionals == ()
@@ -273,16 +285,17 @@ class TestEnumerate:
     def test_markov_factorization(self, occlusion_problem):
         trellis = build_trellis(occlusion_problem)
         initials = trellis.initials
-        for d in enumerate_temporal_diagnoses(occlusion_problem, trellis):
-            product = prior_probability(d.trajectory[0], initials,
-                                        occlusion_problem.model)
+        model = occlusion_problem.model
+        for d in decode(model, enumerate_evolutions(occlusion_problem,
+                                                    trellis)):
+            product = prior_probability(d.trajectory[0], initials, model)
             for c in d.step_conditionals:
                 product *= c
             assert abs(product - d.joint_probability) <= 1e-12
 
     def test_deterministic_output(self, sudden_stop_problem):
-        a = enumerate_temporal_diagnoses(sudden_stop_problem)
-        b = enumerate_temporal_diagnoses(sudden_stop_problem)
+        a = enumerated(sudden_stop_problem)
+        b = enumerated(sudden_stop_problem)
         assert a == b
 
     def test_no_candidates_at_instant(self, hydraulic):
@@ -291,7 +304,7 @@ class TestEnumerate:
             Observation(0, {"flow_out(P)", "no_flow_out(P)"}, set()),))
         problem = DiagnosticProblem(hydraulic, stream)
         with pytest.raises(NoCandidatesError) as exc:
-            enumerate_temporal_diagnoses(problem)
+            build_trellis(problem)
         assert exc.value.t == 0
 
     def test_no_admissible_evolution(self, sudden_stop_problem):
@@ -300,7 +313,7 @@ class TestEnumerate:
             observations=sudden_stop_problem.observations,
             sigma=0.5)
         with pytest.raises(NoAdmissibleEvolutionError):
-            enumerate_temporal_diagnoses(problem)
+            enumerate_evolutions(problem, build_trellis(problem))
 
     def test_sigma_out_of_range_rejected(self, sudden_stop_problem):
         problem = DiagnosticProblem(
