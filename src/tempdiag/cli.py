@@ -6,10 +6,12 @@ summary goes to standard error. ``main`` loads and validates the model and
 writes what every report carries (``command``, ``config`` and the input
 ``files``); each ``_cmd_*`` function returns only its own sections. The
 bulk sections (candidates, trellis edges, diagnoses and ranked
-trajectories, revised evolutions and conditionals) are section writers
-that ``dumps_report`` calls: they render rows from the engine's mode-index
-and probability arrays with ``modelio`` templates, mode names from
-per-component tables of JSON text, never as a dict per row. Exit codes: 0
+trajectories, revised evolutions, conditionals and component blocks) are
+section writers that ``dumps_report`` calls: they fill ``modelio``
+templates, whose one placeholder is ``TEXT``, from the engine's mode-index
+and probability arrays, never as a dict per row. Mode names come from
+per-component tables of JSON text, numbers from ``modelio.texts``, which
+formats each distinct value of an array once. Exit codes: 0
 success, 1 invalid input (usage errors included), 2 no diagnosis (empty
 candidate set, no admissible evolution, or undefined revision), 3 internal
 limits (candidate cap, simulation horizon).
@@ -20,7 +22,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache, partial
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -31,12 +32,9 @@ from .errors import DiagnosisError, ValidationError
 from .markov import classify_faults, classify_states, propagate_distribution
 from .model import validate_model, validate_stream, validate_trajectories
 from .modelio import (
-    FLOAT,
     INDENT,
-    INT,
     TEXT,
     dumps_report,
-    finite,
     load_model,
     load_stream,
     load_trajectories,
@@ -44,6 +42,7 @@ from .modelio import (
     rows,
     stream_to_list,
     template,
+    texts,
 )
 from .revision import revise_trellis
 from .simulate import RNG_ALGORITHM, generate_observation_stream, sample_trajectory
@@ -135,28 +134,33 @@ def _evolution_rows(model, evolutions, prior: bool = False):
     def render(nl):
         @cache
         def row(length):
-            shape = {"joint_probability": FLOAT, "rank": INT,
-                     "step_conditionals": [FLOAT] * (length - 1),
+            shape = {"joint_probability": TEXT, "rank": TEXT,
+                     "step_conditionals": [TEXT] * (length - 1),
                      "trajectory": [{"assignment": dict.fromkeys(ids, TEXT),
-                                     "t": INT}] * length}
+                                     "t": TEXT}] * length}
             if prior:
-                shape["prior"] = FLOAT
+                shape["prior"] = TEXT
             return template(shape, nl)
 
-        finite((evolutions.joints, evolutions.priors))
-        finite(evolutions.steps[evolutions.instants[:, 1:] >= 0])
+        # a row's first keys: its joint, its prior if shown, its rank
+        joints = texts(evolutions.joints).tolist()
+        ranks = texts(np.arange(1, len(joints) + 1)).tolist()
+        heads = (zip(joints, texts(evolutions.priors).tolist(), ranks)
+                 if prior else zip(joints, ranks))
+        # the NaN that pads the steps past an evolution's end is never shown
+        steps = texts(np.where(evolutions.instants[:, 1:] >= 0,
+                               evolutions.steps, 0.0))
         # per instant the mode names in component-id order, then t
-        times = np.array(evolutions.times, dtype=object)
+        times = texts(np.array(evolutions.times, dtype=int))
         cells = np.concatenate((_quoted(model, evolutions.modes),
                                 times[evolutions.instants, None]), axis=2)
         width = cells.shape[2]
-        for rank, (joint, p, steps, row_cells, n) in enumerate(zip(
-                evolutions.joints.tolist(), evolutions.priors.tolist(),
-                evolutions.steps.tolist(),
+        for head, row_steps, row_cells, n in zip(
+                heads, steps.tolist(),
                 cells.reshape(-1, cells.shape[1] * width).tolist(),
-                evolutions.lengths.tolist()), 1):
-            head = (joint, p, rank) if prior else (joint, rank)
-            yield row(n) % (*head, *steps[:n - 1], *row_cells[:n * width])
+                evolutions.lengths.tolist()):
+            yield row(n) % (*head, *row_steps[:n - 1],
+                            *row_cells[:n * width])
     return rows(render)
 
 
@@ -238,74 +242,102 @@ def _cmd_propagate(args, model) -> dict:
     }
 
 
-def _revision_report(revisions) -> list[dict]:
+def _revision_report(revisions, indices) -> list[dict]:
     """``revision``: per instant, the revised joints of the paths ending
     there and the revised conditionals of the edges into it, each rendered
-    with one template for the whole run, and every component's revision."""
+    with one template for the whole run, and every component's revision,
+    rendered with one template per shape of the instant's blocks.
+    ``indices`` holds the text of every candidate index."""
     evolution = cache(partial(template, {
-        "joint": FLOAT, "path": TEXT, "revised_joint": FLOAT}))
+        "joint": TEXT, "path": TEXT, "revised_joint": TEXT}))
     conditional = cache(partial(template, {
-        "conditional": FLOAT, "revised": FLOAT, "source": INT, "target": INT}))
-    # rows are (source, target, conditional, revised); keys sort otherwise
-    by_key_order = itemgetter(2, 3, 0, 1)
+        "conditional": TEXT, "revised": TEXT, "source": TEXT, "target": TEXT}))
+
+    @cache
+    def blocks(nl, shape):
+        """The ``components`` object of an instant whose components have
+        these (id, modes, admitted count, revised transition count)."""
+        return template({comp: {
+            "admitted": [TEXT] * admitted,
+            "distribution": {"modes": list(modes),
+                             "probabilities": [TEXT] * len(modes)},
+            "mass_factor": TEXT,
+            "posterior": {"modes": list(modes),
+                          "probabilities": [TEXT] * len(modes)},
+            "revised_transitions": [dict.fromkeys(
+                ("from", "probability", "revised", "to"), TEXT)] * transitions,
+        } for comp, modes, admitted, transitions in shape}, nl)
 
     def evolutions(rev):
         def render(nl):
-            finite((rev.joints, rev.revised_joints))
             # each path is an array of indices inside the row's object
             inner, close = nl + 2 * INDENT, nl + INDENT + "]"
-            paths = ("[" + inner + ("," + inner).join(map(str, path)) + close
-                     for path in rev.path_indices.tolist())
-            return map(evolution(nl).__mod__,
-                       zip(rev.joints, paths, rev.revised_joints))
+            paths = ("[" + inner + ("," + inner).join(path) + close
+                     for path in indices[rev.path_indices].tolist())
+            joints, revised = texts(np.array(
+                (rev.joints, rev.revised_joints))).tolist()
+            return map(evolution(nl).__mod__, zip(joints, paths, revised))
         return rows(render)
 
     def revised_conditionals(rev):
         def render(nl):
-            finite(rev.revised_conditionals)
-            return map(conditional(nl).__mod__,
-                       map(by_key_order, rev.revised_conditionals))
+            # rows are (source, target, conditional, revised); keys sort
+            # the scores first
+            edges = np.array(rev.revised_conditionals).reshape(-1, 4)
+            return map(conditional(nl).__mod__, zip(
+                *texts(edges[:, 2:]).T.tolist(),
+                *indices[edges[:, :2].astype(int)].T.tolist()))
         return rows(render)
+
+    def components(rev):
+        items = sorted(rev.components.items())
+
+        def write(out, nl):
+            shape = tuple((comp, cr.distribution.modes, len(cr.admitted),
+                           len(cr.revised_transitions)) for comp, cr in items)
+            # the cells in the template's order: names quoted, numbers as
+            # floats until texts formats them all at once
+            cells = np.array([cell for _, cr in items for cell in (
+                *map(quote, cr.admitted),
+                *cr.distribution.probabilities.tolist(), cr.factor,
+                *cr.posterior.probabilities.tolist(),
+                *(cell for a, b, p, r in cr.revised_transitions
+                  for cell in (quote(a), p, r, quote(b))))], dtype=object)
+            numbers = np.array([type(cell) is float for cell in cells],
+                               dtype=bool)
+            cells[numbers] = texts(cells[numbers].astype(float))
+            out.append(blocks(nl, shape) % tuple(cells.tolist()))
+        return write
 
     return [{
         "t": rev.t,
         "normalization_factor": rev.factor,
         "evolutions": evolutions(rev),
         "revised_conditionals": revised_conditionals(rev),
-        "components": {
-            comp: {
-                "distribution": _distribution_dict(cr.distribution),
-                "admitted": list(cr.admitted),
-                "mass_factor": cr.factor,
-                "posterior": _distribution_dict(cr.posterior),
-                "revised_transitions": [
-                    {"from": a, "to": b, "probability": p, "revised": r}
-                    for a, b, p, r in cr.revised_transitions
-                ],
-            }
-            for comp, cr in sorted(rev.components.items())
-        },
+        "components": components(rev),
     } for rev in revisions]
 
 
-def _trellis_report(trellis, model) -> list[dict]:
+def _trellis_report(trellis, model, indices) -> list[dict]:
     """``trellis``: per step, every edge with its factors (by component id),
     conditional and admissibility, rendered with one template straight from
-    the step's arrays."""
+    the step's arrays. ``indices`` holds the text of every candidate
+    index."""
     order = _by_id(model)
     edge = cache(partial(template, {
-        "admissible": TEXT, "conditional": FLOAT,
-        "factors": {model.components[c].id: FLOAT for c in order},
-        "source": INT, "target": INT}))
+        "admissible": TEXT, "conditional": TEXT,
+        "factors": {model.components[c].id: TEXT for c in order},
+        "source": TEXT, "target": TEXT}))
 
     def edges(factors, conditionals, admissible):
         def render(nl):
             n, m = conditionals.shape
-            columns = finite(factors[..., order]).reshape(n * m, -1).T.tolist()
+            columns = texts(factors[..., order]).reshape(n * m, -1).T.tolist()
             return map(edge(nl).__mod__, zip(
                 map(_JSON_BOOLS.__getitem__, admissible.ravel().tolist()),
-                finite(conditionals).ravel().tolist(), *columns,
-                [i for i in range(n) for _ in range(m)], list(range(m)) * n))
+                texts(conditionals).ravel().tolist(), *columns,
+                np.repeat(indices[:n], m).tolist(),
+                np.tile(indices[:m], n).tolist()))
         return rows(render)
 
     return [{"from_t": trellis.instants[k], "to_t": trellis.instants[k + 1],
@@ -322,6 +354,7 @@ def _cmd_diagnose(args, model) -> dict:
         criterion=_CRITERIA[args.criterion], candidate_cap=args.cap)
     trellis = build_trellis(problem)
     evolutions = enumerate_evolutions(problem, trellis)
+    indices = texts(np.arange(max(map(len, trellis.modes), default=0)))
 
     report = {
         "instants": list(trellis.instants),
@@ -333,11 +366,12 @@ def _cmd_diagnose(args, model) -> dict:
             comp: _distribution_dict(dist)
             for comp, dist in sorted(trellis.initials.items())},
         "priors": list(trellis.priors),
-        "trellis": _trellis_report(trellis, model),
+        "trellis": _trellis_report(trellis, model, indices),
         "diagnoses": _evolution_rows(model, evolutions),
     }
     if args.revise:
-        report["revision"] = _revision_report(revise_trellis(trellis, model))
+        report["revision"] = _revision_report(revise_trellis(trellis, model),
+                                              indices)
 
     sizes = ", ".join(f"{len(modes)} at t={t}"
                       for t, modes in zip(trellis.instants, trellis.modes))
@@ -352,6 +386,10 @@ def _cmd_simulate(args, model) -> dict:
     traj = sample_trajectory(model, initials, args.horizon, args.seed)
     instants = (_parse_instants(args.instants) if args.instants is not None
                 else list(range(args.horizon + 1)))
+    for before, t in zip(instants, instants[1:]):
+        if t <= before:  # validate_stream's rule, in its words
+            raise ValidationError(f"time points must strictly increase, got "
+                                  f"{t} after {before}", element=t)
     stream = generate_observation_stream(traj, model, instants)
     print(f"sampled horizon {args.horizon} with seed {args.seed} "
           f"({RNG_ALGORITHM})", file=sys.stderr)

@@ -8,9 +8,11 @@ Reports are written by one canonical writer, ``dumps_report``: a recursive
 function appending to one list, whose text equals the stdlib's
 ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)`` plus a
 newline (the stdlib encoder has no C path when it indents). Bulk sections
-are section writers built with ``rows``: each renders its rows from arrays
-and tuples with one ``%``-template per row shape, which the writer itself
-renders (``template``), and checks each array for NaN and infinities once.
+are section writers built with ``rows``: each renders its rows with one
+``%``-template per row shape, which the writer itself renders
+(``template``) and whose one placeholder, ``TEXT``, takes text already in
+JSON form. Their numbers come from ``texts``, which formats each distinct
+value of an array once and refuses NaN and infinities.
 """
 
 from __future__ import annotations
@@ -270,6 +272,9 @@ quote = json.encoder.encode_basestring_ascii
 INDENT = "  "
 #: Output pieces a container may leave before ``_close`` joins them.
 _JOIN_AT = 64
+#: Size from which ``texts`` formats only the distinct values: for fewer
+#: elements finding them (a sort) costs more than formatting every one.
+_DISTINCT_AT = 32
 
 
 def dumps_report(report: Any) -> str:
@@ -345,34 +350,47 @@ def _close(out: list[str], start: int, bracket: str) -> None:
         out[start:] = ["".join(out[start:])]
 
 
-def finite(values: Any) -> Any:
-    """``values`` (a float, an array or a nested sequence of numbers), if
-    none of them is NaN or infinite: JSON has no form for those.
+def texts(values: Any) -> np.ndarray:
+    """The JSON number text of every element of ``values`` (an array of
+    floats or of ints), as an object array of the same shape: what
+    ``float.__repr__`` or ``int.__repr__`` gives for the element. In all
+    but small arrays each distinct value is formatted once, floats told
+    apart by their bits, so that ``-0.0`` keeps its sign.
 
     Raises:
-        ValueError: some value is NaN or infinite.
+        ValueError: some value is NaN or infinite: JSON has no form for
+            those.
     """
-    if not np.isfinite(values).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    return values
+    values = np.asarray(values)
+    flat = np.ravel(values)  # 1-D, so the inverse is 1-D on every numpy
+    if values.dtype.kind == "f":
+        if not np.isfinite(flat).all():
+            raise ValueError("Out of range float values are not JSON "
+                             "compliant")
+        flat = flat.astype(np.float64, copy=False)
+        form, keys = float.__repr__, flat.view(np.int64)
+    else:
+        form, keys = int.__repr__, flat
+    distinct, inverse = flat, slice(None)
+    if flat.size >= _DISTINCT_AT:
+        keys, inverse = np.unique(keys, return_inverse=True)
+        distinct = keys.view(flat.dtype)
+    table = np.array(list(map(form, distinct.tolist())), dtype=object)
+    return table[inverse].reshape(values.shape)
 
 
-def _placeholder(spec: str) -> Callable[[list, str], None]:
-    return lambda out, nl: out.append(spec)
-
-
-#: Row-shape placeholders for a float, an int and text already in JSON
-#: form. The writer escapes every control character it is given, so a NUL
-#: in its text can only be a placeholder's.
-FLOAT, INT, TEXT = (_placeholder("\0r"), _placeholder("\0d"),
-                    _placeholder("\0s"))
+def TEXT(out: list[str], nl: str) -> None:
+    """The row-shape placeholder: text already in JSON form, such as
+    ``texts`` or ``quote`` gives. The writer escapes every control
+    character it is given, so a NUL in its text can only be this one's."""
+    out.append("\0s")
 
 
 def template(shape: Any, nl: str) -> str:
     """The canonical text of ``shape``, whose closing bracket follows
-    ``nl``, as a ``%``-template: ``shape`` is a report whose leaves are
-    ``FLOAT``, ``INT`` and ``TEXT``. Fill them in the order the text holds
-    them, dict entries in sorted key order."""
+    ``nl``, as a ``%``-template: ``shape`` is a report some of whose
+    leaves are ``TEXT``. Fill them in the order the text holds them, dict
+    entries in sorted key order."""
     out: list[str] = []
     _write(shape, out, nl)
     return "".join(out).replace("%", "%%").replace("\0", "%")

@@ -299,7 +299,9 @@ class TestDiagnose:
         floats here, unlike on the shipped scenarios. Also a model with no
         components, through diagnose --revise and through rank with a
         trajectory, its prefix and a later start: every array has an empty
-        last axis and the ranking key holds only instants."""
+        last axis and the ranking key holds only instants. And a model whose
+        matrices hold -0.0 for every zero, so that factors, conditionals,
+        joints and revised scores print as -0.0."""
         monkeypatch.chdir(ROOT)
         data = "tests/data/"
         for golden, argv in [
@@ -311,7 +313,14 @@ class TestDiagnose:
                   data + "zero_components_obs.json", "--revise"]),
                 ("zero_components_rank",
                  ["rank", data + "zero_components_model.json",
-                  data + "zero_components_trajectories.json"])]:
+                  data + "zero_components_trajectories.json"]),
+                ("negative_zero_diagnose_revise",
+                 ["diagnose", data + "negative_zero_model.json",
+                  "scenarios/sudden_stop_obs.json", "--criterion",
+                  "consistency", "--revise"]),
+                ("negative_zero_rank",
+                 ["rank", data + "negative_zero_model.json",
+                  data + "negative_zero_trajectories.json"])]:
             code, out, err = run(capsys, *argv)
             assert code == 0, err
             assert out.encode() == (ROOT / data / golden).read_bytes()
@@ -532,6 +541,17 @@ class TestSimulate:
         error = json.loads(out)["error"]
         assert (error["code"], error["element"]) == ("search_space_too_large",
                                                      1000001)
+
+    @pytest.mark.parametrize("instants, element", [
+        ("2,1", 1), ("1,1", 1), ("0,3,2", 2), (" 4 , 2 ", 2)])
+    def test_instants_must_strictly_increase(self, capsys, instants,
+                                             element):
+        """Requested instants are a stream's: not sorted or deduplicated
+        behind the user's back."""
+        error = run_json(capsys, "simulate", HYDRAULIC, "--horizon", "4",
+                         "--instants", instants, expect=1)["error"]
+        assert (error["code"], error["element"]) == ("invalid_input", element)
+        assert "time points must strictly increase" in error["message"]
 
     def test_seed_must_be_nonnegative(self, capsys):
         code, out, _ = run(capsys, "simulate", HYDRAULIC, "--horizon", "3",
@@ -782,10 +802,23 @@ class TestCanonicalWriter:
             main(argv)
         assert capsys.readouterr().out == ""
 
-    def test_bench_workload_shapes(self, capsys, tmp_path):
+    def test_bench_workload_shapes(self, capsys, monkeypatch, tmp_path):
         """The dense and long workloads of bench/gen.py at seed 7: a dense
         case (81 candidates per instant, ~20k edges, --revise) and the
-        450-instant long diagnose --revise."""
+        450-instant long diagnose --revise. The dense report prints the
+        engine's factors, conditionals, joints and step conditionals bit for
+        bit, the sign of zero included: a wrong gather index would still
+        give canonical JSON."""
+        engine = {}
+
+        def keep(name, function):
+            def kept(*args):
+                engine[name] = function(*args)
+                return engine[name]
+            monkeypatch.setattr(tempdiag.cli, name, kept)
+
+        keep("build_trellis", tempdiag.cli.build_trellis)
+        keep("enumerate_evolutions", tempdiag.cli.enumerate_evolutions)
         argvs = []
         for workload in ("dense", "long"):
             out = tmp_path / workload
@@ -797,11 +830,37 @@ class TestCanonicalWriter:
         dense, long = argvs
         (long450,) = [argv for argv in long if len(json.loads(
             Path(argv[2]).read_text())) == 450]
-        for argv in dense[0], long450:
+        for argv in long450, dense[0]:  # engine keeps the last run's
             assert "--revise" in argv
             code, out, err = run(capsys, *argv)
             assert code == 0, err
             assert out == canonical(out)
+        report = json.loads(out)
+
+        def bits(values):
+            return np.asarray(values, dtype=np.float64).view(np.int64)
+
+        trellis, evolutions = (engine["build_trellis"],
+                               engine["enumerate_evolutions"])
+        ids = [c.id for c in load_model(dense[0][1]).components]
+        assert len(report["trellis"]) == len(trellis.conditionals) > 1
+        for step, factors, conditionals in zip(
+                report["trellis"], trellis.factors, trellis.conditionals):
+            edges = step["edges"]
+            n, m = conditionals.shape
+            assert [(e["source"], e["target"]) for e in edges] == [
+                (i, j) for i in range(n) for j in range(m)]
+            assert np.array_equal(
+                bits([[e["factors"][c] for c in ids] for e in edges]),
+                bits(factors.reshape(n * m, -1)))
+            assert np.array_equal(bits([e["conditional"] for e in edges]),
+                                  bits(conditionals.ravel()))
+        rows = report["diagnoses"]
+        assert np.array_equal(bits([r["joint_probability"] for r in rows]),
+                              bits(evolutions.joints))
+        for row, steps, n in zip(rows, evolutions.steps, evolutions.lengths):
+            assert np.array_equal(bits(row["step_conditionals"]),
+                                  bits(steps[:n - 1]))
 
 
 def test_import_leaves_networkx_unloaded():

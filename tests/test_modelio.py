@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tempdiag import validate_model, validate_stream
 from tempdiag.errors import ValidationError
@@ -16,6 +18,7 @@ from tempdiag.modelio import (
     parse_probability,
     stream_from_list,
     stream_to_list,
+    texts,
     trajectories_from_list,
 )
 
@@ -169,3 +172,44 @@ def test_dumps_report_equals_stdlib_encoder(report):
     and null, and strings needing every kind of escape."""
     assert dumps_report(report) == json.dumps(
         report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+#: Shapes 0-D to 3-D, with sizes on both sides of the one from which
+#: ``texts`` formats only the distinct values.
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6)
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def float_arrays(draw):
+    """A float64 array of edge and arbitrary finite floats, often holding
+    both zeros."""
+    values = draw(hnp.arrays(np.float64, SHAPES, elements=FLOATS))
+    if values.size > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, values.size - 1), min_size=2,
+                             max_size=2, unique=True))
+        values.flat[i], values.flat[j] = 0.0, -0.0
+    return values
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(st.one_of(float_arrays(), hnp.arrays(np.int64, SHAPES)))
+def test_texts_are_each_elements_repr(values):
+    """Every element's text is its ``float.__repr__`` or ``int.__repr__``,
+    so 0.0 and -0.0 stay apart."""
+    form = float.__repr__ if values.dtype.kind == "f" else int.__repr__
+    got = texts(values)
+    assert got.shape == values.shape and got.dtype == object
+    assert got.ravel().tolist() == list(map(form, values.ravel().tolist()))
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(float_arrays().filter(lambda values: values.size > 0),
+       st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+       st.integers(min_value=0))
+def test_texts_refuses_non_finite(values, bad, where):
+    """A NaN or an infinity anywhere in the array raises ValueError."""
+    values.flat[where % values.size] = bad
+    with pytest.raises(ValueError):
+        texts(values)
