@@ -7,19 +7,22 @@ writes what every report carries (``command``, ``config`` and the input
 ``files``); each ``_cmd_*`` function returns only its own sections. The
 bulk sections (candidates, trellis edges, diagnoses and ranked
 trajectories, revised evolutions, conditionals and component blocks) are
-section writers that ``dumps_report`` calls: they fill ``modelio``
+section writers that ``modelio.write_report`` calls: they fill ``modelio``
 templates, whose one placeholder is ``TEXT``, from the engine's mode-index
 and probability arrays, never as a dict per row. Mode names come from
 per-component tables of JSON text, numbers from ``modelio.texts``, which
-formats each distinct value of an array once. Exit codes: 0
-success, 1 invalid input (usage errors included), 2 no diagnosis (empty
-candidate set, no admissible evolution, or undefined revision), 3 internal
-limits (candidate cap, simulation horizon).
+formats each distinct value of an array once. Every number of a report is
+formatted before its first byte is written; the report then goes to
+stdout in bounded writes. Exit codes: 0 success, 1 invalid input (usage
+errors included) or a failed write to stdout, 2 no diagnosis (empty
+candidate set, no admissible evolution, or undefined revision), 3
+internal limits (candidate cap, simulation horizon).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache, partial
 from typing import Sequence
@@ -34,7 +37,6 @@ from .model import validate_model, validate_stream, validate_trajectories
 from .modelio import (
     INDENT,
     TEXT,
-    dumps_report,
     load_model,
     load_stream,
     load_trajectories,
@@ -43,6 +45,7 @@ from .modelio import (
     stream_to_list,
     template,
     texts,
+    write_report,
 )
 from .revision import revise_trellis
 from .simulate import RNG_ALGORITHM, generate_observation_stream, sample_trajectory
@@ -155,12 +158,11 @@ def _evolution_rows(model, evolutions, prior: bool = False):
         cells = np.concatenate((_quoted(model, evolutions.modes),
                                 times[evolutions.instants, None]), axis=2)
         width = cells.shape[2]
-        for head, row_steps, row_cells, n in zip(
-                heads, steps.tolist(),
-                cells.reshape(-1, cells.shape[1] * width).tolist(),
-                evolutions.lengths.tolist()):
-            yield row(n) % (*head, *row_steps[:n - 1],
-                            *row_cells[:n * width])
+        return (row(n) % (*head, *row_steps[:n - 1], *row_cells[:n * width])
+                for head, row_steps, row_cells, n in zip(
+                    heads, steps.tolist(),
+                    cells.reshape(-1, cells.shape[1] * width).tolist(),
+                    evolutions.lengths.tolist()))
     return rows(render)
 
 
@@ -483,6 +485,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_report(report: dict) -> bool:
+    """Write ``report`` to stdout. If stdout refuses it (a full disk, a
+    closed pipe), say why on stderr and return False; whatever stdout
+    still buffers is then dropped, so that nothing more of it is written."""
+    try:
+        write_report(report, sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error [write_failed]: {exc.strerror or exc}", file=sys.stderr)
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):  # a stream with no descriptor
+            return False
+        # the flush at exit would fail again, and print a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return False
+    return True
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -500,11 +523,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "file": getattr(exc, "file", None),
             }
         }
-        sys.stdout.write(dumps_report(error))
+        written = _print_report(error)
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return exc.exit_code
-    sys.stdout.write(dumps_report(report))
-    return 0
+        return exc.exit_code if written else 1
+    return 0 if _print_report(report) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

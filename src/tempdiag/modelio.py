@@ -4,15 +4,20 @@ Probabilities in input files may be decimal numbers or exact fraction
 strings like ``"3/10"``; fractions are parsed exactly and then converted to
 float, so hand-written matrices survive ingestion without parse round-off.
 
-Reports are written by one canonical writer, ``dumps_report``: a recursive
-function appending to one list, whose text equals the stdlib's
-``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)`` plus a
-newline (the stdlib encoder has no C path when it indents). Bulk sections
-are section writers built with ``rows``: each renders its rows with one
-``%``-template per row shape, which the writer itself renders
-(``template``) and whose one placeholder, ``TEXT``, takes text already in
-JSON form. Their numbers come from ``texts``, which formats each distinct
-value of an array once and refuses NaN and infinities.
+Reports are written by one canonical writer, ``write_report``, whose text
+equals the stdlib's ``json.dumps(report, indent=2, sort_keys=True,
+allow_nan=False)`` plus a newline (the stdlib encoder has no C path when
+it indents). It works in two phases. First a recursive function walks the
+report into a list of pieces, formatting every number, so that a NaN or
+infinity raises before anything is written. Then the pieces go to the
+stream in writes of a bounded size, so that the report text never exists
+whole. Bulk sections are section writers built with ``rows``: each renders
+its rows with one ``%``-template per row shape, which the writer itself
+renders (``template``) and whose one placeholder, ``TEXT``, takes text
+already in JSON form. Their numbers come from ``texts``, which formats
+each distinct value of an array once and refuses NaN and infinities. A
+section of more than one batch of rows keeps its formatted numbers and
+renders the rest of its rows only as they are written.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -270,34 +275,46 @@ def load_trajectories(path: str | Path) -> list[tuple[ModeAssignment, ...]]:
 quote = json.encoder.encode_basestring_ascii
 #: One level of indentation in report text.
 INDENT = "  "
-#: Output pieces a container may leave before ``_close`` joins them.
-_JOIN_AT = 64
+#: Characters from which a batch of report text is written: the rows of a
+#: bulk section are rendered in batches of this size, and a section whose
+#: first batch holds all its rows is rendered before anything is written.
+_CHUNK = 1 << 18
 #: Size from which ``texts`` formats only the distinct values: for fewer
 #: elements finding them (a sort) costs more than formatting every one.
 _DISTINCT_AT = 32
 
 
-def dumps_report(report: Any) -> str:
-    """Canonical report encoding: sorted keys, two-space indent, ASCII with
-    ``\\u`` escapes, floats by ``repr``, trailing newline. The text equals
+def write_report(report: Any, stream: TextIO) -> None:
+    """Write the canonical encoding of ``report`` to the text stream
+    ``stream``: sorted keys, two-space indent, ASCII with ``\\u`` escapes,
+    floats by ``repr``, trailing newline. The text equals
     ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\\n"``
     for every report of JSON types with string keys.
 
     A value may also be a section writer, such as ``rows`` returns: a
     function of ``(out, nl)`` that appends its own text to ``out``, ``nl``
-    being the newline and indentation before its closing bracket.
+    being the newline and indentation before its closing bracket. It may
+    append an iterator of texts in place of a text; their numbers must
+    already be formatted.
+
+    The report is prepared whole, every number formatted, before its first
+    character is written; then it goes out in writes of ``_CHUNK``
+    characters and at most one piece more, never all at once.
 
     Raises:
         ValueError: the report holds a NaN or infinite float; nothing of
-            the report has been returned.
+            the report has been written.
     """
-    out: list[str] = []
-    _write(report, out, "\n")
-    out.append("\n")
-    return "".join(out)
+    pieces: list[str | Iterator[str]] = []
+    _write(report, pieces, "\n")
+    pieces.append("\n")
+    for batch in _batches((text for piece in pieces for text in (
+            (piece,) if isinstance(piece, str) else piece)), ""):
+        if batch:
+            stream.write(batch)
 
 
-def _write(value: Any, out: list[str], nl: str) -> None:
+def _write(value: Any, out: list, nl: str) -> None:
     """Append the text of ``value``, whose closing bracket follows ``nl``."""
     if isinstance(value, str):
         out.append(quote(value))
@@ -318,36 +335,27 @@ def _write(value: Any, out: list[str], nl: str) -> None:
         if not value:
             out.append("[]")
             return
-        inner, sep, start = nl + INDENT, "[", len(out)
+        inner, sep = nl + INDENT, "["
         for item in value:
             out.append(sep + inner)
             _write(item, out, inner)
             sep = ","
-        _close(out, start, nl + "]")
+        out.append(nl + "]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
-        inner, sep, start = nl + INDENT, "{", len(out)
+        inner, sep = nl + INDENT, "{"
         for key in sorted(value):  # quote raises TypeError on a non-str key
             out.append(sep + inner + quote(key) + ": ")
             _write(value[key], out, inner)
             sep = ","
-        _close(out, start, nl + "}")
+        out.append(nl + "}")
     elif callable(value):
         value(out, nl)
     else:
         raise TypeError(f"Object of type {type(value).__name__} "
                         "is not JSON serializable")
-
-
-def _close(out: list[str], start: int, bracket: str) -> None:
-    """Append a container's closing ``bracket``, and join the container's
-    pieces from ``start`` on into one when they are many: each piece costs
-    about 50 bytes beside its text."""
-    out.append(bracket)
-    if len(out) - start > _JOIN_AT:
-        out[start:] = ["".join(out[start:])]
 
 
 def texts(values: Any) -> np.ndarray:
@@ -399,10 +407,35 @@ def template(shape: Any, nl: str) -> str:
 def rows(render: Callable[[str], Iterable[str]],
          ) -> Callable[[list, str], None]:
     """A section writer for a JSON array of items rendered in bulk:
-    ``render(nl)`` yields the text of each item, whose closing bracket
-    follows ``nl``."""
-    def write(out: list[str], nl: str) -> None:
+    ``render(nl)`` formats every number of the section, then returns an
+    iterable of the text of each item, whose closing bracket follows
+    ``nl``. The items are rendered in batches of ``_CHUNK`` characters; a
+    section of more than one batch is left to render the rest as it is
+    written."""
+    def write(out: list, nl: str) -> None:
         inner = nl + INDENT
-        items = ("," + inner).join(render(inner))
-        out += ["[" + inner, items, nl + "]"] if items else ["[]"]
+        sep = "," + inner
+        batches = _batches(render(inner), sep)
+        first = next(batches)
+        if not first:
+            out.append("[]")
+        elif len(first) < _CHUNK:  # the only batch
+            out.append("[" + inner + first + nl + "]")
+        else:
+            out += ["[" + inner + first,
+                    (sep + text for text in batches if text), nl + "]"]
     return write
+
+
+def _batches(items: Iterable[str], sep: str) -> Iterator[str]:
+    """The texts ``items`` joined by ``sep``, in runs of ``_CHUNK``
+    characters or more, then one shorter run, maybe empty."""
+    batch: list[str] = []
+    size = -len(sep)
+    for item in items:
+        batch.append(item)
+        size += len(sep) + len(item)
+        if size >= _CHUNK:
+            yield sep.join(batch)
+            batch, size = [], -len(sep)
+    yield sep.join(batch)

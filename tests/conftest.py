@@ -18,6 +18,24 @@ from tempdiag.modelio import load_model, load_stream
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
+
+class WriteRecorder:
+    """A text stream that keeps every write it is given, one by one."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        assert isinstance(text, str)
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+    def getvalue(self) -> str:
+        return "".join(self.writes)
+
 PUMP_MODES = ("broken", "occluded", "leaking", "partially_occluded", "correct")
 PUMP_MATRIX = [
     [1, 0, 0, 0, 0],

@@ -1,5 +1,6 @@
 """End-to-end command-line checks against the shipped scenario files."""
 
+import errno
 import json
 import os
 import subprocess
@@ -11,11 +12,12 @@ import numpy as np
 import pytest
 
 import tempdiag.cli
+import tempdiag.modelio
 from tempdiag import ModeAssignment, resolve_initial_distributions
 from tempdiag.cli import main
 from tempdiag.modelio import load_model, model_to_dict
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, WriteRecorder
 from propsuites import random_assignment, random_model
 from reference import conditional_probability, prior_probability, step_factors
 
@@ -754,29 +756,37 @@ class TestCanonicalWriter:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        -float("inf")])
-    @pytest.mark.parametrize("where", ["conditional", "factor", "joint",
-                                       "step_conditional", "revision_joint"])
+    @pytest.mark.parametrize("where", [
+        "conditional", "factor", "last_conditional", "joint",
+        "step_conditional", "last_row", "revision_joint",
+        "revision_last_joint"])
     def test_non_finite_raises_before_writing(self, capsys, monkeypatch,
-                                              where, value):
+                                              tmp_path, where, value):
         """A NaN or infinite number anywhere in the bulk sections raises
-        ValueError, and nothing reaches stdout. Trellis values go on an
-        inadmissible edge, which no evolution or revision reads."""
+        ValueError, and nothing reaches stdout: in the first or the last
+        trellis step, the first or the last diagnosis (the last number it
+        prints), the first or the last joint of the last revised instant.
+        Trellis values go on an inadmissible edge, which no evolution or
+        revision reads. Sections are rendered whole and, with a batch of
+        one row, each a row at a time as it is written."""
         build, enumerate_, revise = (tempdiag.cli.build_trellis,
                                      tempdiag.cli.enumerate_evolutions,
                                      tempdiag.cli.revise_trellis)
 
         def poisoned_trellis(problem):
             trellis = build(problem)
-            conditionals = trellis.conditionals[0].copy()
-            factors = trellis.factors[0].copy()
-            i, j = np.argwhere(~trellis.admissible[0])[0]
-            if where == "conditional":
-                conditionals[i, j] = value
+            k = -1 if where == "last_conditional" else 0
+            conditionals = list(trellis.conditionals)
+            factors = list(trellis.factors)
+            conditionals[k] = conditionals[k].copy()
+            factors[k] = factors[k].copy()
+            i, j = np.argwhere(~trellis.admissible[k])[0]
+            if where in ("conditional", "last_conditional"):
+                conditionals[k][i, j] = value
             elif where == "factor":
-                factors[i, j, -1] = value
-            return replace(trellis, factors=(factors, *trellis.factors[1:]),
-                           conditionals=(conditionals,
-                                         *trellis.conditionals[1:]))
+                factors[k][i, j, -1] = value
+            return replace(trellis, factors=tuple(factors),
+                           conditionals=tuple(conditionals))
 
         def poisoned_evolutions(problem, trellis):
             evolutions = enumerate_(problem, trellis)
@@ -785,30 +795,87 @@ class TestCanonicalWriter:
                 joints[0] = value
             elif where == "step_conditional":
                 steps[0, 0] = value
+            elif where == "last_row":
+                steps[-1, evolutions.lengths[-1] - 2] = value
             return replace(evolutions, joints=joints, steps=steps)
 
         def poisoned_revisions(trellis, model):
             *rest, last = revise(trellis, model)
             if where == "revision_joint":
                 last = replace(last, joints=(value, *last.joints[1:]))
+            elif where == "revision_last_joint":
+                last = replace(last, joints=(*last.joints[:-1], value))
             return (*rest, last)
 
         monkeypatch.setattr(tempdiag.cli, "build_trellis", poisoned_trellis)
         monkeypatch.setattr(tempdiag.cli, "enumerate_evolutions",
                             poisoned_evolutions)
         monkeypatch.setattr(tempdiag.cli, "revise_trellis", poisoned_revisions)
-        argv = ["diagnose", SUDDEN, SUDDEN_OBS, "--sigma", "0.01", "--revise"]
-        with pytest.raises(ValueError):
-            main(argv)
-        assert capsys.readouterr().out == ""
+        # three instants: two trellis steps, each with inadmissible edges;
+        # three diagnoses; three revised instants of three paths each
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps([{"t": t, "present": ["delivery_stopped"]}
+                                   for t in (0, 2, 4)]))
+        argv = ["diagnose", SUDDEN, str(obs), "--sigma", "0.01", "--revise"]
+        for chunk in (tempdiag.modelio._CHUNK, 1):
+            monkeypatch.setattr(tempdiag.modelio, "_CHUNK", chunk)
+            with pytest.raises(ValueError):
+                main(argv)
+            assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", OCCLUSION, OCCLUSION_OBS, "--revise"],
+        ["diagnose", OCCLUSION, "missing.json"]], ids=["report", "error"])
+    def test_failed_write_exits_1(self, capsys, monkeypatch, argv):
+        """A write to stdout that fails partway through ends the run with
+        exit 1 and one line on stderr; nothing more is written."""
+        class Full(WriteRecorder):
+            def write(self, text):
+                if self.writes:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(text)
+
+        monkeypatch.setattr(tempdiag.modelio, "_CHUNK", 16)
+        stdout = Full()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 1
+        assert len(stdout.writes) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "write_failed" in line] == [
+            "error [write_failed]: No space left on device"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device whose writes fail")
+    def test_full_device_exits_1_without_traceback(self):
+        """Stdout on a full device: exit 1 and the one error line, and the
+        flush at interpreter exit prints nothing more. Stdout is buffered,
+        as by default, and the validate report is short enough to wait in
+        the buffer until it is flushed."""
+        src = str(ROOT / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        for argv in (["diagnose", OCCLUSION, OCCLUSION_OBS, "--revise"],
+                     ["validate", HYDRAULIC]):
+            with open("/dev/full", "w") as full:
+                done = subprocess.run(
+                    [sys.executable, "-m", "tempdiag.cli", *argv], env=env,
+                    stdout=full, stderr=subprocess.PIPE, text=True)
+            assert done.returncode == 1
+            assert [line for line in done.stderr.splitlines()
+                    if line.startswith("error")] == [
+                "error [write_failed]: No space left on device"]
+            assert "Exception" not in done.stderr
+            assert "Traceback" not in done.stderr
 
     def test_bench_workload_shapes(self, capsys, monkeypatch, tmp_path):
         """The dense and long workloads of bench/gen.py at seed 7: a dense
         case (81 candidates per instant, ~20k edges, --revise) and the
-        450-instant long diagnose --revise. The dense report prints the
-        engine's factors, conditionals, joints and step conditionals bit for
-        bit, the sign of zero included: a wrong gather index would still
-        give canonical JSON."""
+        450-instant long diagnose --revise. Each report, of megabytes,
+        reaches stdout in many writes of at most 1 MiB. The dense report
+        prints the engine's factors, conditionals, joints and step
+        conditionals bit for bit, the sign of zero included: a wrong gather
+        index would still give canonical JSON."""
         engine = {}
 
         def keep(name, function):
@@ -832,9 +899,13 @@ class TestCanonicalWriter:
             Path(argv[2]).read_text())) == 450]
         for argv in long450, dense[0]:  # engine keeps the last run's
             assert "--revise" in argv
-            code, out, err = run(capsys, *argv)
-            assert code == 0, err
+            stdout = WriteRecorder()
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(argv) == 0, capsys.readouterr().err
+            out = stdout.getvalue()
             assert out == canonical(out)
+            assert len(stdout.writes) > 1
+            assert max(map(len, stdout.writes)) <= 1 << 20
         report = json.loads(out)
 
         def bits(values):

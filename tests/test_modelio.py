@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import tempdiag.modelio as modelio
 from tempdiag import validate_model, validate_stream
 from tempdiag.errors import ValidationError
 from tempdiag.modelio import (
-    dumps_report,
     load_model,
     load_stream,
     model_from_dict,
@@ -20,9 +20,10 @@ from tempdiag.modelio import (
     stream_to_list,
     texts,
     trajectories_from_list,
+    write_report,
 )
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, WriteRecorder
 
 
 class TestParseProbability:
@@ -122,27 +123,75 @@ class TestTrajectories:
             trajectories_from_list([[]])
 
 
+def encode(report) -> str:
+    """What ``write_report`` writes for ``report``."""
+    stream = WriteRecorder()
+    write_report(report, stream)
+    return stream.getvalue()
+
+
 class TestCanonicalReports:
     def test_byte_identical(self):
         report = {"b": [1.5, 1 / 3], "a": {"y": None, "x": "s"}}
-        assert dumps_report(report) == dumps_report(json.loads(
-            dumps_report(report)))
+        assert encode(report) == encode(json.loads(encode(report)))
 
     def test_equals_json_dumps_across_chunk_batches(self):
         report = {"rows": [{"i": i, "p": i / 7, "ok": i % 2 == 0}
                            for i in range(20000)]}
-        assert dumps_report(report) == json.dumps(
+        stream = WriteRecorder()
+        write_report(report, stream)
+        assert stream.getvalue() == json.dumps(
             report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert len(stream.writes) > 1
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_float_raises(self, value):
+        stream = WriteRecorder()
         with pytest.raises(ValueError):
-            dumps_report({"rows": [0.5] * 100000 + [value]})
+            write_report({"rows": [0.5] * 100000 + [value]}, stream)
+        assert stream.writes == []
 
     def test_sorted_keys_and_newline(self):
-        out = dumps_report({"b": 1, "a": 2})
+        out = encode({"b": 1, "a": 2})
         assert out.index('"a"') < out.index('"b"')
         assert out.endswith("\n")
+
+    @pytest.mark.parametrize("chunk", [1, 64, 4096])
+    def test_row_sections_in_bounded_writes(self, monkeypatch, chunk):
+        """Row sections of one batch and of many, empty ones too, give the
+        stdlib's text, written in pieces of about the batch size: no write
+        is longer than two batches and one more row with its separators."""
+        monkeypatch.setattr(modelio, "_CHUNK", chunk)
+        values = [[i / 7, -i / 3] for i in range(3000)]
+        section = modelio.rows(lambda nl: map(
+            modelio.template([modelio.TEXT, modelio.TEXT], nl).__mod__,
+            map(tuple, texts(np.array(values)).tolist())))
+        empty = modelio.rows(lambda nl: iter(()))
+        stream = WriteRecorder()
+        write_report({"a": section, "b": [1, {"c": empty}], "d": section},
+                     stream)
+        assert stream.getvalue() == json.dumps(
+            {"a": values, "b": [1, {"c": []}], "d": values}, indent=2,
+            sort_keys=True) + "\n"
+        assert len(stream.writes) > 1
+        assert max(map(len, stream.writes)) <= 2 * chunk + 80
+
+    def test_later_section_raises_before_writing(self, monkeypatch):
+        """A row section left to render as it is written has formatted its
+        numbers already, and a non-finite number in a section after it
+        still raises before anything is written."""
+        monkeypatch.setattr(modelio, "_CHUNK", 64)
+        finite = np.arange(1000.0)
+        infinite = np.append(finite, np.inf)
+
+        def section(numbers):
+            return modelio.rows(lambda nl: texts(numbers).tolist())
+
+        stream = WriteRecorder()
+        with pytest.raises(ValueError):
+            write_report({"a": section(finite), "b": section(infinite)},
+                         stream)
+        assert stream.writes == []
 
 
 #: Floats at the edges of repr and of the double range, beside arbitrary ones.
@@ -166,11 +215,11 @@ REPORTS = st.recursive(
 
 @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
 @given(REPORTS)
-def test_dumps_report_equals_stdlib_encoder(report):
+def test_write_report_equals_stdlib_encoder(report):
     """The stdlib encoder is the oracle: nested lists and dicts (empty ones
     too), subnormal, signed-zero and extreme floats, huge ints, booleans
     and null, and strings needing every kind of escape."""
-    assert dumps_report(report) == json.dumps(
+    assert encode(report) == json.dumps(
         report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
