@@ -49,7 +49,6 @@ from .revision import (
 )
 from .simulate import (
     SampledTrajectory,
-    empirical_transition_matrix,
     generate_observation_stream,
     sample_trajectory,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "build_trellis",
     "classify_faults",
     "classify_states",
-    "empirical_transition_matrix",
     "enumerate_evolutions",
     "generate_observation_stream",
     "induce_initial_distributions",

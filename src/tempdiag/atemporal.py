@@ -61,12 +61,6 @@ class ModeAssignment:
     def from_mapping(cls, t: int, assignment: Mapping[str, str]) -> "ModeAssignment":
         return cls(t, tuple(assignment.items()))
 
-    def mode_of(self, component_id: str) -> str:
-        for comp, mode in self.modes:
-            if comp == component_id:
-                return mode
-        raise KeyError(f"no component {component_id!r} in assignment")
-
     def as_dict(self) -> dict[str, str]:
         return dict(self.modes)
 

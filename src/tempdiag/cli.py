@@ -117,15 +117,22 @@ def _quoted(model, modes) -> np.ndarray:
     return out
 
 
-def _candidate_rows(model, modes):
-    """A ``candidates`` entry's ``assignments``: one object per row of a
-    mode-index array, rendered with one template."""
-    def render(nl):
-        assignment = template(dict.fromkeys(sorted(
-            c.id for c in model.components), TEXT), nl)
-        return map(assignment.__mod__,
-                   map(tuple, _quoted(model, modes).tolist()))
-    return rows(render)
+def _candidates_report(trellis, model) -> list[dict]:
+    """``candidates``: per instant one object per row of its mode-index
+    array. The names of all instants are looked up at once, and one
+    template renders every row of the run."""
+    assignment = cache(partial(template, dict.fromkeys(sorted(
+        c.id for c in model.components), TEXT)))
+
+    def assignments(names):
+        def render(nl):
+            return map(assignment(nl).__mod__, map(tuple, names.tolist()))
+        return rows(render)
+
+    ends = np.cumsum([len(modes) for modes in trellis.modes])
+    layers = np.split(_quoted(model, np.concatenate(trellis.modes)), ends[:-1])
+    return [{"t": t, "assignments": assignments(names)}
+            for t, names in zip(trellis.instants, layers)]
 
 
 def _evolution_rows(model, evolutions, prior: bool = False):
@@ -153,8 +160,10 @@ def _evolution_rows(model, evolutions, prior: bool = False):
         # the NaN that pads the steps past an evolution's end is never shown
         steps = texts(np.where(evolutions.instants[:, 1:] >= 0,
                                evolutions.steps, 0.0))
-        # per instant the mode names in component-id order, then t
-        times = texts(np.array(evolutions.times, dtype=int))
+        # per instant the mode names in component-id order, then t; a time
+        # point may be too large for any numpy integer
+        times = np.array(list(map(int.__repr__, evolutions.times)),
+                         dtype=object)
         cells = np.concatenate((_quoted(model, evolutions.modes),
                                 times[evolutions.instants, None]), axis=2)
         width = cells.shape[2]
@@ -360,10 +369,7 @@ def _cmd_diagnose(args, model) -> dict:
 
     report = {
         "instants": list(trellis.instants),
-        "candidates": [
-            {"t": t, "assignments": _candidate_rows(model, modes)}
-            for t, modes in zip(trellis.instants, trellis.modes)
-        ],
+        "candidates": _candidates_report(trellis, model),
         "initial_distributions": {
             comp: _distribution_dict(dist)
             for comp, dist in sorted(trellis.initials.items())},

@@ -82,10 +82,6 @@ class TransitionMatrix:
         except ValueError:
             raise KeyError(f"unknown mode {mode!r}") from None
 
-    def prob(self, from_mode: str, to_mode: str) -> float:
-        """One-step transition probability between two named modes."""
-        return float(self.entries[self.index(from_mode), self.index(to_mode)])
-
 
 @dataclass(frozen=True, eq=False)
 class ModeDistribution:
@@ -106,12 +102,6 @@ class ModeDistribution:
 
     def __hash__(self):
         return hash((self.modes, self.probabilities.tobytes()))
-
-    def prob(self, mode: str) -> float:
-        try:
-            return float(self.probabilities[self.modes.index(mode)])
-        except ValueError:
-            raise KeyError(f"unknown mode {mode!r}") from None
 
 
 class StateLabel(Enum):

@@ -86,12 +86,6 @@ class SystemModel:
         object.__setattr__(self, "exclusive",
                            tuple(frozenset(p) for p in self.exclusive))
 
-    def component(self, component_id: str) -> ComponentSpec:
-        for c in self.components:
-            if c.id == component_id:
-                return c
-        raise KeyError(f"unknown component {component_id!r}")
-
     @property
     def manifestations(self) -> frozenset[str]:
         """All atoms that can appear in an observation (the rule heads)."""
@@ -131,7 +125,8 @@ class ObservationStream:
 
 def validate_model(model: SystemModel) -> SystemModel:
     """Validate a system model, returning it unchanged or raising on the
-    first violation found.
+    first violation found. Sets are checked in sorted order, so that the
+    violation named does not vary with the string-hash seed.
 
     Checks: unique component ids; per component distinct modes, a declared
     correct mode, a matrix over exactly the component's modes, and (when
@@ -175,7 +170,7 @@ def validate_model(model: SystemModel) -> SystemModel:
             raise ValidationError(
                 f"rule for {rule.head!r} mentions a component twice",
                 element=rule.head)
-        for comp, mode in rule.body:
+        for comp, mode in sorted(rule.body):
             spec = by_id.get(comp)
             if spec is None or mode not in spec.modes:
                 raise UnknownModeAtomError(
@@ -187,7 +182,7 @@ def validate_model(model: SystemModel) -> SystemModel:
             raise ValidationError(
                 f"exclusivity pair {sorted(pair)} must contain two distinct "
                 "atoms", element=sorted(pair))
-        for atom in pair:
+        for atom in sorted(pair):
             if atom not in heads:
                 raise UnknownManifestationError(
                     f"exclusivity pair references {atom!r}, which is not the "
@@ -197,7 +192,8 @@ def validate_model(model: SystemModel) -> SystemModel:
 
 def validate_stream(stream: ObservationStream,
                     model: SystemModel) -> ObservationStream:
-    """Validate an observation stream against a model's manifestations."""
+    """Validate an observation stream against a model's manifestations,
+    each entry's atoms in sorted order."""
     heads = model.manifestations
     prev_t = None
     for entry in stream.entries:
@@ -215,7 +211,7 @@ def validate_stream(stream: ObservationStream,
             raise ValidationError(
                 f"atoms {sorted(overlap)} listed both present and absent "
                 f"at t={entry.t}", element=entry.t)
-        for atom in entry.present | entry.absent:
+        for atom in sorted(entry.present | entry.absent):
             if atom not in heads:
                 raise UnknownManifestationError(
                     f"observation at t={entry.t} references {atom!r}, which "

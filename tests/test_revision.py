@@ -53,6 +53,11 @@ class TestNormalizationFactor:
             normalization_factor([1e-310, 0.0])
         assert normalization_factor([2.3e-308]) == 1 / 2.3e-308
 
+    def test_summed_left_to_right(self):
+        # a compensated sum (sum() from Python 3.12 on) is
+        # 1.0000000000000002, whose reciprocal is 0.9999999999999998
+        assert normalization_factor([1.0, 1e-16, 1e-16]) == 1.0
+
 
 class TestReviseGlobal:
     def test_worked_values(self, occlusion_problem):
@@ -103,6 +108,10 @@ class TestComponentMassFactor:
             component_mass_factor(pi, {"punctured"})
         assert component_mass_factor(pi, {"punctured", "correct"}) == 1.0
 
+    def test_summed_left_to_right(self, container):
+        pi = ModeDistribution(container.modes, [1.0, 1e-16, 1e-16])
+        assert component_mass_factor(pi, container.modes) == 1.0
+
 
 class TestReviseTransition:
     """Each component's revised transition score, the n-step entry times
@@ -137,6 +146,19 @@ class TestReviseTransition:
         assert second.components["x"].factor == 1.0
         assert second.components["x"].revised_transitions == (
             ("a", "a", 0.37, 0.37), ("a", "b", 0.63, 0.63))
+
+    def test_mass_summed_left_to_right(self):
+        # every mode admitted at t=0: 1.0 + 1e-16 + 1e-16 is 1.0 left to
+        # right, but 1.0000000000000002 as a compensated sum
+        modes = ("a", "b", "c")
+        component = ComponentSpec(id="x", modes=modes, correct_mode="a",
+                                  matrix=TransitionMatrix(modes, np.eye(3)))
+        model = SystemModel((component,), ())
+        trellis = trellis_from_layers(
+            model, [0], [np.array([[0], [1], [2]])],
+            {"x": ModeDistribution(modes, [1.0, 1e-16, 1e-16])})
+        (only,) = revise_trellis(trellis, model)
+        assert only.components["x"].factor == 1.0
 
 
 class TestPosteriorDistribution:
@@ -224,13 +246,13 @@ def test_single_trajectory_per_component_matches_global():
             continue
         initials = {
             c.id: ModeDistribution(
-                c.modes, [1.0 if m == w0.mode_of(c.id) else 0.0
+                c.modes, [1.0 if m == w0.as_dict()[c.id] else 0.0
                           for m in c.modes])
             for c in model.components
         }
         assert prior_probability(w0, initials, model) == 1.0
         modes = tuple(
-            np.array([[c.modes.index(w.mode_of(c.id))
+            np.array([[c.modes.index(w.as_dict()[c.id])
                        for c in model.components]])
             for w in (w0, w1))
         trellis = Trellis(

@@ -97,8 +97,8 @@ class TestInduceInitialDistributions:
 
     def test_single_candidate_gets_point_mass(self, hydraulic):
         got = induced(hydraulic, [assignment(0, P="broken", C="correct")])
-        assert got["P"].prob("broken") == 1.0
-        assert got["C"].prob("correct") == 1.0
+        assert got["P"].probabilities[0] == 1.0      # broken
+        assert got["C"].probabilities[2] == 1.0      # correct
 
     def test_empty_candidate_set_rejected(self, hydraulic):
         with pytest.raises(EmptyCandidateSetError):
@@ -142,10 +142,10 @@ class TestPriorProbability:
         assert prior_probability(w, initials, hydraulic) == 0.0
 
     def test_one_step_from_point_initials(self, hydraulic):
+        modes = {c.id: c.modes for c in hydraulic.components}
         initials = {
-            "P": ModeDistribution(hydraulic.component("P").modes,
-                                  [0, 0, 0, 0, 1]),
-            "C": ModeDistribution(hydraulic.component("C").modes, [0, 0, 1]),
+            "P": ModeDistribution(modes["P"], [0, 0, 0, 0, 1]),
+            "C": ModeDistribution(modes["C"], [0, 0, 1]),
         }
         w = assignment(1, P="correct", C="correct")
         assert prior_probability(w, initials, hydraulic) == \
@@ -325,8 +325,8 @@ class TestEnumerate:
 
 
 class TestResolveInitials:
-    def test_component_declaration_wins(self, hydraulic):
-        point = ModeDistribution(hydraulic.component("C").modes, [0, 0, 1])
+    def test_component_declaration_wins(self, hydraulic, container):
+        point = ModeDistribution(container.modes, [0, 0, 1])
         comps = tuple(
             c if c.id != "C" else
             type(c)(id=c.id, modes=c.modes, correct_mode=c.correct_mode,
@@ -337,7 +337,7 @@ class TestResolveInitials:
             model, 0, mode_indices(model, [assignment(0, P="broken",
                                                       C="punctured")]))
         assert got["C"] == point                      # declared, kept
-        assert got["P"].prob("broken") == 1.0         # induced
+        assert got["P"].probabilities[0] == 1.0       # broken, induced
 
     def test_uniform_fallback_without_t0_candidates(self, hydraulic):
         got = resolve_initial_distributions(hydraulic, first_instant=3)
