@@ -20,10 +20,8 @@ from .errors import DiagnosisError, ValidationError
 from .markov import (
     FaultClass,
     FaultClassification,
-    ModeDistribution,
     StateClassification,
     StateLabel,
-    TransitionMatrix,
     classify_faults,
     classify_states,
     matrix_power,
@@ -77,7 +75,6 @@ __all__ = [
     "HornRule",
     "InstantRevision",
     "ModeAssignment",
-    "ModeDistribution",
     "Observation",
     "ObservationStream",
     "SampledTrajectory",
@@ -85,7 +82,6 @@ __all__ = [
     "StateLabel",
     "SystemModel",
     "ThresholdMode",
-    "TransitionMatrix",
     "Trellis",
     "ValidationError",
     "build_trellis",

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .atemporal import DEFAULT_CANDIDATE_CAP, ExplanationCriterion
 from .errors import DiagnosisError, ValidationError
-from .markov import classify_faults, classify_states, propagate_distribution
+from .markov import classify_faults, propagate_distribution
 from .model import validate_model, validate_stream, validate_trajectories
 from .modelio import (
     INDENT,
@@ -175,9 +175,8 @@ def _evolution_rows(model, evolutions, prior: bool = False):
     return rows(render)
 
 
-def _distribution_dict(dist) -> dict:
-    return {"modes": list(dist.modes),
-            "probabilities": dist.probabilities.tolist()}
+def _distribution_dict(modes, probabilities) -> dict:
+    return {"modes": list(modes), "probabilities": probabilities.tolist()}
 
 
 def _cmd_validate(args, model) -> dict:
@@ -207,8 +206,8 @@ def _cmd_validate(args, model) -> dict:
 def _cmd_classify(args, model) -> dict:
     components = {}
     for c in model.components:
-        states = classify_states(c.matrix)
         faults = classify_faults(c)
+        states = faults.states
         components[c.id] = {
             "modes": list(c.modes),
             "correct_mode": c.correct_mode,
@@ -240,7 +239,7 @@ def _cmd_propagate(args, model) -> dict:
         "modes": list(c.modes),
         "distributions": [
             {"t": t, "probabilities": propagate_distribution(
-                initials[c.id], c.matrix, t).probabilities.tolist()}
+                initials[c.id], c.matrix, t).tolist()}
             for t in instants]}
         for c in model.components}
     print(f"propagated {len(model.components)} components over "
@@ -248,12 +247,13 @@ def _cmd_propagate(args, model) -> dict:
     return {
         "instants": instants,
         "initial_distributions": {
-            c.id: _distribution_dict(initials[c.id]) for c in model.components},
+            c.id: _distribution_dict(c.modes, initials[c.id])
+            for c in model.components},
         "components": components,
     }
 
 
-def _revision_report(revisions, indices) -> list[dict]:
+def _revision_report(revisions, model, indices) -> list[dict]:
     """``revision``: per instant, the revised joints of the paths ending
     there and the revised conditionals of the edges into it, each rendered
     with one template for the whole run, and every component's revision,
@@ -300,18 +300,20 @@ def _revision_report(revisions, indices) -> list[dict]:
                 *indices[edges[:, :2].astype(int)].T.tolist()))
         return rows(render)
 
+    modes = {c.id: c.modes for c in model.components}
+
     def components(rev):
         items = sorted(rev.components.items())
 
         def write(out, nl):
-            shape = tuple((comp, cr.distribution.modes, len(cr.admitted),
+            shape = tuple((comp, modes[comp], len(cr.admitted),
                            len(cr.revised_transitions)) for comp, cr in items)
             # the cells in the template's order: names quoted, numbers as
             # floats until texts formats them all at once
             cells = np.array([cell for _, cr in items for cell in (
                 *map(quote, cr.admitted),
-                *cr.distribution.probabilities.tolist(), cr.factor,
-                *cr.posterior.probabilities.tolist(),
+                *cr.distribution.tolist(), cr.factor,
+                *cr.posterior.tolist(),
                 *(cell for a, b, p, r in cr.revised_transitions
                   for cell in (quote(a), p, r, quote(b))))], dtype=object)
             numbers = np.array([type(cell) is float for cell in cells],
@@ -371,15 +373,15 @@ def _cmd_diagnose(args, model) -> dict:
         "instants": list(trellis.instants),
         "candidates": _candidates_report(trellis, model),
         "initial_distributions": {
-            comp: _distribution_dict(dist)
-            for comp, dist in sorted(trellis.initials.items())},
-        "priors": list(trellis.priors),
+            c.id: _distribution_dict(c.modes, trellis.initials[c.id])
+            for c in model.components},
+        "priors": trellis.priors.tolist(),
         "trellis": _trellis_report(trellis, model, indices),
         "diagnoses": _evolution_rows(model, evolutions),
     }
     if args.revise:
         report["revision"] = _revision_report(revise_trellis(trellis, model),
-                                              indices)
+                                              model, indices)
 
     sizes = ", ".join(f"{len(modes)} at t={t}"
                       for t, modes in zip(trellis.instants, trellis.modes))

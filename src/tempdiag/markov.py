@@ -5,21 +5,22 @@ behavioral modes (one correct mode plus fault modes) according to a
 time-homogeneous DTMC. This module provides the chain primitives the rest
 of the engine builds on:
 
-- row-stochastic transition matrices and their validation,
+- validation of row-stochastic transition matrices and of distributions,
 - n-step matrices ``P^n`` and distribution propagation ``pi(n) = pi(0) P^n``,
 - the geometric sojourn-time distribution of a mode,
 - structural classification of modes (absorbing / ergodic / transient) and
   the derived fault taxonomy (permanent / transient, reversible / irreversible),
   both read from a boolean reachability closure of the positive entries.
 
-All values are plain ``float64``; validation tolerances are module constants.
+A chain is a plain |M| x |M| ``float64`` array and a distribution a length-|M|
+one, in the component's mode order; validation tolerances are module constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -40,68 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
 ROW_SUM_TOL = 1e-9
 #: Tolerance for recognizing an exact self-loop probability of 1.
 ABSORBING_TOL = 1e-12
-
-
-def _readonly(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class TransitionMatrix:
-    """Row-stochastic one-step transition matrix over an ordered mode list.
-
-    ``entries[i][j]`` is the probability of moving from ``modes[i]`` to
-    ``modes[j]`` in one time step. Instances are immutable; the entry array
-    is stored read-only so values can be shared across threads.
-    """
-
-    modes: tuple[str, ...]
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "entries", _readonly(self.entries))
-
-    def __eq__(self, other):
-        if not isinstance(other, TransitionMatrix):
-            return NotImplemented
-        return self.modes == other.modes and np.array_equal(self.entries, other.entries)
-
-    def __hash__(self):
-        return hash((self.modes, self.entries.tobytes()))
-
-    @property
-    def size(self) -> int:
-        return len(self.modes)
-
-    def index(self, mode: str) -> int:
-        try:
-            return self.modes.index(mode)
-        except ValueError:
-            raise KeyError(f"unknown mode {mode!r}") from None
-
-
-@dataclass(frozen=True, eq=False)
-class ModeDistribution:
-    """Probability distribution over an ordered mode list (a row vector)."""
-
-    modes: tuple[str, ...]
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "probabilities", _readonly(self.probabilities))
-
-    def __eq__(self, other):
-        if not isinstance(other, ModeDistribution):
-            return NotImplemented
-        return self.modes == other.modes and np.array_equal(
-            self.probabilities, other.probabilities)
-
-    def __hash__(self):
-        return hash((self.modes, self.probabilities.tobytes()))
 
 
 class StateLabel(Enum):
@@ -149,10 +88,13 @@ class FaultClassification:
     component: str
     correct_mode: str
     faults: Mapping[str, FaultClass]
+    #: the state labels the taxonomy was read from
+    states: StateClassification
 
 
-def validate_matrix(m: TransitionMatrix) -> TransitionMatrix:
-    """Check that ``m`` is square, entries lie in [0, 1] and rows sum to 1.
+def validate_matrix(modes: Sequence[str], entries: np.ndarray) -> np.ndarray:
+    """Check that ``entries`` is square over ``modes``, entries lie in
+    [0, 1] and rows sum to 1.
 
     Returns the matrix unchanged when valid.
 
@@ -161,62 +103,61 @@ def validate_matrix(m: TransitionMatrix) -> TransitionMatrix:
         EntryRangeError: some entry is outside [0, 1] or is NaN.
         RowSumError: some row sum deviates from 1 by more than ``ROW_SUM_TOL``.
     """
-    n = len(m.modes)
+    n = len(modes)
     if n < 1:
         raise NotSquareError("matrix needs at least one mode")
-    if m.entries.ndim != 2 or m.entries.shape != (n, n):
+    if entries.ndim != 2 or entries.shape != (n, n):
         raise NotSquareError(
-            f"expected a {n}x{n} matrix, got shape {m.entries.shape}")
+            f"expected a {n}x{n} matrix, got shape {entries.shape}")
     # NaN fails both comparisons, so it is caught with the out-of-range entries
-    bad = ~((m.entries >= 0.0) & (m.entries <= 1.0))
+    bad = ~((entries >= 0.0) & (entries <= 1.0))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise EntryRangeError(
-            f"entry ({m.modes[i]} -> {m.modes[j]}) = {float(m.entries[i, j])!r} "
+            f"entry ({modes[i]} -> {modes[j]}) = {float(entries[i, j])!r} "
             "is outside [0, 1]",
-            element=(m.modes[int(i)], m.modes[int(j)]))
-    sums = m.entries.sum(axis=1)
+            element=(modes[int(i)], modes[int(j)]))
+    sums = entries.sum(axis=1)
     bad = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
     if bad.size:
         row = int(bad[0, 0])
         raise RowSumError(row, float(sums[row]))
-    return m
+    return entries
 
 
-def validate_distribution(d: ModeDistribution) -> ModeDistribution:
-    """Check that ``d`` is a probability vector over its modes."""
-    if d.probabilities.ndim != 1 or d.probabilities.shape[0] != len(d.modes):
+def validate_distribution(modes: Sequence[str],
+                          probabilities: np.ndarray) -> np.ndarray:
+    """Check that ``probabilities`` is a probability vector over ``modes``."""
+    if probabilities.ndim != 1 or probabilities.shape[0] != len(modes):
         raise DimensionMismatchError(
-            f"distribution has {d.probabilities.shape} entries "
-            f"for {len(d.modes)} modes")
-    if not np.all((d.probabilities >= 0.0) & (d.probabilities <= 1.0)):
+            f"distribution has {probabilities.shape} entries "
+            f"for {len(modes)} modes")
+    if not np.all((probabilities >= 0.0) & (probabilities <= 1.0)):
         raise EntryRangeError("distribution entries must lie in [0, 1]")
-    total = float(d.probabilities.sum())
+    total = float(probabilities.sum())
     if abs(total - 1.0) > ROW_SUM_TOL:
         raise ValidationError(f"distribution sums to {total!r}, expected 1")
-    return d
+    return probabilities
 
 
-def matrix_power(m: TransitionMatrix, n: int) -> TransitionMatrix:
+def matrix_power(entries: np.ndarray, n: int) -> np.ndarray:
     """n-step transition matrix ``P^n`` (``n = 0`` gives the identity).
 
     Uses binary exponentiation, so large gaps between observation instants
     stay cheap.
     """
-    if n < 0:
+    if n < 0:  # numpy would invert the matrix
         raise ValueError("power must be nonnegative")
-    return TransitionMatrix(m.modes, np.linalg.matrix_power(m.entries, n))
+    return np.linalg.matrix_power(entries, n)
 
 
-def propagate_distribution(pi0: ModeDistribution, m: TransitionMatrix,
-                           n: int) -> ModeDistribution:
+def propagate_distribution(pi0: np.ndarray, entries: np.ndarray,
+                           n: int) -> np.ndarray:
     """Propagate a mode distribution ``n`` steps: returns ``pi0 . P^n``."""
-    if pi0.modes != m.modes:
-        raise DimensionMismatchError(
-            "distribution and matrix have different mode orderings",
-            element=(pi0.modes, m.modes))
-    out = pi0.probabilities @ matrix_power(m, n).entries
-    return ModeDistribution(m.modes, out)
+    if pi0.shape != entries.shape[:1]:
+        raise DimensionMismatchError(f"distribution has {pi0.shape} entries "
+                                     f"for a matrix of shape {entries.shape}")
+    return pi0 @ matrix_power(entries, n)
 
 
 def sojourn_pmf(p_self: float, t: int) -> float:
@@ -240,14 +181,14 @@ def sojourn_pmf(p_self: float, t: int) -> float:
     return p_self ** (t - 1) * (1.0 - p_self)
 
 
-def _reachability(m: TransitionMatrix) -> np.ndarray:
+def _reachability(entries: np.ndarray) -> np.ndarray:
     """Boolean closure of the positive-entry digraph: ``R[i, j]`` iff mode j
     is reachable from mode i in zero or more steps.
 
     ``R = (P > 0) or I`` is squared (a boolean matrix product) until it stops
     changing, which takes at most ceil(log2 n) + 1 products.
     """
-    reach = (m.entries > 0.0) | np.eye(m.size, dtype=bool)
+    reach = (entries > 0.0) | np.eye(len(entries), dtype=bool)
     while True:
         squared = reach @ reach
         if np.array_equal(squared, reach):
@@ -255,7 +196,8 @@ def _reachability(m: TransitionMatrix) -> np.ndarray:
         reach = squared
 
 
-def classify_states(m: TransitionMatrix) -> StateClassification:
+def classify_states(modes: Sequence[str],
+                    entries: np.ndarray) -> StateClassification:
     """Label every mode as absorbing, ergodic or transient.
 
     The communicating class of mode i is the set of modes it reaches and is
@@ -264,32 +206,38 @@ def classify_states(m: TransitionMatrix) -> StateClassification:
     absorbing state. Every other mode is transient. Each class is visited at
     its lowest-index member, so the set lists come out in matrix order.
     """
-    reach = _reachability(m)
-    labels: list[StateLabel | None] = [None] * m.size
+    return _classify_states(modes, entries, _reachability(entries))
+
+
+def _classify_states(modes: Sequence[str], entries: np.ndarray,
+                     reach: np.ndarray) -> StateClassification:
+    """``classify_states`` from the chain's reachability closure."""
+    labels: list[StateLabel | None] = [None] * len(modes)
     ergodic_sets: list[tuple[str, ...]] = []
     transient_sets: list[tuple[str, ...]] = []
-    for i in range(m.size):
+    for i in range(len(modes)):
         if labels[i] is not None:
             continue
         in_class = reach[i] & reach[:, i]
         indices = np.flatnonzero(in_class).tolist()
-        members = tuple(m.modes[j] for j in indices)
+        members = tuple(modes[j] for j in indices)
         if np.array_equal(reach[i], in_class):
             ergodic_sets.append(members)
             absorbing = (len(indices) == 1
-                         and abs(m.entries[i, i] - 1.0) <= ABSORBING_TOL)
+                         and abs(entries[i, i] - 1.0) <= ABSORBING_TOL)
             label = StateLabel.ABSORBING if absorbing else StateLabel.ERGODIC
         else:
             transient_sets.append(members)
             label = StateLabel.TRANSIENT
         for j in indices:
             labels[j] = label
-    return StateClassification(dict(zip(m.modes, labels)), tuple(ergodic_sets),
+    return StateClassification(dict(zip(modes, labels)), tuple(ergodic_sets),
                                tuple(transient_sets))
 
 
 def classify_faults(component: "ComponentSpec") -> FaultClassification:
-    """Classify every fault mode of a component.
+    """Classify every fault mode of a component, from one reachability
+    closure of its chain; the result carries the state labels too.
 
     A fault mode is permanent iff its state is absorbing and transient iff
     its state is transient; it is reversible iff the correct mode is
@@ -298,17 +246,17 @@ def classify_faults(component: "ComponentSpec") -> FaultClassification:
     The closure counts zero or more steps, which is the same thing for a
     mode other than the correct one.
     """
-    matrix = component.matrix
-    correct = component.correct_mode
-    if correct not in matrix.modes:
+    modes, correct = component.modes, component.correct_mode
+    if correct not in modes:
         raise CorrectModeMissingError(
             f"component {component.id!r} has no mode {correct!r}",
             element=component.id)
 
-    states = classify_states(matrix)
-    reaches_correct = _reachability(matrix)[:, matrix.index(correct)]
+    reach = _reachability(component.matrix)
+    states = _classify_states(modes, component.matrix, reach)
+    reaches_correct = reach[:, modes.index(correct)]
     faults: dict[str, FaultClass] = {}
-    for mode, reversible in zip(matrix.modes, reaches_correct.tolist()):
+    for mode, reversible in zip(modes, reaches_correct.tolist()):
         if mode == correct:
             continue
         label = states.labels[mode]
@@ -317,4 +265,4 @@ def classify_faults(component: "ComponentSpec") -> FaultClassification:
             transient=label is StateLabel.TRANSIENT,
             reversible=reversible,
         )
-    return FaultClassification(component.id, correct, faults)
+    return FaultClassification(component.id, correct, faults, states)

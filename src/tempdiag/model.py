@@ -14,43 +14,52 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from .errors import (
     CorrectModeMissingError,
-    DimensionMismatchError,
     DuplicateComponentError,
     NonIncreasingInstantsError,
     UnknownManifestationError,
     UnknownModeAtomError,
     ValidationError,
 )
-from .markov import (
-    ModeDistribution,
-    TransitionMatrix,
-    validate_distribution,
-    validate_matrix,
-)
+from .markov import validate_distribution, validate_matrix
 
 if TYPE_CHECKING:  # pragma: no cover
     from .atemporal import ModeAssignment
 
 
-@dataclass(frozen=True)
+def _readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class ComponentSpec:
     """One component: its modes, designated correct mode and transition chain.
 
-    ``initial_distribution`` is optional; when absent, the engine either
-    induces a distribution from the diagnosis candidates at the first
-    observed instant or falls back to a uniform one.
+    ``matrix[i, j]`` is the probability of moving from ``modes[i]`` to
+    ``modes[j]`` in one step; both it and the optional
+    ``initial_distribution`` (one probability per mode) are stored as
+    read-only ``float64`` arrays. Without an initial distribution the engine
+    induces one from the candidates at the first observed instant or falls
+    back to a uniform one.
     """
 
     id: str
     modes: tuple[str, ...]
     correct_mode: str
-    matrix: TransitionMatrix
-    initial_distribution: ModeDistribution | None = None
+    matrix: np.ndarray
+    initial_distribution: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
+        object.__setattr__(self, "matrix", _readonly(self.matrix))
+        if self.initial_distribution is not None:
+            object.__setattr__(self, "initial_distribution",
+                               _readonly(self.initial_distribution))
 
 
 @dataclass(frozen=True)
@@ -129,10 +138,10 @@ def validate_model(model: SystemModel) -> SystemModel:
     violation named does not vary with the string-hash seed.
 
     Checks: unique component ids; per component distinct modes, a declared
-    correct mode, a matrix over exactly the component's modes, and (when
-    given) a proper initial distribution; rule bodies that reference
-    declared components and modes with no component repeated; exclusivity
-    pairs over known rule heads.
+    correct mode, a stochastic matrix with a row and a column per mode, and
+    (when given) a proper initial distribution over the modes; rule bodies
+    that reference declared components and modes with no component
+    repeated; exclusivity pairs over known rule heads.
     """
     seen: set[str] = set()
     for c in model.components:
@@ -147,17 +156,9 @@ def validate_model(model: SystemModel) -> SystemModel:
             raise CorrectModeMissingError(
                 f"component {c.id!r}: correct mode {c.correct_mode!r} "
                 "is not a declared mode", element=c.id)
-        if c.matrix.modes != c.modes:
-            raise DimensionMismatchError(
-                f"component {c.id!r}: matrix modes {c.matrix.modes} differ "
-                f"from declared modes {c.modes}", element=c.id)
-        validate_matrix(c.matrix)
+        validate_matrix(c.modes, c.matrix)
         if c.initial_distribution is not None:
-            if c.initial_distribution.modes != c.modes:
-                raise DimensionMismatchError(
-                    f"component {c.id!r}: initial distribution modes differ "
-                    "from declared modes", element=c.id)
-            validate_distribution(c.initial_distribution)
+            validate_distribution(c.modes, c.initial_distribution)
 
     by_id = {c.id: c for c in model.components}
     heads = model.manifestations

@@ -33,7 +33,6 @@ import numpy as np
 
 from .atemporal import ModeAssignment
 from .errors import ValidationError
-from .markov import ModeDistribution, TransitionMatrix
 from .model import (
     ComponentSpec,
     HornRule,
@@ -133,18 +132,15 @@ def component_from_dict(obj: dict) -> ComponentSpec:
                               element=comp_id)
     entries = [[parse_probability(x, f"{where} matrix") for x in row]
                for row in rows]
-    initial = None
-    if obj.get("initial_distribution") is not None:
-        initial = ModeDistribution(
-            modes, [parse_probability(x, f"{where} initial distribution")
-                    for x in _array(obj["initial_distribution"],
-                                    f"{where}: 'initial_distribution'",
-                                    comp_id)])
+    initial = obj.get("initial_distribution")
+    if initial is not None:
+        initial = [parse_probability(x, f"{where} initial distribution")
+                   for x in _array(initial, f"{where}: 'initial_distribution'",
+                                   comp_id)]
     return ComponentSpec(
         id=comp_id, modes=modes,
         correct_mode=_require(obj, "correct_mode", where),
-        matrix=TransitionMatrix(modes, entries),
-        initial_distribution=initial)
+        matrix=entries, initial_distribution=initial)
 
 
 def model_from_dict(obj: dict) -> SystemModel:

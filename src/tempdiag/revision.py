@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import AllZeroJointsError, ZeroAdmittedMassError
-from .markov import ModeDistribution, propagate_distribution
+from .markov import propagate_distribution
 from .model import SystemModel
 from .temporal import Trellis, forward_paths
 
@@ -57,12 +57,13 @@ def normalization_factor(joints: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class ComponentRevision:
-    """Per-component revision data at one instant."""
+    """Per-component revision data at one instant; the distributions are
+    arrays over the component's declared modes."""
 
-    distribution: ModeDistribution
+    distribution: np.ndarray
     admitted: tuple[str, ...]
     factor: float
-    posterior: ModeDistribution
+    posterior: np.ndarray
     #: (from_mode, to_mode, raw n-step entry, revised score) for each mode
     #: step used by an admissible trellis edge into this instant.
     revised_transitions: tuple[tuple[str, str, float, float], ...]
@@ -117,7 +118,7 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
             # pi0 . P^t, not the previous instant's pi . P^n: the two round
             # differently, and chaining drifts from the definition's floats
             pi_t = propagate_distribution(trellis.initials[c.id], c.matrix, t)
-            probs = pi_t.probabilities.tolist()
+            probs = pi_t.tolist()
             kept = sorted(set(column))  # admitted mode indices
             admitted = tuple(sorted(c.modes[i] for i in kept))
             mass = _total(probs[i] for i in kept)
@@ -128,8 +129,8 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
                     f"{mass!r}, too little to renormalize")
             components[c.id] = ComponentRevision(
                 distribution=pi_t, admitted=admitted, factor=f,
-                posterior=ModeDistribution(pi_t.modes, [
-                    p * f if i in kept else 0.0 for i, p in enumerate(probs)]),
+                posterior=np.array([p * f if i in kept else 0.0
+                                    for i, p in enumerate(probs)]),
                 revised_transitions=tuple(sorted(
                     (c.modes[a], c.modes[b], p, p * f)
                     for (a, b), p in step.items())))

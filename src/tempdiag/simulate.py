@@ -16,7 +16,6 @@ import numpy as np
 
 from .atemporal import ModeAssignment, predicted_manifestations
 from .errors import InstantOutOfRangeError, SearchSpaceError, ValidationError
-from .markov import ModeDistribution
 from .model import Observation, ObservationStream, SystemModel
 
 #: Identifier of the random generator algorithm, recorded in run metadata.
@@ -48,7 +47,7 @@ def _draw(cumulative: list[float], u: float) -> int:
 
 
 def sample_trajectory(model: SystemModel,
-                      initials: Mapping[str, ModeDistribution],
+                      initials: Mapping[str, np.ndarray],
                       horizon: int, seed: int) -> SampledTrajectory:
     """Sample every component's mode sequence for t = 0..horizon.
 
@@ -70,8 +69,8 @@ def sample_trajectory(model: SystemModel,
     rng = np.random.default_rng(seed)
     sequences = {}
     for c in sorted(model.components, key=lambda c: c.id):
-        init_cum = list(np.cumsum(initials[c.id].probabilities))
-        row_cum = [list(row) for row in np.cumsum(c.matrix.entries, axis=1)]
+        init_cum = list(np.cumsum(initials[c.id]))
+        row_cum = [list(row) for row in np.cumsum(c.matrix, axis=1)]
         us = rng.random(horizon + 1)
         state = _draw(init_cum, us[0])
         seq = [state]

@@ -48,11 +48,7 @@ from .errors import (
     NonIncreasingInstantsError,
     ValidationError,
 )
-from .markov import (
-    ModeDistribution,
-    matrix_power,
-    propagate_distribution,
-)
+from .markov import matrix_power, propagate_distribution
 from .model import ObservationStream, SystemModel
 
 
@@ -91,13 +87,14 @@ class Trellis:
     layer k + 1: ``factors[k][i, j, c]`` is component c's n-step entry for
     candidate i to candidate j, ``conditionals[k][i, j]`` the product of
     those entries, and ``admissible[k][i, j]`` the threshold check under
-    the problem's threshold mode.
+    the problem's threshold mode. ``priors[i]`` is candidate i's probability
+    at the first instant under the ``initials`` (an array per component).
     """
 
     instants: tuple[int, ...]
     modes: tuple[np.ndarray, ...]
-    initials: Mapping[str, ModeDistribution]
-    priors: tuple[float, ...]
+    initials: Mapping[str, np.ndarray]
+    priors: np.ndarray
     factors: tuple[np.ndarray, ...]
     conditionals: tuple[np.ndarray, ...]
     admissible: tuple[np.ndarray, ...]
@@ -111,7 +108,7 @@ def relevant_instants(obs: ObservationStream) -> list[int]:
 
 
 def induce_initial_distributions(model: SystemModel, modes: np.ndarray,
-                                 ) -> dict[str, ModeDistribution]:
+                                 ) -> dict[str, np.ndarray]:
     """Turn the candidate set at the first instant, a |L| x C mode-index
     array, into per-component initial distributions over the declared modes.
 
@@ -123,8 +120,7 @@ def induce_initial_distributions(model: SystemModel, modes: np.ndarray,
         raise EmptyCandidateSetError("cannot induce distributions from an "
                                      "empty candidate set")
     weights = np.full(len(modes), 1.0 / len(modes))
-    return {c.id: ModeDistribution(c.modes, np.bincount(
-                modes[:, ci], weights, minlength=len(c.modes)))
+    return {c.id: np.bincount(modes[:, ci], weights, minlength=len(c.modes))
             for ci, c in enumerate(model.components)}
 
 
@@ -132,7 +128,7 @@ def resolve_initial_distributions(
         model: SystemModel,
         first_instant: int | None = None,
         first_candidates: np.ndarray | None = None,
-) -> dict[str, ModeDistribution]:
+) -> dict[str, np.ndarray]:
     """Initial distribution per component, resolved in priority order:
     the component's own declaration, then uniform induction from the
     candidate set (a mode-index array) when the first relevant instant is
@@ -149,15 +145,14 @@ def resolve_initial_distributions(
         elif induced is not None:
             out[c.id] = induced[c.id]
         else:
-            n = len(c.modes)
-            out[c.id] = ModeDistribution(c.modes, [1.0 / n] * n)
+            out[c.id] = np.full(len(c.modes), 1.0 / len(c.modes))
     return out
 
 
 def trellis_from_layers(
         model: SystemModel, instants: Sequence[int],
         modes: Sequence[np.ndarray],
-        initials: Mapping[str, ModeDistribution], sigma: float = 0.0,
+        initials: Mapping[str, np.ndarray], sigma: float = 0.0,
         threshold_mode: ThresholdMode = ThresholdMode.GLOBAL) -> Trellis:
     """The trellis arrays over given candidate layers, each a |L| x C
     mode-index array: priors and, per step, the factors, conditionals and
@@ -170,7 +165,7 @@ def trellis_from_layers(
     priors = np.ones(len(modes[0]))
     for ci, c in enumerate(model.components):
         pi_t = propagate_distribution(initials[c.id], c.matrix, instants[0])
-        priors *= pi_t.probabilities[modes[0][:, ci]]
+        priors *= pi_t[modes[0][:, ci]]
 
     powers: dict[tuple[int, int], np.ndarray] = {}
     factors, conditionals, admissible = [], [], []
@@ -186,7 +181,7 @@ def trellis_from_layers(
         conditional = np.ones(shape)
         for ci, c in enumerate(model.components):
             if (ci, n) not in powers:
-                powers[ci, n] = matrix_power(c.matrix, n).entries
+                powers[ci, n] = matrix_power(c.matrix, n)
             factor[..., ci] = powers[ci, n][modes[k][:, ci, None],
                                             modes[k + 1][None, :, ci]]
             conditional *= factor[..., ci]
@@ -199,7 +194,7 @@ def trellis_from_layers(
         admissible.append(ok)
 
     return Trellis(tuple(instants), tuple(modes),
-                   initials, tuple(priors.tolist()), tuple(factors),
+                   initials, priors, tuple(factors),
                    tuple(conditionals), tuple(admissible))
 
 
@@ -241,7 +236,7 @@ def forward_paths(trellis: Trellis) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     every later layer empty. Only the current layer is kept alive.
     """
     paths = np.arange(len(trellis.modes[0]))[:, None]
-    joints = np.array(trellis.priors)
+    joints = trellis.priors
     yield paths, joints
     for conditional, admissible in zip(trellis.conditionals,
                                        trellis.admissible):
@@ -304,7 +299,7 @@ def ranked_paths(model: SystemModel,
             modes[:, k] = layer[paths[:, k]]
         for k, conditional in enumerate(trellis.conditionals):
             steps[:, k] = conditional[paths[:, k], paths[:, k + 1]]
-        parts.append((instants, modes, np.array(trellis.priors)[paths[:, 0]],
+        parts.append((instants, modes, trellis.priors[paths[:, 0]],
                       steps, joints))
     instants, modes, priors, steps, joints = map(np.concatenate, zip(*parts))
 

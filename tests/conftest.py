@@ -2,15 +2,14 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tempdiag import (
     ComponentSpec,
     DiagnosticProblem,
     HornRule,
-    ModeDistribution,
     SystemModel,
-    TransitionMatrix,
     validate_model,
     validate_stream,
 )
@@ -57,14 +56,14 @@ CONTAINER_MATRIX = [
 def pump() -> ComponentSpec:
     return ComponentSpec(
         id="P", modes=PUMP_MODES, correct_mode="correct",
-        matrix=TransitionMatrix(PUMP_MODES, PUMP_MATRIX))
+        matrix=PUMP_MATRIX)
 
 
 @pytest.fixture
 def container() -> ComponentSpec:
     return ComponentSpec(
         id="C", modes=CONTAINER_MODES, correct_mode="correct",
-        matrix=TransitionMatrix(CONTAINER_MODES, CONTAINER_MATRIX))
+        matrix=CONTAINER_MATRIX)
 
 
 def hydraulic_rules() -> tuple[HornRule, ...]:
@@ -93,7 +92,7 @@ def hydraulic(pump, container) -> SystemModel:
 @pytest.fixture
 def uniform_initials(hydraulic):
     return {
-        c.id: ModeDistribution(c.modes, [1 / len(c.modes)] * len(c.modes))
+        c.id: np.full(len(c.modes), 1 / len(c.modes))
         for c in hydraulic.components
     }
 

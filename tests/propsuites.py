@@ -17,14 +17,12 @@ from tempdiag import (
     ExplanationCriterion,
     HornRule,
     ModeAssignment,
-    ModeDistribution,
     ComponentSpec,
     ObservationStream,
     Observation,
     StateLabel,
     SystemModel,
     ThresholdMode,
-    TransitionMatrix,
     Trellis,
     build_trellis,
     classify_faults,
@@ -65,9 +63,14 @@ from reference import (
 )
 
 
-def random_stochastic(rng: np.random.Generator, n: int) -> TransitionMatrix:
+def mode_names(n: int) -> tuple[str, ...]:
+    """The modes ``m0``, ``m1``, ... of a random chain of ``n`` modes."""
+    return tuple(f"m{i}" for i in range(n))
+
+
+def random_stochastic(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random row-stochastic matrix with a sprinkling of structural zeros
-    and occasional absorbing rows."""
+    and occasional absorbing rows, over ``mode_names(n)``."""
     entries = rng.random((n, n))
     mask = rng.random((n, n)) < 0.35
     entries[mask] = 0.0
@@ -78,8 +81,7 @@ def random_stochastic(rng: np.random.Generator, n: int) -> TransitionMatrix:
             entries[i] = 0.0
             entries[i, i] = 1.0
     entries /= entries.sum(axis=1, keepdims=True)
-    modes = tuple(f"m{i}" for i in range(n))
-    return validate_matrix(TransitionMatrix(modes, entries))
+    return validate_matrix(mode_names(n), entries)
 
 
 def random_model(rng: np.random.Generator, max_components: int = 3,
@@ -89,9 +91,9 @@ def random_model(rng: np.random.Generator, max_components: int = 3,
     components = []
     for i in range(n_comps):
         n_modes = int(rng.integers(2, max_modes + 1))
-        matrix = random_stochastic(rng, n_modes)
         components.append(ComponentSpec(
-            id=f"c{i}", modes=matrix.modes, correct_mode="m0", matrix=matrix))
+            id=f"c{i}", modes=mode_names(n_modes), correct_mode="m0",
+            matrix=random_stochastic(rng, n_modes)))
 
     heads = [f"obs{i}" for i in range(6)]
     rules = []
@@ -147,8 +149,8 @@ def check_chapman_kolmogorov(cases: int, seed: int = 2024) -> None:
         m = random_stochastic(rng, int(rng.integers(1, 7)))
         a = int(rng.integers(0, 17))
         b = int(rng.integers(0, 17))
-        combined = matrix_power(m, a + b).entries
-        split = matrix_power(m, a).entries @ matrix_power(m, b).entries
+        combined = matrix_power(m, a + b)
+        split = matrix_power(m, a) @ matrix_power(m, b)
         assert np.max(np.abs(combined - split)) <= 1e-9
 
 
@@ -158,7 +160,7 @@ def check_power_stochasticity(cases: int, seed: int = 2025) -> None:
     for _ in range(cases):
         m = random_stochastic(rng, int(rng.integers(1, 7)))
         n = int(rng.integers(0, 33))
-        sums = matrix_power(m, n).entries.sum(axis=1)
+        sums = matrix_power(m, n).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-9
 
 
@@ -358,7 +360,7 @@ def check_revision_ranking_and_zeros(cases: int, seed: int = 2031) -> None:
     rng = np.random.default_rng(seed)
     model = SystemModel((ComponentSpec(
         id="c", modes=("m",), correct_mode="m",
-        matrix=TransitionMatrix(("m",), [[1.0]])),), ())
+        matrix=[[1.0]]),), ())
     for _ in range(cases):
         n = int(rng.integers(1, 9))
         joints = rng.random(n)
@@ -370,8 +372,8 @@ def check_revision_ranking_and_zeros(cases: int, seed: int = 2031) -> None:
         _, second = revise_trellis(Trellis(
             instants=(0, 1), modes=(np.zeros((2, 1), int),
                                     np.zeros((n, 1), int)),
-            initials={"c": ModeDistribution(("m",), [1.0])},
-            priors=(1.0, 0.0), factors=(steps[..., None],),
+            initials={"c": np.array([1.0])},
+            priors=np.array([1.0, 0.0]), factors=(steps[..., None],),
             conditionals=(steps,), admissible=(np.ones((2, n), bool),)),
             model)
         assert second.joints == (*joints.tolist(), *[0.0] * n)
@@ -398,7 +400,7 @@ def _renamed_modes(rng: np.random.Generator, model: SystemModel,
         rename.update(((c.id, old), new) for old, new in zip(c.modes, names))
         components.append(ComponentSpec(
             id=c.id, modes=names, correct_mode=rename[c.id, c.correct_mode],
-            matrix=TransitionMatrix(names, c.matrix.entries)))
+            matrix=c.matrix))
     rules = tuple(HornRule(body={(cid, rename[cid, m]) for cid, m in r.body},
                            head=r.head) for r in model.rules)
     return validate_model(SystemModel(tuple(components), rules,
@@ -454,12 +456,13 @@ def _revision_by_definitions(problem: DiagnosticProblem, trellis):
         for c in model.components:
             pi_t = propagate_distribution(trellis.initials[c.id], c.matrix, t)
             admitted = {w.as_dict()[c.id] for w in layers[k]}
-            f = component_mass_factor(pi_t, admitted)
+            f = component_mass_factor(c.modes, pi_t, admitted)
             steps = {(a.as_dict()[c.id], b.as_dict()[c.id], step[c.id])
                      for (*_, a, b), step in zip(edges, factors)}
             components[c.id] = (
-                pi_t, tuple(sorted(admitted)), f,
-                posterior_component_distribution(pi_t, admitted),
+                pi_t.tolist(), tuple(sorted(admitted)), f,
+                posterior_component_distribution(c.modes, pi_t,
+                                                 admitted).tolist(),
                 tuple(sorted((a, b, p, revise_transition(p, f))
                              for a, b, p in steps)))
         expected.append((
@@ -503,7 +506,8 @@ def check_revision_matches_definitions(cases: int, seed: int = 2034) -> None:
             assert list(rev.components) == [c.id for c in model.components]
             for c in model.components:
                 cr = rev.components[c.id]
-                assert (cr.distribution, cr.admitted, cr.factor, cr.posterior,
+                assert (cr.distribution.tolist(), cr.admitted, cr.factor,
+                        cr.posterior.tolist(),
                         cr.revised_transitions) == components[c.id]
                 summed |= len(cr.admitted) > 2 and list(cr.admitted) != [
                     m for m in c.modes if m in cr.admitted]
@@ -608,25 +612,28 @@ def check_classification_partition(cases: int, seed: int = 2032) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(cases):
         m = random_stochastic(rng, int(rng.integers(1, 7)))
-        classification = classify_states(m)
-        assert set(classification.labels) == set(m.modes)
+        modes = mode_names(len(m))
+        classification = classify_states(modes, m)
+        assert set(classification.labels) == set(modes)
         covered = [mode
                    for group in (classification.ergodic_sets +
                                  classification.transient_sets)
                    for mode in group]
-        assert sorted(covered) == sorted(m.modes)
+        assert sorted(covered) == sorted(modes)
 
 
-def random_structured_chain(rng: np.random.Generator) -> TransitionMatrix:
+def random_structured_chain(rng: np.random.Generator,
+                            ) -> tuple[tuple[str, ...], np.ndarray]:
     """Chain of 1-7 modes built from groups: closed periodic cycles, closed
     sparse blocks, absorbing modes and leaky (transient) groups, with rows,
     columns and names shuffled so matrix order is neither group order nor
     name order. Every tenth chain is a plain sparse random matrix. Some
-    self-loops of 1 are lowered by 1e-13 or 5e-10."""
+    self-loops of 1 are lowered by 1e-13 or 5e-10. Returns the mode names
+    and the matrix."""
     n = int(rng.integers(1, 8))
     names = [str(x) for x in rng.permutation(list("qwertyuiopasd"))[:n]]
     if rng.random() < 0.1:
-        entries = random_stochastic(rng, n).entries.copy()
+        entries = random_stochastic(rng, n).copy()
     else:
         entries = np.zeros((n, n))
         order = rng.permutation(n)
@@ -654,7 +661,8 @@ def random_structured_chain(rng: np.random.Generator) -> TransitionMatrix:
     # only within ABSORBING_TOL
     for i in np.flatnonzero(np.diag(entries) == 1.0):
         entries[i, i] -= rng.choice([0.0, 1e-13, 5e-10])
-    return validate_matrix(TransitionMatrix(tuple(names), entries))
+    names = tuple(names)
+    return names, validate_matrix(names, entries)
 
 
 def _bfs_reachable(successors: list[list[int]], start: int) -> set[int]:
@@ -676,8 +684,8 @@ def check_classification_matches_reachability(cases: int,
     order) and every fault flag for each choice of correct mode."""
     rng = np.random.default_rng(seed)
     for _ in range(cases):
-        m = random_structured_chain(rng)
-        rows = m.entries.tolist()
+        modes, m = random_structured_chain(rng)
+        rows = m.tolist()
         n = len(rows)
         successors = [[j for j in range(n) if rows[i][j] > 0.0]
                       for i in range(n)]
@@ -687,7 +695,7 @@ def check_classification_matches_reachability(cases: int,
         expected_labels = {}
         ergodic, transient = [], []
         for cls in classes:
-            members = tuple(m.modes[j] for j in sorted(cls))
+            members = tuple(modes[j] for j in sorted(cls))
             if all(j in cls for i in cls for j in successors[i]):
                 ergodic.append(members)
                 (i, *rest) = cls
@@ -698,15 +706,17 @@ def check_classification_matches_reachability(cases: int,
                 label = StateLabel.TRANSIENT
             expected_labels.update((mode, label) for mode in members)
 
-        states = classify_states(m)
+        states = classify_states(modes, m)
         assert states.labels == expected_labels
         assert states.ergodic_sets == tuple(ergodic)
         assert states.transient_sets == tuple(transient)
-        for c, correct in enumerate(m.modes):
-            faults = classify_faults(ComponentSpec(
-                id="x", modes=m.modes, correct_mode=correct, matrix=m)).faults
-            assert set(faults) == set(m.modes) - {correct}
-            for i, mode in enumerate(m.modes):
+        for c, correct in enumerate(modes):
+            classification = classify_faults(ComponentSpec(
+                id="x", modes=modes, correct_mode=correct, matrix=m))
+            assert classification.states == states
+            faults = classification.faults
+            assert set(faults) == set(modes) - {correct}
+            for i, mode in enumerate(modes):
                 if i == c:
                     continue
                 label = expected_labels[mode]

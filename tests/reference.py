@@ -36,7 +36,6 @@ from tempdiag import (
     Evolutions,
     ExplanationCriterion,
     ModeAssignment,
-    ModeDistribution,
     SampledTrajectory,
     SystemModel,
     ThresholdMode,
@@ -72,7 +71,7 @@ def is_explanation(w: ModeAssignment, obs_present: Iterable[str],
 
 
 def prior_probability(w: ModeAssignment,
-                      initials: Mapping[str, ModeDistribution],
+                      initials: Mapping[str, np.ndarray],
                       model: SystemModel) -> float:
     """Probability of assignment ``w`` at its instant, from the initial
     distributions: the product over components of the assigned mode's mass
@@ -80,7 +79,7 @@ def prior_probability(w: ModeAssignment,
     product = 1.0
     for c in model.components:
         pi_t = propagate_distribution(initials[c.id], c.matrix, w.t)
-        product *= float(pi_t.probabilities[c.modes.index(w.as_dict()[c.id])])
+        product *= float(pi_t[c.modes.index(w.as_dict()[c.id])])
     return product
 
 
@@ -93,7 +92,7 @@ def step_factors(w_prev: ModeAssignment, w_next: ModeAssignment,
             f"step from t={w_prev.t} to t={w_next.t} does not advance time")
     prev, nxt = w_prev.as_dict(), w_next.as_dict()
     return {
-        c.id: float(matrix_power(c.matrix, n).entries[
+        c.id: float(matrix_power(c.matrix, n)[
             c.modes.index(prev[c.id]), c.modes.index(nxt[c.id])])
         for c in model.components
     }
@@ -120,7 +119,7 @@ def admissible_step(w_prev: ModeAssignment, w_next: ModeAssignment,
 
 
 def joint_probability(trajectory: Sequence[ModeAssignment],
-                      initials: Mapping[str, ModeDistribution],
+                      initials: Mapping[str, np.ndarray],
                       model: SystemModel) -> float:
     """Joint probability of a whole evolution, computed by the recursion
     joint(k) = joint(k-1) * P[W(t_k) | W(t_{k-1})]."""
@@ -143,17 +142,17 @@ def revise_global(joints: Sequence[float], conditionals: Sequence[float],
             tuple(c * factor for c in conditionals))
 
 
-def component_mass_factor(pi_t: ModeDistribution,
+def component_mass_factor(modes: Sequence[str], pi_t: np.ndarray,
                           admitted: Iterable[str]) -> float:
     """Per-component normalization: reciprocal of the chain mass the
-    distribution puts on the logically admitted modes."""
+    distribution over ``modes`` puts on the logically admitted modes."""
     admitted = frozenset(admitted)
     if not admitted:
         raise ZeroAdmittedMassError("no admitted modes")
     # summed left to right in declared mode order: set order varies with the
     # string-hash seed, and sum() compensates rounding from Python 3.12 on
     mass = reduce(operator.add, (p for m, p in zip(
-        pi_t.modes, pi_t.probabilities.tolist()) if m in admitted), 0.0)
+        modes, pi_t.tolist()) if m in admitted), 0.0)
     factor = 1.0 / mass if mass > 0.0 else math.inf
     if not math.isfinite(factor):
         raise ZeroAdmittedMassError(f"admitted modes {sorted(admitted)} carry "
@@ -162,17 +161,17 @@ def component_mass_factor(pi_t: ModeDistribution,
     return factor
 
 
-def posterior_component_distribution(pi_t: ModeDistribution,
+def posterior_component_distribution(modes: Sequence[str], pi_t: np.ndarray,
                                      admitted: Iterable[str],
-                                     ) -> ModeDistribution:
-    """Condition a component's distribution on the admitted mode set:
+                                     ) -> np.ndarray:
+    """Condition a component's distribution over ``modes`` on the admitted
+    mode set:
     zero out everything else and renormalize. The result is a proper
     distribution usable as the next propagation input."""
     admitted = frozenset(admitted)
-    f = component_mass_factor(pi_t, admitted)
-    return ModeDistribution(pi_t.modes, np.array([
-        p * f if m in admitted else 0.0
-        for m, p in zip(pi_t.modes, pi_t.probabilities.tolist())]))
+    f = component_mass_factor(modes, pi_t, admitted)
+    return np.array([p * f if m in admitted else 0.0
+                     for m, p in zip(modes, pi_t.tolist())])
 
 
 def revise_transition(p_k: float, f: float) -> float:
@@ -222,10 +221,10 @@ def model_to_dict(model: SystemModel) -> dict:
                 "id": c.id,
                 "modes": list(c.modes),
                 "correct_mode": c.correct_mode,
-                "matrix": [[float(x) for x in row] for row in c.matrix.entries],
+                "matrix": [[float(x) for x in row] for row in c.matrix],
                 "initial_distribution":
                     None if c.initial_distribution is None
-                    else [float(x) for x in c.initial_distribution.probabilities],
+                    else [float(x) for x in c.initial_distribution],
             }
             for c in model.components
         ],

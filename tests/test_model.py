@@ -5,11 +5,9 @@ import pytest
 from tempdiag import (
     ComponentSpec,
     HornRule,
-    ModeDistribution,
     Observation,
     ObservationStream,
     SystemModel,
-    TransitionMatrix,
     validate_model,
     validate_stream,
 )
@@ -17,6 +15,7 @@ from tempdiag.errors import (
     CorrectModeMissingError,
     DimensionMismatchError,
     DuplicateComponentError,
+    NotSquareError,
     RowSumError,
     UnknownManifestationError,
     UnknownModeAtomError,
@@ -58,28 +57,28 @@ def test_missing_correct_mode_rejected(container):
 
 
 def test_matrix_validation_delegated(container):
-    modes = ("a", "b")
     bad = ComponentSpec(
-        id="X", modes=modes, correct_mode="a",
-        matrix=TransitionMatrix(modes, [[0.5, 0.6], [0.5, 0.5]]))
+        id="X", modes=("a", "b"), correct_mode="a",
+        matrix=[[0.5, 0.6], [0.5, 0.5]])
     with pytest.raises(RowSumError):
         validate_model(SystemModel((bad,), ()))
 
 
-def test_matrix_mode_mismatch_rejected(container):
+def test_matrix_shape_mismatch_rejected(container):
     bad = ComponentSpec(
         id="X", modes=("a", "b"), correct_mode="a", matrix=container.matrix)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(NotSquareError):
         validate_model(SystemModel((bad,), ()))
 
 
 def test_initial_distribution_checked(container):
-    bad = ComponentSpec(
-        id="C", modes=container.modes, correct_mode="correct",
-        matrix=container.matrix,
-        initial_distribution=ModeDistribution(container.modes, [0.5, 0.5, 0.5]))
-    with pytest.raises(ValidationError):
-        validate_model(SystemModel((bad,), ()))
+    for initial, error in (([0.5, 0.5, 0.5], ValidationError),
+                           ([0.5, 0.5], DimensionMismatchError)):
+        bad = ComponentSpec(
+            id="C", modes=container.modes, correct_mode="correct",
+            matrix=container.matrix, initial_distribution=initial)
+        with pytest.raises(error):
+            validate_model(SystemModel((bad,), ()))
 
 
 def test_component_repeated_in_body_rejected(pump, container):

@@ -50,13 +50,24 @@ class TestParseProbability:
 class TestRoundTrip:
     def test_model_round_trip(self, hydraulic):
         rebuilt = model_from_dict(model_to_dict(hydraulic))
-        assert rebuilt == hydraulic
+        assert model_to_dict(rebuilt) == model_to_dict(hydraulic)
         assert validate_model(rebuilt) is rebuilt
 
     def test_scenario_files_round_trip(self):
         for name in ("hydraulic", "occlusion_onset", "sudden_stop"):
             model = validate_model(load_model(SCENARIOS / f"{name}_model.json"))
-            assert model_from_dict(model_to_dict(model)) == model
+            assert model_to_dict(model_from_dict(model_to_dict(model))) == \
+                model_to_dict(model)
+
+    def test_loaded_chains_are_readonly(self):
+        # the hydraulic scenario declares initial distributions
+        model = load_model(SCENARIOS / "hydraulic_model.json")
+        for c in model.components:
+            assert c.initial_distribution is not None
+            for chain in (c.matrix, c.initial_distribution):
+                assert chain.dtype == np.float64
+                with pytest.raises(ValueError):
+                    chain[0] = 0.5
 
     def test_stream_round_trip(self):
         stream = load_stream(SCENARIOS / "hydraulic_obs.json")

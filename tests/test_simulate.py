@@ -7,7 +7,6 @@ import pytest
 
 from tempdiag import (
     ExplanationCriterion,
-    ModeDistribution,
     generate_observation_stream,
     sample_trajectory,
     solve_atemporal,
@@ -20,16 +19,14 @@ from reference import assignments, empirical_transition_matrix
 
 def point_initials(model, **modes):
     return {
-        c.id: ModeDistribution(
-            c.modes,
-            [1.0 if m == modes[c.id] else 0.0 for m in c.modes])
+        c.id: np.array([1.0 if m == modes[c.id] else 0.0 for m in c.modes])
         for c in model.components
     }
 
 
 def uniform(model):
     return {
-        c.id: ModeDistribution(c.modes, [1 / len(c.modes)] * len(c.modes))
+        c.id: np.full(len(c.modes), 1 / len(c.modes))
         for c in model.components
     }
 
@@ -56,8 +53,7 @@ class TestSampleTrajectory:
         for c in hydraulic.components:
             seq = traj.modes[c.id]
             for a, b in zip(seq, seq[1:]):
-                assert c.matrix.entries[c.modes.index(a),
-                                        c.modes.index(b)] > 0.0
+                assert c.matrix[c.modes.index(a), c.modes.index(b)] > 0.0
 
     def test_one_step_frequency_matches_matrix(self, hydraulic):
         # container correct -> correct entry is 9/10
@@ -106,7 +102,7 @@ class TestEmpiricalMatrix:
                    for s in range(n_samples)]
         emp = empirical_transition_matrix(samples, container, 2)
         # the container's modes are (punctured, leaking, correct)
-        correct_row = matrix_power(container.matrix, 2).entries[2]
+        correct_row = matrix_power(container.matrix, 2)[2]
         assert emp.frequency("correct", "punctured") == pytest.approx(
             correct_row[0], abs=3 * math.sqrt(0.03 * 0.97 / n_samples))
         for mode, p in zip(container.modes, correct_row.tolist()):

@@ -11,7 +11,6 @@ from tempdiag import (
     DiagnosticProblem,
     ExplanationCriterion,
     ModeAssignment,
-    ModeDistribution,
     Observation,
     ObservationStream,
     SystemModel,
@@ -90,15 +89,14 @@ def induced(model, candidates):
 class TestInduceInitialDistributions:
     def test_uniform_over_three_candidates(self, hydraulic):
         got = induced(hydraulic, w_candidates(0))
-        np.testing.assert_allclose(got["C"].probabilities, [0, 0, 1],
-                                   atol=1e-12)
+        np.testing.assert_allclose(got["C"], [0, 0, 1], atol=1e-12)
         np.testing.assert_allclose(
-            got["P"].probabilities, [0, 1 / 3, 0, 1 / 3, 1 / 3], atol=1e-12)
+            got["P"], [0, 1 / 3, 0, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_single_candidate_gets_point_mass(self, hydraulic):
         got = induced(hydraulic, [assignment(0, P="broken", C="correct")])
-        assert got["P"].probabilities[0] == 1.0      # broken
-        assert got["C"].probabilities[2] == 1.0      # correct
+        assert got["P"][0] == 1.0      # broken
+        assert got["C"][2] == 1.0      # correct
 
     def test_empty_candidate_set_rejected(self, hydraulic):
         with pytest.raises(EmptyCandidateSetError):
@@ -122,8 +120,7 @@ class TestInduceInitialDistributions:
                 expected = [0.0] * len(c.modes)
                 for row in modes.tolist():
                     expected[row[ci]] += 1.0 / size
-                assert got[c.id].modes == c.modes
-                assert got[c.id].probabilities.tolist() == expected
+                assert got[c.id].tolist() == expected
                 counts = np.bincount(modes[:, ci], minlength=len(c.modes))
                 division_differs |= (counts / size).tolist() != expected
         assert division_differs
@@ -142,11 +139,8 @@ class TestPriorProbability:
         assert prior_probability(w, initials, hydraulic) == 0.0
 
     def test_one_step_from_point_initials(self, hydraulic):
-        modes = {c.id: c.modes for c in hydraulic.components}
-        initials = {
-            "P": ModeDistribution(modes["P"], [0, 0, 0, 0, 1]),
-            "C": ModeDistribution(modes["C"], [0, 0, 1]),
-        }
+        initials = {"P": np.array([0, 0, 0, 0, 1.0]),
+                    "C": np.array([0, 0, 1.0])}
         w = assignment(1, P="correct", C="correct")
         assert prior_probability(w, initials, hydraulic) == \
             pytest.approx(81 / 100, abs=1e-12)
@@ -326,7 +320,7 @@ class TestEnumerate:
 
 class TestResolveInitials:
     def test_component_declaration_wins(self, hydraulic, container):
-        point = ModeDistribution(container.modes, [0, 0, 1])
+        point = [0, 0, 1]
         comps = tuple(
             c if c.id != "C" else
             type(c)(id=c.id, modes=c.modes, correct_mode=c.correct_mode,
@@ -336,13 +330,13 @@ class TestResolveInitials:
         got = resolve_initial_distributions(
             model, 0, mode_indices(model, [assignment(0, P="broken",
                                                       C="punctured")]))
-        assert got["C"] == point                      # declared, kept
-        assert got["P"].probabilities[0] == 1.0       # broken, induced
+        assert got["C"] is comps[1].initial_distribution  # declared, kept
+        assert got["P"][0] == 1.0                          # broken, induced
 
     def test_uniform_fallback_without_t0_candidates(self, hydraulic):
         got = resolve_initial_distributions(hydraulic, first_instant=3)
-        np.testing.assert_allclose(got["P"].probabilities, [0.2] * 5)
-        np.testing.assert_allclose(got["C"].probabilities, [1 / 3] * 3)
+        np.testing.assert_allclose(got["P"], [0.2] * 5)
+        np.testing.assert_allclose(got["C"], [1 / 3] * 3)
 
 
 def test_trellis_arrays_equal_per_edge_definitions():
@@ -371,8 +365,8 @@ def test_trellis_arrays_equal_per_edge_definitions():
         if max(len(layer) for layer in layers) > 12:
             continue
 
-        assert trellis.priors == tuple(
-            prior_probability(w, trellis.initials, model) for w in layers[0])
+        assert trellis.priors.tolist() == [
+            prior_probability(w, trellis.initials, model) for w in layers[0]]
         for layer, modes in zip(layers, trellis.modes):
             assert [{c.id: c.modes[m] for c, m in zip(model.components, row)}
                     for row in modes.tolist()] == [w.as_dict() for w in layer]
