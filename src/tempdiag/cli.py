@@ -11,12 +11,14 @@ section writers that ``modelio.write_report`` calls: they fill ``modelio``
 templates, whose one placeholder is ``TEXT``, from the engine's mode-index
 and probability arrays, never as a dict per row. Mode names come from
 per-component tables of JSON text, numbers from ``modelio.texts``, which
-formats each distinct value of an array once. Every number of a report is
-formatted before its first byte is written; the report then goes to
-stdout in bounded writes. Exit codes: 0 success, 1 invalid input (usage
-errors included) or a failed write to stdout, 2 no diagnosis (empty
-candidate set, no admissible evolution, or undefined revision), 3
-internal limits (candidate cap, simulation horizon).
+formats each distinct value of an array once. Each section declares the
+float arrays it prints, and the writer checks them all before the first
+byte of a report is written; a section is formatted only when the
+writer reaches it, and the report goes to stdout in bounded writes.
+Exit codes: 0 success, 1 invalid input (usage errors included) or a
+failed write to stdout, 2 no diagnosis (empty candidate set, no
+admissible evolution, or undefined revision), 3 internal limits
+(candidate cap, simulation horizon).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .modelio import (
     load_trajectories,
     quote,
     rows,
+    section,
     stream_to_list,
     template,
     texts,
@@ -157,9 +160,6 @@ def _evolution_rows(model, evolutions, prior: bool = False):
         ranks = texts(np.arange(1, len(joints) + 1)).tolist()
         heads = (zip(joints, texts(evolutions.priors).tolist(), ranks)
                  if prior else zip(joints, ranks))
-        # the NaN that pads the steps past an evolution's end is never shown
-        steps = texts(np.where(evolutions.instants[:, 1:] >= 0,
-                               evolutions.steps, 0.0))
         # per instant the mode names in component-id order, then t; a time
         # point may be too large for any numpy integer
         times = np.array(list(map(int.__repr__, evolutions.times)),
@@ -169,10 +169,15 @@ def _evolution_rows(model, evolutions, prior: bool = False):
         width = cells.shape[2]
         return (row(n) % (*head, *row_steps[:n - 1], *row_cells[:n * width])
                 for head, row_steps, row_cells, n in zip(
-                    heads, steps.tolist(),
+                    heads, texts(steps).tolist(),
                     cells.reshape(-1, cells.shape[1] * width).tolist(),
                     evolutions.lengths.tolist()))
-    return rows(render)
+
+    # the NaN that pads the steps past an evolution's end is never shown
+    steps = np.where(evolutions.instants[:, 1:] >= 0, evolutions.steps, 0.0)
+    numbers = (evolutions.joints, steps) + ((evolutions.priors,) if prior
+                                            else ())
+    return rows(render, *numbers)
 
 
 def _distribution_dict(modes, probabilities) -> dict:
@@ -285,27 +290,26 @@ def _revision_report(revisions, model, indices) -> list[dict]:
             inner, close = nl + 2 * INDENT, nl + INDENT + "]"
             paths = ("[" + inner + ("," + inner).join(path) + close
                      for path in indices[rev.path_indices].tolist())
-            joints, revised = texts(np.array(
+            joints, revised = texts(np.stack(
                 (rev.joints, rev.revised_joints))).tolist()
             return map(evolution(nl).__mod__, zip(joints, paths, revised))
-        return rows(render)
+        return rows(render, rev.joints, rev.revised_joints)
 
     def revised_conditionals(rev):
         def render(nl):
-            # rows are (source, target, conditional, revised); keys sort
-            # the scores first
-            edges = np.array(rev.revised_conditionals).reshape(-1, 4)
+            # keys sort the scores before the indices
             return map(conditional(nl).__mod__, zip(
-                *texts(edges[:, 2:]).T.tolist(),
-                *indices[edges[:, :2].astype(int)].T.tolist()))
-        return rows(render)
+                *texts(np.stack((rev.conditionals,
+                                 rev.revised_conditionals))).tolist(),
+                indices[rev.sources].tolist(), indices[rev.targets].tolist()))
+        return rows(render, rev.conditionals, rev.revised_conditionals)
 
     modes = {c.id: c.modes for c in model.components}
 
     def components(rev):
         items = sorted(rev.components.items())
 
-        def write(out, nl):
+        def render(nl):
             shape = tuple((comp, modes[comp], len(cr.admitted),
                            len(cr.revised_transitions)) for comp, cr in items)
             # the cells in the template's order: names quoted, numbers as
@@ -319,8 +323,15 @@ def _revision_report(revisions, model, indices) -> list[dict]:
             numbers = np.array([type(cell) is float for cell in cells],
                                dtype=bool)
             cells[numbers] = texts(cells[numbers].astype(float))
-            out.append(blocks(nl, shape) % tuple(cells.tolist()))
-        return write
+            return (blocks(nl, shape) % tuple(cells.tolist()),)
+        return section(render, *(numbers for _, cr in items for numbers in (
+            cr.distribution, cr.posterior, scores(cr))))
+
+    def scores(cr):
+        """A component block's other numbers: the mass factor, and each
+        revised transition's entry and score."""
+        return [cr.factor, *(x for *_, p, r in cr.revised_transitions
+                             for x in (p, r))]
 
     return [{
         "t": rev.t,
@@ -351,7 +362,7 @@ def _trellis_report(trellis, model, indices) -> list[dict]:
                 texts(conditionals).ravel().tolist(), *columns,
                 np.repeat(indices[:n], m).tolist(),
                 np.tile(indices[:m], n).tolist()))
-        return rows(render)
+        return rows(render, factors, conditionals)
 
     return [{"from_t": trellis.instants[k], "to_t": trellis.instants[k + 1],
              "edges": edges(*step)}

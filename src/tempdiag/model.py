@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     CorrectModeMissingError,
     DuplicateComponentError,
+    EmptyStreamError,
     NonIncreasingInstantsError,
     UnknownManifestationError,
     UnknownModeAtomError,
@@ -194,7 +195,10 @@ def validate_model(model: SystemModel) -> SystemModel:
 def validate_stream(stream: ObservationStream,
                     model: SystemModel) -> ObservationStream:
     """Validate an observation stream against a model's manifestations,
-    each entry's atoms in sorted order."""
+    each entry's atoms in sorted order. A stream needs at least one
+    entry."""
+    if not stream.entries:
+        raise EmptyStreamError("observation stream has no entries")
     heads = model.manifestations
     prev_t = None
     for entry in stream.entries:

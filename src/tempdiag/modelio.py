@@ -8,16 +8,17 @@ Reports are written by one canonical writer, ``write_report``, whose text
 equals the stdlib's ``json.dumps(report, indent=2, sort_keys=True,
 allow_nan=False)`` plus a newline (the stdlib encoder has no C path when
 it indents). It works in two phases. First a recursive function walks the
-report into a list of pieces, formatting every number, so that a NaN or
+report into a list of pieces, checking every number, so that a NaN or
 infinity raises before anything is written. Then the pieces go to the
 stream in writes of a bounded size, so that the report text never exists
-whole. Bulk sections are section writers built with ``rows``: each renders
-its rows with one ``%``-template per row shape, which the writer itself
-renders (``template``) and whose one placeholder, ``TEXT``, takes text
-already in JSON form. Their numbers come from ``texts``, which formats
-each distinct value of an array once and refuses NaN and infinities. A
-section of more than one batch of rows keeps its formatted numbers and
-renders the rest of its rows only as they are written.
+whole. Bulk sections are section writers built with ``section`` or
+``rows``: each declares the float arrays it prints, which the first phase
+checks, and is rendered only when the second phase reaches it, so that
+the text of one section at a time is alive. Their rows are filled from
+one ``%``-template per row shape, which the writer itself renders
+(``template``) and whose one placeholder, ``TEXT``, takes text already in
+JSON form. Their numbers come from ``texts``, which formats each distinct
+value of an array once and refuses NaN and infinities.
 """
 
 from __future__ import annotations
@@ -245,9 +246,8 @@ def load_trajectories(path: str | Path) -> list[tuple[ModeAssignment, ...]]:
 quote = json.encoder.encode_basestring_ascii
 #: One level of indentation in report text.
 INDENT = "  "
-#: Characters from which a batch of report text is written: the rows of a
-#: bulk section are rendered in batches of this size, and a section whose
-#: first batch holds all its rows is rendered before anything is written.
+#: Characters from which a batch of report text is written; the rows of a
+#: bulk section are joined in batches of this size.
 _CHUNK = 1 << 18
 #: Size from which ``texts`` formats only the distinct values: for fewer
 #: elements finding them (a sort) costs more than formatting every one.
@@ -261,19 +261,20 @@ def write_report(report: Any, stream: TextIO) -> None:
     ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\\n"``
     for every report of JSON types with string keys.
 
-    A value may also be a section writer, such as ``rows`` returns: a
-    function of ``(out, nl)`` that appends its own text to ``out``, ``nl``
-    being the newline and indentation before its closing bracket. It may
-    append an iterator of texts in place of a text; their numbers must
-    already be formatted.
+    A value may also be a section writer, such as ``section`` and ``rows``
+    return: a function of ``(out, nl)`` that appends its own text to
+    ``out``, ``nl`` being the newline and indentation before its closing
+    bracket. It may append an iterator of texts in place of a text, which
+    runs only when the writer reaches it.
 
-    The report is prepared whole, every number formatted, before its first
+    The report is prepared whole, every number checked, before its first
     character is written; then it goes out in writes of ``_CHUNK``
     characters and at most one piece more, never all at once.
 
     Raises:
-        ValueError: the report holds a NaN or infinite float; nothing of
-            the report has been written.
+        ValueError: the report, or an array a section writer declares,
+            holds a NaN or infinite float; nothing of the report has been
+            written.
     """
     pieces: list[str | Iterator[str]] = []
     _write(report, pieces, "\n")
@@ -342,9 +343,7 @@ def texts(values: Any) -> np.ndarray:
     values = np.asarray(values)
     flat = np.ravel(values)  # 1-D, so the inverse is 1-D on every numpy
     if values.dtype.kind == "f":
-        if not np.isfinite(flat).all():
-            raise ValueError("Out of range float values are not JSON "
-                             "compliant")
+        _check_finite(flat)
         flat = flat.astype(np.float64, copy=False)
         form, keys = float.__repr__, flat.view(np.int64)
     else:
@@ -374,27 +373,52 @@ def template(shape: Any, nl: str) -> str:
     return "".join(out).replace("%", "%%").replace("\0", "%")
 
 
-def rows(render: Callable[[str], Iterable[str]],
-         ) -> Callable[[list, str], None]:
-    """A section writer for a JSON array of items rendered in bulk:
-    ``render(nl)`` formats every number of the section, then returns an
-    iterable of the text of each item, whose closing bracket follows
-    ``nl``. The items are rendered in batches of ``_CHUNK`` characters; a
-    section of more than one batch is left to render the rest as it is
+def _check_finite(values: Any) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+
+
+def section(render: Callable[[str], Iterable[str]], *numbers: Any,
+            ) -> Callable[[list, str], None]:
+    """A section writer whose text is rendered only when the writer
+    reaches it: ``render(nl)`` returns the texts of the section, whose
+    closing bracket follows ``nl``. ``numbers`` are the float arrays the
+    section prints; the writer checks them while it prepares the report,
+    so that a NaN or infinity among them raises before anything is
+    written, and the section's formatted numbers live only while it is
     written."""
     def write(out: list, nl: str) -> None:
+        for values in numbers:
+            _check_finite(values)
+        out.append(_rendered(render, nl))
+    return write
+
+
+def _rendered(render: Callable[[str], Iterable[str]], nl: str,
+              ) -> Iterator[str]:
+    """The texts of ``render(nl)``, called when the first is asked for."""
+    yield from render(nl)
+
+
+def rows(render: Callable[[str], Iterable[str]], *numbers: Any,
+         ) -> Callable[[list, str], None]:
+    """A ``section`` that is a JSON array of items rendered in bulk:
+    ``render(nl)`` returns an iterable of the text of each item, whose
+    closing bracket follows ``nl``, and ``numbers`` are the float arrays
+    the items print. The items are joined in batches of ``_CHUNK``
+    characters."""
+    def bracketed(nl: str) -> Iterator[str]:
         inner = nl + INDENT
         sep = "," + inner
         batches = _batches(render(inner), sep)
         first = next(batches)
         if not first:
-            out.append("[]")
-        elif len(first) < _CHUNK:  # the only batch
-            out.append("[" + inner + first + nl + "]")
-        else:
-            out += ["[" + inner + first,
-                    (sep + text for text in batches if text), nl + "]"]
-    return write
+            yield "[]"
+            return
+        yield "[" + inner + first
+        yield from (sep + text for text in batches if text)
+        yield nl + "]"
+    return section(bracketed, *numbers)
 
 
 def _batches(items: Iterable[str], sep: str) -> Iterator[str]:

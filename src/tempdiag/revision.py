@@ -71,17 +71,23 @@ class ComponentRevision:
 
 @dataclass(frozen=True)
 class InstantRevision:
-    """Revision of everything the trellis knows at one instant."""
+    """Revision of everything the trellis knows at one instant, as arrays:
+    the joints over the forward pass's paths ending here, the scores over
+    the admissible edges into here (none at the first instant)."""
 
     t: int
     factor: float
     #: the forward pass's |P| x (k + 1) array of candidate-index paths
     path_indices: np.ndarray
-    joints: tuple[float, ...]
-    revised_joints: tuple[float, ...]
-    #: (source index, target index, raw conditional, revised score) for each
-    #: admissible edge into this instant; empty at the first instant.
-    revised_conditionals: tuple[tuple[int, int, float, float], ...]
+    joints: np.ndarray
+    revised_joints: np.ndarray
+    #: source and target candidate indices of each admissible edge, in
+    #: row-major order
+    sources: np.ndarray
+    targets: np.ndarray
+    #: each admissible edge's raw conditional and revised score
+    conditionals: np.ndarray
+    revised_conditionals: np.ndarray
     components: Mapping[str, ComponentRevision]
 
 
@@ -96,49 +102,55 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
     looked up only for ``admitted`` and ``revised_transitions``.
     """
     revisions = []
+    width = len(model.components)
     for k, (t, modes, (paths, joints)) in enumerate(zip(
             trellis.instants, trellis.modes, forward_paths(trellis))):
-        joints = tuple(joints.tolist())
         factor = normalization_factor(joints)
-        # (sources, targets, conditionals) of the admissible edges into k
-        edges, steps = ((), (), ()), [{}] * len(model.components)
-        if k > 0:
+        # the admissible edges into k, and per edge and component the mode
+        # step taken and its n-step entry
+        if k:
             sources, targets = np.nonzero(trellis.admissible[k - 1])
-            edges = (sources.tolist(), targets.tolist(),
-                     trellis.conditionals[k - 1][sources, targets].tolist())
-            # every edge taking one component's mode step carries the same
-            # n-step entry, so one entry per step speaks for all of them
-            steps = [dict(zip(zip(a, b), entries)) for a, b, entries in zip(
-                trellis.modes[k - 1][sources].T.tolist(),
-                modes[targets].T.tolist(),
-                trellis.factors[k - 1][sources, targets].T.tolist())]
+            conditionals = trellis.conditionals[k - 1][sources, targets]
+            before, after = trellis.modes[k - 1][sources], modes[targets]
+            entries = trellis.factors[k - 1][sources, targets]
+        else:
+            sources = targets = np.zeros(0, dtype=np.intp)
+            conditionals = np.zeros(0)
+            before = after = np.zeros((0, width), dtype=np.intp)
+            entries = np.zeros((0, width))
 
         components = {}
-        for c, column, step in zip(model.components, modes.T.tolist(), steps):
+        for ci, c in enumerate(model.components):
+            n = len(c.modes)
             # pi0 . P^t, not the previous instant's pi . P^n: the two round
             # differently, and chaining drifts from the definition's floats
             pi_t = propagate_distribution(trellis.initials[c.id], c.matrix, t)
-            probs = pi_t.tolist()
-            kept = sorted(set(column))  # admitted mode indices
-            admitted = tuple(sorted(c.modes[i] for i in kept))
-            mass = _total(probs[i] for i in kept)
+            kept = np.flatnonzero(np.bincount(modes[:, ci], minlength=n))
+            admitted = tuple(sorted(c.modes[i] for i in kept.tolist()))
+            mass = _total(pi_t[kept].tolist())
             f = 1.0 / mass if mass > 0.0 else math.inf
             if not math.isfinite(f):
                 raise ZeroAdmittedMassError(
                     f"admitted modes {list(admitted)} carry probability "
                     f"{mass!r}, too little to renormalize")
+            posterior = np.zeros(n)
+            posterior[kept] = pi_t[kept] * f
+            # each mode step as from * n + to; every edge taking one step
+            # carries the same n-step entry
+            step = before[:, ci] * n + after[:, ci]
+            entry = np.zeros(n * n)
+            entry[step] = entries[:, ci]
+            taken = np.flatnonzero(np.bincount(step, minlength=n * n))
             components[c.id] = ComponentRevision(
                 distribution=pi_t, admitted=admitted, factor=f,
-                posterior=np.array([p * f if i in kept else 0.0
-                                    for i, p in enumerate(probs)]),
-                revised_transitions=tuple(sorted(
-                    (c.modes[a], c.modes[b], p, p * f)
-                    for (a, b), p in step.items())))
+                posterior=posterior, revised_transitions=tuple(sorted(
+                    (c.modes[s // n], c.modes[s % n], p, p * f)
+                    for s, p in zip(taken.tolist(), entry[taken].tolist()))))
 
         revisions.append(InstantRevision(
             t=t, factor=factor, path_indices=paths, joints=joints,
-            revised_joints=tuple(j * factor for j in joints),
-            revised_conditionals=tuple(zip(
-                *edges, (p * factor for p in edges[2]))),
+            revised_joints=joints * factor, sources=sources, targets=targets,
+            conditionals=conditionals,
+            revised_conditionals=conditionals * factor,
             components=components))
     return tuple(revisions)

@@ -376,9 +376,9 @@ def check_revision_ranking_and_zeros(cases: int, seed: int = 2031) -> None:
             priors=np.array([1.0, 0.0]), factors=(steps[..., None],),
             conditionals=(steps,), admissible=(np.ones((2, n), bool),)),
             model)
-        assert second.joints == (*joints.tolist(), *[0.0] * n)
+        assert second.joints.tolist() == [*joints.tolist(), *[0.0] * n]
         revised_joints = second.revised_joints[:n]
-        revised_conditionals = [r for *_, r in second.revised_conditionals[n:]]
+        revised_conditionals = second.revised_conditionals[n:]
 
         assert abs(sum(revised_joints) - 1.0) <= 1e-12
         assert list(np.argsort(-joints, kind="stable")) == \
@@ -498,11 +498,14 @@ def check_revision_matches_definitions(cases: int, seed: int = 2034) -> None:
         assert isinstance(expected, list) and len(actual) == len(expected)
         for rev, (t, paths, joints, factor, revised_joints,
                   revised_conditionals, components) in zip(actual, expected):
-            assert (rev.t, rev.path_indices.tolist(), rev.joints) == (
-                t, paths, joints)
+            assert (rev.t, rev.path_indices.tolist(), rev.joints.tolist()) == (
+                t, paths, list(joints))
             assert rev.factor == factor
-            assert rev.revised_joints == revised_joints
-            assert rev.revised_conditionals == revised_conditionals
+            assert tuple(rev.revised_joints.tolist()) == revised_joints
+            assert tuple(zip(rev.sources.tolist(), rev.targets.tolist(),
+                             rev.conditionals.tolist(),
+                             rev.revised_conditionals.tolist())
+                         ) == revised_conditionals
             assert list(rev.components) == [c.id for c in model.components]
             for c in model.components:
                 cr = rev.components[c.id]

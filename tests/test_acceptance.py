@@ -136,14 +136,14 @@ def test_criterion_4_revision(occlusion_problem):
         _, second = revise_trellis(trellis, occlusion_problem.model)
 
         assert second.factor == pytest.approx(50 / 21, abs=1e-12)
-        revised = sorted(r for *_, r in second.revised_conditionals)
+        revised = sorted(second.revised_conditionals.tolist())
         assert revised[0] == pytest.approx(0.0, abs=1e-12)
         assert revised[1] == pytest.approx(6 / 7, abs=1e-12)
         assert revised[2] == pytest.approx(15 / 7, abs=1e-12)
 
         # each edge's raw conditional beside its revised score
         np.testing.assert_allclose(
-            sorted((p, r) for *_, p, r in second.revised_conditionals),
+            sorted(zip(second.conditionals, second.revised_conditionals)),
             [(0, 0), (9 / 25, 6 / 7), (9 / 10, 15 / 7)], atol=1e-12)
 
         f_c = second.components["C"].factor

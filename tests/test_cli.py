@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -136,6 +137,19 @@ class TestValidate:
         assert code == 1
         error = json.loads(out)["error"]
         assert (error["code"], error["element"]) == ("invalid_input", "X")
+
+    @pytest.mark.parametrize("command", ["validate", "diagnose"])
+    def test_empty_stream_exits_1(self, capsys, tmp_path, command):
+        """``validate`` and ``diagnose`` agree that a stream of no entries
+        is invalid input, and both name its file."""
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        code, out, err = run(capsys, command, HYDRAULIC, str(empty))
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "empty_stream", "element": None, "file": str(empty),
+            "message": "observation stream has no entries"}
+        assert "empty_stream" in err
 
     def test_missing_file_exits_1(self, capsys):
         code, out, _ = run(capsys, "validate", "/no/such/file.json")
@@ -852,37 +866,48 @@ class TestCanonicalWriter:
     @pytest.mark.parametrize("where", [
         "conditional", "factor", "last_conditional", "joint",
         "step_conditional", "last_row", "revision_joint",
-        "revision_last_joint"])
+        "revision_last_joint", "revision_conditional",
+        "revision_last_revised", "distribution", "posterior",
+        "mass_factor", "transition", "priors", "rank_prior"])
     def test_non_finite_raises_before_writing(self, capsys, monkeypatch,
                                               tmp_path, where, value):
-        """A NaN or infinite number anywhere in the bulk sections raises
-        ValueError, and nothing reaches stdout: in the first or the last
-        trellis step, the first or the last diagnosis (the last number it
-        prints), the first or the last joint of the last revised instant.
-        Trellis values go on an inadmissible edge, which no evolution or
-        revision reads. Sections are rendered whole and, with a batch of
-        one row, each a row at a time as it is written."""
-        build, enumerate_, revise = (tempdiag.cli.build_trellis,
-                                     tempdiag.cli.enumerate_evolutions,
-                                     tempdiag.cli.revise_trellis)
+        """A NaN or infinite number anywhere in a report raises ValueError,
+        and nothing reaches stdout: in the first or the last trellis step,
+        the first or the last diagnosis (the last number it prints), the
+        first or the last joint of the last revised instant, its first raw
+        or last revised conditional, the last component block's
+        distribution, posterior, mass factor or revised transition score,
+        the priors, or the prior of a ranked trajectory. The engine reads
+        the clean trellis; the poisoned one is only printed, and trellis
+        values go on an inadmissible edge. With a batch of one row, every
+        section is written a row at a time."""
+        build, enumerate_, revise, rank = (tempdiag.cli.build_trellis,
+                                           tempdiag.cli.enumerate_evolutions,
+                                           tempdiag.cli.revise_trellis,
+                                           tempdiag.cli.rank_evolutions)
+        clean = []
 
         def poisoned_trellis(problem):
             trellis = build(problem)
+            clean.append(trellis)
             k = -1 if where == "last_conditional" else 0
             conditionals = list(trellis.conditionals)
             factors = list(trellis.factors)
             conditionals[k] = conditionals[k].copy()
             factors[k] = factors[k].copy()
+            priors = trellis.priors.copy()
             i, j = np.argwhere(~trellis.admissible[k])[0]
             if where in ("conditional", "last_conditional"):
                 conditionals[k][i, j] = value
             elif where == "factor":
                 factors[k][i, j, -1] = value
+            elif where == "priors":
+                priors[-1] = value
             return replace(trellis, factors=tuple(factors),
-                           conditionals=tuple(conditionals))
+                           conditionals=tuple(conditionals), priors=priors)
 
         def poisoned_evolutions(problem, trellis):
-            evolutions = enumerate_(problem, trellis)
+            evolutions = enumerate_(problem, clean[-1])
             joints, steps = evolutions.joints.copy(), evolutions.steps.copy()
             if where == "joint":
                 joints[0] = value
@@ -892,24 +917,62 @@ class TestCanonicalWriter:
                 steps[-1, evolutions.lengths[-1] - 2] = value
             return replace(evolutions, joints=joints, steps=steps)
 
+        def poisoned_component(cr):
+            distribution = cr.distribution.copy()
+            posterior = cr.posterior.copy()
+            factor, transitions = cr.factor, cr.revised_transitions
+            if where == "distribution":
+                distribution[0] = value
+            elif where == "posterior":
+                posterior[-1] = value
+            elif where == "mass_factor":
+                factor = value
+            elif where == "transition":
+                (a, b, p, _), *rest = transitions
+                transitions = ((a, b, p, value), *rest)
+            return replace(cr, distribution=distribution, posterior=posterior,
+                           factor=factor, revised_transitions=transitions)
+
         def poisoned_revisions(trellis, model):
-            *rest, last = revise(trellis, model)
+            *rest, last = revise(clean[-1], model)
+            joints, conditionals, revised = (last.joints.copy(),
+                                             last.conditionals.copy(),
+                                             last.revised_conditionals.copy())
             if where == "revision_joint":
-                last = replace(last, joints=(value, *last.joints[1:]))
+                joints[0] = value
             elif where == "revision_last_joint":
-                last = replace(last, joints=(*last.joints[:-1], value))
-            return (*rest, last)
+                joints[-1] = value
+            elif where == "revision_conditional":
+                conditionals[0] = value
+            elif where == "revision_last_revised":
+                revised[-1] = value
+            components = dict(last.components)
+            comp = max(components)  # its block is printed last
+            components[comp] = poisoned_component(components[comp])
+            return (*rest, replace(
+                last, joints=joints, conditionals=conditionals,
+                revised_conditionals=revised, components=components))
+
+        def poisoned_rank(model, trajectories):
+            ranked = rank(model, trajectories)
+            priors = ranked.priors.copy()
+            priors[-1] = value
+            return replace(ranked, priors=priors)
 
         monkeypatch.setattr(tempdiag.cli, "build_trellis", poisoned_trellis)
         monkeypatch.setattr(tempdiag.cli, "enumerate_evolutions",
                             poisoned_evolutions)
         monkeypatch.setattr(tempdiag.cli, "revise_trellis", poisoned_revisions)
+        monkeypatch.setattr(tempdiag.cli, "rank_evolutions", poisoned_rank)
         # three instants: two trellis steps, each with inadmissible edges;
         # three diagnoses; three revised instants of three paths each
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps([{"t": t, "present": ["delivery_stopped"]}
                                    for t in (0, 2, 4)]))
         argv = ["diagnose", SUDDEN, str(obs), "--sigma", "0.01", "--revise"]
+        if where == "rank_prior":
+            argv = ["rank", SUDDEN, str(ROOT / "bench" / "desk" /
+                                        "sudden_stop_trajectories.json")]
         for chunk in (tempdiag.modelio._CHUNK, 1):
             monkeypatch.setattr(tempdiag.modelio, "_CHUNK", chunk)
             with pytest.raises(ValueError):
@@ -960,6 +1023,47 @@ class TestCanonicalWriter:
                 "error [write_failed]: No space left on device"]
             assert "Exception" not in done.stderr
             assert "Traceback" not in done.stderr
+
+    def test_writer_memory_bounded(self, monkeypatch, tmp_path):
+        """A dense diagnose --revise (4 components x 3 modes, consistency,
+        4 instants, 81 candidates per instant) writes a report of over
+        8 MB while holding less than 4 MB more than it held before the
+        writer started: each section's text lives only while it is
+        written."""
+        out = tmp_path / "dense"
+        subprocess.run([sys.executable, "bench/gen.py", "--workload",
+                        "dense", "--seed", "7", "--out", str(out)],
+                       cwd=ROOT, check=True, capture_output=True)
+        argv = json.loads((out / "cases.json").read_text())[0]["argv"]
+        held, write = {}, tempdiag.cli.write_report
+
+        def measured(report, stream):
+            held["before"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write(report, stream)
+            held["peak"] = tracemalloc.get_traced_memory()[1]
+
+        class Count:
+            """A stdout that keeps only the number of characters."""
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        stdout = Count()
+        monkeypatch.setattr(tempdiag.cli, "write_report", measured)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+        finally:
+            tracemalloc.stop()
+        assert stdout.size >= 8_000_000
+        assert held["peak"] - held["before"] < 4_000_000
 
     def test_bench_workload_shapes(self, capsys, monkeypatch, tmp_path):
         """The dense and long workloads of bench/gen.py at seed 7: a dense

@@ -187,16 +187,39 @@ class TestCanonicalReports:
         assert len(stream.writes) > 1
         assert max(map(len, stream.writes)) <= 2 * chunk + 80
 
+    def test_sections_render_when_reached(self, monkeypatch):
+        """A section renders when the writer reaches it, after the text
+        before it is written, and not at all if a number some section
+        declares is not finite."""
+        monkeypatch.setattr(modelio, "_CHUNK", 1)
+        stream, rendered = WriteRecorder(), []
+
+        def render(nl):
+            rendered.append(len(stream.writes))
+            return ["0.5"]
+
+        report = {"a": [1.5], "b": modelio.rows(render, np.array([0.5])),
+                  "c": modelio.section(render, 0.5)}
+        write_report(report, stream)
+        assert stream.getvalue() == json.dumps(
+            {"a": [1.5], "b": [0.5], "c": 0.5}, indent=2) + "\n"
+        assert 0 < rendered[0] < rendered[1] < len(stream.writes)
+        rendered.clear()
+        report["d"] = modelio.section(render, [0.5, np.nan])
+        with pytest.raises(ValueError):
+            write_report(report, WriteRecorder())
+        assert rendered == []
+
     def test_later_section_raises_before_writing(self, monkeypatch):
-        """A row section left to render as it is written has formatted its
-        numbers already, and a non-finite number in a section after it
-        still raises before anything is written."""
+        """A row section is rendered only as it is written, and a
+        non-finite number that a section after it declares still raises
+        before anything is written."""
         monkeypatch.setattr(modelio, "_CHUNK", 64)
         finite = np.arange(1000.0)
         infinite = np.append(finite, np.inf)
 
         def section(numbers):
-            return modelio.rows(lambda nl: texts(numbers).tolist())
+            return modelio.rows(lambda nl: texts(numbers).tolist(), numbers)
 
         stream = WriteRecorder()
         with pytest.raises(ValueError):

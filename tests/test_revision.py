@@ -63,7 +63,7 @@ class TestReviseGlobal:
         _, second = revise_trellis(trellis, occlusion_problem.model)
         # (raw, revised) per edge and per path
         np.testing.assert_allclose(
-            sorted((p, r) for *_, p, r in second.revised_conditionals),
+            sorted(zip(second.conditionals, second.revised_conditionals)),
             [(0, 0), (9 / 25, 6 / 7), (9 / 10, 15 / 7)], atol=1e-12)
         np.testing.assert_allclose(
             sorted(zip(second.joints, second.revised_joints)),
@@ -73,8 +73,8 @@ class TestReviseGlobal:
     def test_single_candidate_becomes_certain(self, sudden_stop_problem):
         trellis = build_trellis(sudden_stop_problem)
         *_, last = revise_trellis(trellis, sudden_stop_problem.model)
-        assert last.joints == (pytest.approx(9 / 500, abs=1e-12),)
-        assert last.revised_joints == (pytest.approx(1.0, abs=1e-12),)
+        assert last.joints.tolist() == [pytest.approx(9 / 500, abs=1e-12)]
+        assert last.revised_joints.tolist() == [pytest.approx(1.0, abs=1e-12)]
 
 
 class TestComponentMassFactor:
@@ -200,7 +200,7 @@ class TestReviseTrellis:
         assert second.factor == pytest.approx(50 / 21, abs=1e-12)
         assert sum(second.revised_joints) == pytest.approx(1.0, abs=1e-12)
 
-        revised = sorted(r for *_, r in second.revised_conditionals)
+        revised = sorted(second.revised_conditionals)
         np.testing.assert_allclose(revised, [0, 6 / 7, 15 / 7], atol=1e-12)
 
         pump_rev = second.components["P"]
@@ -222,9 +222,8 @@ class TestReviseTrellis:
     def test_ranking_preserved(self, occlusion_problem):
         trellis = build_trellis(occlusion_problem)
         _, second = revise_trellis(trellis, occlusion_problem.model)
-        raw_order = np.argsort(-np.array(second.joints), kind="stable")
-        revised_order = np.argsort(-np.array(second.revised_joints),
-                                   kind="stable")
+        raw_order = np.argsort(-second.joints, kind="stable")
+        revised_order = np.argsort(-second.revised_joints, kind="stable")
         assert list(raw_order) == list(revised_order)
         for raw, revised in zip(second.joints, second.revised_joints):
             assert (raw == 0.0) == (revised == 0.0)
@@ -261,7 +260,7 @@ def test_single_trajectory_per_component_matches_global():
             conditionals=(np.array([[conditional]]),),
             admissible=(np.array([[True]]),))
         _, second = revise_trellis(trellis, model)
-        globally_revised = second.revised_conditionals[0][3]
+        (globally_revised,) = second.revised_conditionals
         product = math.prod(
             cr.revised_transitions[0][3] for cr in second.components.values())
         assert abs(product - globally_revised) <= 1e-12
