@@ -15,6 +15,9 @@ formats each distinct value of an array once. Each section declares the
 float arrays it prints, and the writer checks them all before the first
 byte of a report is written; a section is formatted only when the
 writer reaches it, and the report goes to stdout in bounded writes.
+Consecutive trellis steps and revised instants are formatted together,
+up to ``_SPAN`` numbers, and a candidate set, step or instant with few
+cells is written as one text.
 Exit codes: 0 success, 1 invalid input (usage errors included) or a
 failed write to stdout, 2 no diagnosis (empty candidate set, no
 admissible evolution, or undefined revision), 3 internal limits
@@ -26,15 +29,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import cache, partial
-from typing import Sequence
+from functools import cache
+from itertools import chain, islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
 from .atemporal import DEFAULT_CANDIDATE_CAP, ExplanationCriterion
 from .errors import DiagnosisError, ValidationError
-from .markov import classify_faults, propagate_distribution
+from .markov import classify_faults, matrix_powers
 from .model import validate_model, validate_stream, validate_trajectories
 from .modelio import (
     INDENT,
@@ -72,6 +76,12 @@ _THRESHOLD_MODES = {
 #: Input file arguments a report lists under ``files`` when given.
 _FILES = ("model", "observations", "trajectories")
 _JSON_BOOLS = ("false", "true")
+#: Numbers the trellis and revision sections format at once: a call of
+#: ``modelio.texts`` costs microseconds, so short steps and instants are
+#: formatted together, and a long one alone. Also the cells from which a
+#: candidate set, step or instant streams its rows instead of being
+#: written as one text.
+_SPAN = 4096
 
 
 def _parse_instants(text: str) -> list[int]:
@@ -120,22 +130,107 @@ def _quoted(model, modes) -> np.ndarray:
     return out
 
 
-def _candidates_report(trellis, model) -> list[dict]:
+def _spans(counts) -> list[tuple[int, int]]:
+    """Runs ``(a, b)`` of consecutive items, item k printing ``counts[k]``
+    numbers: each run prints at most ``_SPAN`` numbers, or is one item
+    printing more."""
+    spans, a, total = [], 0, 0
+    for k, count in enumerate(counts):
+        if k > a and total + count > _SPAN:
+            spans.append((a, k))
+            a, total = k, 0
+        total += count
+    return spans + [(a, len(counts))] if len(counts) else spans
+
+
+def _joined(arrays, spans) -> list[np.ndarray]:
+    """Per span, the 1-D arrays of its items as one; an item alone keeps
+    its own array, so that a large one is never copied."""
+    return [arrays[a] if b - a == 1 else np.concatenate(arrays[a:b])
+            for a, b in spans]
+
+
+def _cut(values: list, counts) -> list[list]:
+    """``values`` cut into consecutive runs of the lengths ``counts``."""
+    ends = np.cumsum(counts).tolist()
+    return [values[end - count:end] for count, end in zip(counts, ends)]
+
+
+def _per_item(spans, render):
+    """Per item, its text or an iterator of its texts; ``render(span, a,
+    b)`` returns those of the items ``a`` to ``b``, span number ``span``.
+    A span is formatted when its first item is asked for, and its texts go
+    with its last item."""
+    for span, (a, b) in enumerate(spans):
+        items = render(span, a, b)[::-1]
+        while items:
+            yield items.pop()
+
+
+def _array(item: str, nl: str, cells) -> Iterator[str]:
+    """The texts of a JSON array, closing after ``nl``, whose items fill the
+    template ``item`` from the tuples ``cells``."""
+    inner = nl + INDENT
+    first = next(cells, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[" + inner + item % first
+    yield from map(("," + inner + item).__mod__, cells)
+    yield nl + "]"
+
+
+def _filled(frame: str, nl: str, parts: list, whole: bool,
+            ) -> Iterator[str]:
+    """The texts of ``frame`` filled from ``parts``, each a list of cells
+    or a tuple ``(item, count, rows)``: a JSON array, closing after
+    ``nl``, of ``count`` items filling the template ``item`` from the
+    tuples ``rows``. If ``whole``, the text is one; else each array
+    streams its rows, and the frame is cut where its cells go: the writer
+    escapes every control character it is given, so a NUL is only such a
+    cut."""
+    cells, arrays = [], []
+    for part in parts:
+        if type(part) is not tuple:
+            cells += part
+        elif whole:
+            item, count, rows = part
+            inner = nl + INDENT
+            cells.append(("[" + inner + ("," + inner).join([item] * count)
+                          + nl + "]" if count else "[]")
+                         % tuple(chain.from_iterable(rows)))
+        else:
+            cells.append("\0")
+            arrays.append(part)
+    if whole:
+        yield frame % tuple(cells)
+        return
+    first, *rest = (frame % tuple(cells)).split("\0")
+    yield first
+    for (item, _, rows), text in zip(arrays, rest):
+        yield from _array(item, nl, rows)
+        yield text
+
+
+def _candidates_report(trellis, model):
     """``candidates``: per instant one object per row of its mode-index
     array. The names of all instants are looked up at once, and one
     template renders every row of the run."""
-    assignment = cache(partial(template, dict.fromkeys(sorted(
-        c.id for c in model.components), TEXT)))
-
-    def assignments(names):
-        def render(nl):
-            return map(assignment(nl).__mod__, map(tuple, names.tolist()))
-        return rows(render)
-
-    ends = np.cumsum([len(modes) for modes in trellis.modes])
-    layers = np.split(_quoted(model, np.concatenate(trellis.modes)), ends[:-1])
-    return [{"t": t, "assignments": assignments(names)}
-            for t, names in zip(trellis.instants, layers)]
+    def render(nl):
+        item = nl + INDENT
+        key = item + INDENT
+        assignment = template(dict.fromkeys(sorted(
+            c.id for c in model.components), TEXT), key + INDENT)
+        frame = template({"assignments": TEXT, "t": TEXT}, item)
+        names = map(tuple, _quoted(model, np.concatenate(
+            trellis.modes)).tolist())
+        for k, (t, modes) in enumerate(zip(trellis.instants, trellis.modes)):
+            yield ("[" if k == 0 else ",") + item
+            yield from _filled(frame, key, [
+                (assignment, len(modes), islice(names, len(modes))),
+                [int.__repr__(t)]], modes.size <= _SPAN)
+        yield nl + "]" if trellis.instants else "[]"
+    return section(render)
 
 
 def _evolution_rows(model, evolutions, prior: bool = False):
@@ -240,13 +335,12 @@ def _cmd_propagate(args, model) -> dict:
     if any(t < 0 for t in instants):
         raise ValidationError("instants must be nonnegative")
     initials = resolve_initial_distributions(model)
-    components = {c.id: {
-        "modes": list(c.modes),
-        "distributions": [
-            {"t": t, "probabilities": propagate_distribution(
-                initials[c.id], c.matrix, t).tolist()}
-            for t in instants]}
-        for c in model.components}
+    components = {}
+    for c in model.components:
+        propagated = initials[c.id] @ matrix_powers(c.matrix, instants)
+        components[c.id] = {"modes": list(c.modes), "distributions": [
+            {"t": t, "probabilities": probabilities}
+            for t, probabilities in zip(instants, propagated.tolist())]}
     print(f"propagated {len(model.components)} components over "
           f"{len(instants)} instants", file=sys.stderr)
     return {
@@ -258,22 +352,26 @@ def _cmd_propagate(args, model) -> dict:
     }
 
 
-def _revision_report(revisions, model, indices) -> list[dict]:
+def _revision_report(revisions, model, indices):
     """``revision``: per instant, the revised joints of the paths ending
-    there and the revised conditionals of the edges into it, each rendered
-    with one template for the whole run, and every component's revision,
-    rendered with one template per shape of the instant's blocks.
-    ``indices`` holds the text of every candidate index."""
-    evolution = cache(partial(template, {
-        "joint": TEXT, "path": TEXT, "revised_joint": TEXT}))
-    conditional = cache(partial(template, {
-        "conditional": TEXT, "revised": TEXT, "source": TEXT, "target": TEXT}))
+    there, the revised conditionals of the edges into it and every
+    component's revision. Each of the three is formatted a span of
+    instants at a time, its numbers at once; objects fill templates
+    cached per shape. ``indices`` holds the text of every candidate
+    index."""
+    ids = sorted(c.id for c in model.components)
+    modes = {c.id: c.modes for c in model.components}
+    # per component its mode names quoted, and each mode's rank by name
+    names = {c.id: np.array([quote(m) for m in c.modes], dtype=object)
+             for c in model.components}
+    ranks = {c.id: np.array([sorted(c.modes).index(m) for m in c.modes])
+             for c in model.components}
 
-    @cache
-    def blocks(nl, shape):
-        """The ``components`` object of an instant whose components have
-        these (id, modes, admitted count, revised transition count)."""
-        return template({comp: {
+    def blocks(shape) -> dict:
+        """The shape of the ``components`` object of an instant whose
+        components have these (id, modes, admitted count, revised
+        transition count)."""
+        return {comp: {
             "admitted": [TEXT] * admitted,
             "distribution": {"modes": list(modes),
                              "probabilities": [TEXT] * len(modes)},
@@ -282,92 +380,176 @@ def _revision_report(revisions, model, indices) -> list[dict]:
                           "probabilities": [TEXT] * len(modes)},
             "revised_transitions": [dict.fromkeys(
                 ("from", "probability", "revised", "to"), TEXT)] * transitions,
-        } for comp, modes, admitted, transitions in shape}, nl)
+        } for comp, modes, admitted, transitions in shape}
 
-    def evolutions(rev):
-        def render(nl):
-            # each path is an array of indices inside the row's object
-            inner, close = nl + 2 * INDENT, nl + INDENT + "]"
-            paths = ("[" + inner + ("," + inner).join(path) + close
-                     for path in indices[rev.path_indices].tolist())
-            joints, revised = texts(np.stack(
-                (rev.joints, rev.revised_joints))).tolist()
-            return map(evolution(nl).__mod__, zip(joints, paths, revised))
-        return rows(render, rev.joints, rev.revised_joints)
+    norms = np.array([rev.factor for rev in revisions])
+    evolution_spans = _spans([2 * len(rev.joints) for rev in revisions])
+    joints, revised_joints = (_joined([getattr(rev, field) for rev in revisions],
+                                      evolution_spans)
+                              for field in ("joints", "revised_joints"))
+    edge_spans = _spans([2 * len(rev.conditionals) for rev in revisions])
+    conditionals, revised_conditionals, sources, targets = (
+        _joined([getattr(rev, field) for rev in revisions], edge_spans)
+        for field in ("conditionals", "revised_conditionals", "sources",
+                      "targets"))
+    # per component, each span's arrays of its blocks
+    blocks_of = {comp: [rev.components[comp] for rev in revisions]
+                 for comp in ids}
+    block_spans = _spans([sum(2 * len(cr.distribution) + 1 + 2 * len(
+        cr.entries) for cr in rev.components.values()) for rev in revisions])
+    parts = {comp: {
+        "distribution": [np.stack([cr.distribution for cr in crs[a:b]])
+                         for a, b in block_spans],
+        "factor": [np.array([cr.factor for cr in crs[a:b]])
+                   for a, b in block_spans],
+        "posterior": [np.stack([cr.posterior for cr in crs[a:b]])
+                      for a, b in block_spans],
+        **{field: _joined([getattr(cr, field) for cr in crs], block_spans)
+           for field in ("admitted", "transitions", "entries",
+                         "revised_entries")},
+    } for comp, crs in blocks_of.items()}
 
-    def revised_conditionals(rev):
-        def render(nl):
+    def render(nl):
+        item = nl + INDENT
+        key = item + INDENT
+        evolution = template({"joint": TEXT, "path": TEXT,
+                              "revised_joint": TEXT}, key + INDENT)
+        conditional = template({"conditional": TEXT, "revised": TEXT,
+                                "source": TEXT, "target": TEXT}, key + INDENT)
+        # each path is an array of indices inside its evolution's object
+        step, close = "," + key + 3 * INDENT, key + 2 * INDENT + "]"
+
+        @cache
+        def frame(shape):
+            """An instant whose components have this shape, its arrays of
+            evolutions and conditionals left as cells."""
+            return template({
+                "components": blocks(shape), "evolutions": TEXT,
+                "normalization_factor": TEXT, "revised_conditionals": TEXT,
+                "t": TEXT}, item)
+
+        def evolution_items(span, a, b):
+            cells = zip(texts(joints[span]).tolist(), (
+                "[" + step[1:] + step.join(path) + close
+                for rev in revisions[a:b]
+                for path in indices[rev.path_indices].tolist()),
+                texts(revised_joints[span]).tolist())
+            return [islice(cells, len(rev.joints)) for rev in revisions[a:b]]
+
+        def conditional_items(span, a, b):
             # keys sort the scores before the indices
-            return map(conditional(nl).__mod__, zip(
-                *texts(np.stack((rev.conditionals,
-                                 rev.revised_conditionals))).tolist(),
-                indices[rev.sources].tolist(), indices[rev.targets].tolist()))
-        return rows(render, rev.conditionals, rev.revised_conditionals)
+            cells = zip(texts(conditionals[span]).tolist(),
+                        texts(revised_conditionals[span]).tolist(),
+                        indices[sources[span]].tolist(),
+                        indices[targets[span]].tolist())
+            return [islice(cells, len(rev.conditionals))
+                    for rev in revisions[a:b]]
 
-    modes = {c.id: c.modes for c in model.components}
+        def block_items(span, a, b):
+            # per instant the cells in the template's order, component by
+            # component: names sorted by rank, numbers formatted at once
+            shapes, cells = [[] for _ in range(a, b)], [[] for _ in range(a, b)]
+            for comp in ids:
+                part, rank, quoted = parts[comp], ranks[comp], names[comp]
+                admitted, moves = (part["admitted"][span],
+                                   part["transitions"][span])
+                counts = [len(cr.admitted) for cr in blocks_of[comp][a:b]]
+                moved = [len(cr.entries) for cr in blocks_of[comp][a:b]]
+                at = np.arange(b - a)
+                admitted = admitted[np.lexsort((rank[admitted],
+                                                np.repeat(at, counts)))]
+                order = np.lexsort((rank[moves[:, 1]], rank[moves[:, 0]],
+                                    np.repeat(at, moved)))
+                steps = np.stack((
+                    quoted[moves[order, 0]],
+                    texts(part["entries"][span][order]),
+                    texts(part["revised_entries"][span][order]),
+                    quoted[moves[order, 1]]), axis=-1).ravel().tolist()
+                for shape, cell, n, m, *block in zip(
+                        shapes, cells, counts, moved,
+                        _cut(quoted[admitted].tolist(), counts),
+                        texts(part["distribution"][span]).tolist(),
+                        texts(part["factor"][span]).tolist(),
+                        texts(part["posterior"][span]).tolist(),
+                        _cut(steps, [4 * m for m in moved])):
+                    shape.append((comp, modes[comp], n, m))
+                    names_, distribution, factor, posterior, transitions = block
+                    cell += [*names_, *distribution, factor, *posterior,
+                             *transitions]
+            return [(tuple(shape), cell) for shape, cell in zip(shapes, cells)]
 
-    def components(rev):
-        items = sorted(rev.components.items())
+        factors = texts(norms).tolist()
+        blocks_at = _per_item(block_spans, block_items)
+        evolutions_at = _per_item(evolution_spans, evolution_items)
+        conditionals_at = _per_item(edge_spans, conditional_items)
+        for k, rev in enumerate(revisions):
+            (shape, cells), paths, edges = (
+                next(blocks_at), next(evolutions_at), next(conditionals_at))
+            count, edge_count = len(rev.joints), len(rev.conditionals)
+            yield ("[" if k == 0 else ",") + item
+            yield from _filled(frame(shape), key, [
+                cells, (evolution, count, paths), [factors[k]],
+                (conditional, edge_count, edges), [int.__repr__(rev.t)]],
+                rev.path_indices.size + 2 * (count + edge_count) <= _SPAN)
+        yield nl + "]" if revisions else "[]"
 
-        def render(nl):
-            shape = tuple((comp, modes[comp], len(cr.admitted),
-                           len(cr.revised_transitions)) for comp, cr in items)
-            # the cells in the template's order: names quoted, numbers as
-            # floats until texts formats them all at once
-            cells = np.array([cell for _, cr in items for cell in (
-                *map(quote, cr.admitted),
-                *cr.distribution.tolist(), cr.factor,
-                *cr.posterior.tolist(),
-                *(cell for a, b, p, r in cr.revised_transitions
-                  for cell in (quote(a), p, r, quote(b))))], dtype=object)
-            numbers = np.array([type(cell) is float for cell in cells],
-                               dtype=bool)
-            cells[numbers] = texts(cells[numbers].astype(float))
-            return (blocks(nl, shape) % tuple(cells.tolist()),)
-        return section(render, *(numbers for _, cr in items for numbers in (
-            cr.distribution, cr.posterior, scores(cr))))
-
-    def scores(cr):
-        """A component block's other numbers: the mass factor, and each
-        revised transition's entry and score."""
-        return [cr.factor, *(x for *_, p, r in cr.revised_transitions
-                             for x in (p, r))]
-
-    return [{
-        "t": rev.t,
-        "normalization_factor": rev.factor,
-        "evolutions": evolutions(rev),
-        "revised_conditionals": revised_conditionals(rev),
-        "components": components(rev),
-    } for rev in revisions]
+    return section(render, norms, *joints, *revised_joints, *conditionals,
+                   *revised_conditionals, *(
+                       values for part in parts.values()
+                       for field in ("distribution", "factor", "posterior",
+                                     "entries", "revised_entries")
+                       for values in part[field]))
 
 
-def _trellis_report(trellis, model, indices) -> list[dict]:
+def _trellis_report(trellis, model, indices):
     """``trellis``: per step, every edge with its factors (by component id),
-    conditional and admissibility, rendered with one template straight from
-    the step's arrays. ``indices`` holds the text of every candidate
-    index."""
+    conditional and admissibility, formatted a span of steps at a time and
+    rendered with one template. ``indices`` holds the text of every
+    candidate index."""
     order = _by_id(model)
-    edge = cache(partial(template, {
-        "admissible": TEXT, "conditional": TEXT,
-        "factors": {model.components[c].id: TEXT for c in order},
-        "source": TEXT, "target": TEXT}))
+    spans = _spans([c.size * (len(order) + 1) for c in trellis.conditionals])
+    factors = _joined([f.reshape(c.size, len(order)) for f, c in zip(
+        trellis.factors, trellis.conditionals)], spans)
+    conditionals, admissible = (_joined([a.ravel() for a in arrays], spans)
+                                for arrays in (trellis.conditionals,
+                                               trellis.admissible))
+    shapes = [c.shape for c in trellis.conditionals]
 
-    def edges(factors, conditionals, admissible):
-        def render(nl):
-            n, m = conditionals.shape
-            columns = texts(factors[..., order]).reshape(n * m, -1).T.tolist()
-            return map(edge(nl).__mod__, zip(
-                map(_JSON_BOOLS.__getitem__, admissible.ravel().tolist()),
-                texts(conditionals).ravel().tolist(), *columns,
-                np.repeat(indices[:n], m).tolist(),
-                np.tile(indices[:m], n).tolist()))
-        return rows(render, factors, conditionals)
+    def render(nl):
+        item = nl + INDENT
+        key = item + INDENT
+        edge = template({
+            "admissible": TEXT, "conditional": TEXT,
+            "factors": {model.components[c].id: TEXT for c in order},
+            "source": TEXT, "target": TEXT}, key + INDENT)
+        frame = template({"edges": TEXT, "from_t": TEXT, "to_t": TEXT}, item)
 
-    return [{"from_t": trellis.instants[k], "to_t": trellis.instants[k + 1],
-             "edges": edges(*step)}
-            for k, step in enumerate(zip(trellis.factors, trellis.conditionals,
-                                         trellis.admissible))]
+        def edges(span, a, b):
+            # each edge's source and target within its step
+            sizes = [n * m for n, m in shapes[a:b]]
+            local = np.arange(sum(sizes)) - np.repeat(
+                np.cumsum(sizes) - sizes, sizes)
+            sources, targets = np.divmod(local, np.repeat(
+                [m for _, m in shapes[a:b]], sizes))
+            cells = zip(
+                map(_JSON_BOOLS.__getitem__, admissible[span].tolist()),
+                texts(conditionals[span]).tolist(),
+                *texts(factors[span][:, order]).T.tolist(),
+                indices[sources].tolist(), indices[targets].tolist())
+            return [islice(cells, size) for size in sizes]
+
+        steps = _per_item(spans, edges)
+        for k, (before, after) in enumerate(zip(trellis.instants,
+                                                trellis.instants[1:])):
+            size = shapes[k][0] * shapes[k][1]
+            yield ("[" if k == 0 else ",") + item
+            yield from _filled(frame, key, [
+                (edge, size, next(steps)), [int.__repr__(before),
+                                            int.__repr__(after)]],
+                size * (len(order) + 1) <= _SPAN)
+        yield nl + "]" if len(trellis.instants) > 1 else "[]"
+
+    return section(render, *factors, *conditionals)
 
 
 def _cmd_diagnose(args, model) -> dict:

@@ -6,7 +6,8 @@ time-homogeneous DTMC. This module provides the chain primitives the rest
 of the engine builds on:
 
 - validation of row-stochastic transition matrices and of distributions,
-- n-step matrices ``P^n`` and distribution propagation ``pi(n) = pi(0) P^n``,
+- n-step matrices ``P^n``, one at a time or stacked for many ``n`` from
+  squarings computed once, and distribution propagation ``pi(n) = pi(0) P^n``,
 - the geometric sojourn-time distribution of a mode,
 - structural classification of modes (absorbing / ergodic / transient) and
   the derived fault taxonomy (permanent / transient, reversible / irreversible),
@@ -18,6 +19,7 @@ one, in the component's mode order; validation tolerances are module constants.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -149,6 +151,41 @@ def matrix_power(entries: np.ndarray, n: int) -> np.ndarray:
     if n < 0:  # numpy would invert the matrix
         raise ValueError("power must be nonnegative")
     return np.linalg.matrix_power(entries, n)
+
+
+def matrix_powers(entries: np.ndarray, exponents: Sequence[int]) -> np.ndarray:
+    """``P^n`` for every ``n`` of ``exponents``, stacked |n| x |M| x |M|;
+    each is bit for bit what ``np.linalg.matrix_power(entries, n)`` gives.
+
+    The squarings ``P^(2^j)`` are computed once for all exponents, and the
+    products follow numpy's own order: the identity for n = 0, ``P``,
+    ``P @ P`` and ``(P @ P) @ P`` for n <= 3, otherwise the squarings of
+    n's set bits from the least significant up, each multiplied onto the
+    right of the product so far. One stacked matmul per bit serves every
+    exponent that has the bit set. Exponents may exceed int64.
+    """
+    exponents = [operator.index(n) for n in exponents]
+    if any(n < 0 for n in exponents):  # numpy would invert the matrix
+        raise ValueError("power must be nonnegative")
+    size = max(exponents, default=0).bit_length()
+    width = size // 8 + 1
+    bits = np.unpackbits(np.frombuffer(b"".join(
+        n.to_bytes(width, "little") for n in exponents), np.uint8).reshape(
+            len(exponents), width), axis=1, count=size, bitorder="little",
+    ).view(bool)
+    out = np.empty((len(exponents),) + entries.shape)
+    started = np.zeros(len(exponents), dtype=bool)
+    square = entries
+    for j in range(size):
+        if j:
+            square = square @ square
+        first, more = bits[:, j] & ~started, bits[:, j] & started
+        out[first] = square
+        out[more] = out[more] @ square
+        started |= first
+    out[[n == 0 for n in exponents]] = np.eye(len(entries))
+    out[[n == 3 for n in exponents]] = (entries @ entries) @ entries
+    return out
 
 
 def propagate_distribution(pi0: np.ndarray, entries: np.ndarray,

@@ -307,6 +307,16 @@ def _write(value: Any, out: list, nl: str) -> None:
             out.append("[]")
             return
         inner, sep = nl + INDENT, "["
+        first = value[0]
+        if len(value) > 1 and all(item is first for item in value):
+            # one item repeated, as in a template's rows: its text, if it
+            # is all text, serves for every item
+            parts: list = []
+            _write(first, parts, inner)
+            if all(isinstance(part, str) for part in parts):
+                out.append("[" + inner + ("," + inner).join(
+                    ["".join(parts)] * len(value)) + nl + "]")
+                return
         for item in value:
             out.append(sep + inner)
             _write(item, out, inner)

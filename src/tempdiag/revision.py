@@ -11,9 +11,10 @@ Revised conditionals and transition scores can exceed 1; they are plain
 scores, not probabilities, and the plausibility threshold may be re-checked
 against them.
 
-``revise_trellis`` computes both revisions over the trellis arrays in one
-pass, each component's admitted modes and mass factor from mode indices;
-``normalization_factor`` is the global revision's factor.
+``revise_trellis`` computes both revisions over the trellis arrays: it
+makes every check first, instant by instant, and only then builds each
+instant's revision, with modes as indices; ``normalization_factor`` is the
+global revision's factor.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import AllZeroJointsError, ZeroAdmittedMassError
-from .markov import propagate_distribution
+from .markov import matrix_powers
 from .model import SystemModel
 from .temporal import Trellis, forward_paths
 
@@ -57,16 +58,21 @@ def normalization_factor(joints: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class ComponentRevision:
-    """Per-component revision data at one instant; the distributions are
-    arrays over the component's declared modes."""
+    """Per-component revision data at one instant. Modes are indices into
+    the component's declared modes, and the distributions are arrays over
+    them."""
 
     distribution: np.ndarray
-    admitted: tuple[str, ...]
+    #: the modes some candidate at this instant assigns, ascending
+    admitted: np.ndarray
     factor: float
     posterior: np.ndarray
-    #: (from_mode, to_mode, raw n-step entry, revised score) for each mode
-    #: step used by an admissible trellis edge into this instant.
-    revised_transitions: tuple[tuple[str, str, float, float], ...]
+    #: each mode step used by an admissible trellis edge into this instant,
+    #: as a |T| x 2 array of (from, to) modes ascending by from, then to
+    transitions: np.ndarray
+    #: each step's raw n-step entry and revised score
+    entries: np.ndarray
+    revised_entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -91,66 +97,114 @@ class InstantRevision:
     components: Mapping[str, ComponentRevision]
 
 
+def _runs(values: np.ndarray, keys: np.ndarray, count: int) -> list:
+    """``values`` cut by their ascending ``keys`` into ``count`` runs of
+    views: run k holds the values whose key is k."""
+    bounds = [0, *np.cumsum(np.bincount(keys, minlength=count)).tolist()]
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def revise_trellis(trellis: Trellis, model: SystemModel,
                    ) -> tuple[InstantRevision, ...]:
     """Apply revision at every instant of a built trellis.
 
     At each instant the joints of the admissible partial evolutions ending
     there are renormalized (global revision) and every component's
-    propagated distribution is renormalized over its admitted modes
-    (per-component revision). Modes are handled as indices; names are
-    looked up only for ``admitted`` and ``revised_transitions``.
+    propagated distribution ``pi0 . P^t`` is renormalized over its
+    admitted modes (per-component revision).
+
+    Every check comes first. Each component's admitted modes, ``pi_t``,
+    mass and factor are (instants x modes) arrays, and the global factor
+    is taken as the forward pass yields each instant, so the first failure
+    raises in order: instant by instant, the global factor before the
+    components, and the components in model order. Only then is any
+    instant's revision built.
+
+    Raises:
+        AllZeroJointsError: see ``normalization_factor``.
+        ZeroAdmittedMassError: a component's admitted modes carry too
+            little probability for the reciprocal to be finite.
     """
-    revisions = []
-    width = len(model.components)
-    for k, (t, modes, (paths, joints)) in enumerate(zip(
-            trellis.instants, trellis.modes, forward_paths(trellis))):
-        factor = normalization_factor(joints)
-        # the admissible edges into k, and per edge and component the mode
-        # step taken and its n-step entry
-        if k:
-            sources, targets = np.nonzero(trellis.admissible[k - 1])
-            conditionals = trellis.conditionals[k - 1][sources, targets]
-            before, after = trellis.modes[k - 1][sources], modes[targets]
-            entries = trellis.factors[k - 1][sources, targets]
-        else:
-            sources = targets = np.zeros(0, dtype=np.intp)
-            conditionals = np.zeros(0)
-            before = after = np.zeros((0, width), dtype=np.intp)
-            entries = np.zeros((0, width))
+    count, width = len(trellis.instants), len(model.components)
+    rows = np.concatenate(trellis.modes)
+    layer = np.repeat(np.arange(count), [len(m) for m in trellis.modes])
+    chains = []
+    for ci, c in enumerate(model.components):
+        # pi0 . P^t, not the previous instant's pi . P^n: the two round
+        # differently, and chaining drifts from the definition's floats
+        pi = trellis.initials[c.id] @ matrix_powers(c.matrix, trellis.instants)
+        kept = np.zeros(pi.shape, dtype=bool)
+        kept[layer, rows[:, ci]] = True
+        masked = np.where(kept, pi, 0.0)
+        mass = np.zeros(count)
+        for column in masked.T:  # left to right, as ``_total`` adds
+            mass += column
+        with np.errstate(divide="ignore", over="ignore"):
+            factor = 1.0 / mass
+        chains.append((pi, kept, masked, mass, factor))
+    # each component's first instant whose factor is not finite, if any
+    unfit = [next(iter(np.flatnonzero(~np.isfinite(factor)).tolist()), None)
+             for *_, factor in chains]
 
-        components = {}
-        for ci, c in enumerate(model.components):
-            n = len(c.modes)
-            # pi0 . P^t, not the previous instant's pi . P^n: the two round
-            # differently, and chaining drifts from the definition's floats
-            pi_t = propagate_distribution(trellis.initials[c.id], c.matrix, t)
-            kept = np.flatnonzero(np.bincount(modes[:, ci], minlength=n))
-            admitted = tuple(sorted(c.modes[i] for i in kept.tolist()))
-            mass = _total(pi_t[kept].tolist())
-            f = 1.0 / mass if mass > 0.0 else math.inf
-            if not math.isfinite(f):
+    layers = []
+    for k, (paths, joints) in enumerate(forward_paths(trellis)):
+        layers.append((paths, joints, normalization_factor(joints)))
+        for c, first, (_, kept, _, mass, _) in zip(
+                model.components, unfit, chains):
+            if first == k:
+                admitted = sorted(c.modes[i] for i in np.flatnonzero(kept[k]))
                 raise ZeroAdmittedMassError(
-                    f"admitted modes {list(admitted)} carry probability "
-                    f"{mass!r}, too little to renormalize")
-            posterior = np.zeros(n)
-            posterior[kept] = pi_t[kept] * f
-            # each mode step as from * n + to; every edge taking one step
-            # carries the same n-step entry
-            step = before[:, ci] * n + after[:, ci]
-            entry = np.zeros(n * n)
-            entry[step] = entries[:, ci]
-            taken = np.flatnonzero(np.bincount(step, minlength=n * n))
-            components[c.id] = ComponentRevision(
-                distribution=pi_t, admitted=admitted, factor=f,
-                posterior=posterior, revised_transitions=tuple(sorted(
-                    (c.modes[s // n], c.modes[s % n], p, p * f)
-                    for s, p in zip(taken.tolist(), entry[taken].tolist()))))
+                    f"admitted modes {admitted} carry probability "
+                    f"{float(mass[k])!r}, too little to renormalize")
 
-        revisions.append(InstantRevision(
-            t=t, factor=factor, path_indices=paths, joints=joints,
-            revised_joints=joints * factor, sources=sources, targets=targets,
-            conditionals=conditionals,
-            revised_conditionals=conditionals * factor,
-            components=components))
-    return tuple(revisions)
+    # the admissible edges of all steps, flat: step by step, row-major
+    # within a step
+    offsets = np.cumsum([0, *(c.size for c in trellis.conditionals)])
+    flat = np.flatnonzero(np.concatenate(
+        [np.zeros(0, dtype=bool), *(a.ravel() for a in trellis.admissible)]))
+    step = np.repeat(np.arange(count - 1), [
+        np.count_nonzero(a) for a in trellis.admissible])
+    sources, targets = np.divmod(flat - offsets[step], np.array(
+        [len(m) for m in trellis.modes[1:]], dtype=np.intp)[step])
+    conditionals = np.concatenate(
+        [np.empty(0), *(c.ravel() for c in trellis.conditionals)])[flat]
+    factors = np.concatenate([np.empty((0, width)), *(
+        f.reshape(c.size, width)
+        for f, c in zip(trellis.factors, trellis.conditionals))])[flat]
+    norms = np.array([norm for *_, norm in layers])
+    edges = zip(*(_runs(values, step + 1, count) for values in (
+        sources, targets, conditionals, conditionals * norms[step + 1])))
+
+    starts = np.cumsum([0, *(len(m) for m in trellis.modes)])
+    components = {}
+    for ci, (c, (pi, kept, masked, _, factor)) in enumerate(zip(
+            model.components, chains)):
+        n = len(c.modes)
+        # each mode step taken as step * n^2 + from * n + to; every edge
+        # taking one step carries the same n-step entry
+        key = (step * n + rows[starts[step] + sources, ci]) * n + rows[
+            starts[step + 1] + targets, ci]
+        entry = np.zeros((count - 1) * n * n)
+        entry[key] = factors[:, ci]
+        taken = np.flatnonzero(np.bincount(key, minlength=len(entry)))
+        # back to the step, whose target instant is step + 1, and the modes
+        pair, after = np.divmod(taken, n)
+        at, before = np.divmod(pair, n)
+        at += 1
+        instant, admitted = np.nonzero(kept)
+        components[c.id] = [ComponentRevision(*fields) for fields in zip(
+            pi, _runs(admitted, instant, count), factor.tolist(),
+            masked * factor[:, None],
+            _runs(np.stack((before, after), axis=1), at, count),
+            _runs(entry[taken], at, count),
+            _runs(entry[taken] * factor[at], at, count))]
+
+    return tuple(
+        InstantRevision(
+            t=t, factor=norm, path_indices=paths, joints=joints,
+            revised_joints=joints * norm, sources=s, targets=d,
+            conditionals=p, revised_conditionals=r,
+            components={cid: revisions[k]
+                        for cid, revisions in components.items()})
+        for k, (t, (paths, joints, norm), (s, d, p, r)) in enumerate(zip(
+            trellis.instants, layers, edges)))

@@ -1,7 +1,7 @@
 """Temporal diagnosis: rank mode evolutions across the observed instants.
 
-The engine solves the atemporal problem at every instant carrying
-observations, lays the candidate sets out as layers of a trellis, connects
+The engine solves the atemporal problem once per distinct observation,
+lays the candidate sets out as layers of a trellis, connects
 consecutive layers with edges weighted by the n-step conditional probability
 of the joint mode change, filters edges against the plausibility threshold,
 and enumerates the surviving evolutions ranked by joint probability.
@@ -11,12 +11,13 @@ factorizes: the joint probability of a trajectory is the prior of its first
 assignment times the product of its consecutive step conditionals, each of
 which is itself a product of per-component n-step matrix entries.
 
-The trellis is built as arrays, one step at a time (the HMM trellis layout).
-Each layer is the |L| x C array of mode indices the atemporal solver
-returns. For a step across a gap of n instants, each component's ``P^n`` is
-computed once and fancy-indexed by the two layers' mode columns into an
-|L_k| x |L_k+1| block of factors; the conditionals are the blocks' product
-in model component order, and admissibility is a boolean mask.
+The trellis is built as arrays (the HMM trellis layout). Each layer is the
+|L| x C array of mode indices the atemporal solver returns. Each
+component's ``P^n`` is computed once per distinct gap n, and the edges of
+all steps, laid out flat, are one fancy index per component into those
+stacked powers; step k's |L_k| x |L_k+1| blocks of factors, conditionals
+(their product in model component order) and admissibility masks are views
+of the flat arrays.
 ``forward_paths`` expands the admissible paths over those arrays with their
 joints, one layer at a time, for enumeration, revision and ranking; no
 other engine code computes a joint. ``ranked_paths`` lays the complete
@@ -48,7 +49,7 @@ from .errors import (
     NonIncreasingInstantsError,
     ValidationError,
 )
-from .markov import matrix_power, propagate_distribution
+from .markov import matrix_powers
 from .model import ObservationStream, SystemModel
 
 
@@ -158,48 +159,65 @@ def trellis_from_layers(
     mode-index array: priors and, per step, the factors, conditionals and
     admissibility masks.
 
+    The edges of every step are laid out flat, step by step and row-major
+    within a step, and each component's factors are one gather from the
+    stacked powers of the distinct gaps; the per-step arrays are views of
+    the flat ones.
+
     Raises:
         NonIncreasingInstantsError: some instant does not follow the one
             before it.
     """
-    priors = np.ones(len(modes[0]))
-    for ci, c in enumerate(model.components):
-        pi_t = propagate_distribution(initials[c.id], c.matrix, instants[0])
-        priors *= pi_t[modes[0][:, ci]]
-
-    powers: dict[tuple[int, int], np.ndarray] = {}
-    factors, conditionals, admissible = [], [], []
-    for k in range(len(modes) - 1):
-        n = instants[k + 1] - instants[k]
+    gaps = [after - before for before, after in zip(instants, instants[1:])]
+    for k, n in enumerate(gaps):
         if n <= 0:
             raise NonIncreasingInstantsError(
                 f"step from t={instants[k]} to t={instants[k + 1]} does not "
                 "advance time")
-        shape = (len(modes[k]), len(modes[k + 1]))
-        factor = np.empty(shape + (len(model.components),))
-        # multiplied in component order from 1.0, as the product per edge
-        conditional = np.ones(shape)
-        for ci, c in enumerate(model.components):
-            if (ci, n) not in powers:
-                powers[ci, n] = matrix_power(c.matrix, n)
-            factor[..., ci] = powers[ci, n][modes[k][:, ci, None],
-                                            modes[k + 1][None, :, ci]]
-            conditional *= factor[..., ci]
-        if threshold_mode is ThresholdMode.PER_COMPONENT:
-            ok = np.all(factor >= sigma, axis=-1)
-        else:
-            ok = conditional >= sigma
-        factors.append(factor)
-        conditionals.append(conditional)
-        admissible.append(ok)
+    distinct = sorted(set(gaps))
+    position = {n: i for i, n in enumerate(distinct)}
 
-    return Trellis(tuple(instants), tuple(modes),
-                   initials, priors, tuple(factors),
-                   tuple(conditionals), tuple(admissible))
+    # the rows of all layers; each row but the last layer's is the source
+    # of one edge to every row of the next layer
+    sizes = np.array([len(layer) for layer in modes])
+    rows = np.concatenate(modes)
+    starts = np.cumsum(sizes) - sizes
+    widths = np.repeat(sizes[1:], sizes[:-1])  # edges per source row
+    firsts = np.cumsum(widths) - widths  # each source row's first edge
+    targets = np.arange(widths.sum()) + np.repeat(
+        np.repeat(starts[1:], sizes[:-1]) - firsts, widths)
+    sources = rows[:len(widths)]
+    gap = np.repeat([position[n] for n in gaps], sizes[:-1]).astype(np.intp)
+
+    priors = np.ones(len(modes[0]))
+    factors = np.empty((len(targets), len(model.components)))
+    # multiplied in component order from 1.0, as the product per edge
+    conditionals = np.ones(len(targets))
+    for ci, c in enumerate(model.components):
+        powers = matrix_powers(c.matrix, [instants[0], *distinct])
+        priors *= (initials[c.id] @ powers[0])[modes[0][:, ci]]
+        m = len(c.modes)  # one flat index into the stacked gap powers
+        factors[:, ci] = powers[1:].take(np.repeat(
+            (gap * m + sources[:, ci]) * m, widths) + rows[targets, ci])
+        conditionals *= factors[:, ci]
+    if threshold_mode is ThresholdMode.PER_COMPONENT:
+        admissible = np.all(factors >= sigma, axis=-1)
+    else:
+        admissible = conditionals >= sigma
+
+    ends = np.cumsum(sizes[:-1] * sizes[1:]).tolist()
+    shapes = list(zip(sizes[:-1].tolist(), sizes[1:].tolist()))
+    return Trellis(
+        tuple(instants), tuple(modes), initials, priors,
+        *(tuple(flat[end - n * m:end].reshape(n, m, *flat.shape[1:])
+                for end, (n, m) in zip(ends, shapes))
+          for flat in (factors, conditionals, admissible)))
 
 
 def build_trellis(problem: DiagnosticProblem) -> Trellis:
     """Solve every atemporal problem and materialize the full trellis.
+    Each distinct observation, a ``(present, absent)`` pair, is solved
+    once; instants that repeat it share its candidate array.
 
     Raises:
         NoCandidatesError: some instant has no atemporal solution.
@@ -213,13 +231,15 @@ def build_trellis(problem: DiagnosticProblem) -> Trellis:
     model = problem.model
     instants = relevant_instants(problem.observations)
 
-    layers = []
+    layers, solved = [], {}
     for entry in problem.observations.entries:
-        candidates = solve_atemporal(model, entry, problem.criterion,
-                                     problem.candidate_cap)
-        if not len(candidates):
+        key = entry.present, entry.absent
+        if key not in solved:
+            solved[key] = solve_atemporal(model, entry, problem.criterion,
+                                          problem.candidate_cap)
+        if not len(solved[key]):
             raise NoCandidatesError(entry.t)
-        layers.append(candidates)
+        layers.append(solved[key])
 
     initials = resolve_initial_distributions(model, instants[0], layers[0])
     return trellis_from_layers(model, instants, layers, initials,
@@ -293,12 +313,18 @@ def ranked_paths(model: SystemModel,
         count, length = paths.shape
         instants = np.full((count, n), -1)
         instants[:, :length] = [position[t] for t in trellis.instants]
+        # one gather each from the concatenated layers and the flattened
+        # conditionals, at each path cell's offset
+        sizes = np.array([len(layer) for layer in trellis.modes])
+        edges = sizes[:-1] * sizes[1:]
         modes = np.full((count, n, width), -1)
+        modes[:, :length] = np.concatenate(trellis.modes)[
+            paths + (np.cumsum(sizes) - sizes)]
         steps = np.full((count, n - 1), np.nan)
-        for k, layer in enumerate(trellis.modes):
-            modes[:, k] = layer[paths[:, k]]
-        for k, conditional in enumerate(trellis.conditionals):
-            steps[:, k] = conditional[paths[:, k], paths[:, k + 1]]
+        steps[:, :length - 1] = np.concatenate(
+            [np.empty(0), *(c.ravel() for c in trellis.conditionals)])[
+            paths[:, :-1] * sizes[1:] + paths[:, 1:] + (np.cumsum(edges)
+                                                        - edges)]
         parts.append((instants, modes, trellis.priors[paths[:, 0]],
                       steps, joints))
     instants, modes, priors, steps, joints = map(np.concatenate, zip(*parts))

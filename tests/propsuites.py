@@ -43,10 +43,11 @@ from tempdiag import (
 from tempdiag.errors import (
     AllZeroJointsError,
     NoAdmissibleEvolutionError,
+    NonIncreasingInstantsError,
     ZeroAdmittedMassError,
 )
 from tempdiag.markov import ABSORBING_TOL
-from tempdiag.temporal import forward_paths
+from tempdiag.temporal import forward_paths, trellis_from_layers
 
 from reference import (
     Diagnosis,
@@ -56,7 +57,9 @@ from reference import (
     conditional_probability,
     decode,
     joint_probability,
+    named_revision,
     posterior_component_distribution,
+    prior_probability,
     revise_global,
     revise_transition,
     step_factors,
@@ -310,6 +313,83 @@ def check_forward_paths_vs_bruteforce(cases: int, seed: int = 2033) -> None:
     assert emptied and branched
 
 
+def _ragged_layers(rng: np.random.Generator, model: SystemModel,
+                   count: int) -> list[np.ndarray]:
+    """``count`` layers of 1 to 5 distinct random candidates each (fewer
+    when the assignment space is smaller), as mode-index arrays."""
+    sizes = [len(c.modes) for c in model.components]
+    space = int(np.prod(sizes))
+    layers = []
+    for _ in range(count):
+        picked = rng.choice(space, size=min(space, int(rng.integers(1, 6))),
+                            replace=False)
+        layers.append(np.stack(np.unravel_index(picked, sizes), axis=1))
+    return layers
+
+
+def check_gathered_trellis(cases: int, seed: int = 2036) -> None:
+    """``trellis_from_layers`` on random ragged layers equals the per-edge
+    definitions bit for bit: priors, factors, conditionals and masks, in
+    both threshold modes, over streams of one instant, one step, and many
+    steps with repeated gaps. A stream with a step that does not advance
+    time raises the definitions' error for its first such step."""
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(cases):
+        model = random_model(rng, max_components=3, max_modes=4, max_rules=0)
+        count = int(rng.choice([1, 2, 2, 3, 4, 6]))
+        layers = _ragged_layers(rng, model, count)
+        gaps = rng.choice([1, 2, 5] if rng.random() < 0.5 else [1, 3],
+                          size=count - 1).tolist()
+        if count > 2 and rng.random() < 0.15:
+            # one or two steps that do not advance; the first is named
+            gaps[int(rng.integers(1, count - 1))] = int(rng.integers(-2, 1))
+            gaps[-1] = min(gaps[-1], int(rng.integers(-1, 2)))
+        instants = np.cumsum([int(rng.integers(0, 4)), *gaps]).tolist()
+        initials = {c.id: rng.dirichlet(np.ones(len(c.modes)))
+                    for c in model.components}
+        problem = DiagnosticProblem(
+            model, ObservationStream(()),
+            sigma=0.0 if rng.random() < 0.2 else float(rng.random()) * 0.3,
+            threshold_mode=(ThresholdMode.GLOBAL, ThresholdMode.PER_COMPONENT)[
+                int(rng.integers(2))])
+        assigned = [assignments(model, t, m) for t, m in zip(instants, layers)]
+        try:
+            trellis = trellis_from_layers(model, instants, layers, initials,
+                                          problem.sigma, problem.threshold_mode)
+        except NonIncreasingInstantsError as exc:
+            k = next(k for k, n in enumerate(gaps) if n <= 0)
+            try:
+                step_factors(assigned[k][0], assigned[k + 1][0], model)
+            except NonIncreasingInstantsError as expected:
+                assert str(exc) == str(expected)
+            seen.add("non-advancing")
+            continue
+        assert trellis.priors.tolist() == [
+            prior_probability(w, initials, model) for w in assigned[0]]
+        for k, (prev, nxt) in enumerate(zip(assigned, assigned[1:])):
+            assert trellis.conditionals[k].shape == (len(prev), len(nxt))
+            for i, a in enumerate(prev):
+                for j, b in enumerate(nxt):
+                    factors = step_factors(a, b, model)
+                    assert trellis.factors[k][i, j].tolist() == [
+                        factors[c.id] for c in model.components]
+                    assert trellis.conditionals[k][i, j] == \
+                        conditional_probability(a, b, model)
+                    assert trellis.admissible[k][i, j] == \
+                        admissible_step(a, b, problem)
+                    seen.add(("admissible", bool(trellis.admissible[k][i, j])))
+        seen.update(("size", len(layer)) for layer in layers)
+        seen.add(("steps", min(count - 1, 2)))
+        seen.add(("repeated gap", len(set(gaps)) < len(gaps)))
+        seen.add(problem.threshold_mode)
+    assert seen >= {("size", 1), ("size", 5), ("steps", 0), ("steps", 1),
+                    ("steps", 2), ("repeated gap", True),
+                    ("admissible", True), ("admissible", False),
+                    ThresholdMode.GLOBAL, ThresholdMode.PER_COMPONENT,
+                    "non-advancing"}
+
+
 def check_threshold_monotonicity(cases: int, seed: int = 2029) -> None:
     """Raising sigma never adds an admissible evolution."""
     rng = np.random.default_rng(seed)
@@ -509,11 +589,16 @@ def check_revision_matches_definitions(cases: int, seed: int = 2034) -> None:
             assert list(rev.components) == [c.id for c in model.components]
             for c in model.components:
                 cr = rev.components[c.id]
-                assert (cr.distribution.tolist(), cr.admitted, cr.factor,
+                admitted, transitions = named_revision(c, cr)
+                assert (cr.distribution.tolist(), admitted, cr.factor,
                         cr.posterior.tolist(),
-                        cr.revised_transitions) == components[c.id]
-                summed |= len(cr.admitted) > 2 and list(cr.admitted) != [
-                    m for m in c.modes if m in cr.admitted]
+                        transitions) == components[c.id]
+                # index arrays in the documented order
+                assert cr.admitted.tolist() == sorted(cr.admitted.tolist())
+                assert cr.transitions.tolist() == sorted(
+                    cr.transitions.tolist())
+                summed |= len(admitted) > 2 and list(admitted) != [
+                    m for m in c.modes if m in admitted]
         revised += 1
         seen.add((problem.threshold_mode, problem.criterion))
         gaps.update(np.diff(trellis.instants).tolist())

@@ -9,10 +9,11 @@ per-component revision and revised transition score. The engine computes
 all of them over mode-index arrays; the property suites and unit tests
 check it against these, bit for bit where the arithmetic is the same.
 
-Two bridges read the engine's arrays back as objects: ``assignments``
-turns a mode-index array into ``ModeAssignment`` objects, and
-``decode`` turns ``Evolutions`` into ``Diagnosis`` rows, so the suites
-compare whole trajectories with ``==``.
+Three bridges read the engine's arrays back as objects: ``assignments``
+turns a mode-index array into ``ModeAssignment`` objects, ``decode``
+turns ``Evolutions`` into ``Diagnosis`` rows, so the suites compare whole
+trajectories with ``==``, and ``named_revision`` gives a
+``ComponentRevision``'s admitted modes and revised transitions by name.
 
 Two helpers stand outside the engine: ``model_to_dict`` writes a model in
 the input file format, and ``empirical_transition_matrix`` estimates the
@@ -31,6 +32,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from tempdiag import (
+    ComponentRevision,
     ComponentSpec,
     DiagnosticProblem,
     Evolutions,
@@ -212,6 +214,17 @@ def decode(model: SystemModel, evolutions: Evolutions) -> list[Diagnosis]:
             evolutions.instants.tolist(), evolutions.modes.tolist(),
             evolutions.priors.tolist(), evolutions.steps.tolist(),
             evolutions.joints.tolist(), evolutions.lengths.tolist())]
+
+
+def named_revision(component: ComponentSpec, revision: ComponentRevision,
+                   ) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
+    """A component revision's admitted modes and its revised transitions,
+    ``(from, to, n-step entry, revised score)``, by mode name and sorted."""
+    names = component.modes
+    return (tuple(sorted(names[i] for i in revision.admitted.tolist())),
+            tuple(sorted((names[a], names[b], p, r) for (a, b), p, r in zip(
+                revision.transitions.tolist(), revision.entries.tolist(),
+                revision.revised_entries.tolist()))))
 
 
 def model_to_dict(model: SystemModel) -> dict:

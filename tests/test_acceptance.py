@@ -38,7 +38,7 @@ from propsuites import (
     check_trellis_vs_bruteforce,
     mode_indices,
 )
-from reference import empirical_transition_matrix
+from reference import empirical_transition_matrix, named_revision
 
 
 @contextmanager
@@ -150,12 +150,14 @@ def test_criterion_4_revision(occlusion_problem):
         f_p = second.components["P"].factor
         assert f_c == pytest.approx(10 / 9, abs=1e-12)
         assert f_p == pytest.approx(15 / 7, abs=1e-12)
-        scores = {(a, b): (p, r) for a, b, p, r in
-                  second.components["P"].revised_transitions}
+        components = {c.id: c for c in occlusion_problem.model.components}
+        _, transitions = named_revision(components["P"],
+                                        second.components["P"])
+        scores = {(a, b): (p, r) for a, b, p, r in transitions}
         p, r = scores["partially_occluded", "occluded"]
         assert p == pytest.approx(2 / 5, abs=1e-12)
         assert r == pytest.approx(6 / 7, abs=1e-12)
-        (step,) = second.components["C"].revised_transitions
+        _, (step,) = named_revision(components["C"], second.components["C"])
         assert step[:2] == ("correct", "correct")
         assert step[2] == pytest.approx(9 / 10, abs=1e-12)
         assert step[3] == pytest.approx(1.0, abs=1e-12)

@@ -312,6 +312,46 @@ class TestDiagnose:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "all_zero_joints"
 
+    @pytest.mark.parametrize("p, last, code, message", [
+        # the admitted mass is too little at t=56, the joints at t=57
+        (3.1293310394578474e-06, 57, "zero_admitted_mass",
+         "admitted modes ['a'] carry probability 5.562684646268003e-309, "
+         "too little to renormalize"),
+        # the joints at t=67, the admitted mass at t=68
+        (2.507167502187581e-05, 68, "all_zero_joints",
+         "joint probabilities sum to 5.562684646267994e-309, too little to "
+         "renormalize; revision is undefined"),
+        # both at t=56: the joints are checked first
+        (3.1262017084183895e-06, 57, "all_zero_joints",
+         "joint probabilities sum to 5.25958866486319e-309, too little to "
+         "renormalize; revision is undefined"),
+    ], ids=["mass-first", "joints-first", "same-instant"])
+    def test_revision_errors_in_instant_order(self, capsys, tmp_path, p,
+                                              last, code, message):
+        """A one-component stream held in mode ``a`` from t=0: the joint
+        is ``p`` multiplied left to right, the admitted mass ``P^t[a, a]``
+        from squarings, so the two round differently and cross the
+        overflow of their reciprocals at different instants. The first
+        failure, instant by instant and the joints before the components,
+        is the one reported."""
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "components": [{"id": "x", "modes": ["a", "b"],
+                            "correct_mode": "a", "matrix": [[p, 1 - p],
+                                                            [0, 1]],
+                            "initial_distribution": [1, 0]}],
+            "rules": [{"body": [{"component": "x", "mode": "a"}],
+                       "head": "up"}]}))
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps([{"t": t, "present": ["up"]}
+                                   for t in range(last + 1)]))
+        assert run(capsys, "diagnose", str(model), str(obs))[0] == 0
+        exit_code, out, _ = run(capsys, "diagnose", str(model), str(obs),
+                                "--revise")
+        assert exit_code == 2
+        assert json.loads(out) == {"error": {
+            "code": code, "element": None, "file": None, "message": message}}
+
     def test_candidate_cap_exits_3(self, capsys):
         code, out, _ = run(capsys, "diagnose", HYDRAULIC, HYDRAULIC_OBS,
                            "--cap", "3")
@@ -423,6 +463,50 @@ class TestDiagnose:
             assert code == 0, err
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("span", [1, 7])
+    def test_reports_independent_of_span(self, capsys, monkeypatch, span):
+        """A candidate set, trellis step or revised instant with more cells
+        than ``_SPAN`` streams its rows; one with fewer is written as one
+        text, and the numbers of consecutive ones are formatted together.
+        At a span of 1 everything with two cells or more streams; at 7 the
+        two kinds mix. Every diagnose golden comes out the same, and a NaN
+        in the last revised instant still raises before anything is
+        written."""
+        monkeypatch.chdir(ROOT)
+        monkeypatch.setattr(tempdiag.cli, "_SPAN", span)
+        data = "tests/data/"
+        goldens = [(ROOT / "bench" / "golden" / golden, argv)
+                   for golden, argv in (case.values for case in DESK_CASES)
+                   if argv[0] == "diagnose"]
+        for golden, argv in goldens + [
+                (ROOT / data / "reversible_diagnose_revise",
+                 ["diagnose", data + "reversible_model.json",
+                  data + "reversible_obs.json", "--revise"]),
+                (ROOT / data / "zero_components_diagnose_revise",
+                 ["diagnose", data + "zero_components_model.json",
+                  data + "zero_components_obs.json", "--revise"]),
+                (ROOT / data / "negative_zero_diagnose_revise",
+                 ["diagnose", data + "negative_zero_model.json",
+                  "scenarios/sudden_stop_obs.json", "--criterion",
+                  "consistency", "--revise"])]:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+            assert out.encode() == golden.read_bytes(), argv
+
+        revise = tempdiag.cli.revise_trellis
+
+        def poisoned(trellis, model):
+            *rest, last = revise(trellis, model)
+            joints = last.revised_joints.copy()
+            joints[-1] = float("nan")
+            return (*rest, replace(last, revised_joints=joints))
+
+        monkeypatch.setattr(tempdiag.cli, "revise_trellis", poisoned)
+        with pytest.raises(ValueError):
+            main(["diagnose", data + "reversible_model.json",
+                  data + "reversible_obs.json", "--revise"])
+        assert capsys.readouterr().out == ""
 
     def test_time_point_beyond_int64(self, capsys, tmp_path):
         """A time point no numpy integer holds is diagnosed and printed
@@ -790,6 +874,23 @@ class TestRank:
         assert error["message"].startswith(f"trajectory #0 at t={t}:")
 
 
+    def test_trellis_names_first_non_advancing_step(self, capsys, tmp_path,
+                                                    monkeypatch):
+        """Past the file checks, the trellis itself refuses a step that
+        does not advance time, naming the first one."""
+        monkeypatch.setattr(tempdiag.cli, "validate_trajectories",
+                            lambda trajectories, model: trajectories)
+        path = tmp_path / "trajectories.json"
+        path.write_text(json.dumps([[
+            {"t": t, "assignment": {"P": "correct", "C": "correct"}}
+            for t in (0, 3, 3, 1)]]))
+        code, out, _ = run(capsys, "rank", HYDRAULIC, str(path))
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "non_increasing_instants", "element": None, "file": None,
+            "message": "step from t=3 to t=3 does not advance time"}
+
+
 def canonical(out: str) -> str:
     """``out`` re-encoded by the stdlib. Floats round-trip through repr, so
     a canonical report equals it exactly."""
@@ -920,7 +1021,7 @@ class TestCanonicalWriter:
         def poisoned_component(cr):
             distribution = cr.distribution.copy()
             posterior = cr.posterior.copy()
-            factor, transitions = cr.factor, cr.revised_transitions
+            factor, revised = cr.factor, cr.revised_entries.copy()
             if where == "distribution":
                 distribution[0] = value
             elif where == "posterior":
@@ -928,10 +1029,9 @@ class TestCanonicalWriter:
             elif where == "mass_factor":
                 factor = value
             elif where == "transition":
-                (a, b, p, _), *rest = transitions
-                transitions = ((a, b, p, value), *rest)
+                revised[0] = value
             return replace(cr, distribution=distribution, posterior=posterior,
-                           factor=factor, revised_transitions=transitions)
+                           factor=factor, revised_entries=revised)
 
         def poisoned_revisions(trellis, model):
             *rest, last = revise(clean[-1], model)
@@ -1094,6 +1194,19 @@ class TestCanonicalWriter:
         dense, long = argvs
         (long450,) = [argv for argv in long if len(json.loads(
             Path(argv[2]).read_text())) == 450]
+        # the 1300-instant joints underflow: the error object and nothing
+        # else reaches stdout
+        (long1300,) = [argv for argv in long if len(json.loads(
+            Path(argv[2]).read_text())) == 1300]
+        stdout = WriteRecorder()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(long1300) == 2
+        assert stdout.getvalue() == json.dumps({"error": {
+            "code": "all_zero_joints", "element": None, "file": None,
+            "message": "joint probabilities sum to 2.10296769310086e-310, "
+                       "too little to renormalize; revision is undefined"}},
+            indent=2) + "\n"
+        assert len(stdout.getvalue()) == 207
         for argv in long450, dense[0]:  # engine keeps the last run's
             assert "--revise" in argv
             stdout = WriteRecorder()
@@ -1129,6 +1242,36 @@ class TestCanonicalWriter:
         for row, steps, n in zip(rows, evolutions.steps, evolutions.lengths):
             assert np.array_equal(bits(row["step_conditionals"]),
                                   bits(steps[:n - 1]))
+
+
+def test_revised_report_leaves_numpy_ma_unloaded():
+    """On numpy 2.x the first ``np.unique`` without ``return_inverse``
+    imports ``numpy.ma`` (~15 ms). A diagnose --revise over multi-candidate
+    layers formats arrays of 32 or more numbers, which ``modelio.texts``
+    deduplicates with ``np.unique``; the report must not pay that import."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import os, sys\n"
+        "import numpy as np\n"
+        "from tempdiag.cli import main\n"
+        "calls, unique = [], np.unique\n"
+        "def counted(*args, **kwargs):\n"
+        "    calls.append(args[0].size)\n"
+        "    return unique(*args, **kwargs)\n"
+        "np.unique = counted\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, max(calls, default=0), 'numpy.ma' in sys.modules,\n"
+        "      file=sys.stderr)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", script, "diagnose", HYDRAULIC, HYDRAULIC_OBS,
+         "--criterion", "consistency", "--revise"],
+        env=env, capture_output=True, text=True, check=True)
+    code, largest, loaded = done.stderr.split()[-3:]
+    assert (code, loaded) == ("0", "False")
+    assert int(largest) >= 32
 
 
 def test_import_leaves_networkx_unloaded():

@@ -26,6 +26,8 @@ from tempdiag.errors import (
     RowSumError,
 )
 
+from tempdiag.markov import matrix_powers
+
 from propsuites import mode_names, random_stochastic
 
 
@@ -99,6 +101,41 @@ class TestMatrixPower:
     def test_negative_power_rejected(self, container):
         with pytest.raises(ValueError):
             matrix_power(container.matrix, -1)
+
+
+class TestMatrixPowers:
+    """Powers stacked from squarings computed once equal numpy's
+    ``matrix_power`` bit for bit: numpy's multiplication order is kept, so
+    reports keep their bytes on every supported numpy."""
+
+    def test_bit_for_bit_with_numpy(self):
+        rng = np.random.default_rng(2037)
+        exponents = list(range(4097))
+        for n in range(1, 7):
+            # with structural zeros, or every entry positive
+            entries = random_stochastic(rng, n) if n % 2 else rng.random(
+                (n, n)) ** 3
+            entries /= entries.sum(axis=1, keepdims=True)
+            powers = matrix_powers(entries, exponents)
+            pi0 = rng.dirichlet(np.ones(n))
+            propagated = pi0 @ powers
+            for k in exponents:
+                assert powers[k].tobytes() == np.linalg.matrix_power(
+                    entries, k).tobytes()
+                assert propagated[k].tobytes() == propagate_distribution(
+                    pi0, entries, k).tobytes()
+
+    def test_any_order_and_beyond_int64(self, pump):
+        exponents = [2 ** 70, 3, 0, 2 ** 64 + 5, 3, 1, 0, 4096, 2]
+        powers = matrix_powers(pump.matrix, exponents)
+        for power, k in zip(powers, exponents):
+            assert power.tobytes() == np.linalg.matrix_power(
+                pump.matrix, k).tobytes()
+        assert matrix_powers(pump.matrix, []).shape == (0, 5, 5)
+
+    def test_negative_power_rejected(self, container):
+        with pytest.raises(ValueError):
+            matrix_powers(container.matrix, [2, -1])
 
 
 class TestPropagateDistribution:

@@ -162,6 +162,24 @@ class TestCanonicalReports:
             write_report({"rows": [0.5] * 100000 + [value]}, stream)
         assert stream.writes == []
 
+    def test_repeated_items(self):
+        """A list of one object repeated, as a template's rows are, gives
+        the stdlib's text; a section writer repeated renders once per
+        item."""
+        row = {"p": [0.25, None, -0.0], "q": "x%"}
+        report = {"rows": [row] * 3, "ints": [7] * 4, "zeros": [-0.0] * 2}
+        assert encode(report) == json.dumps(
+            report, indent=2, sort_keys=True) + "\n"
+        rendered = []
+
+        def render(nl):
+            rendered.append(nl)
+            return ["1.5"]
+
+        assert encode([modelio.section(render)] * 2) == json.dumps(
+            [1.5, 1.5], indent=2) + "\n"
+        assert rendered == ["\n  ", "\n  "]
+
     def test_sorted_keys_and_newline(self):
         out = encode({"b": 1, "a": 2})
         assert out.index('"a"') < out.index('"b"')

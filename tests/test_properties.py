@@ -7,6 +7,7 @@ from propsuites import (
     check_classification_partition,
     check_factor_threshold_relation,
     check_forward_paths_vs_bruteforce,
+    check_gathered_trellis,
     check_memorylessness,
     check_power_stochasticity,
     check_rank_matches_diagnose,
@@ -41,6 +42,10 @@ def test_trellis_matches_bruteforce():
 
 def test_forward_paths_match_bruteforce():
     check_forward_paths_vs_bruteforce(CASES)
+
+
+def test_gathered_trellis_matches_definitions():
+    check_gathered_trellis(CASES)
 
 
 def test_threshold_monotonicity():

@@ -24,6 +24,7 @@ from tempdiag.temporal import trellis_from_layers
 from propsuites import random_assignment, random_model
 from reference import (
     component_mass_factor,
+    named_revision,
     posterior_component_distribution,
     prior_probability,
     step_factors,
@@ -118,8 +119,9 @@ class TestReviseTransition:
 
     def scores(self, problem):
         _, second = revise_trellis(build_trellis(problem), problem.model)
-        return {c: {(a, b): (p, r) for a, b, p, r in cr.revised_transitions}
-                for c, cr in second.components.items()}
+        return {c.id: {(a, b): (p, r) for a, b, p, r in named_revision(
+                    c, second.components[c.id])[1]}
+                for c in problem.model.components}
 
     def test_pump_progression_score(self, occlusion_problem):
         p, r = self.scores(occlusion_problem)["P"][
@@ -143,7 +145,7 @@ class TestReviseTransition:
             {"x": np.array([1.0, 0.0])})
         _, second = revise_trellis(trellis, model)
         assert second.components["x"].factor == 1.0
-        assert second.components["x"].revised_transitions == (
+        assert named_revision(component, second.components["x"])[1] == (
             ("a", "a", 0.37, 0.37), ("a", "b", 0.63, 0.63))
 
     def test_mass_summed_left_to_right(self):
@@ -203,18 +205,21 @@ class TestReviseTrellis:
         revised = sorted(second.revised_conditionals)
         np.testing.assert_allclose(revised, [0, 6 / 7, 15 / 7], atol=1e-12)
 
+        pump, container = occlusion_problem.model.components
         pump_rev = second.components["P"]
         np.testing.assert_allclose(pump_rev.distribution,
                                    PI_P_1, atol=1e-12)
-        assert pump_rev.admitted == ("occluded",)
+        admitted, transitions = named_revision(pump, pump_rev)
+        assert admitted == ("occluded",)
         assert pump_rev.factor == pytest.approx(15 / 7, abs=1e-12)
-        scores = {(a, b): r for a, b, _, r in pump_rev.revised_transitions}
+        scores = {(a, b): r for a, b, _, r in transitions}
         assert scores[("partially_occluded", "occluded")] == \
             pytest.approx(6 / 7, abs=1e-12)
 
         container_rev = second.components["C"]
         assert container_rev.factor == pytest.approx(10 / 9, abs=1e-12)
-        scores = {(a, b): r for a, b, _, r in container_rev.revised_transitions}
+        scores = {(a, b): r for a, b, _, r in named_revision(
+            container, container_rev)[1]}
         assert scores[("correct", "correct")] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(
             container_rev.posterior, [0, 0, 1], atol=1e-12)
@@ -262,6 +267,6 @@ def test_single_trajectory_per_component_matches_global():
         _, second = revise_trellis(trellis, model)
         (globally_revised,) = second.revised_conditionals
         product = math.prod(
-            cr.revised_transitions[0][3] for cr in second.components.values())
+            float(cr.revised_entries[0]) for cr in second.components.values())
         assert abs(product - globally_revised) <= 1e-12
         done += 1

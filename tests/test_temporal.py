@@ -7,6 +7,7 @@ matrices (or of their hand-computed squares), frozen here as exact fractions.
 import numpy as np
 import pytest
 
+import tempdiag.temporal
 from tempdiag import (
     DiagnosticProblem,
     ExplanationCriterion,
@@ -21,12 +22,14 @@ from tempdiag import (
     relevant_instants,
     resolve_initial_distributions,
 )
+from tempdiag.atemporal import solve_atemporal
 from tempdiag.errors import (
     EmptyCandidateSetError,
     EmptyStreamError,
     NoAdmissibleEvolutionError,
     NoCandidatesError,
     NonIncreasingInstantsError,
+    SearchSpaceError,
     ValidationError,
 )
 from tempdiag.temporal import trellis_from_layers
@@ -387,3 +390,74 @@ def test_trellis_arrays_equal_per_edge_definitions():
         done += 1
     assert seen >= {("gap", n) for n in range(1, 6)} | {
         ("admissible", True), ("admissible", False), ("multi", True)}
+
+
+#: Three observation patterns of the hydraulic system; the third has the
+#: same present atoms as the first and other absent ones, and CONTRADICTION
+#: has no explanation.
+FLOW = ({"flow_out(P)", "level_normal(C)"}, set())
+STOPPED = ({"no_flow_out(P)"}, {"water_loss(C)"})
+FLOW_DRY = ({"flow_out(P)", "level_normal(C)"}, {"water_loss(C)"})
+CONTRADICTION = ({"flow_out(P)", "no_flow_out(P)"}, set())
+
+
+class TestSolveMemo:
+    """``build_trellis`` solves each distinct (present, absent) pair once."""
+
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counted(model, observation, *args):
+            calls.append(observation.t)
+            return solve_atemporal(model, observation, *args)
+        monkeypatch.setattr(tempdiag.temporal, "solve_atemporal", counted)
+        return calls
+
+    def problem(self, model, patterns,
+                criterion=ExplanationCriterion.CONSISTENCY_BASED, **options):
+        return DiagnosticProblem(model, ObservationStream(tuple(
+            Observation(t, *pattern) for t, pattern in enumerate(patterns))),
+            criterion=criterion, **options)
+
+    def test_each_distinct_observation_solved_once(self, hydraulic,
+                                                   monkeypatch):
+        calls = self.solves(monkeypatch)
+        patterns = [FLOW, FLOW, STOPPED, FLOW_DRY, FLOW, STOPPED, FLOW_DRY]
+        trellis = build_trellis(self.problem(hydraulic, patterns))
+        assert calls == [0, 2, 3]  # the first instant of each pattern
+        assert len(trellis.modes) == len(patterns)
+
+    def test_layers_equal_entry_by_entry_solves(self, hydraulic):
+        patterns = [FLOW, STOPPED, FLOW, FLOW_DRY, STOPPED, FLOW]
+        problem = self.problem(hydraulic, patterns, sigma=0.01)
+        trellis = build_trellis(problem)
+        layers = [solve_atemporal(hydraulic, entry, problem.criterion)
+                  for entry in problem.observations.entries]
+        assert len({len(layer) for layer in layers}) > 1
+        expected = trellis_from_layers(
+            hydraulic, trellis.instants, layers,
+            resolve_initial_distributions(hydraulic, 0, layers[0]),
+            problem.sigma, problem.threshold_mode)
+        for name in ("modes", "factors", "conditionals", "admissible"):
+            got, want = getattr(trellis, name), getattr(expected, name)
+            assert len(got) == len(want)
+            assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                       for a, b in zip(got, want)), name
+        assert np.array_equal(trellis.priors, expected.priors)
+
+    def test_first_empty_instant_named(self, hydraulic, monkeypatch):
+        calls = self.solves(monkeypatch)
+        patterns = [FLOW, FLOW, STOPPED, CONTRADICTION, FLOW, CONTRADICTION]
+        with pytest.raises(NoCandidatesError) as exc:
+            build_trellis(self.problem(hydraulic, patterns,
+                                       ExplanationCriterion.ABDUCTIVE))
+        assert exc.value.t == exc.value.element == 3
+        assert calls == [0, 2, 3]
+
+    def test_search_space_error_from_first_solve(self, hydraulic,
+                                                 monkeypatch):
+        calls = self.solves(monkeypatch)
+        with pytest.raises(SearchSpaceError):
+            build_trellis(self.problem(hydraulic, [FLOW, STOPPED],
+                                       candidate_cap=3))
+        assert calls == [0]
