@@ -23,14 +23,13 @@ the simulator synthesizes observations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import SearchSpaceError
-from .model import HornRule, Observation, SystemModel
+from .model import HornRule, Observation, SystemModel, _remade
 
 #: Default cap on the size of the enumerated assignment space.
 DEFAULT_CANDIDATE_CAP = 10 ** 6
@@ -41,8 +40,12 @@ class ExplanationCriterion(Enum):
     CONSISTENCY_BASED = "consistency"
 
 
-@dataclass(frozen=True, order=True)
-class ModeAssignment:
+class _Assignment(NamedTuple):
+    t: int
+    modes: tuple[tuple[str, str], ...]
+
+
+class ModeAssignment(_Assignment):
     """One mode per component at a time point.
 
     ``modes`` is a tuple of (component id, mode) pairs sorted by component
@@ -50,12 +53,12 @@ class ModeAssignment:
     used for deterministic tie-breaking).
     """
 
-    t: int
-    modes: tuple[tuple[str, str], ...]
+    __slots__ = ()
+    _make = classmethod(_remade)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "modes", tuple(sorted(tuple(pair) for pair in self.modes)))
+    def __new__(cls, t, modes):
+        return super().__new__(
+            cls, t, tuple(sorted(tuple(pair) for pair in modes)))
 
     @classmethod
     def from_mapping(cls, t: int, assignment: Mapping[str, str]) -> "ModeAssignment":

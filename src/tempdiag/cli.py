@@ -2,9 +2,10 @@
 
 Subcommands: validate, classify, propagate, diagnose, simulate, rank.
 Reports go to standard output as canonical JSON; a short human-readable
-summary goes to standard error. ``main`` loads and validates the model and
-writes what every report carries (``command``, ``config`` and the input
-``files``); each ``_cmd_*`` function returns only its own sections. The
+summary goes to standard error if it can be written there. ``run`` is the
+process entry. ``main`` loads and validates the model and writes what
+every report carries (``command``, ``config`` and the input ``files``);
+each ``_cmd_*`` function returns only its own sections. The
 bulk sections (candidates, trellis edges, diagnoses and ranked
 trajectories, revised evolutions, conditionals and component blocks) are
 section writers that ``modelio.write_report`` calls: they fill ``modelio``
@@ -27,11 +28,12 @@ admissible evolution, or undefined revision), 3 internal limits
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 from itertools import chain, islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -294,12 +296,12 @@ def _cmd_validate(args, model) -> dict:
             "entries": len(stream.entries),
             "instants": [e.t for e in stream.entries],
         }
-        print(f"model and observations OK "
+        _note(f"model and observations OK "
               f"({len(model.components)} components, "
-              f"{len(stream.entries)} observation entries)", file=sys.stderr)
+              f"{len(stream.entries)} observation entries)")
     else:
-        print(f"model OK ({len(model.components)} components, "
-              f"{len(model.rules)} rules)", file=sys.stderr)
+        _note(f"model OK ({len(model.components)} components, "
+              f"{len(model.rules)} rules)")
     return report
 
 
@@ -325,8 +327,7 @@ def _cmd_classify(args, model) -> dict:
             },
         }
         permanent = sorted(m for m, fc in faults.faults.items() if fc.permanent)
-        print(f"{c.id}: permanent faults {permanent or 'none'}",
-              file=sys.stderr)
+        _note(f"{c.id}: permanent faults {permanent or 'none'}")
     return {"components": components}
 
 
@@ -341,8 +342,8 @@ def _cmd_propagate(args, model) -> dict:
         components[c.id] = {"modes": list(c.modes), "distributions": [
             {"t": t, "probabilities": probabilities}
             for t, probabilities in zip(instants, propagated.tolist())]}
-    print(f"propagated {len(model.components)} components over "
-          f"{len(instants)} instants", file=sys.stderr)
+    _note(f"propagated {len(model.components)} components over "
+          f"{len(instants)} instants")
     return {
         "instants": instants,
         "initial_distributions": {
@@ -578,9 +579,8 @@ def _cmd_diagnose(args, model) -> dict:
 
     sizes = ", ".join(f"{len(modes)} at t={t}"
                       for t, modes in zip(trellis.instants, trellis.modes))
-    print(f"candidates: {sizes}; {len(evolutions.joints)} admissible "
-          f"evolution(s); best joint probability {evolutions.joints[0]:.6g}",
-          file=sys.stderr)
+    _note(f"candidates: {sizes}; {len(evolutions.joints)} admissible "
+          f"evolution(s); best joint probability {evolutions.joints[0]:.6g}")
     return report
 
 
@@ -594,8 +594,8 @@ def _cmd_simulate(args, model) -> dict:
             raise ValidationError(f"time points must strictly increase, got "
                                   f"{t} after {before}", element=t)
     stream = generate_observation_stream(traj, model, instants)
-    print(f"sampled horizon {args.horizon} with seed {args.seed} "
-          f"({RNG_ALGORITHM})", file=sys.stderr)
+    _note(f"sampled horizon {args.horizon} with seed {args.seed} "
+          f"({RNG_ALGORITHM})")
     return {
         "rng": RNG_ALGORITHM,
         "trajectory": {
@@ -612,7 +612,7 @@ def _cmd_rank(args, model) -> dict:
     trajectories = _load(args.trajectories, load_trajectories,
                          validate_trajectories, model)
     ranked = rank_evolutions(model, trajectories)
-    print(f"ranked {len(ranked.joints)} trajectories", file=sys.stderr)
+    _note(f"ranked {len(ranked.joints)} trajectories")
     return {"trajectories": _evolution_rows(model, ranked, prior=True)}
 
 
@@ -621,6 +621,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")
+
+    def _print_message(self, message, file=None):
+        """Writes ``--help`` and ``--version`` text as a report is written:
+        a stream that refuses it ends the run with exit 1, where argparse
+        would drop the text and exit 0."""
+        if message and not _written(lambda stream: stream.write(message),
+                                    file or sys.stderr):
+            sys.exit(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -686,17 +694,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_report(report: dict) -> bool:
-    """Write ``report`` to stdout. If stdout refuses it (a full disk, a
-    closed pipe), say why on stderr and return False; whatever stdout
-    still buffers is then dropped, so that nothing more of it is written."""
+def _note(text: str) -> None:
+    """Print ``text`` on stderr, for a person to read. A stderr that
+    refuses it (a full disk, a closed descriptor) loses the text, never
+    the report or the exit code."""
+    if sys.stderr is None:  # the process started with descriptor 2 closed
+        return
     try:
-        write_report(report, sys.stdout)
-        sys.stdout.flush()
+        print(text, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
+def _written(write: Callable[[TextIO], object], stream: TextIO) -> bool:
+    """Call ``write(stream)`` and flush ``stream``. If the stream refuses
+    it (a full disk, a closed pipe), say why on stderr and return False;
+    whatever the stream still buffers is then dropped, so that nothing
+    more of it is written."""
+    try:
+        write(stream)
+        stream.flush()
     except OSError as exc:
-        print(f"error [write_failed]: {exc.strerror or exc}", file=sys.stderr)
+        _note(f"error [write_failed]: {exc.strerror or exc}")
         try:
-            fd = sys.stdout.fileno()
+            fd = stream.fileno()
         except (AttributeError, OSError):  # a stream with no descriptor
             return False
         # the flush at exit would fail again, and print a traceback
@@ -724,11 +745,26 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "file": getattr(exc, "file", None),
             }
         }
-        written = _print_report(error)
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+        written = _written(partial(write_report, error), sys.stdout)
+        _note(f"error [{exc.code}]: {exc}")
         return exc.exit_code if written else 1
-    return 0 if _print_report(report) else 1
+    return 0 if _written(partial(write_report, report), sys.stdout) else 1
+
+
+def run() -> NoReturn:
+    """The process entry, of the ``tempdiag`` console script and of
+    ``python -m tempdiag.cli``: ``main`` on the command line, then exit
+    with its code. Every way out, argparse's own exits included, first
+    freezes what the process holds (``gc.freeze``): the objects go with
+    the process anyway, and frozen, the interpreter's final collections
+    skip the ~22k that numpy and the package allocate at import. ``main``
+    called in a running process never freezes."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

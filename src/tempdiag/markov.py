@@ -20,9 +20,8 @@ one, in the component's mode order; validation tolerances are module constants.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,8 +56,7 @@ class StateLabel(Enum):
     TRANSIENT = "transient"
 
 
-@dataclass(frozen=True)
-class StateClassification:
+class StateClassification(NamedTuple):
     """Per-mode labels plus the closed (ergodic) and leavable (transient) sets.
 
     Sets are reported as tuples of mode names in matrix order; the lists are
@@ -70,8 +68,7 @@ class StateClassification:
     transient_sets: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
-class FaultClass:
+class FaultClass(NamedTuple):
     """Taxonomy flags for one fault mode."""
 
     permanent: bool
@@ -83,8 +80,7 @@ class FaultClass:
         return not self.reversible
 
 
-@dataclass(frozen=True)
-class FaultClassification:
+class FaultClassification(NamedTuple):
     """Fault taxonomy for every non-correct mode of one component."""
 
     component: str

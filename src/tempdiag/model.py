@@ -7,12 +7,15 @@ Observations are time-stamped sets of manifestations seen present or absent.
 
 Rule bodies are conjunctions of mode atoms only and heads are single
 manifestation atoms; chaining through intermediate atoms is out of scope.
+
+The records are ``typing.NamedTuple`` classes. One that normalises its
+fields does so in ``__new__`` on a subclass of its field tuple, and its
+``_replace`` goes through that ``__new__`` too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,8 +40,21 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class ComponentSpec:
+def _remade(cls, fields):
+    """``cls(*fields)``: a record's ``_replace`` normalises the fields it
+    is given as its constructor does."""
+    return cls(*fields)
+
+
+class _Component(NamedTuple):
+    id: str
+    modes: tuple[str, ...]
+    correct_mode: str
+    matrix: np.ndarray
+    initial_distribution: np.ndarray | None = None
+
+
+class ComponentSpec(_Component):
     """One component: its modes, designated correct mode and transition chain.
 
     ``matrix[i, j]`` is the probability of moving from ``modes[i]`` to
@@ -46,55 +62,59 @@ class ComponentSpec:
     ``initial_distribution`` (one probability per mode) are stored as
     read-only ``float64`` arrays. Without an initial distribution the engine
     induces one from the candidates at the first observed instant or falls
-    back to a uniform one.
+    back to a uniform one. Components compare and hash by identity.
     """
 
-    id: str
-    modes: tuple[str, ...]
-    correct_mode: str
-    matrix: np.ndarray
-    initial_distribution: np.ndarray | None = None
+    __slots__ = ()
+    _make = classmethod(_remade)
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "matrix", _readonly(self.matrix))
-        if self.initial_distribution is not None:
-            object.__setattr__(self, "initial_distribution",
-                               _readonly(self.initial_distribution))
+    def __new__(cls, id, modes, correct_mode, matrix,
+                initial_distribution=None):
+        return super().__new__(
+            cls, id, tuple(modes), correct_mode, _readonly(matrix),
+            None if initial_distribution is None
+            else _readonly(initial_distribution))
 
 
-@dataclass(frozen=True)
-class HornRule:
+class _Rule(NamedTuple):
+    body: frozenset[tuple[str, str]]
+    head: str
+
+
+class HornRule(_Rule):
     """``mode-atom AND ... AND mode-atom -> manifestation``.
 
     Body atoms are (component id, mode) pairs; a component appears at most
     once per body.
     """
 
-    body: frozenset[tuple[str, str]]
-    head: str
+    __slots__ = ()
+    _make = classmethod(_remade)
 
-    def __post_init__(self):
-        object.__setattr__(self, "body", frozenset(tuple(a) for a in self.body))
+    def __new__(cls, body, head):
+        return super().__new__(cls, frozenset(tuple(a) for a in body), head)
 
 
-@dataclass(frozen=True)
-class SystemModel:
+class _Model(NamedTuple):
+    components: tuple[ComponentSpec, ...]
+    rules: tuple[HornRule, ...]
+    exclusive: tuple[frozenset[str], ...] = ()
+
+
+class SystemModel(_Model):
     """Components plus behavioral rules plus mutual-exclusivity declarations.
 
     ``exclusive`` lists unordered pairs of manifestation atoms that cannot
     hold together; the solver uses them as its source of contradiction.
     """
 
-    components: tuple[ComponentSpec, ...]
-    rules: tuple[HornRule, ...]
-    exclusive: tuple[frozenset[str], ...] = ()
+    __slots__ = ()
+    _make = classmethod(_remade)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "exclusive",
-                           tuple(frozenset(p) for p in self.exclusive))
+    def __new__(cls, components, rules, exclusive=()):
+        return super().__new__(cls, tuple(components), tuple(rules),
+                               tuple(frozenset(p) for p in exclusive))
 
     @property
     def manifestations(self) -> frozenset[str]:
@@ -110,27 +130,34 @@ class SystemModel:
         return frozenset(partners)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Manifestations seen present/absent at one time point."""
-
+class _Observation(NamedTuple):
     t: int
     present: frozenset[str]
     absent: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "present", frozenset(self.present))
-        object.__setattr__(self, "absent", frozenset(self.absent))
+
+class Observation(_Observation):
+    """Manifestations seen present/absent at one time point."""
+
+    __slots__ = ()
+    _make = classmethod(_remade)
+
+    def __new__(cls, t, present, absent):
+        return super().__new__(cls, t, frozenset(present), frozenset(absent))
 
 
-@dataclass(frozen=True)
-class ObservationStream:
+class _Stream(NamedTuple):
+    entries: tuple[Observation, ...] = ()
+
+
+class ObservationStream(_Stream):
     """Observations ordered by strictly increasing time point."""
 
-    entries: tuple[Observation, ...] = field(default_factory=tuple)
+    __slots__ = ()
+    _make = classmethod(_remade)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __new__(cls, entries=()):
+        return super().__new__(cls, tuple(entries))
 
 
 def validate_model(model: SystemModel) -> SystemModel:

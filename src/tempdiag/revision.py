@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,8 +55,7 @@ def normalization_factor(joints: Sequence[float]) -> float:
     return factor
 
 
-@dataclass(frozen=True)
-class ComponentRevision:
+class ComponentRevision(NamedTuple):
     """Per-component revision data at one instant. Modes are indices into
     the component's declared modes, and the distributions are arrays over
     them."""
@@ -75,8 +73,7 @@ class ComponentRevision:
     revised_entries: np.ndarray
 
 
-@dataclass(frozen=True)
-class InstantRevision:
+class InstantRevision(NamedTuple):
     """Revision of everything the trellis knows at one instant, as arrays:
     the joints over the forward pass's paths ending here, the scores over
     the admissible edges into here (none at the first instant)."""

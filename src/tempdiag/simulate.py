@@ -9,8 +9,7 @@ streams in the same shape the engine ingests.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -24,8 +23,7 @@ RNG_ALGORITHM = "numpy-pcg64"
 MAX_HORIZON = 10 ** 6
 
 
-@dataclass(frozen=True)
-class SampledTrajectory:
+class SampledTrajectory(NamedTuple):
     """One realization of every component's mode process over 0..horizon."""
 
     seed: int

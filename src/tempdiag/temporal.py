@@ -29,9 +29,8 @@ problem and ``rank_evolutions`` supplied trajectories; both return
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,8 +65,7 @@ class ThresholdMode(Enum):
     PER_COMPONENT = "per_component"
 
 
-@dataclass(frozen=True)
-class DiagnosticProblem:
+class DiagnosticProblem(NamedTuple):
     """A system model, its observations, and the filtering configuration."""
 
     model: SystemModel
@@ -78,8 +76,7 @@ class DiagnosticProblem:
     candidate_cap: int = DEFAULT_CANDIDATE_CAP
 
 
-@dataclass(frozen=True, eq=False)
-class Trellis:
+class Trellis(NamedTuple):
     """Layered candidate graph over the relevant instants.
 
     ``modes[k]`` holds the candidates at ``instants[k]`` as a |L_k| x C
@@ -90,7 +87,10 @@ class Trellis:
     those entries, and ``admissible[k][i, j]`` the threshold check under
     the problem's threshold mode. ``priors[i]`` is candidate i's probability
     at the first instant under the ``initials`` (an array per component).
+    A trellis compares and hashes by identity.
     """
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     instants: tuple[int, ...]
     modes: tuple[np.ndarray, ...]
@@ -267,8 +267,7 @@ def forward_paths(trellis: Trellis) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield paths, joints
 
 
-@dataclass(frozen=True, eq=False)
-class Evolutions:
+class Evolutions(NamedTuple):
     """Evolutions as arrays, one row each, in ranked order.
 
     At its k-th step evolution e is at instant ``times[instants[e, k]]`` in
@@ -276,8 +275,11 @@ class Evolutions:
     ``model.components[c]``); both hold -1 past the end of an evolution
     shorter than the longest. ``steps[e, k]`` is its k-th step conditional
     (NaN past the end), ``priors[e]`` the probability of its first
-    assignment and ``joints[e]`` the prior times the steps.
+    assignment and ``joints[e]`` the prior times the steps. Evolutions
+    compare and hash by identity.
     """
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     times: tuple[int, ...]
     instants: np.ndarray

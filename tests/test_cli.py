@@ -1,12 +1,14 @@
 """End-to-end command-line checks against the shipped scenario files."""
 
 import errno
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -81,15 +83,21 @@ def run_json(capsys, *argv, expect=0):
     return json.loads(out)
 
 
+def child(*args, env=(), **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` in a child process that finds the package under
+    ``src``, with the variables ``env`` added to its environment."""
+    src = str(ROOT / "src")
+    return subprocess.run([sys.executable, *args], env={
+        **os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])), **dict(env)},
+        **kwargs)
+
+
 def run_process(argv, hash_seed):
     """The CLI in a child process under a string-hash seed: its exit code
     and stdout."""
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "tempdiag.cli", *argv],
-                          env=env, capture_output=True)
+    done = child("-m", "tempdiag.cli", *argv, capture_output=True,
+                 env={"PYTHONHASHSEED": hash_seed})
     return done.returncode, done.stdout
 
 
@@ -500,7 +508,7 @@ class TestDiagnose:
             *rest, last = revise(trellis, model)
             joints = last.revised_joints.copy()
             joints[-1] = float("nan")
-            return (*rest, replace(last, revised_joints=joints))
+            return (*rest, last._replace(revised_joints=joints))
 
         monkeypatch.setattr(tempdiag.cli, "revise_trellis", poisoned)
         with pytest.raises(ValueError):
@@ -1004,8 +1012,9 @@ class TestCanonicalWriter:
                 factors[k][i, j, -1] = value
             elif where == "priors":
                 priors[-1] = value
-            return replace(trellis, factors=tuple(factors),
-                           conditionals=tuple(conditionals), priors=priors)
+            return trellis._replace(factors=tuple(factors),
+                                    conditionals=tuple(conditionals),
+                                    priors=priors)
 
         def poisoned_evolutions(problem, trellis):
             evolutions = enumerate_(problem, clean[-1])
@@ -1016,7 +1025,7 @@ class TestCanonicalWriter:
                 steps[0, 0] = value
             elif where == "last_row":
                 steps[-1, evolutions.lengths[-1] - 2] = value
-            return replace(evolutions, joints=joints, steps=steps)
+            return evolutions._replace(joints=joints, steps=steps)
 
         def poisoned_component(cr):
             distribution = cr.distribution.copy()
@@ -1030,8 +1039,8 @@ class TestCanonicalWriter:
                 factor = value
             elif where == "transition":
                 revised[0] = value
-            return replace(cr, distribution=distribution, posterior=posterior,
-                           factor=factor, revised_entries=revised)
+            return cr._replace(distribution=distribution, posterior=posterior,
+                               factor=factor, revised_entries=revised)
 
         def poisoned_revisions(trellis, model):
             *rest, last = revise(clean[-1], model)
@@ -1049,15 +1058,15 @@ class TestCanonicalWriter:
             components = dict(last.components)
             comp = max(components)  # its block is printed last
             components[comp] = poisoned_component(components[comp])
-            return (*rest, replace(
-                last, joints=joints, conditionals=conditionals,
+            return (*rest, last._replace(
+                joints=joints, conditionals=conditionals,
                 revised_conditionals=revised, components=components))
 
         def poisoned_rank(model, trajectories):
             ranked = rank(model, trajectories)
             priors = ranked.priors.copy()
             priors[-1] = value
-            return replace(ranked, priors=priors)
+            return ranked._replace(priors=priors)
 
         monkeypatch.setattr(tempdiag.cli, "build_trellis", poisoned_trellis)
         monkeypatch.setattr(tempdiag.cli, "enumerate_evolutions",
@@ -1283,3 +1292,85 @@ def test_import_leaves_networkx_unloaded():
          "import sys, tempdiag.cli; print('networkx' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_import_leaves_dataclasses_unloaded():
+    """The records are NamedTuples: importing the package generates no
+    methods through ``dataclasses``."""
+    done = child("-c", "import sys, tempdiag.cli; "
+                 "print('dataclasses' in sys.modules)",
+                 capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
+#: Runs ending in each exit code, and the code.
+EXITS = [
+    (["diagnose", HYDRAULIC, HYDRAULIC_OBS], 0),
+    (["diagnose", HYDRAULIC, "missing.json"], 1),
+    (["diagnose", SUDDEN, SUDDEN_OBS, "--sigma", "0.99"], 2),
+    (["diagnose", HYDRAULIC, HYDRAULIC_OBS, "--cap", "3"], 3),
+]
+
+
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+def test_refused_stderr_keeps_report_and_exit_code(stderr):
+    """The summary on stderr is for a person to read: with stderr on a full
+    device or closed, a run writes the report and exits as it does with a
+    working stderr."""
+    if stderr == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs a device whose writes fail")
+    for argv, code in EXITS:
+        normal = child("-m", "tempdiag.cli", *argv, capture_output=True)
+        assert normal.returncode == code and normal.stderr
+        if stderr == "full":
+            with open("/dev/full", "w") as full:
+                done = child("-m", "tempdiag.cli", *argv,
+                             stdout=subprocess.PIPE, stderr=full)
+        else:
+            done = child("-m", "tempdiag.cli", *argv, stdout=subprocess.PIPE,
+                         preexec_fn=partial(os.close, 2))
+        assert (done.returncode, done.stdout) == (code, normal.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device whose writes fail")
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_on_full_stdout_exit_1(flag):
+    with open("/dev/full", "w") as full:
+        done = child("-m", "tempdiag.cli", flag, stdout=full,
+                     stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 1
+    assert done.stderr == "error [write_failed]: No space left on device\n"
+
+
+def test_main_in_process_never_freezes(capsys):
+    before = gc.get_freeze_count()
+    assert main(["validate", HYDRAULIC]) == 0
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"], ["diagnose", HYDRAULIC, HYDRAULIC_OBS, "--revise"]],
+    ids=["version", "diagnose"])
+def test_process_entry_freezes_before_exit(argv):
+    """``python -m tempdiag.cli`` goes through the process entry, which
+    freezes the heap before the interpreter's final collections."""
+    script = ("import atexit, gc, runpy, sys\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count(),"
+              " file=sys.stderr))\n"
+              "sys.argv = ['tempdiag', *sys.argv[1:]]\n"
+              "runpy.run_module('tempdiag.cli', run_name='__main__',"
+              " alter_sys=True)\n")
+    done = child("-c", script, *argv, capture_output=True, text=True)
+    normal = child("-m", "tempdiag.cli", *argv, capture_output=True,
+                   text=True)
+    assert (done.returncode, done.stdout) == (0, normal.stdout)
+    label, count = done.stderr.splitlines()[-1].split()
+    assert label == "frozen" and int(count) > 0
+
+
+def test_console_script_is_the_process_entry():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^tempdiag = "tempdiag\.cli:run"$', pyproject, re.M)
