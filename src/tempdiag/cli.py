@@ -28,6 +28,7 @@ admissible evolution, or undefined revision), 3 internal limits
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
@@ -624,10 +625,11 @@ class _Parser(argparse.ArgumentParser):
 
     def _print_message(self, message, file=None):
         """Writes ``--help`` and ``--version`` text as a report is written:
-        a stream that refuses it ends the run with exit 1, where argparse
-        would drop the text and exit 0."""
+        a stream that refuses it, or a closed descriptor (``file`` is
+        None), ends the run with exit 1, where argparse would drop the
+        text or print it on stderr, and exit 0."""
         if message and not _written(lambda stream: stream.write(message),
-                                    file or sys.stderr):
+                                    file):
             sys.exit(1)
 
 
@@ -706,12 +708,16 @@ def _note(text: str) -> None:
         pass
 
 
-def _written(write: Callable[[TextIO], object], stream: TextIO) -> bool:
+def _written(write: Callable[[TextIO], object],
+             stream: TextIO | None) -> bool:
     """Call ``write(stream)`` and flush ``stream``. If the stream refuses
-    it (a full disk, a closed pipe), say why on stderr and return False;
+    it (a full disk, a closed pipe) or there is none (the process started
+    with its descriptor closed), say why on stderr and return False;
     whatever the stream still buffers is then dropped, so that nothing
     more of it is written."""
     try:
+        if stream is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         write(stream)
         stream.flush()
     except OSError as exc:

@@ -752,6 +752,24 @@ class TestSimulate:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "invalid_input"
 
+    @pytest.mark.parametrize("scenario",
+                             ["hydraulic", "occlusion_onset", "sudden_stop"])
+    @pytest.mark.parametrize("seed, tag", [
+        (0, "0"), (2 ** 32, "2pow32"), (2 ** 64 + 1, "2pow64plus1"),
+        (10 ** 40, "10pow40")])
+    def test_reports_match_goldens(self, capsys, monkeypatch, scenario, seed,
+                                   tag):
+        """Reports captured while the sampler drew from
+        ``numpy.random.default_rng(seed)``: the built-in generator replays
+        that stream through the CLI, seeds of 2, 3 and 5 words included."""
+        monkeypatch.chdir(ROOT)
+        code, out, err = run(capsys, "simulate",
+                             f"scenarios/{scenario}_model.json",
+                             "--horizon", "12", "--seed", str(seed))
+        assert code == 0, err
+        golden = ROOT / "tests" / "data" / f"simulate_{scenario}_seed_{tag}"
+        assert out.encode() == golden.read_bytes()
+
 
 class TestRank:
     def test_exact_joint_with_declared_initials(self, capsys, tmp_path):
@@ -1283,6 +1301,26 @@ def test_revised_report_leaves_numpy_ma_unloaded():
     assert int(largest) >= 32
 
 
+def test_simulate_leaves_numpy_random_unloaded():
+    """``simulate`` samples with the built-in generator: a run imports no
+    ``numpy.random`` (19 modules and ~5.7 MB of peak RSS on numpy 2). numpy
+    before 2.0 imports it with numpy itself; there the run must not be
+    what loads it."""
+    script = (
+        "import os, sys\n"
+        "from tempdiag.cli import main\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, before, 'numpy.random' in sys.modules, file=sys.stderr)\n")
+    done = child("-c", script, "simulate", HYDRAULIC, "--horizon", "20",
+                 capture_output=True, text=True, check=True)
+    code, before, after = done.stderr.split()[-3:]
+    assert (code, after) == ("0", before)
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert after == "False"
+
+
 def test_import_leaves_networkx_unloaded():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -1341,6 +1379,24 @@ def test_help_and_version_on_full_stdout_exit_1(flag):
                      stderr=subprocess.PIPE, text=True)
     assert done.returncode == 1
     assert done.stderr == "error [write_failed]: No space left on device\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", HYDRAULIC, HYDRAULIC_OBS], ["validate", HYDRAULIC],
+    ["--version"], ["diagnose", HYDRAULIC, "missing.json"]],
+    ids=["diagnose", "validate", "version", "error"])
+def test_closed_stdout_is_a_failed_write(argv):
+    """Started with descriptor 1 closed (``>&-``), Python has no
+    ``sys.stdout``: the report, the error report and the version text are
+    each a failed write, exit 1 with one ``write_failed`` line, where
+    argparse would print the version on stderr and exit 0."""
+    done = child("-m", "tempdiag.cli", *argv, stderr=subprocess.PIPE,
+                 text=True, preexec_fn=partial(os.close, 1))
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    failed = [line for line in done.stderr.splitlines()
+              if line.startswith("error [write_failed]")]
+    assert failed == ["error [write_failed]: Bad file descriptor"]
 
 
 def test_main_in_process_never_freezes(capsys):

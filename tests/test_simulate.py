@@ -1,6 +1,8 @@
 """Sampling oracle: determinism, statistics, stream generation."""
 
 import math
+import random
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from tempdiag import (
     solve_atemporal,
 )
 from tempdiag.errors import InstantOutOfRangeError
+from tempdiag.simulate import _uniforms
 
 from propsuites import enumerated
 from reference import assignments, empirical_transition_matrix
@@ -198,3 +201,31 @@ def test_closed_loop_soundness(hydraulic):
             candidates = solve_atemporal(hydraulic, entry,
                                          ExplanationCriterion.ABDUCTIVE)
             assert truth in assignments(hydraulic, entry.t, candidates)
+
+
+def parity_seeds():
+    """Seeds of one to eight 32-bit words: every small seed, the word
+    boundaries, and random integers of up to 256 bits."""
+    rng = random.Random(2014)
+    return [*range(300), 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 64,
+            2 ** 128 + 5, 10 ** 40,
+            *(rng.getrandbits(rng.randint(1, 256)) for _ in range(700))]
+
+
+def test_uniforms_replay_numpy_default_rng():
+    """The built-in generator yields exactly the doubles of
+    ``np.random.default_rng(seed).random(n)``, for n of 1 to 300."""
+    for i, seed in enumerate(parity_seeds()):
+        n = i % 300 + 1
+        expected = np.random.default_rng(seed).random(n).tolist()
+        assert list(islice(_uniforms(seed), n)) == expected, seed
+
+
+def test_numpy_integer_seed_is_its_value(hydraulic):
+    big = sample_trajectory(hydraulic, uniform(hydraulic), 30,
+                            seed=np.uint64(2 ** 63 + 5))
+    assert big == sample_trajectory(hydraulic, uniform(hydraulic), 30,
+                                    seed=2 ** 63 + 5)
+    assert type(big.seed) is int
+    with pytest.raises(TypeError):
+        sample_trajectory(hydraulic, uniform(hydraulic), 30, seed=1.0)
