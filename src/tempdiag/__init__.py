@@ -23,10 +23,6 @@ from .markov import (
     StateClassification,
     StateLabel,
     classify_faults,
-    classify_states,
-    matrix_power,
-    propagate_distribution,
-    sojourn_pmf,
     validate_distribution,
     validate_matrix,
 )
@@ -86,20 +82,16 @@ __all__ = [
     "ValidationError",
     "build_trellis",
     "classify_faults",
-    "classify_states",
     "enumerate_evolutions",
     "generate_observation_stream",
     "induce_initial_distributions",
-    "matrix_power",
     "normalization_factor",
     "predicted_manifestations",
-    "propagate_distribution",
     "rank_evolutions",
     "relevant_instants",
     "resolve_initial_distributions",
     "revise_trellis",
     "sample_trajectory",
-    "sojourn_pmf",
     "solve_atemporal",
     "validate_distribution",
     "validate_matrix",

@@ -5,20 +5,12 @@ Reports go to standard output as canonical JSON; a short human-readable
 summary goes to standard error if it can be written there. ``run`` is the
 process entry. ``main`` loads and validates the model and writes what
 every report carries (``command``, ``config`` and the input ``files``);
-each ``_cmd_*`` function returns only its own sections. The
-bulk sections (candidates, trellis edges, diagnoses and ranked
-trajectories, revised evolutions, conditionals and component blocks) are
-section writers that ``modelio.write_report`` calls: they fill ``modelio``
-templates, whose one placeholder is ``TEXT``, from the engine's mode-index
-and probability arrays, never as a dict per row. Mode names come from
-per-component tables of JSON text, numbers from ``modelio.texts``, which
-formats each distinct value of an array once. Each section declares the
-float arrays it prints, and the writer checks them all before the first
-byte of a report is written; a section is formatted only when the
-writer reaches it, and the report goes to stdout in bounded writes.
-Consecutive trellis steps and revised instants are formatted together,
-up to ``_SPAN`` numbers, and a candidate set, step or instant with few
-cells is written as one text.
+each ``_cmd_*`` function returns only its own sections. The bulk
+sections (candidates, trellis edges, diagnoses and ranked trajectories,
+and revision) are ``modelio.table`` writers: each declares its columns,
+taken from the engine's mode-index and probability arrays (mode names as
+JSON text from per-component tables), and the table does the rest, from
+the finiteness check before the first byte to the bounded writes.
 Exit codes: 0 success, 1 invalid input (usage errors included) or a
 failed write to stdout, 2 no diagnosis (empty candidate set, no
 admissible evolution, or undefined revision), 3 internal limits
@@ -32,9 +24,8 @@ import errno
 import gc
 import os
 import sys
-from functools import cache, partial
-from itertools import chain, islice
-from typing import Callable, Iterator, NoReturn, Sequence, TextIO
+from functools import partial
+from typing import Callable, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -44,17 +35,14 @@ from .errors import DiagnosisError, ValidationError
 from .markov import classify_faults, matrix_powers
 from .model import validate_model, validate_stream, validate_trajectories
 from .modelio import (
-    INDENT,
-    TEXT,
+    Column,
+    Rows,
     load_model,
     load_stream,
     load_trajectories,
     quote,
-    rows,
-    section,
     stream_to_list,
-    template,
-    texts,
+    table,
     write_report,
 )
 from .revision import revise_trellis
@@ -78,7 +66,7 @@ _THRESHOLD_MODES = {
 }
 #: Input file arguments a report lists under ``files`` when given.
 _FILES = ("model", "observations", "trajectories")
-_JSON_BOOLS = ("false", "true")
+_JSON_BOOLS = np.array(["false", "true"], dtype=object)
 #: Numbers the trellis and revision sections format at once: a call of
 #: ``modelio.texts`` costs microseconds, so short steps and instants are
 #: formatted together, and a long one alone. Also the cells from which a
@@ -116,166 +104,55 @@ def _load(path, load, validate, *context):
         raise
 
 
-def _by_id(model) -> list[int]:
-    """Component indices in component-id order, the order of report keys."""
-    return sorted(range(len(model.components)),
-                  key=lambda c: model.components[c].id)
+def _names(component) -> np.ndarray:
+    """A component's mode names as JSON text, by mode index."""
+    return np.array([quote(m) for m in component.modes], dtype=object)
 
 
-def _quoted(model, modes) -> np.ndarray:
-    """A mode-index array's mode names as JSON text, its last axis in
-    component-id order. Indices of -1 give some name of the component."""
-    out = np.empty(modes.shape, dtype=object)
-    for k, c in enumerate(_by_id(model)):
-        names = np.array([quote(m) for m in model.components[c].modes],
-                         dtype=object)
-        out[..., k] = names[modes[..., c]]
-    return out
+def _assignments(model, modes) -> dict:
+    """The shape of an assignment per row of the mode-index array
+    ``modes``: by component id, the component's mode name."""
+    return {c.id: Column(modes[:, k], _names(c))
+            for k, c in enumerate(model.components)}
 
 
-def _spans(counts) -> list[tuple[int, int]]:
-    """Runs ``(a, b)`` of consecutive items, item k printing ``counts[k]``
-    numbers: each run prints at most ``_SPAN`` numbers, or is one item
-    printing more."""
-    spans, a, total = [], 0, 0
-    for k, count in enumerate(counts):
-        if k > a and total + count > _SPAN:
-            spans.append((a, k))
-            a, total = k, 0
-        total += count
-    return spans + [(a, len(counts))] if len(counts) else spans
+def _times(instants) -> np.ndarray:
+    """Time points as JSON text: one may be too large for any numpy
+    integer."""
+    return np.array(list(map(int.__repr__, instants)), dtype=object)
 
 
-def _joined(arrays, spans) -> list[np.ndarray]:
-    """Per span, the 1-D arrays of its items as one; an item alone keeps
-    its own array, so that a large one is never copied."""
-    return [arrays[a] if b - a == 1 else np.concatenate(arrays[a:b])
-            for a, b in spans]
-
-
-def _cut(values: list, counts) -> list[list]:
-    """``values`` cut into consecutive runs of the lengths ``counts``."""
-    ends = np.cumsum(counts).tolist()
-    return [values[end - count:end] for count, end in zip(counts, ends)]
-
-
-def _per_item(spans, render):
-    """Per item, its text or an iterator of its texts; ``render(span, a,
-    b)`` returns those of the items ``a`` to ``b``, span number ``span``.
-    A span is formatted when its first item is asked for, and its texts go
-    with its last item."""
-    for span, (a, b) in enumerate(spans):
-        items = render(span, a, b)[::-1]
-        while items:
-            yield items.pop()
-
-
-def _array(item: str, nl: str, cells) -> Iterator[str]:
-    """The texts of a JSON array, closing after ``nl``, whose items fill the
-    template ``item`` from the tuples ``cells``."""
-    inner = nl + INDENT
-    first = next(cells, None)
-    if first is None:
-        yield "[]"
-        return
-    yield "[" + inner + item % first
-    yield from map(("," + inner + item).__mod__, cells)
-    yield nl + "]"
-
-
-def _filled(frame: str, nl: str, parts: list, whole: bool,
-            ) -> Iterator[str]:
-    """The texts of ``frame`` filled from ``parts``, each a list of cells
-    or a tuple ``(item, count, rows)``: a JSON array, closing after
-    ``nl``, of ``count`` items filling the template ``item`` from the
-    tuples ``rows``. If ``whole``, the text is one; else each array
-    streams its rows, and the frame is cut where its cells go: the writer
-    escapes every control character it is given, so a NUL is only such a
-    cut."""
-    cells, arrays = [], []
-    for part in parts:
-        if type(part) is not tuple:
-            cells += part
-        elif whole:
-            item, count, rows = part
-            inner = nl + INDENT
-            cells.append(("[" + inner + ("," + inner).join([item] * count)
-                          + nl + "]" if count else "[]")
-                         % tuple(chain.from_iterable(rows)))
-        else:
-            cells.append("\0")
-            arrays.append(part)
-    if whole:
-        yield frame % tuple(cells)
-        return
-    first, *rest = (frame % tuple(cells)).split("\0")
-    yield first
-    for (item, _, rows), text in zip(arrays, rest):
-        yield from _array(item, nl, rows)
-        yield text
+def _flat(arrays, empty) -> np.ndarray:
+    """The ``arrays`` as one, ``empty`` if there are none."""
+    return np.concatenate([empty, *arrays])
 
 
 def _candidates_report(trellis, model):
-    """``candidates``: per instant one object per row of its mode-index
-    array. The names of all instants are looked up at once, and one
-    template renders every row of the run."""
-    def render(nl):
-        item = nl + INDENT
-        key = item + INDENT
-        assignment = template(dict.fromkeys(sorted(
-            c.id for c in model.components), TEXT), key + INDENT)
-        frame = template({"assignments": TEXT, "t": TEXT}, item)
-        names = map(tuple, _quoted(model, np.concatenate(
-            trellis.modes)).tolist())
-        for k, (t, modes) in enumerate(zip(trellis.instants, trellis.modes)):
-            yield ("[" if k == 0 else ",") + item
-            yield from _filled(frame, key, [
-                (assignment, len(modes), islice(names, len(modes))),
-                [int.__repr__(t)]], modes.size <= _SPAN)
-        yield nl + "]" if trellis.instants else "[]"
-    return section(render)
+    """``candidates``: per instant one assignment per row of its
+    mode-index array."""
+    at = np.arange(len(trellis.instants))
+    return table({
+        "assignments": Rows(_assignments(model, np.concatenate(
+            trellis.modes)), list(map(len, trellis.modes))),
+        "t": Column(at, _times(trellis.instants))}, len(at))
 
 
 def _evolution_rows(model, evolutions, prior: bool = False):
     """``diagnoses`` or ``rank``'s ``trajectories``: one row per evolution,
-    ranked 1, 2, ... as listed, rendered with one template per trajectory
-    length. ``rank`` adds each evolution's ``prior``."""
-    ids = sorted(c.id for c in model.components)
-
-    def render(nl):
-        @cache
-        def row(length):
-            shape = {"joint_probability": TEXT, "rank": TEXT,
-                     "step_conditionals": [TEXT] * (length - 1),
-                     "trajectory": [{"assignment": dict.fromkeys(ids, TEXT),
-                                     "t": TEXT}] * length}
-            if prior:
-                shape["prior"] = TEXT
-            return template(shape, nl)
-
-        # a row's first keys: its joint, its prior if shown, its rank
-        joints = texts(evolutions.joints).tolist()
-        ranks = texts(np.arange(1, len(joints) + 1)).tolist()
-        heads = (zip(joints, texts(evolutions.priors).tolist(), ranks)
-                 if prior else zip(joints, ranks))
-        # per instant the mode names in component-id order, then t; a time
-        # point may be too large for any numpy integer
-        times = np.array(list(map(int.__repr__, evolutions.times)),
-                         dtype=object)
-        cells = np.concatenate((_quoted(model, evolutions.modes),
-                                times[evolutions.instants, None]), axis=2)
-        width = cells.shape[2]
-        return (row(n) % (*head, *row_steps[:n - 1], *row_cells[:n * width])
-                for head, row_steps, row_cells, n in zip(
-                    heads, texts(steps).tolist(),
-                    cells.reshape(-1, cells.shape[1] * width).tolist(),
-                    evolutions.lengths.tolist()))
-
-    # the NaN that pads the steps past an evolution's end is never shown
-    steps = np.where(evolutions.instants[:, 1:] >= 0, evolutions.steps, 0.0)
-    numbers = (evolutions.joints, steps) + ((evolutions.priors,) if prior
-                                            else ())
-    return rows(render, *numbers)
+    ranked 1, 2, ... as listed. ``rank`` adds each evolution's ``prior``."""
+    kept = evolutions.instants >= 0  # not the -1 past an evolution's end
+    shape = {
+        "joint_probability": Column(evolutions.joints),
+        "rank": Column(np.arange(1, len(evolutions.joints) + 1)),
+        "step_conditionals": Rows(Column(evolutions.steps[kept[:, 1:]]),
+                                  evolutions.lengths - 1),
+        "trajectory": Rows({
+            "assignment": _assignments(model, evolutions.modes[kept]),
+            "t": Column(evolutions.instants[kept], _times(evolutions.times)),
+        }, evolutions.lengths)}
+    if prior:
+        shape["prior"] = Column(evolutions.priors)
+    return table(shape, len(evolutions.joints))
 
 
 def _distribution_dict(modes, probabilities) -> dict:
@@ -354,204 +231,85 @@ def _cmd_propagate(args, model) -> dict:
     }
 
 
-def _revision_report(revisions, model, indices):
+def _revision_report(revisions, model):
     """``revision``: per instant, the revised joints of the paths ending
     there, the revised conditionals of the edges into it and every
-    component's revision. Each of the three is formatted a span of
-    instants at a time, its numbers at once; objects fill templates
-    cached per shape. ``indices`` holds the text of every candidate
-    index."""
-    ids = sorted(c.id for c in model.components)
-    modes = {c.id: c.modes for c in model.components}
-    # per component its mode names quoted, and each mode's rank by name
-    names = {c.id: np.array([quote(m) for m in c.modes], dtype=object)
-             for c in model.components}
-    ranks = {c.id: np.array([sorted(c.modes).index(m) for m in c.modes])
-             for c in model.components}
+    component's revision, its modes and transitions sorted by mode name."""
+    at = np.arange(len(revisions))
 
-    def blocks(shape) -> dict:
-        """The shape of the ``components`` object of an instant whose
-        components have these (id, modes, admitted count, revised
-        transition count)."""
-        return {comp: {
-            "admitted": [TEXT] * admitted,
-            "distribution": {"modes": list(modes),
-                             "probabilities": [TEXT] * len(modes)},
-            "mass_factor": TEXT,
-            "posterior": {"modes": list(modes),
-                          "probabilities": [TEXT] * len(modes)},
-            "revised_transitions": [dict.fromkeys(
-                ("from", "probability", "revised", "to"), TEXT)] * transitions,
-        } for comp, modes, admitted, transitions in shape}
+    def flat(field, records):  # there is a revision per instant, never none
+        return np.concatenate([getattr(record, field) for record in records])
 
-    norms = np.array([rev.factor for rev in revisions])
-    evolution_spans = _spans([2 * len(rev.joints) for rev in revisions])
-    joints, revised_joints = (_joined([getattr(rev, field) for rev in revisions],
-                                      evolution_spans)
-                              for field in ("joints", "revised_joints"))
-    edge_spans = _spans([2 * len(rev.conditionals) for rev in revisions])
-    conditionals, revised_conditionals, sources, targets = (
-        _joined([getattr(rev, field) for rev in revisions], edge_spans)
-        for field in ("conditionals", "revised_conditionals", "sources",
-                      "targets"))
-    # per component, each span's arrays of its blocks
-    blocks_of = {comp: [rev.components[comp] for rev in revisions]
-                 for comp in ids}
-    block_spans = _spans([sum(2 * len(cr.distribution) + 1 + 2 * len(
-        cr.entries) for cr in rev.components.values()) for rev in revisions])
-    parts = {comp: {
-        "distribution": [np.stack([cr.distribution for cr in crs[a:b]])
-                         for a, b in block_spans],
-        "factor": [np.array([cr.factor for cr in crs[a:b]])
-                   for a, b in block_spans],
-        "posterior": [np.stack([cr.posterior for cr in crs[a:b]])
-                      for a, b in block_spans],
-        **{field: _joined([getattr(cr, field) for cr in crs], block_spans)
-           for field in ("admitted", "transitions", "entries",
-                         "revised_entries")},
-    } for comp, crs in blocks_of.items()}
+    blocks = {}
+    for c in model.components:
+        names = _names(c)
+        rank = np.array([sorted(c.modes).index(m) for m in c.modes])
+        revised = [rev.components[c.id] for rev in revisions]
+        counts = [len(cr.admitted) for cr in revised]
+        admitted = flat("admitted", revised)
+        admitted = admitted[np.lexsort((rank[admitted],
+                                        np.repeat(at, counts)))]
+        moved = [len(cr.entries) for cr in revised]
+        moves = flat("transitions", revised)
+        order = np.lexsort((rank[moves[:, 1]], rank[moves[:, 0]],
+                            np.repeat(at, moved)))
+        blocks[c.id] = {
+            "admitted": Rows(Column(admitted, names), counts),
+            **{field: {"modes": list(c.modes), "probabilities": [
+                Column(p) for p in np.stack([getattr(cr, field)
+                                             for cr in revised], axis=1)]}
+               for field in ("distribution", "posterior")},
+            "mass_factor": Column([cr.factor for cr in revised]),
+            "revised_transitions": Rows({
+                "from": Column(moves[order, 0], names),
+                "probability": Column(flat("entries", revised)[order]),
+                "revised": Column(flat("revised_entries", revised)[order]),
+                "to": Column(moves[order, 1], names)}, moved)}
 
-    def render(nl):
-        item = nl + INDENT
-        key = item + INDENT
-        evolution = template({"joint": TEXT, "path": TEXT,
-                              "revised_joint": TEXT}, key + INDENT)
-        conditional = template({"conditional": TEXT, "revised": TEXT,
-                                "source": TEXT, "target": TEXT}, key + INDENT)
-        # each path is an array of indices inside its evolution's object
-        step, close = "," + key + 3 * INDENT, key + 2 * INDENT + "]"
-
-        @cache
-        def frame(shape):
-            """An instant whose components have this shape, its arrays of
-            evolutions and conditionals left as cells."""
-            return template({
-                "components": blocks(shape), "evolutions": TEXT,
-                "normalization_factor": TEXT, "revised_conditionals": TEXT,
-                "t": TEXT}, item)
-
-        def evolution_items(span, a, b):
-            cells = zip(texts(joints[span]).tolist(), (
-                "[" + step[1:] + step.join(path) + close
-                for rev in revisions[a:b]
-                for path in indices[rev.path_indices].tolist()),
-                texts(revised_joints[span]).tolist())
-            return [islice(cells, len(rev.joints)) for rev in revisions[a:b]]
-
-        def conditional_items(span, a, b):
-            # keys sort the scores before the indices
-            cells = zip(texts(conditionals[span]).tolist(),
-                        texts(revised_conditionals[span]).tolist(),
-                        indices[sources[span]].tolist(),
-                        indices[targets[span]].tolist())
-            return [islice(cells, len(rev.conditionals))
-                    for rev in revisions[a:b]]
-
-        def block_items(span, a, b):
-            # per instant the cells in the template's order, component by
-            # component: names sorted by rank, numbers formatted at once
-            shapes, cells = [[] for _ in range(a, b)], [[] for _ in range(a, b)]
-            for comp in ids:
-                part, rank, quoted = parts[comp], ranks[comp], names[comp]
-                admitted, moves = (part["admitted"][span],
-                                   part["transitions"][span])
-                counts = [len(cr.admitted) for cr in blocks_of[comp][a:b]]
-                moved = [len(cr.entries) for cr in blocks_of[comp][a:b]]
-                at = np.arange(b - a)
-                admitted = admitted[np.lexsort((rank[admitted],
-                                                np.repeat(at, counts)))]
-                order = np.lexsort((rank[moves[:, 1]], rank[moves[:, 0]],
-                                    np.repeat(at, moved)))
-                steps = np.stack((
-                    quoted[moves[order, 0]],
-                    texts(part["entries"][span][order]),
-                    texts(part["revised_entries"][span][order]),
-                    quoted[moves[order, 1]]), axis=-1).ravel().tolist()
-                for shape, cell, n, m, *block in zip(
-                        shapes, cells, counts, moved,
-                        _cut(quoted[admitted].tolist(), counts),
-                        texts(part["distribution"][span]).tolist(),
-                        texts(part["factor"][span]).tolist(),
-                        texts(part["posterior"][span]).tolist(),
-                        _cut(steps, [4 * m for m in moved])):
-                    shape.append((comp, modes[comp], n, m))
-                    names_, distribution, factor, posterior, transitions = block
-                    cell += [*names_, *distribution, factor, *posterior,
-                             *transitions]
-            return [(tuple(shape), cell) for shape, cell in zip(shapes, cells)]
-
-        factors = texts(norms).tolist()
-        blocks_at = _per_item(block_spans, block_items)
-        evolutions_at = _per_item(evolution_spans, evolution_items)
-        conditionals_at = _per_item(edge_spans, conditional_items)
-        for k, rev in enumerate(revisions):
-            (shape, cells), paths, edges = (
-                next(blocks_at), next(evolutions_at), next(conditionals_at))
-            count, edge_count = len(rev.joints), len(rev.conditionals)
-            yield ("[" if k == 0 else ",") + item
-            yield from _filled(frame(shape), key, [
-                cells, (evolution, count, paths), [factors[k]],
-                (conditional, edge_count, edges), [int.__repr__(rev.t)]],
-                rev.path_indices.size + 2 * (count + edge_count) <= _SPAN)
-        yield nl + "]" if revisions else "[]"
-
-    return section(render, norms, *joints, *revised_joints, *conditionals,
-                   *revised_conditionals, *(
-                       values for part in parts.values()
-                       for field in ("distribution", "factor", "posterior",
-                                     "entries", "revised_entries")
-                       for values in part[field]))
+    counts = [len(rev.joints) for rev in revisions]
+    return table({
+        "components": blocks,
+        "evolutions": Rows({
+            "joint": Column(flat("joints", revisions)),
+            "path": Rows(Column(np.concatenate([
+                rev.path_indices.ravel() for rev in revisions])),
+                np.repeat(at + 1, counts)),
+            "revised_joint": Column(flat("revised_joints", revisions)),
+        }, counts),
+        "normalization_factor": Column([rev.factor for rev in revisions]),
+        "revised_conditionals": Rows({
+            "conditional": Column(flat("conditionals", revisions)),
+            "revised": Column(flat("revised_conditionals", revisions)),
+            "source": Column(flat("sources", revisions)),
+            "target": Column(flat("targets", revisions)),
+        }, [len(rev.conditionals) for rev in revisions]),
+        "t": Column(at, _times(rev.t for rev in revisions))}, len(at))
 
 
-def _trellis_report(trellis, model, indices):
-    """``trellis``: per step, every edge with its factors (by component id),
-    conditional and admissibility, formatted a span of steps at a time and
-    rendered with one template. ``indices`` holds the text of every
-    candidate index."""
-    order = _by_id(model)
-    spans = _spans([c.size * (len(order) + 1) for c in trellis.conditionals])
-    factors = _joined([f.reshape(c.size, len(order)) for f, c in zip(
-        trellis.factors, trellis.conditionals)], spans)
-    conditionals, admissible = (_joined([a.ravel() for a in arrays], spans)
-                                for arrays in (trellis.conditionals,
-                                               trellis.admissible))
+def _trellis_report(trellis, model):
+    """``trellis``: per step, every edge with its factors (by component
+    id), conditional and admissibility."""
     shapes = [c.shape for c in trellis.conditionals]
-
-    def render(nl):
-        item = nl + INDENT
-        key = item + INDENT
-        edge = template({
-            "admissible": TEXT, "conditional": TEXT,
-            "factors": {model.components[c].id: TEXT for c in order},
-            "source": TEXT, "target": TEXT}, key + INDENT)
-        frame = template({"edges": TEXT, "from_t": TEXT, "to_t": TEXT}, item)
-
-        def edges(span, a, b):
-            # each edge's source and target within its step
-            sizes = [n * m for n, m in shapes[a:b]]
-            local = np.arange(sum(sizes)) - np.repeat(
-                np.cumsum(sizes) - sizes, sizes)
-            sources, targets = np.divmod(local, np.repeat(
-                [m for _, m in shapes[a:b]], sizes))
-            cells = zip(
-                map(_JSON_BOOLS.__getitem__, admissible[span].tolist()),
-                texts(conditionals[span]).tolist(),
-                *texts(factors[span][:, order]).T.tolist(),
-                indices[sources].tolist(), indices[targets].tolist())
-            return [islice(cells, size) for size in sizes]
-
-        steps = _per_item(spans, edges)
-        for k, (before, after) in enumerate(zip(trellis.instants,
-                                                trellis.instants[1:])):
-            size = shapes[k][0] * shapes[k][1]
-            yield ("[" if k == 0 else ",") + item
-            yield from _filled(frame, key, [
-                (edge, size, next(steps)), [int.__repr__(before),
-                                            int.__repr__(after)]],
-                size * (len(order) + 1) <= _SPAN)
-        yield nl + "]" if len(trellis.instants) > 1 else "[]"
-
-    return section(render, *factors, *conditionals)
+    width, times = len(model.components), _times(trellis.instants)
+    factors = _flat([f.reshape(c.size, width) for f, c in zip(
+        trellis.factors, trellis.conditionals)], np.empty((0, width)))
+    return table({
+        "edges": Rows({
+            "admissible": Column(_flat([a.ravel() for a in trellis.admissible],
+                                       np.empty(0, np.uint8)), _JSON_BOOLS),
+            "conditional": Column(_flat([c.ravel() for c in
+                                         trellis.conditionals], np.empty(0))),
+            "factors": {c.id: Column(factors[:, k])
+                        for k, c in enumerate(model.components)},
+            # int32 halves these arrays: no layer that fits in memory
+            # holds 2**31 candidates
+            "source": Column(_flat([np.repeat(np.arange(n, dtype=np.int32), m)
+                                    for n, m in shapes], np.empty(0, np.int32))),
+            "target": Column(_flat([np.tile(np.arange(m, dtype=np.int32), n)
+                                    for n, m in shapes], np.empty(0, np.int32))),
+        }, [n * m for n, m in shapes]),
+        "from_t": Column(np.arange(len(shapes)), times),
+        "to_t": Column(np.arange(1, len(times)), times)}, len(shapes))
 
 
 def _cmd_diagnose(args, model) -> dict:
@@ -562,7 +320,8 @@ def _cmd_diagnose(args, model) -> dict:
         criterion=_CRITERIA[args.criterion], candidate_cap=args.cap)
     trellis = build_trellis(problem)
     evolutions = enumerate_evolutions(problem, trellis)
-    indices = texts(np.arange(max(map(len, trellis.modes), default=0)))
+    # revised before the sections are declared, which copy trellis arrays
+    revisions = revise_trellis(trellis, model) if args.revise else None
 
     report = {
         "instants": list(trellis.instants),
@@ -571,12 +330,11 @@ def _cmd_diagnose(args, model) -> dict:
             c.id: _distribution_dict(c.modes, trellis.initials[c.id])
             for c in model.components},
         "priors": trellis.priors.tolist(),
-        "trellis": _trellis_report(trellis, model, indices),
+        "trellis": _trellis_report(trellis, model),
         "diagnoses": _evolution_rows(model, evolutions),
     }
     if args.revise:
-        report["revision"] = _revision_report(revise_trellis(trellis, model),
-                                              model, indices)
+        report["revision"] = _revision_report(revisions, model)
 
     sizes = ", ".join(f"{len(modes)} at t={t}"
                       for t, modes in zip(trellis.instants, trellis.modes))

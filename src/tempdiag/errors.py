@@ -51,12 +51,6 @@ class DimensionMismatchError(ValidationError):
     code = "dimension_mismatch"
 
 
-class AbsorbingSojournError(DiagnosisError):
-    """Sojourn pmf requested for a self-loop probability of 1 (never leaves)."""
-
-    code = "absorbing_sojourn"
-
-
 # --- system model -----------------------------------------------------------
 
 class DuplicateComponentError(ValidationError):

@@ -6,12 +6,12 @@ time-homogeneous DTMC. This module provides the chain primitives the rest
 of the engine builds on:
 
 - validation of row-stochastic transition matrices and of distributions,
-- n-step matrices ``P^n``, one at a time or stacked for many ``n`` from
-  squarings computed once, and distribution propagation ``pi(n) = pi(0) P^n``,
-- the geometric sojourn-time distribution of a mode,
-- structural classification of modes (absorbing / ergodic / transient) and
-  the derived fault taxonomy (permanent / transient, reversible / irreversible),
-  both read from a boolean reachability closure of the positive entries.
+- n-step matrices ``P^n``, stacked for many ``n`` from squarings computed
+  once,
+- the fault taxonomy of a component (permanent / transient, reversible /
+  irreversible) and the structural labels of its modes (absorbing /
+  ergodic / transient) it is read from, both from a boolean reachability
+  closure of the positive entries.
 
 A chain is a plain |M| x |M| ``float64`` array and a distribution a length-|M|
 one, in the component's mode order; validation tolerances are module constants.
@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    AbsorbingSojournError,
     CorrectModeMissingError,
     DimensionMismatchError,
     EntryRangeError,
@@ -138,17 +137,6 @@ def validate_distribution(modes: Sequence[str],
     return probabilities
 
 
-def matrix_power(entries: np.ndarray, n: int) -> np.ndarray:
-    """n-step transition matrix ``P^n`` (``n = 0`` gives the identity).
-
-    Uses binary exponentiation, so large gaps between observation instants
-    stay cheap.
-    """
-    if n < 0:  # numpy would invert the matrix
-        raise ValueError("power must be nonnegative")
-    return np.linalg.matrix_power(entries, n)
-
-
 def matrix_powers(entries: np.ndarray, exponents: Sequence[int]) -> np.ndarray:
     """``P^n`` for every ``n`` of ``exponents``, stacked |n| x |M| x |M|;
     each is bit for bit what ``np.linalg.matrix_power(entries, n)`` gives.
@@ -184,36 +172,6 @@ def matrix_powers(entries: np.ndarray, exponents: Sequence[int]) -> np.ndarray:
     return out
 
 
-def propagate_distribution(pi0: np.ndarray, entries: np.ndarray,
-                           n: int) -> np.ndarray:
-    """Propagate a mode distribution ``n`` steps: returns ``pi0 . P^n``."""
-    if pi0.shape != entries.shape[:1]:
-        raise DimensionMismatchError(f"distribution has {pi0.shape} entries "
-                                     f"for a matrix of shape {entries.shape}")
-    return pi0 @ matrix_power(entries, n)
-
-
-def sojourn_pmf(p_self: float, t: int) -> float:
-    """P(sojourn time = t) for a mode with self-loop probability ``p_self``.
-
-    The sojourn time of a mode in a time-homogeneous DTMC is geometric:
-    ``P(S = t) = p_self**(t-1) * (1 - p_self)`` for t >= 1. This is the only
-    memoryless discrete distribution, so the time already spent in the mode
-    never matters.
-
-    Raises:
-        AbsorbingSojournError: ``p_self == 1`` (the mode is never left, so
-            the sojourn time is not a proper random variable).
-    """
-    if not 0.0 <= p_self <= 1.0:
-        raise EntryRangeError(f"self-loop probability {p_self!r} outside [0, 1]")
-    if p_self == 1.0:
-        raise AbsorbingSojournError("sojourn in an absorbing mode never ends")
-    if t < 1:
-        raise ValueError("sojourn time starts at 1")
-    return p_self ** (t - 1) * (1.0 - p_self)
-
-
 def _reachability(entries: np.ndarray) -> np.ndarray:
     """Boolean closure of the positive-entry digraph: ``R[i, j]`` iff mode j
     is reachable from mode i in zero or more steps.
@@ -229,9 +187,10 @@ def _reachability(entries: np.ndarray) -> np.ndarray:
         reach = squared
 
 
-def classify_states(modes: Sequence[str],
-                    entries: np.ndarray) -> StateClassification:
-    """Label every mode as absorbing, ergodic or transient.
+def _classify_states(modes: Sequence[str], entries: np.ndarray,
+                     reach: np.ndarray) -> StateClassification:
+    """Label every mode as absorbing, ergodic or transient, given the
+    chain's reachability closure ``reach``.
 
     The communicating class of mode i is the set of modes it reaches and is
     reached from. A class that reaches nothing outside itself is closed
@@ -239,12 +198,6 @@ def classify_states(modes: Sequence[str],
     absorbing state. Every other mode is transient. Each class is visited at
     its lowest-index member, so the set lists come out in matrix order.
     """
-    return _classify_states(modes, entries, _reachability(entries))
-
-
-def _classify_states(modes: Sequence[str], entries: np.ndarray,
-                     reach: np.ndarray) -> StateClassification:
-    """``classify_states`` from the chain's reachability closure."""
     labels: list[StateLabel | None] = [None] * len(modes)
     ergodic_sets: list[tuple[str, ...]] = []
     transient_sets: list[tuple[str, ...]] = []

@@ -11,22 +11,23 @@ it indents). It works in two phases. First a recursive function walks the
 report into a list of pieces, checking every number, so that a NaN or
 infinity raises before anything is written. Then the pieces go to the
 stream in writes of a bounded size, so that the report text never exists
-whole. Bulk sections are section writers built with ``section`` or
-``rows``: each declares the float arrays it prints, which the first phase
-checks, and is rendered only when the second phase reaches it, so that
-the text of one section at a time is alive. Their rows are filled from
-one ``%``-template per row shape, which the writer itself renders
-(``template``) and whose one placeholder, ``TEXT``, takes text already in
-JSON form. Their numbers come from ``texts``, which formats each distinct
-value of an array once and refuses NaN and infinities.
+whole. Bulk sections are tables (``table``): JSON arrays of items of one
+shape, whose leaves are columns of numbers or JSON text (``Column``) and
+arrays of rows (``Rows``), themselves of one shape. The first phase builds
+each shape's ``%``-template and checks every float column; the second
+renders a table's items only when it reaches them, consecutive ones a span
+at a time, each span's numbers formatted by ``texts``, which formats each
+distinct value of an array once and refuses NaN and infinities.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -246,8 +247,7 @@ def load_trajectories(path: str | Path) -> list[tuple[ModeAssignment, ...]]:
 quote = json.encoder.encode_basestring_ascii
 #: One level of indentation in report text.
 INDENT = "  "
-#: Characters from which a batch of report text is written; the rows of a
-#: bulk section are joined in batches of this size.
+#: Characters from which a batch of report text is written.
 _CHUNK = 1 << 18
 #: Size from which ``texts`` formats only the distinct values: for fewer
 #: elements finding them (a sort) costs more than formatting every one.
@@ -261,8 +261,8 @@ def write_report(report: Any, stream: TextIO) -> None:
     ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\\n"``
     for every report of JSON types with string keys.
 
-    A value may also be a section writer, such as ``section`` and ``rows``
-    return: a function of ``(out, nl)`` that appends its own text to
+    A value may also be a section writer, such as ``table`` returns: a
+    function of ``(out, nl)`` that appends its own text to
     ``out``, ``nl`` being the newline and indentation before its closing
     bracket. It may append an iterator of texts in place of a text, which
     runs only when the writer reaches it.
@@ -272,15 +272,14 @@ def write_report(report: Any, stream: TextIO) -> None:
     characters and at most one piece more, never all at once.
 
     Raises:
-        ValueError: the report, or an array a section writer declares,
-            holds a NaN or infinite float; nothing of the report has been
-            written.
+        ValueError: the report, or a column of a table in it, holds a NaN
+            or infinite float; nothing of the report has been written.
     """
     pieces: list[str | Iterator[str]] = []
     _write(report, pieces, "\n")
     pieces.append("\n")
-    for batch in _batches((text for piece in pieces for text in (
-            (piece,) if isinstance(piece, str) else piece)), ""):
+    for batch in _batches(chain.from_iterable(
+            (piece,) if isinstance(piece, str) else piece for piece in pieces)):
         if batch:
             stream.write(batch)
 
@@ -307,16 +306,6 @@ def _write(value: Any, out: list, nl: str) -> None:
             out.append("[]")
             return
         inner, sep = nl + INDENT, "["
-        first = value[0]
-        if len(value) > 1 and all(item is first for item in value):
-            # one item repeated, as in a template's rows: its text, if it
-            # is all text, serves for every item
-            parts: list = []
-            _write(first, parts, inner)
-            if all(isinstance(part, str) for part in parts):
-                out.append("[" + inner + ("," + inner).join(
-                    ["".join(parts)] * len(value)) + nl + "]")
-                return
         for item in value:
             out.append(sep + inner)
             _write(item, out, inner)
@@ -360,27 +349,15 @@ def texts(values: Any) -> np.ndarray:
         form, keys = int.__repr__, flat
     distinct, inverse = flat, slice(None)
     if flat.size >= _DISTINCT_AT:
-        keys, inverse = np.unique(keys, return_inverse=True)
-        distinct = keys.view(flat.dtype)
+        low = flat.min()
+        if form is int.__repr__ and int(flat.max()) - int(low) < flat.size:
+            # a range no wider than the array, such as indices: no sort
+            distinct, inverse = np.arange(low, flat.max() + 1), flat - low
+        else:
+            keys, inverse = np.unique(keys, return_inverse=True)
+            distinct = keys.view(flat.dtype)
     table = np.array(list(map(form, distinct.tolist())), dtype=object)
     return table[inverse].reshape(values.shape)
-
-
-def TEXT(out: list[str], nl: str) -> None:
-    """The row-shape placeholder: text already in JSON form, such as
-    ``texts`` or ``quote`` gives. The writer escapes every control
-    character it is given, so a NUL in its text can only be this one's."""
-    out.append("\0s")
-
-
-def template(shape: Any, nl: str) -> str:
-    """The canonical text of ``shape``, whose closing bracket follows
-    ``nl``, as a ``%``-template: ``shape`` is a report some of whose
-    leaves are ``TEXT``. Fill them in the order the text holds them, dict
-    entries in sorted key order."""
-    out: list[str] = []
-    _write(shape, out, nl)
-    return "".join(out).replace("%", "%%").replace("\0", "%")
 
 
 def _check_finite(values: Any) -> None:
@@ -388,58 +365,202 @@ def _check_finite(values: Any) -> None:
         raise ValueError("Out of range float values are not JSON compliant")
 
 
-def section(render: Callable[[str], Iterable[str]], *numbers: Any,
-            ) -> Callable[[list, str], None]:
-    """A section writer whose text is rendered only when the writer
-    reaches it: ``render(nl)`` returns the texts of the section, whose
-    closing bracket follows ``nl``. ``numbers`` are the float arrays the
-    section prints; the writer checks them while it prepares the report,
-    so that a NaN or infinity among them raises before anything is
-    written, and the section's formatted numbers live only while it is
-    written."""
+class Column:
+    """A leaf of a ``table`` shape: one JSON value per item, or per row of
+    the ``Rows`` it sits in, taken in order from ``values``: numbers (an
+    array of floats or ints, printed as ``texts`` formats them) or, given
+    ``table`` (an object array of JSON texts, such as ``quote`` gives),
+    indices into it."""
+
+    __slots__ = ("values", "table")
+
+    def __init__(self, values: Any, table: np.ndarray | None = None):
+        self.values, self.table = np.asarray(values), table
+
+    def __call__(self, out: list, nl: str) -> None:
+        out.append((self, nl))  # a cell of the ``template`` being built
+
+
+class Rows:
+    """A leaf of a ``table`` shape: one JSON array per item, or per row of
+    the ``Rows`` it sits in, the i-th of ``counts[i]`` rows. ``shape`` is
+    one row; its leaves hold the cells of every row of every array, in
+    order."""
+
+    __slots__ = ("shape", "offsets")
+    __call__ = Column.__call__
+
+    def __init__(self, shape: Any, counts: Any):
+        self.shape = shape
+        self.offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+
+
+def template(shape: Any, nl: str) -> tuple[str, list]:
+    """The canonical text of ``shape``, whose closing bracket follows
+    ``nl``, as a ``%``-template, and its leaves with the newline before
+    each, in the order the text holds them (dict entries in sorted key
+    order): ``shape`` is a report some of whose leaves are ``Column`` or
+    ``Rows``, and each becomes one ``%s``."""
+    out: list = []
+    _write(shape, out, nl)
+    return "".join("%s" if type(part) is tuple else part.replace("%", "%%")
+                   for part in out), [p for p in out if type(p) is tuple]
+
+
+def table(shape: Any, count: int) -> Callable[[list, str], None]:
+    """A section writer of a JSON array of ``count`` items, each the
+    report ``shape`` whose ``Column`` and ``Rows`` leaves give item k
+    their k-th value or array.
+
+    Each template is built once, when the writer prepares the report, and
+    every float column is checked then, so that a NaN or infinity raises
+    before anything is written. The items are rendered only when the
+    writer reaches them, in spans of consecutive items printing up to
+    ``_SPAN`` cells, each span's numbers formatted at once. An item of
+    more cells is not made one text: it streams its arrays, whose rows go
+    in spans the same way."""
     def write(out: list, nl: str) -> None:
-        for values in numbers:
-            _check_finite(values)
-        out.append(_rendered(render, nl))
+        plan = _plan(shape, nl + INDENT)
+        for column, _, _ in _ranges(plan, 0, count):
+            if column.table is None and column.values.dtype.kind == "f":
+                _check_finite(column.values)
+        out.append(_items(plan, 0, count, nl))
     return write
 
 
-def _rendered(render: Callable[[str], Iterable[str]], nl: str,
-              ) -> Iterator[str]:
-    """The texts of ``render(nl)``, called when the first is asked for."""
-    yield from render(nl)
+#: Cells from which a table item, or a row of one of its arrays, streams
+#: its arrays' rows instead of being made one text; also the most cells
+#: whose numbers are formatted together, since a ``texts`` call costs
+#: microseconds.
+_SPAN = 8192
 
 
-def rows(render: Callable[[str], Iterable[str]], *numbers: Any,
-         ) -> Callable[[list, str], None]:
-    """A ``section`` that is a JSON array of items rendered in bulk:
-    ``render(nl)`` returns an iterable of the text of each item, whose
-    closing bracket follows ``nl``, and ``numbers`` are the float arrays
-    the items print. The items are joined in batches of ``_CHUNK``
-    characters."""
-    def bracketed(nl: str) -> Iterator[str]:
-        inner = nl + INDENT
-        sep = "," + inner
-        batches = _batches(render(inner), sep)
-        first = next(batches)
-        if not first:
-            yield "[]"
-            return
-        yield "[" + inner + first
-        yield from (sep + text for text in batches if text)
-        yield nl + "]"
-    return section(bracketed, *numbers)
+def _plan(shape: Any, nl: str) -> tuple[str | None, list]:
+    """``shape``'s template at ``nl``, None for a lone ``Column``, and its
+    leaves as ``(leaf, nl, plan)``, the plan of a ``Rows`` leaf's row or
+    None."""
+    if type(shape) is Column:
+        return None, [(shape, nl, None)]
+    text, leaves = template(shape, nl)
+    return text, [(leaf, at, _plan(leaf.shape, at + INDENT)
+                   if type(leaf) is Rows else None) for leaf, at in leaves]
 
 
-def _batches(items: Iterable[str], sep: str) -> Iterator[str]:
-    """The texts ``items`` joined by ``sep``, in runs of ``_CHUNK``
-    characters or more, then one shorter run, maybe empty."""
+def _ranges(plan: tuple, a: int, b: int) -> Iterator[tuple[Column, int, int]]:
+    """Each column of ``plan``, nested ones too, with the range of its
+    values that rows ``a`` to ``b`` print."""
+    for leaf, _, sub in plan[1]:
+        if sub is None:
+            yield leaf, a, b
+        else:
+            yield from _ranges(sub, leaf.offsets[a], leaf.offsets[b])
+
+
+def _formatted(plan: tuple, a: int, b: int) -> dict:
+    """Per column of ``plan``, the texts it prints in rows ``a`` to ``b``:
+    the columns of floats, and those of ints, are formatted by one
+    ``texts`` call each."""
+    done: dict = {}
+    numbers: dict = {}
+    for column, lo, hi in _ranges(plan, a, b):
+        values = column.values[lo:hi]
+        if column.table is not None:
+            done[column] = column.table[values].tolist()
+        else:
+            numbers.setdefault(values.dtype.kind, []).append((column, values))
+    for group in numbers.values():
+        flat = texts(np.concatenate([values for _, values in group])).tolist()
+        at = 0
+        for column, values in group:
+            done[column] = flat[at:at + len(values)]
+            at += len(values)
+    return done
+
+
+def _rows(plan: tuple, a: int, b: int, done: dict, sep: str = "",
+          ) -> Iterator[str]:
+    """The texts of rows ``a`` to ``b`` of ``plan``, each after ``sep``,
+    given the texts of its columns there."""
+    text, leaves = plan
+    cells = [done[leaf] if sub is None else _arrays(leaf, nl, sub, a, b, done)
+             for leaf, nl, sub in leaves]
+    if text is None:
+        return map(sep.__add__, cells[0]) if sep else iter(cells[0])
+    return map((sep + text).__mod__, zip(*cells) if cells
+               else repeat((), b - a))
+
+
+def _arrays(rows: Rows, nl: str, plan: tuple, a: int, b: int, done: dict,
+            ) -> list[str]:
+    """The texts of arrays ``a`` to ``b`` of ``rows``, whose rows are of
+    ``plan`` and whose closing brackets follow ``nl``."""
+    inner = nl + INDENT
+    start, sep, end = "[" + inner, "," + inner, nl + "]"
+    offsets = rows.offsets[a:b + 1].tolist()
+    texts = list(_rows(plan, offsets[0], offsets[-1], done))
+    first = offsets[0]
+    return [start + sep.join(texts[i - first:j - first]) + end if j > i
+            else "[]" for i, j in zip(offsets, offsets[1:])]
+
+
+def _items(plan: tuple, a: int, b: int, nl: str) -> Iterator[str]:
+    """The texts of a JSON array, whose closing bracket follows ``nl``, of
+    rows ``a`` to ``b`` of ``plan``."""
+    return chain.from_iterable(_spans(plan, a, b, nl))
+
+
+def _spans(plan: tuple, a: int, b: int, nl: str) -> Iterator[Iterable[str]]:
+    """The texts of ``_items``, a span of rows at a time: as many
+    consecutive rows as print at most ``_SPAN`` cells together, formatted
+    at once, or one printing more, which streams."""
+    if a == b:
+        yield ("[]",)
+        return
+    sep = "," + nl + INDENT
+    # the cells printed before each row: every column's start there
+    ends = sum((hi for _, _, hi in _ranges(plan, a, np.arange(a, b + 1))),
+               np.zeros(b - a + 1, dtype=np.intp)).tolist()
+    i = 0  # rows a + i onwards are still to go
+    while a + i < b:
+        j = max(i + 1, bisect_right(ends, ends[i] + _SPAN, i) - 1)
+        texts = (_streamed(plan, a + i, sep) if ends[j] - ends[i] > _SPAN
+                 else _rows(plan, a + i, a + j,
+                            _formatted(plan, a + i, a + j), sep))
+        if not i:  # the first row opens the array
+            yield ("[" + next(texts)[1:],)
+        yield texts
+        i = j
+    yield (nl + "]",)
+
+
+def _streamed(plan: tuple, k: int, sep: str) -> Iterator[str]:
+    """The texts of row ``k`` of ``plan``, after ``sep``, its arrays a
+    span of rows at a time. The frame is cut where the arrays go: the
+    writer escapes every control character it is given, so a NUL is only
+    such a cut."""
+    text, leaves = plan
+    done = _formatted((text, [leaf for leaf in leaves if not leaf[2]]), k,
+                      k + 1)
+    head, *tails = (sep + text % tuple(
+        done[leaf][0] if sub is None else "\0"
+        for leaf, _, sub in leaves)).split("\0")
+    parts: list[Iterable[str]] = [(head,)]
+    for (leaf, nl, sub), tail in zip([leaf for leaf in leaves if leaf[2]],
+                                     tails):
+        parts += [_items(sub, leaf.offsets[k], leaf.offsets[k + 1], nl),
+                  (tail,)]
+    return chain.from_iterable(parts)
+
+
+def _batches(texts: Iterable[str]) -> Iterator[str]:
+    """The ``texts`` joined in runs of ``_CHUNK`` characters or more, then
+    one shorter run, maybe empty."""
     batch: list[str] = []
-    size = -len(sep)
-    for item in items:
-        batch.append(item)
-        size += len(sep) + len(item)
+    size = 0
+    for text in texts:
+        batch.append(text)
+        size += len(text)
         if size >= _CHUNK:
-            yield sep.join(batch)
-            batch, size = [], -len(sep)
-    yield sep.join(batch)
+            yield "".join(batch)
+            batch, size = [], 0
+    yield "".join(batch)

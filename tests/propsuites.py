@@ -26,16 +26,12 @@ from tempdiag import (
     Trellis,
     build_trellis,
     classify_faults,
-    classify_states,
     enumerate_evolutions,
-    matrix_power,
     normalization_factor,
     predicted_manifestations,
-    propagate_distribution,
     rank_evolutions,
     resolve_initial_distributions,
     revise_trellis,
-    sojourn_pmf,
     solve_atemporal,
     validate_matrix,
     validate_model,
@@ -53,15 +49,19 @@ from reference import (
     Diagnosis,
     admissible_step,
     assignments,
+    classify_states,
     component_mass_factor,
     conditional_probability,
     decode,
     joint_probability,
+    matrix_power,
     named_revision,
     posterior_component_distribution,
     prior_probability,
+    propagate_distribution,
     revise_global,
     revise_transition,
+    sojourn_pmf,
     step_factors,
 )
 

@@ -19,6 +19,11 @@ Two helpers stand outside the engine: ``model_to_dict`` writes a model in
 the input file format, and ``empirical_transition_matrix`` estimates the
 n-step transition frequencies (an ``EmpiricalMatrix``) of sampled
 trajectories, the Monte Carlo oracle for the matrix-power arithmetic.
+
+Four chain helpers serve only the tests: ``matrix_power`` (numpy's, one
+``P^n`` at a time), ``propagate_distribution``, the geometric
+``sojourn_pmf`` with its ``AbsorbingSojournError``, and ``classify_states``
+for a bare matrix.
 """
 
 from __future__ import annotations
@@ -40,17 +45,70 @@ from tempdiag import (
     ModeAssignment,
     SampledTrajectory,
     SystemModel,
+    StateClassification,
     ThresholdMode,
-    matrix_power,
     normalization_factor,
     predicted_manifestations,
-    propagate_distribution,
 )
 from tempdiag.errors import (
+    DiagnosisError,
+    DimensionMismatchError,
     EmptyCandidateSetError,
+    EntryRangeError,
     NonIncreasingInstantsError,
     ZeroAdmittedMassError,
 )
+from tempdiag.markov import _classify_states, _reachability
+
+
+def matrix_power(entries: np.ndarray, n: int) -> np.ndarray:
+    """n-step transition matrix ``P^n`` (``n = 0`` gives the identity)."""
+    if n < 0:  # numpy would invert the matrix
+        raise ValueError("power must be nonnegative")
+    return np.linalg.matrix_power(entries, n)
+
+
+def propagate_distribution(pi0: np.ndarray, entries: np.ndarray,
+                           n: int) -> np.ndarray:
+    """Propagate a mode distribution ``n`` steps: returns ``pi0 . P^n``."""
+    if pi0.shape != entries.shape[:1]:
+        raise DimensionMismatchError(f"distribution has {pi0.shape} entries "
+                                     f"for a matrix of shape {entries.shape}")
+    return pi0 @ matrix_power(entries, n)
+
+
+class AbsorbingSojournError(DiagnosisError):
+    """Sojourn pmf requested for a self-loop probability of 1 (never leaves)."""
+
+    code = "absorbing_sojourn"
+
+
+def sojourn_pmf(p_self: float, t: int) -> float:
+    """P(sojourn time = t) for a mode with self-loop probability ``p_self``.
+
+    The sojourn time of a mode in a time-homogeneous DTMC is geometric:
+    ``P(S = t) = p_self**(t-1) * (1 - p_self)`` for t >= 1. This is the only
+    memoryless discrete distribution, so the time already spent in the mode
+    never matters.
+
+    Raises:
+        AbsorbingSojournError: ``p_self == 1`` (the mode is never left, so
+            the sojourn time is not a proper random variable).
+    """
+    if not 0.0 <= p_self <= 1.0:
+        raise EntryRangeError(f"self-loop probability {p_self!r} outside [0, 1]")
+    if p_self == 1.0:
+        raise AbsorbingSojournError("sojourn in an absorbing mode never ends")
+    if t < 1:
+        raise ValueError("sojourn time starts at 1")
+    return p_self ** (t - 1) * (1.0 - p_self)
+
+
+def classify_states(modes: Sequence[str],
+                    entries: np.ndarray) -> StateClassification:
+    """Label every mode as absorbing, ergodic or transient, as
+    ``classify_faults`` does for a component's chain."""
+    return _classify_states(modes, entries, _reachability(entries))
 
 
 def is_explanation(w: ModeAssignment, obs_present: Iterable[str],

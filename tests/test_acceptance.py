@@ -16,10 +16,8 @@ from tempdiag import (
     StateLabel,
     build_trellis,
     classify_faults,
-    classify_states,
     enumerate_evolutions,
     induce_initial_distributions,
-    propagate_distribution,
     resolve_initial_distributions,
     revise_trellis,
     sample_trajectory,
@@ -38,7 +36,12 @@ from propsuites import (
     check_trellis_vs_bruteforce,
     mode_indices,
 )
-from reference import empirical_transition_matrix, named_revision
+from reference import (
+    classify_states,
+    empirical_transition_matrix,
+    named_revision,
+    propagate_distribution,
+)
 
 
 @contextmanager

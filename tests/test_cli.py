@@ -432,13 +432,13 @@ class TestDiagnose:
         """The revised evolutions of all 30 instants share one row
         template: a template per instant would hold a placeholder per path
         cell, quadratic over a stream."""
-        shapes, original = [], tempdiag.cli.template
+        shapes, original = [], tempdiag.modelio.template
 
         def template(shape, nl):
             shapes.append(shape)
             return original(shape, nl)
 
-        monkeypatch.setattr(tempdiag.cli, "template", template)
+        monkeypatch.setattr(tempdiag.modelio, "template", template)
         data = ROOT / "tests" / "data"
         code, _, err = run(capsys, "diagnose",
                            str(data / "reversible_model.json"),
@@ -451,13 +451,13 @@ class TestDiagnose:
                                           tmp_path, revise):
         """Cutting the 30-instant reversible stream to its first 10
         instants builds as many templates: none is built per instant."""
-        calls, original = [], tempdiag.cli.template
+        calls, original = [], tempdiag.modelio.template
 
         def template(shape, nl):
             calls.append(shape)
             return original(shape, nl)
 
-        monkeypatch.setattr(tempdiag.cli, "template", template)
+        monkeypatch.setattr(tempdiag.modelio, "template", template)
         data = ROOT / "tests" / "data"
         short = tmp_path / "obs.json"
         short.write_text(json.dumps(json.loads(
@@ -474,19 +474,19 @@ class TestDiagnose:
 
     @pytest.mark.parametrize("span", [1, 7])
     def test_reports_independent_of_span(self, capsys, monkeypatch, span):
-        """A candidate set, trellis step or revised instant with more cells
-        than ``_SPAN`` streams its rows; one with fewer is written as one
-        text, and the numbers of consecutive ones are formatted together.
-        At a span of 1 everything with two cells or more streams; at 7 the
-        two kinds mix. Every diagnose golden comes out the same, and a NaN
-        in the last revised instant still raises before anything is
-        written."""
+        """A table item (a candidate set, trellis step, diagnosis, ranked
+        trajectory or revised instant) with more cells than ``_SPAN``
+        streams its rows; one with fewer is written as one text, and the
+        numbers of consecutive ones are formatted together. At a span of 1
+        everything with two cells or more streams; at 7 the two kinds mix.
+        Every diagnose and rank golden comes out the same, and a NaN in the
+        last revised instant still raises before anything is written."""
         monkeypatch.chdir(ROOT)
-        monkeypatch.setattr(tempdiag.cli, "_SPAN", span)
+        monkeypatch.setattr(tempdiag.modelio, "_SPAN", span)
         data = "tests/data/"
         goldens = [(ROOT / "bench" / "golden" / golden, argv)
                    for golden, argv in (case.values for case in DESK_CASES)
-                   if argv[0] == "diagnose"]
+                   if argv[0] in ("diagnose", "rank")]
         for golden, argv in goldens + [
                 (ROOT / data / "reversible_diagnose_revise",
                  ["diagnose", data + "reversible_model.json",
@@ -497,7 +497,10 @@ class TestDiagnose:
                 (ROOT / data / "negative_zero_diagnose_revise",
                  ["diagnose", data + "negative_zero_model.json",
                   "scenarios/sudden_stop_obs.json", "--criterion",
-                  "consistency", "--revise"])]:
+                  "consistency", "--revise"]),
+                (ROOT / data / "negative_zero_rank",
+                 ["rank", data + "negative_zero_model.json",
+                  data + "negative_zero_trajectories.json"])]:
             code, out, err = run(capsys, *argv)
             assert code == 0, err
             assert out.encode() == golden.read_bytes(), argv

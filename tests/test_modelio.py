@@ -11,12 +11,16 @@ import tempdiag.modelio as modelio
 from tempdiag import validate_model, validate_stream
 from tempdiag.errors import ValidationError
 from tempdiag.modelio import (
+    Column,
+    Rows,
     load_model,
     load_stream,
     model_from_dict,
     parse_probability,
+    quote,
     stream_from_list,
     stream_to_list,
+    table,
     texts,
     trajectories_from_list,
     write_report,
@@ -141,6 +145,47 @@ def encode(report) -> str:
     return stream.getvalue()
 
 
+def nested_table(count):
+    """A table of ``count`` items, the report it stands for, and a number
+    column of it: each item has a float, an int, a text cell and a fixed
+    pair, an array of rows each holding an array of ints (some empty), an
+    array of empty objects and an array of bare texts; ``%`` and
+    indentation-like text is kept apart from the template's."""
+    rng = np.random.default_rng(count)
+    inner = rng.integers(0, 3, size=count)  # rows per item
+    deep = rng.integers(0, 4, size=int(inner.sum()))  # ints per row
+    floats = rng.random(count) * 10.0 ** rng.integers(-320, 300, size=count)
+    floats[::5] = -0.0
+    ints = rng.integers(-10 ** 18, 10 ** 18, size=count)
+    labels = [f"%s {k}%\n  " for k in range(count)]
+    row_floats = rng.random(len(deep)) - 0.5
+    deep_ints = rng.integers(0, 50, size=int(deep.sum()))
+    bare = ["x", "%d", "\u00e9"] * count
+    shape = {"f": Column(floats), "i": Column(ints),
+             "label": Column(np.arange(count), np.array(
+                 list(map(quote, labels)), dtype=object)),
+             "pair": [Column(floats), Column(-floats)],
+             "rows": Rows({"deep": Rows(Column(deep_ints), deep),
+                           "v": Column(row_floats)}, inner),
+             "empty": Rows({}, inner),
+             "bare": Rows(Column(np.arange(3 * count)[::-1], np.array(
+                 list(map(quote, bare[::-1])), dtype=object)), [3] * count)}
+    items, r, d = [], 0, 0
+    for k in range(count):
+        rows = []
+        for _ in range(inner[k]):
+            rows.append({"deep": deep_ints[d:d + deep[r]].tolist(),
+                         "v": float(row_floats[r])})
+            d += deep[r]
+            r += 1
+        items.append({"f": float(floats[k]), "i": int(ints[k]),
+                      "label": labels[k],
+                      "pair": [float(floats[k]), float(-floats[k])],
+                      "rows": rows, "empty": [{}] * int(inner[k]),
+                      "bare": bare[3 * k:3 * k + 3]})
+    return table(shape, count), items, floats
+
+
 class TestCanonicalReports:
     def test_byte_identical(self):
         report = {"b": [1.5, 1 / 3], "a": {"y": None, "x": "s"}}
@@ -163,87 +208,93 @@ class TestCanonicalReports:
         assert stream.writes == []
 
     def test_repeated_items(self):
-        """A list of one object repeated, as a template's rows are, gives
-        the stdlib's text; a section writer repeated renders once per
-        item."""
+        """A list of one object repeated gives the stdlib's text; a table
+        writer repeated renders once per item."""
         row = {"p": [0.25, None, -0.0], "q": "x%"}
         report = {"rows": [row] * 3, "ints": [7] * 4, "zeros": [-0.0] * 2}
         assert encode(report) == json.dumps(
             report, indent=2, sort_keys=True) + "\n"
-        rendered = []
-
-        def render(nl):
-            rendered.append(nl)
-            return ["1.5"]
-
-        assert encode([modelio.section(render)] * 2) == json.dumps(
-            [1.5, 1.5], indent=2) + "\n"
-        assert rendered == ["\n  ", "\n  "]
+        assert encode([table(Column([1.5]), 1)] * 2) == json.dumps(
+            [[1.5], [1.5]], indent=2) + "\n"
 
     def test_sorted_keys_and_newline(self):
         out = encode({"b": 1, "a": 2})
         assert out.index('"a"') < out.index('"b"')
         assert out.endswith("\n")
 
+
+    @pytest.mark.parametrize("span", [1, 7, 64, modelio._SPAN],
+                             ids=["1", "7", "64", "default"])
+    @pytest.mark.parametrize("count", [0, 1, 2, 40])
+    def test_tables_equal_json_dumps(self, monkeypatch, span, count):
+        """Nested tables give the stdlib's text, whether their items are
+        written whole or stream their rows, in the report's top level or
+        deeper."""
+        monkeypatch.setattr(modelio, "_SPAN", span)
+        section, items, _ = nested_table(count)
+        report = {"a": section, "b": [1, {"c": section}]}
+        assert encode(report) == json.dumps(
+            {"a": items, "b": [1, {"c": items}]}, indent=2,
+            sort_keys=True) + "\n"
+
     @pytest.mark.parametrize("chunk", [1, 64, 4096])
     def test_row_sections_in_bounded_writes(self, monkeypatch, chunk):
-        """Row sections of one batch and of many, empty ones too, give the
+        """Tables of one batch and of many, empty ones too, give the
         stdlib's text, written in pieces of about the batch size: no write
-        is longer than two batches and one more row with its separators."""
+        is longer than two batches and one more row with its
+        separators."""
         monkeypatch.setattr(modelio, "_CHUNK", chunk)
-        values = [[i / 7, -i / 3] for i in range(3000)]
-        section = modelio.rows(lambda nl: map(
-            modelio.template([modelio.TEXT, modelio.TEXT], nl).__mod__,
-            map(tuple, texts(np.array(values)).tolist())))
-        empty = modelio.rows(lambda nl: iter(()))
+        values = np.array([[i / 7, -i / 3] for i in range(3000)])
+        section = table([Column(values[:, 0]), Column(values[:, 1])],
+                        len(values))
+        empty = table([Column([]), Column([])], 0)
         stream = WriteRecorder()
         write_report({"a": section, "b": [1, {"c": empty}], "d": section},
                      stream)
         assert stream.getvalue() == json.dumps(
-            {"a": values, "b": [1, {"c": []}], "d": values}, indent=2,
-            sort_keys=True) + "\n"
+            {"a": values.tolist(), "b": [1, {"c": []}],
+             "d": values.tolist()}, indent=2, sort_keys=True) + "\n"
         assert len(stream.writes) > 1
         assert max(map(len, stream.writes)) <= 2 * chunk + 80
 
     def test_sections_render_when_reached(self, monkeypatch):
-        """A section renders when the writer reaches it, after the text
-        before it is written, and not at all if a number some section
-        declares is not finite."""
+        """A table formats its numbers when the writer reaches it, after
+        the text before it is written, and not at all if a number some
+        table holds is not finite."""
         monkeypatch.setattr(modelio, "_CHUNK", 1)
-        stream, rendered = WriteRecorder(), []
+        stream, rendered, texts_ = WriteRecorder(), [], modelio.texts
 
-        def render(nl):
+        def recorded(values):
             rendered.append(len(stream.writes))
-            return ["0.5"]
+            return texts_(values)
 
-        report = {"a": [1.5], "b": modelio.rows(render, np.array([0.5])),
-                  "c": modelio.section(render, 0.5)}
+        monkeypatch.setattr(modelio, "texts", recorded)
+        report = {"a": [1.5], "b": table(Column([0.5]), 1),
+                  "c": table({"d": Column([0.25])}, 1)}
         write_report(report, stream)
         assert stream.getvalue() == json.dumps(
-            {"a": [1.5], "b": [0.5], "c": 0.5}, indent=2) + "\n"
+            {"a": [1.5], "b": [0.5], "c": [{"d": 0.25}]}, indent=2) + "\n"
         assert 0 < rendered[0] < rendered[1] < len(stream.writes)
         rendered.clear()
-        report["d"] = modelio.section(render, [0.5, np.nan])
+        report["e"] = table(Rows(Column([0.5, np.nan]), [2]), 1)
         with pytest.raises(ValueError):
             write_report(report, WriteRecorder())
         assert rendered == []
 
     def test_later_section_raises_before_writing(self, monkeypatch):
-        """A row section is rendered only as it is written, and a
-        non-finite number that a section after it declares still raises
-        before anything is written."""
+        """A table is rendered only as it is written, and a non-finite
+        number that a table after it holds, in an item that streams or
+        not, still raises before anything is written."""
         monkeypatch.setattr(modelio, "_CHUNK", 64)
-        finite = np.arange(1000.0)
-        infinite = np.append(finite, np.inf)
-
-        def section(numbers):
-            return modelio.rows(lambda nl: texts(numbers).tolist(), numbers)
-
-        stream = WriteRecorder()
-        with pytest.raises(ValueError):
-            write_report({"a": section(finite), "b": section(infinite)},
-                         stream)
-        assert stream.writes == []
+        for span in (1, modelio._SPAN):
+            monkeypatch.setattr(modelio, "_SPAN", span)
+            section, _, floats = nested_table(40)
+            floats[-1] = np.inf
+            later, _, _ = nested_table(40)
+            stream = WriteRecorder()
+            with pytest.raises(ValueError):
+                write_report({"a": later, "b": section}, stream)
+            assert stream.writes == []
 
 
 #: Floats at the edges of repr and of the double range, beside arbitrary ones.

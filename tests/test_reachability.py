@@ -1,0 +1,98 @@
+"""Every function in the package is reached by running the command line,
+apart from a short written list: a function that only tests call belongs
+in the tests."""
+
+import contextlib
+import io
+import json
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import tempdiag
+from tempdiag.cli import main
+
+from test_cli import DESK_CASES
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(tempdiag.__file__).resolve().parent
+
+#: The functions no run below reaches, each with the reason.
+UNREACHED = {
+    "cli.run": "the process entry: the console script and python -m "
+               "tempdiag.cli call it, not main",
+    "cli._Parser.error": "argparse's exit on a usage error",
+    "cli._Parser._print_message": "argparse's exit on --help or --version",
+    "cli._Parser._print_message.<lambda>": "argparse's exit on --help or "
+                                           "--version",
+    "errors.DiagnosisError.__init__": "error only: every error's message",
+    "errors.NoCandidatesError.__init__": "error only: no candidate at an "
+                                         "instant",
+    "errors.RowSumError.__init__": "error only: a matrix row that does not "
+                                   "sum to 1",
+    "model._remade": "what a record's _replace calls: no command replaces "
+                     "a record's fields",
+    "modelio._load_json.unique.<genexpr>": "error only: the key an input "
+                                           "object repeats",
+    "revision.revise_trellis.<genexpr>": "error only: the admitted modes "
+                                         "of a ZeroAdmittedMassError",
+}
+
+
+def functions() -> dict:
+    """Each function of the package's modules, nested ones, lambdas and
+    comprehensions too, by ``(file, first line, name)``: its module and
+    qualified name."""
+    found = {}
+
+    def walk(code, module, prefix):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                name = prefix + const.co_name
+                if const.co_flags & 0x2:  # CO_NEWLOCALS: a function's code
+                    found[const.co_filename, const.co_firstlineno,
+                          const.co_name] = f"{module}.{name}"
+                    walk(const, module, name + ".")
+                else:  # a class body
+                    walk(const, module, name + ".")
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        code = compile(path.read_text(), str(path), "exec")
+        walk(code, path.stem, "")
+    return found
+
+
+def test_every_function_is_reached(tmp_path, monkeypatch):
+    """The first case of each ``bench/gen.py`` workload (seed 7) and every
+    desk case on the shipped scenarios, run through ``cli.main`` under a
+    profiler, call every function of the package but those listed in
+    ``UNREACHED``."""
+    argvs = [argv for _, argv in (case.values for case in DESK_CASES)]
+    for workload in ("desk", "wide", "dense", "long"):
+        out = tmp_path / workload
+        subprocess.run([sys.executable, "bench/gen.py", "--workload",
+                        workload, "--seed", "7", "--out", str(out)],
+                       cwd=ROOT, check=True, capture_output=True)
+        argvs.append(json.loads((out / "cases.json").read_text())[0]["argv"])
+    monkeypatch.chdir(ROOT)
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            reached.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            sys.setprofile(profile)
+            try:
+                code = main(argv)
+            finally:
+                sys.setprofile(None)
+        assert code in (0, 2), argv
+    found = functions()
+    missing = sorted(name for key, name in found.items()
+                     if key not in reached)
+    assert missing == sorted(UNREACHED), missing

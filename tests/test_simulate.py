@@ -17,7 +17,11 @@ from tempdiag.errors import InstantOutOfRangeError
 from tempdiag.simulate import _uniforms
 
 from propsuites import enumerated
-from reference import assignments, empirical_transition_matrix
+from reference import (
+    assignments,
+    empirical_transition_matrix,
+    matrix_power,
+)
 
 
 def point_initials(model, **modes):
@@ -98,7 +102,6 @@ class TestEmpiricalMatrix:
     def test_two_step_frequencies_match_squared_matrix(self, hydraulic,
                                                        container):
         # the hand-squared container row: (3/100, 4/25, 81/100)
-        from tempdiag import matrix_power
         initials = point_initials(hydraulic, P="correct", C="correct")
         n_samples = 30_000
         samples = [sample_trajectory(hydraulic, initials, 2, seed=s)
