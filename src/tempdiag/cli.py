@@ -67,12 +67,6 @@ _THRESHOLD_MODES = {
 #: Input file arguments a report lists under ``files`` when given.
 _FILES = ("model", "observations", "trajectories")
 _JSON_BOOLS = np.array(["false", "true"], dtype=object)
-#: Numbers the trellis and revision sections format at once: a call of
-#: ``modelio.texts`` costs microseconds, so short steps and instants are
-#: formatted together, and a long one alone. Also the cells from which a
-#: candidate set, step or instant streams its rows instead of being
-#: written as one text.
-_SPAN = 4096
 
 
 def _parse_instants(text: str) -> list[int]:
@@ -120,11 +114,6 @@ def _times(instants) -> np.ndarray:
     """Time points as JSON text: one may be too large for any numpy
     integer."""
     return np.array(list(map(int.__repr__, instants)), dtype=object)
-
-
-def _flat(arrays, empty) -> np.ndarray:
-    """The ``arrays`` as one, ``empty`` if there are none."""
-    return np.concatenate([empty, *arrays])
 
 
 def _candidates_report(trellis, model):
@@ -289,27 +278,22 @@ def _revision_report(revisions, model):
 def _trellis_report(trellis, model):
     """``trellis``: per step, every edge with its factors (by component
     id), conditional and admissibility."""
-    shapes = [c.shape for c in trellis.conditionals]
-    width, times = len(model.components), _times(trellis.instants)
-    factors = _flat([f.reshape(c.size, width) for f, c in zip(
-        trellis.factors, trellis.conditionals)], np.empty((0, width)))
+    bounds, times = trellis.bounds, _times(trellis.instants)
+    _, sources, targets = trellis.endpoints
     return table({
         "edges": Rows({
-            "admissible": Column(_flat([a.ravel() for a in trellis.admissible],
-                                       np.empty(0, np.uint8)), _JSON_BOOLS),
-            "conditional": Column(_flat([c.ravel() for c in
-                                         trellis.conditionals], np.empty(0))),
-            "factors": {c.id: Column(factors[:, k])
+            "admissible": Column(trellis.admissible.view(np.uint8),
+                                 _JSON_BOOLS),
+            "conditional": Column(trellis.conditionals),
+            "factors": {c.id: Column(trellis.factors[:, k])
                         for k, c in enumerate(model.components)},
             # int32 halves these arrays: no layer that fits in memory
             # holds 2**31 candidates
-            "source": Column(_flat([np.repeat(np.arange(n, dtype=np.int32), m)
-                                    for n, m in shapes], np.empty(0, np.int32))),
-            "target": Column(_flat([np.tile(np.arange(m, dtype=np.int32), n)
-                                    for n, m in shapes], np.empty(0, np.int32))),
-        }, [n * m for n, m in shapes]),
-        "from_t": Column(np.arange(len(shapes)), times),
-        "to_t": Column(np.arange(1, len(times)), times)}, len(shapes))
+            "source": Column(sources.astype(np.int32)),
+            "target": Column(targets.astype(np.int32)),
+        }, np.diff(bounds)),
+        "from_t": Column(np.arange(len(bounds) - 1), times),
+        "to_t": Column(np.arange(1, len(times)), times)}, len(bounds) - 1)
 
 
 def _cmd_diagnose(args, model) -> dict:
@@ -320,7 +304,8 @@ def _cmd_diagnose(args, model) -> dict:
         criterion=_CRITERIA[args.criterion], candidate_cap=args.cap)
     trellis = build_trellis(problem)
     evolutions = enumerate_evolutions(problem, trellis)
-    # revised before the sections are declared, which copy trellis arrays
+    # revised before the sections are declared, so that its temporaries
+    # are gone before the trellis section derives its edges' endpoints
     revisions = revise_trellis(trellis, model) if args.revise else None
 
     report = {

@@ -122,7 +122,7 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
         ZeroAdmittedMassError: a component's admitted modes carry too
             little probability for the reciprocal to be finite.
     """
-    count, width = len(trellis.instants), len(model.components)
+    count = len(trellis.instants)
     rows = np.concatenate(trellis.modes)
     layer = np.repeat(np.arange(count), [len(m) for m in trellis.modes])
     chains = []
@@ -154,20 +154,11 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
                     f"admitted modes {admitted} carry probability "
                     f"{float(mass[k])!r}, too little to renormalize")
 
-    # the admissible edges of all steps, flat: step by step, row-major
-    # within a step
-    offsets = np.cumsum([0, *(c.size for c in trellis.conditionals)])
-    flat = np.flatnonzero(np.concatenate(
-        [np.zeros(0, dtype=bool), *(a.ravel() for a in trellis.admissible)]))
-    step = np.repeat(np.arange(count - 1), [
-        np.count_nonzero(a) for a in trellis.admissible])
-    sources, targets = np.divmod(flat - offsets[step], np.array(
-        [len(m) for m in trellis.modes[1:]], dtype=np.intp)[step])
-    conditionals = np.concatenate(
-        [np.empty(0), *(c.ravel() for c in trellis.conditionals)])[flat]
-    factors = np.concatenate([np.empty((0, width)), *(
-        f.reshape(c.size, width)
-        for f, c in zip(trellis.factors, trellis.conditionals))])[flat]
+    # the admissible edges of all steps, in the trellis' flat order
+    flat = np.flatnonzero(trellis.admissible)
+    step, sources, targets = (ends[flat] for ends in trellis.endpoints)
+    conditionals = trellis.conditionals[flat]
+    factors = trellis.factors[flat]
     norms = np.array([norm for *_, norm in layers])
     edges = zip(*(_runs(values, step + 1, count) for values in (
         sources, targets, conditionals, conditionals * norms[step + 1])))

@@ -12,12 +12,11 @@ assignment times the product of its consecutive step conditionals, each of
 which is itself a product of per-component n-step matrix entries.
 
 The trellis is built as arrays (the HMM trellis layout). Each layer is the
-|L| x C array of mode indices the atemporal solver returns. Each
-component's ``P^n`` is computed once per distinct gap n, and the edges of
-all steps, laid out flat, are one fancy index per component into those
-stacked powers; step k's |L_k| x |L_k+1| blocks of factors, conditionals
-(their product in model component order) and admissibility masks are views
-of the flat arrays.
+|L| x C array of mode indices the atemporal solver returns. The edges of
+all steps lie in flat arrays, step by step and row-major within a step;
+``Trellis.bounds`` and ``Trellis.endpoints`` are the one definition of that
+layout. Each component's ``P^n`` is computed once per distinct gap n, and
+its factors over all edges are one fancy index into those stacked powers.
 ``forward_paths`` expands the admissible paths over those arrays with their
 joints, one layer at a time, for enumeration, revision and ranking; no
 other engine code computes a joint. ``ranked_paths`` lays the complete
@@ -82,12 +81,15 @@ class Trellis(NamedTuple):
     ``modes[k]`` holds the candidates at ``instants[k]`` as a |L_k| x C
     array of mode indices: column c is ``model.components[c]``, each entry
     an index into that component's declared modes. Step k joins layer k to
-    layer k + 1: ``factors[k][i, j, c]`` is component c's n-step entry for
-    candidate i to candidate j, ``conditionals[k][i, j]`` the product of
-    those entries, and ``admissible[k][i, j]`` the threshold check under
-    the problem's threshold mode. ``priors[i]`` is candidate i's probability
-    at the first instant under the ``initials`` (an array per component).
-    A trellis compares and hashes by identity.
+    layer k + 1 by one edge per candidate pair (i, j); the edges of all
+    steps are laid out flat, step k's at ``bounds[k]`` to ``bounds[k + 1]``
+    in row-major order, so the edge from i to j is ``bounds[k] + i *
+    |L_k+1| + j``. Per edge, ``factors[e, c]`` is component c's n-step
+    entry, ``conditionals[e]`` the product of those entries, and
+    ``admissible[e]`` the threshold check under the problem's threshold
+    mode. ``priors[i]`` is candidate i's probability at the first instant
+    under the ``initials`` (an array per component). A trellis compares and
+    hashes by identity.
     """
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
@@ -96,9 +98,37 @@ class Trellis(NamedTuple):
     modes: tuple[np.ndarray, ...]
     initials: Mapping[str, np.ndarray]
     priors: np.ndarray
-    factors: tuple[np.ndarray, ...]
-    conditionals: tuple[np.ndarray, ...]
-    admissible: tuple[np.ndarray, ...]
+    factors: np.ndarray
+    conditionals: np.ndarray
+    admissible: np.ndarray
+
+    @property
+    def bounds(self) -> np.ndarray:
+        """Where each step's edges lie: ``bounds[k]`` to ``bounds[k + 1]``,
+        from the layer sizes."""
+        return _bounds(self.modes)
+
+    @property
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each edge's step k, its source candidate in layer k and its
+        target candidate in layer k + 1."""
+        return _endpoints(self.modes)
+
+
+def _bounds(modes: Sequence[np.ndarray]) -> np.ndarray:
+    """``Trellis.bounds`` over the candidate layers ``modes``."""
+    sizes = [len(layer) for layer in modes]
+    # from 0, so that a trellis with no step gets integers too
+    return np.cumsum([0, *(n * m for n, m in zip(sizes, sizes[1:]))])
+
+
+def _endpoints(modes: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """``Trellis.endpoints`` over the candidate layers ``modes``."""
+    bounds = _bounds(modes)
+    steps = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    nexts = np.array([len(layer) for layer in modes[1:]], dtype=np.intp)
+    return (steps, *np.divmod(np.arange(bounds[-1]) - bounds[steps],
+                              nexts[steps]))
 
 
 def relevant_instants(obs: ObservationStream) -> list[int]:
@@ -156,13 +186,9 @@ def trellis_from_layers(
         initials: Mapping[str, np.ndarray], sigma: float = 0.0,
         threshold_mode: ThresholdMode = ThresholdMode.GLOBAL) -> Trellis:
     """The trellis arrays over given candidate layers, each a |L| x C
-    mode-index array: priors and, per step, the factors, conditionals and
-    admissibility masks.
-
-    The edges of every step are laid out flat, step by step and row-major
-    within a step, and each component's factors are one gather from the
-    stacked powers of the distinct gaps; the per-step arrays are views of
-    the flat ones.
+    mode-index array: priors and the flat factors, conditionals and
+    admissibility of every edge. Each component's factors are one gather
+    from the stacked powers of the distinct gaps.
 
     Raises:
         NonIncreasingInstantsError: some instant does not follow the one
@@ -177,41 +203,31 @@ def trellis_from_layers(
     distinct = sorted(set(gaps))
     position = {n: i for i, n in enumerate(distinct)}
 
-    # the rows of all layers; each row but the last layer's is the source
-    # of one edge to every row of the next layer
-    sizes = np.array([len(layer) for layer in modes])
+    # each edge's source and target as rows of all layers, stacked
     rows = np.concatenate(modes)
-    starts = np.cumsum(sizes) - sizes
-    widths = np.repeat(sizes[1:], sizes[:-1])  # edges per source row
-    firsts = np.cumsum(widths) - widths  # each source row's first edge
-    targets = np.arange(widths.sum()) + np.repeat(
-        np.repeat(starts[1:], sizes[:-1]) - firsts, widths)
-    sources = rows[:len(widths)]
-    gap = np.repeat([position[n] for n in gaps], sizes[:-1]).astype(np.intp)
+    starts = np.cumsum([0, *(len(layer) for layer in modes)])
+    steps, sources, targets = _endpoints(modes)
+    sources += starts[steps]
+    targets += starts[steps + 1]
+    gap = np.array([position[n] for n in gaps], dtype=np.intp)[steps]
 
     priors = np.ones(len(modes[0]))
-    factors = np.empty((len(targets), len(model.components)))
+    factors = np.empty((len(steps), len(model.components)))
     # multiplied in component order from 1.0, as the product per edge
-    conditionals = np.ones(len(targets))
+    conditionals = np.ones(len(steps))
     for ci, c in enumerate(model.components):
         powers = matrix_powers(c.matrix, [instants[0], *distinct])
         priors *= (initials[c.id] @ powers[0])[modes[0][:, ci]]
         m = len(c.modes)  # one flat index into the stacked gap powers
-        factors[:, ci] = powers[1:].take(np.repeat(
-            (gap * m + sources[:, ci]) * m, widths) + rows[targets, ci])
+        factors[:, ci] = powers[1:].take(
+            (gap * m + rows[sources, ci]) * m + rows[targets, ci])
         conditionals *= factors[:, ci]
     if threshold_mode is ThresholdMode.PER_COMPONENT:
         admissible = np.all(factors >= sigma, axis=-1)
     else:
         admissible = conditionals >= sigma
-
-    ends = np.cumsum(sizes[:-1] * sizes[1:]).tolist()
-    shapes = list(zip(sizes[:-1].tolist(), sizes[1:].tolist()))
-    return Trellis(
-        tuple(instants), tuple(modes), initials, priors,
-        *(tuple(flat[end - n * m:end].reshape(n, m, *flat.shape[1:])
-                for end, (n, m) in zip(ends, shapes))
-          for flat in (factors, conditionals, admissible)))
+    return Trellis(tuple(instants), tuple(modes), initials, priors, factors,
+                   conditionals, admissible)
 
 
 def build_trellis(problem: DiagnosticProblem) -> Trellis:
@@ -258,11 +274,14 @@ def forward_paths(trellis: Trellis) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     paths = np.arange(len(trellis.modes[0]))[:, None]
     joints = trellis.priors
     yield paths, joints
-    for conditional, admissible in zip(trellis.conditionals,
-                                       trellis.admissible):
+    bounds = trellis.bounds.tolist()
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        shape = len(trellis.modes[k]), len(trellis.modes[k + 1])
         last = paths[:, -1]
-        rows, targets = np.nonzero(admissible[last])
-        joints = joints[rows] * conditional[last[rows], targets]
+        rows, targets = np.nonzero(
+            trellis.admissible[a:b].reshape(shape)[last])
+        joints = joints[rows] * trellis.conditionals[a:b].reshape(shape)[
+            last[rows], targets]
         paths = np.concatenate((paths[rows], targets[:, None]), axis=1)
         yield paths, joints
 
@@ -315,18 +334,15 @@ def ranked_paths(model: SystemModel,
         count, length = paths.shape
         instants = np.full((count, n), -1)
         instants[:, :length] = [position[t] for t in trellis.instants]
-        # one gather each from the concatenated layers and the flattened
-        # conditionals, at each path cell's offset
+        # one gather each from the concatenated layers and the flat
+        # conditionals, at each path cell's row and each step's edge
         sizes = np.array([len(layer) for layer in trellis.modes])
-        edges = sizes[:-1] * sizes[1:]
         modes = np.full((count, n, width), -1)
         modes[:, :length] = np.concatenate(trellis.modes)[
             paths + (np.cumsum(sizes) - sizes)]
         steps = np.full((count, n - 1), np.nan)
-        steps[:, :length - 1] = np.concatenate(
-            [np.empty(0), *(c.ravel() for c in trellis.conditionals)])[
-            paths[:, :-1] * sizes[1:] + paths[:, 1:] + (np.cumsum(edges)
-                                                        - edges)]
+        steps[:, :length - 1] = trellis.conditionals[
+            trellis.bounds[:-1] + paths[:, :-1] * sizes[1:] + paths[:, 1:]]
         parts.append((instants, modes, trellis.priors[paths[:, 0]],
                       steps, joints))
     instants, modes, priors, steps, joints = map(np.concatenate, zip(*parts))

@@ -331,8 +331,10 @@ def check_gathered_trellis(cases: int, seed: int = 2036) -> None:
     """``trellis_from_layers`` on random ragged layers equals the per-edge
     definitions bit for bit: priors, factors, conditionals and masks, in
     both threshold modes, over streams of one instant, one step, and many
-    steps with repeated gaps. A stream with a step that does not advance
-    time raises the definitions' error for its first such step."""
+    steps with repeated gaps. Its edges lie step by step and row-major
+    within a step, as ``bounds`` and ``endpoints`` say, in streams with
+    no step too. A stream with a step that does not advance time raises
+    the definitions' error for its first such step."""
     rng = np.random.default_rng(seed)
     seen = set()
     for _ in range(cases):
@@ -367,18 +369,27 @@ def check_gathered_trellis(cases: int, seed: int = 2036) -> None:
             continue
         assert trellis.priors.tolist() == [
             prior_probability(w, initials, model) for w in assigned[0]]
-        for k, (prev, nxt) in enumerate(zip(assigned, assigned[1:])):
-            assert trellis.conditionals[k].shape == (len(prev), len(nxt))
-            for i, a in enumerate(prev):
-                for j, b in enumerate(nxt):
-                    factors = step_factors(a, b, model)
-                    assert trellis.factors[k][i, j].tolist() == [
-                        factors[c.id] for c in model.components]
-                    assert trellis.conditionals[k][i, j] == \
-                        conditional_probability(a, b, model)
-                    assert trellis.admissible[k][i, j] == \
-                        admissible_step(a, b, problem)
-                    seen.add(("admissible", bool(trellis.admissible[k][i, j])))
+        # edge e is step k's (i, j), step by step and row-major within one
+        layout = [(k, i, j) for k, (prev, nxt) in enumerate(zip(
+            assigned, assigned[1:])) for i in range(len(prev))
+            for j in range(len(nxt))]
+        assert list(zip(*(ends.tolist() for ends in trellis.endpoints))) == \
+            layout
+        bounds = trellis.bounds
+        assert bounds.dtype.kind == "i" and bounds.tolist() == [
+            sum(step < k for step, _, _ in layout) for k in range(count)]
+        assert trellis.factors.shape == (len(layout), len(model.components))
+        assert trellis.conditionals.shape == trellis.admissible.shape == (
+            len(layout),)
+        for e, (k, i, j) in enumerate(layout):
+            a, b = assigned[k][i], assigned[k + 1][j]
+            factors = step_factors(a, b, model)
+            assert trellis.factors[e].tolist() == [
+                factors[c.id] for c in model.components]
+            assert trellis.conditionals[e] == \
+                conditional_probability(a, b, model)
+            assert trellis.admissible[e] == admissible_step(a, b, problem)
+            seen.add(("admissible", bool(trellis.admissible[e])))
         seen.update(("size", len(layer)) for layer in layers)
         seen.add(("steps", min(count - 1, 2)))
         seen.add(("repeated gap", len(set(gaps)) < len(gaps)))
@@ -453,8 +464,8 @@ def check_revision_ranking_and_zeros(cases: int, seed: int = 2031) -> None:
             instants=(0, 1), modes=(np.zeros((2, 1), int),
                                     np.zeros((n, 1), int)),
             initials={"c": np.array([1.0])},
-            priors=np.array([1.0, 0.0]), factors=(steps[..., None],),
-            conditionals=(steps,), admissible=(np.ones((2, n), bool),)),
+            priors=np.array([1.0, 0.0]), factors=steps.reshape(-1, 1),
+            conditionals=steps.ravel(), admissible=np.ones(2 * n, bool)),
             model)
         assert second.joints.tolist() == [*joints.tolist(), *[0.0] * n]
         revised_joints = second.revised_joints[:n]

@@ -78,7 +78,8 @@ def conditionals(model, source, target):
     return trellis_from_layers(
         model, [source[0].t, target[0].t],
         [mode_indices(model, source), mode_indices(model, target)],
-        resolve_initial_distributions(model)).conditionals[0]
+        resolve_initial_distributions(model)).conditionals.reshape(
+        len(source), len(target))
 
 
 def test_criterion_1_step_conditionals(hydraulic):

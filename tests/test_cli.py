@@ -1020,21 +1020,21 @@ class TestCanonicalWriter:
         def poisoned_trellis(problem):
             trellis = build(problem)
             clean.append(trellis)
-            k = -1 if where == "last_conditional" else 0
-            conditionals = list(trellis.conditionals)
-            factors = list(trellis.factors)
-            conditionals[k] = conditionals[k].copy()
-            factors[k] = factors[k].copy()
+            bounds = trellis.bounds
+            k = len(bounds) - 2 if where == "last_conditional" else 0
+            conditionals = trellis.conditionals.copy()
+            factors = trellis.factors.copy()
             priors = trellis.priors.copy()
-            i, j = np.argwhere(~trellis.admissible[k])[0]
+            e = bounds[k] + np.flatnonzero(
+                ~trellis.admissible[bounds[k]:bounds[k + 1]])[0]
             if where in ("conditional", "last_conditional"):
-                conditionals[k][i, j] = value
+                conditionals[e] = value
             elif where == "factor":
-                factors[k][i, j, -1] = value
+                factors[e, -1] = value
             elif where == "priors":
                 priors[-1] = value
-            return trellis._replace(factors=tuple(factors),
-                                    conditionals=tuple(conditionals),
+            return trellis._replace(factors=factors,
+                                    conditionals=conditionals,
                                     priors=priors)
 
         def poisoned_evolutions(problem, trellis):
@@ -1254,18 +1254,19 @@ class TestCanonicalWriter:
         trellis, evolutions = (engine["build_trellis"],
                                engine["enumerate_evolutions"])
         ids = [c.id for c in load_model(dense[0][1]).components]
-        assert len(report["trellis"]) == len(trellis.conditionals) > 1
-        for step, factors, conditionals in zip(
-                report["trellis"], trellis.factors, trellis.conditionals):
+        bounds = trellis.bounds
+        assert len(report["trellis"]) == len(bounds) - 1 > 1
+        for k, step in enumerate(report["trellis"]):
             edges = step["edges"]
-            n, m = conditionals.shape
+            n, m = len(trellis.modes[k]), len(trellis.modes[k + 1])
+            flat = slice(bounds[k], bounds[k + 1])
             assert [(e["source"], e["target"]) for e in edges] == [
                 (i, j) for i in range(n) for j in range(m)]
             assert np.array_equal(
                 bits([[e["factors"][c] for c in ids] for e in edges]),
-                bits(factors.reshape(n * m, -1)))
+                bits(trellis.factors[flat]))
             assert np.array_equal(bits([e["conditional"] for e in edges]),
-                                  bits(conditionals.ravel()))
+                                  bits(trellis.conditionals[flat]))
         rows = report["diagnoses"]
         assert np.array_equal(bits([r["joint_probability"] for r in rows]),
                               bits(evolutions.joints))

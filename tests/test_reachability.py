@@ -1,7 +1,9 @@
 """Every function in the package is reached by running the command line,
 apart from a short written list: a function that only tests call belongs
-in the tests."""
+in the tests. Every private module constant is read: one that nothing
+reads belongs nowhere."""
 
+import ast
 import contextlib
 import io
 import json
@@ -96,3 +98,33 @@ def test_every_function_is_reached(tmp_path, monkeypatch):
     missing = sorted(name for key, name in found.items()
                      if key not in reached)
     assert missing == sorted(UNREACHED), missing
+
+
+def test_every_private_constant_is_read():
+    """Each private name a package module assigns at its top level
+    (``_NAME = ...``) is read somewhere in the package: by name in its own
+    module, or as an attribute of, or an import from, that module."""
+    assigned, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            assigned += [(module, target.id) for target in targets
+                         if isinstance(target, ast.Name)
+                         and target.id.startswith("_")
+                         and not target.id.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(
+                    node.value, ast.Name):
+                read.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                read.update((node.module.rpartition(".")[2], alias.name)
+                            for alias in node.names)
+    assert assigned
+    unread = [".".join(name) for name in assigned if name not in read]
+    assert not unread, unread

@@ -92,7 +92,8 @@ RECORDS = [
       "candidate_cap": DEFAULT_CANDIDATE_CAP}, True, {}),
     (Trellis, {"instants": (1,), "modes": (np.array([[1]]),),
                "initials": {"P": _array(0.0, 1.0)}, "priors": _array(1.0),
-               "factors": (), "conditionals": (), "admissible": ()}, {},
+               "factors": np.empty((0, 1)), "conditionals": _array(),
+               "admissible": np.array([], dtype=bool)}, {},
      False, {}),
     (Evolutions, {"times": (1,), "instants": np.array([[0]]),
                   "modes": np.array([[[1]]]), "priors": _array(1.0),

@@ -260,10 +260,9 @@ def test_single_trajectory_per_component_matches_global():
         trellis = Trellis(
             instants=(0, w1.t), modes=modes,
             initials=initials, priors=np.array([1.0]),
-            factors=(np.array([[[factors[c.id]
-                                 for c in model.components]]]),),
-            conditionals=(np.array([[conditional]]),),
-            admissible=(np.array([[True]]),))
+            factors=np.array([[factors[c.id] for c in model.components]]),
+            conditionals=np.array([conditional]),
+            admissible=np.array([True]))
         _, second = revise_trellis(trellis, model)
         (globally_revised,) = second.revised_conditionals
         product = math.prod(

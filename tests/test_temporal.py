@@ -155,7 +155,7 @@ def step_conditional(model, w_prev, w_next):
         model, [w_prev.t, w_next.t],
         [mode_indices(model, [w_prev]), mode_indices(model, [w_next])],
         resolve_initial_distributions(model))
-    return trellis.conditionals[0][0, 0]
+    return trellis.conditionals[0]
 
 
 class TestConditionalProbability:
@@ -373,19 +373,21 @@ def test_trellis_arrays_equal_per_edge_definitions():
         for layer, modes in zip(layers, trellis.modes):
             assert [{c.id: c.modes[m] for c, m in zip(model.components, row)}
                     for row in modes.tolist()] == [w.as_dict() for w in layer]
+        bounds = trellis.bounds
         for k, (prev, nxt) in enumerate(zip(layers, layers[1:])):
             for i, a in enumerate(prev):
                 for j, b in enumerate(nxt):
+                    e = bounds[k] + i * len(nxt) + j
                     factors = step_factors(a, b, model)
-                    assert trellis.factors[k][i, j].tolist() == [
+                    assert trellis.factors[e].tolist() == [
                         factors[c.id] for c in model.components]
-                    assert trellis.conditionals[k][i, j] == \
+                    assert trellis.conditionals[e] == \
                         conditional_probability(a, b, model)
-                    assert trellis.admissible[k][i, j] == \
+                    assert trellis.admissible[e] == \
                         admissible_step(a, b, problem)
             seen.add(("gap", b.t - a.t))
-            seen.update(("admissible", bool(x))
-                        for x in trellis.admissible[k].flat)
+            seen.update(("admissible", bool(x)) for x in
+                        trellis.admissible[bounds[k]:bounds[k + 1]])
         seen.add(("multi", len(layers[0]) > 1))
         done += 1
     assert seen >= {("gap", n) for n in range(1, 6)} | {
@@ -438,11 +440,12 @@ class TestSolveMemo:
             hydraulic, trellis.instants, layers,
             resolve_initial_distributions(hydraulic, 0, layers[0]),
             problem.sigma, problem.threshold_mode)
-        for name in ("modes", "factors", "conditionals", "admissible"):
+        assert len(trellis.modes) == len(expected.modes)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(trellis.modes, expected.modes))
+        for name in ("factors", "conditionals", "admissible"):
             got, want = getattr(trellis, name), getattr(expected, name)
-            assert len(got) == len(want)
-            assert all(a.dtype == b.dtype and np.array_equal(a, b)
-                       for a, b in zip(got, want)), name
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert np.array_equal(trellis.priors, expected.priors)
 
     def test_first_empty_instant_named(self, hydraulic, monkeypatch):
