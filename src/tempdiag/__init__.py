@@ -37,7 +37,9 @@ from .model import (
 )
 from .revision import (
     ComponentRevision,
+    ComponentStream,
     InstantRevision,
+    StreamRevision,
     normalization_factor,
     revise_trellis,
 )
@@ -62,6 +64,7 @@ from .temporal import (
 __all__ = [
     "ComponentRevision",
     "ComponentSpec",
+    "ComponentStream",
     "DiagnosisError",
     "DiagnosticProblem",
     "Evolutions",
@@ -76,6 +79,7 @@ __all__ = [
     "SampledTrajectory",
     "StateClassification",
     "StateLabel",
+    "StreamRevision",
     "SystemModel",
     "ThresholdMode",
     "Trellis",

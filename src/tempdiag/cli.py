@@ -52,6 +52,7 @@ from .temporal import (
     ThresholdMode,
     build_trellis,
     enumerate_evolutions,
+    name_ranks,
     rank_evolutions,
     resolve_initial_distributions,
 )
@@ -119,10 +120,9 @@ def _times(instants) -> np.ndarray:
 def _candidates_report(trellis, model):
     """``candidates``: per instant one assignment per row of its
     mode-index array."""
-    at = np.arange(len(trellis.instants))
+    at, (rows, starts) = np.arange(len(trellis.instants)), trellis.stacked
     return table({
-        "assignments": Rows(_assignments(model, np.concatenate(
-            trellis.modes)), list(map(len, trellis.modes))),
+        "assignments": Rows(_assignments(model, rows), np.diff(starts)),
         "t": Column(at, _times(trellis.instants))}, len(at))
 
 
@@ -220,59 +220,53 @@ def _cmd_propagate(args, model) -> dict:
     }
 
 
-def _revision_report(revisions, model):
+def _revision_report(revision, model):
     """``revision``: per instant, the revised joints of the paths ending
     there, the revised conditionals of the edges into it and every
-    component's revision, its modes and transitions sorted by mode name."""
-    at = np.arange(len(revisions))
-
-    def flat(field, records):  # there is a revision per instant, never none
-        return np.concatenate([getattr(record, field) for record in records])
-
+    component's revision, its modes and transitions sorted by mode name.
+    Every other column is one of the revision's flat arrays as it is."""
+    at = np.arange(len(revision))
     blocks = {}
     for c in model.components:
-        names = _names(c)
-        rank = np.array([sorted(c.modes).index(m) for m in c.modes])
-        revised = [rev.components[c.id] for rev in revisions]
-        counts = [len(cr.admitted) for cr in revised]
-        admitted = flat("admitted", revised)
-        admitted = admitted[np.lexsort((rank[admitted],
-                                        np.repeat(at, counts)))]
-        moved = [len(cr.entries) for cr in revised]
-        moves = flat("transitions", revised)
-        order = np.lexsort((rank[moves[:, 1]], rank[moves[:, 0]],
-                            np.repeat(at, moved)))
+        names, rank = _names(c), name_ranks(c)
+        stream = revision.components[c.id]
+        # (instant, mode) and (instant, from, to) rows, by name per instant
+        admitted, moves = stream.admitted, stream.transitions
+        kept = np.lexsort((rank[admitted[:, 1]], admitted[:, 0]))
+        order = np.lexsort((rank[moves[:, 2]], rank[moves[:, 1]],
+                            moves[:, 0]))
         blocks[c.id] = {
-            "admitted": Rows(Column(admitted, names), counts),
-            **{field: {"modes": list(c.modes), "probabilities": [
-                Column(p) for p in np.stack([getattr(cr, field)
-                                             for cr in revised], axis=1)]}
-               for field in ("distribution", "posterior")},
-            "mass_factor": Column([cr.factor for cr in revised]),
+            "admitted": Rows(Column(admitted[kept, 1], names),
+                             np.bincount(admitted[:, 0], minlength=len(at))),
+            **{field: {"modes": list(c.modes),
+                       "probabilities": [Column(p) for p in values.T]}
+               for field, values in (("distribution", stream.distributions),
+                                     ("posterior", stream.posteriors))},
+            "mass_factor": Column(stream.factors),
             "revised_transitions": Rows({
-                "from": Column(moves[order, 0], names),
-                "probability": Column(flat("entries", revised)[order]),
-                "revised": Column(flat("revised_entries", revised)[order]),
-                "to": Column(moves[order, 1], names)}, moved)}
+                "from": Column(moves[order, 1], names),
+                "probability": Column(stream.entries[order]),
+                "revised": Column(stream.revised_entries[order]),
+                "to": Column(moves[order, 2], names)},
+                np.bincount(moves[:, 0], minlength=len(at)))}
 
-    counts = [len(rev.joints) for rev in revisions]
+    counts = np.diff(revision.paths)
     return table({
         "components": blocks,
         "evolutions": Rows({
-            "joint": Column(flat("joints", revisions)),
-            "path": Rows(Column(np.concatenate([
-                rev.path_indices.ravel() for rev in revisions])),
-                np.repeat(at + 1, counts)),
-            "revised_joint": Column(flat("revised_joints", revisions)),
+            "joint": Column(revision.joints),
+            "path": Rows(Column(revision.path_indices),
+                         np.repeat(at + 1, counts)),
+            "revised_joint": Column(revision.revised_joints),
         }, counts),
-        "normalization_factor": Column([rev.factor for rev in revisions]),
+        "normalization_factor": Column(revision.factors),
         "revised_conditionals": Rows({
-            "conditional": Column(flat("conditionals", revisions)),
-            "revised": Column(flat("revised_conditionals", revisions)),
-            "source": Column(flat("sources", revisions)),
-            "target": Column(flat("targets", revisions)),
-        }, [len(rev.conditionals) for rev in revisions]),
-        "t": Column(at, _times(rev.t for rev in revisions))}, len(at))
+            "conditional": Column(revision.conditionals),
+            "revised": Column(revision.revised_conditionals),
+            "source": Column(revision.sources),
+            "target": Column(revision.targets),
+        }, np.diff(revision.edges)),
+        "t": Column(at, _times(revision.instants))}, len(at))
 
 
 def _trellis_report(trellis, model):
@@ -306,7 +300,7 @@ def _cmd_diagnose(args, model) -> dict:
     evolutions = enumerate_evolutions(problem, trellis)
     # revised before the sections are declared, so that its temporaries
     # are gone before the trellis section derives its edges' endpoints
-    revisions = revise_trellis(trellis, model) if args.revise else None
+    revision = revise_trellis(trellis, model) if args.revise else None
 
     report = {
         "instants": list(trellis.instants),
@@ -319,7 +313,7 @@ def _cmd_diagnose(args, model) -> dict:
         "diagnoses": _evolution_rows(model, evolutions),
     }
     if args.revise:
-        report["revision"] = _revision_report(revisions, model)
+        report["revision"] = _revision_report(revision, model)
 
     sizes = ", ".join(f"{len(modes)} at t={t}"
                       for t, modes in zip(trellis.instants, trellis.modes))

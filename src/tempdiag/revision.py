@@ -12,9 +12,12 @@ scores, not probabilities, and the plausibility threshold may be re-checked
 against them.
 
 ``revise_trellis`` computes both revisions over the trellis arrays: it
-makes every check first, instant by instant, and only then builds each
-instant's revision, with modes as indices; ``normalization_factor`` is the
-global revision's factor.
+makes every check first, instant by instant, holding only the forward
+pass's back-pointers and joints, and only then builds the revision of the
+whole stream, a ``StreamRevision`` of flat arrays with modes as indices.
+Its ``len``, indexing and iteration give each instant's
+``InstantRevision``, whose arrays are views of the flat ones.
+``normalization_factor`` is the global revision's factor.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import reduce
+from types import SimpleNamespace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -80,7 +84,8 @@ class InstantRevision(NamedTuple):
 
     t: int
     factor: float
-    #: the forward pass's |P| x (k + 1) array of candidate-index paths
+    #: the |P| x (k + 1) int32 array of the candidate-index paths ending
+    #: here, in the forward pass's (lexicographic) order
     path_indices: np.ndarray
     joints: np.ndarray
     revised_joints: np.ndarray
@@ -94,15 +99,69 @@ class InstantRevision(NamedTuple):
     components: Mapping[str, ComponentRevision]
 
 
-def _runs(values: np.ndarray, keys: np.ndarray, count: int) -> list:
-    """``values`` cut by their ascending ``keys`` into ``count`` runs of
-    views: run k holds the values whose key is k."""
-    bounds = [0, *np.cumsum(np.bincount(keys, minlength=count)).tolist()]
-    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+class ComponentStream(NamedTuple):
+    """A component's revision at every instant: ``ComponentRevision``'s
+    fields over the whole stream. ``distributions`` and ``posteriors`` are
+    (instants x modes) arrays and ``factors`` has one entry per instant.
+    ``admitted`` (|A| x 2) and ``transitions`` (|T| x 3) put each row's
+    instant first, ascending, then the instant's ``ComponentRevision``
+    columns; ``entries`` and ``revised_entries`` follow ``transitions``."""
+
+    distributions: np.ndarray
+    admitted: np.ndarray
+    factors: np.ndarray
+    posteriors: np.ndarray
+    transitions: np.ndarray
+    entries: np.ndarray
+    revised_entries: np.ndarray
 
 
-def revise_trellis(trellis: Trellis, model: SystemModel,
-                   ) -> tuple[InstantRevision, ...]:
+class StreamRevision(SimpleNamespace):
+    """Revision of every instant of a trellis, as flat arrays.
+
+    ``instants`` are the time points and ``factors`` their normalization
+    factors. The paths ending at instant k are rows ``paths[k]`` to
+    ``paths[k + 1]`` of ``joints`` and ``revised_joints``; ``path_indices``
+    (int32) holds their candidate indices, one |P| x (k + 1) block per
+    instant, row-major. The admissible edges into instant k are entries
+    ``edges[k]`` to ``edges[k + 1]`` of ``sources``, ``targets``,
+    ``conditionals`` and ``revised_conditionals``. ``components`` maps each
+    component id, in model order, to its ``ComponentStream``.
+
+    It is a sequence of instants, so not a tuple of its fields: ``len``,
+    indexing and iteration give each instant's ``InstantRevision``, built
+    on demand with views of these arrays. Fields are keywords, and it
+    compares and hashes by identity.
+    """
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __len__(self) -> int:
+        return len(self.instants)
+
+    def __getitem__(self, k: int) -> InstantRevision:
+        k = range(len(self))[k]  # from the end if negative; IndexError ends
+        p, q = self.paths[k:k + 2].tolist()
+        a, b = self.edges[k:k + 2].tolist()
+        cells = int(np.diff(self.paths[:k + 1]) @ np.arange(1, k + 1))
+        components = {}
+        for cid, c in self.components.items():
+            i, j = np.searchsorted(c.admitted[:, 0], (k, k + 1)).tolist()
+            u, v = np.searchsorted(c.transitions[:, 0], (k, k + 1)).tolist()
+            components[cid] = ComponentRevision(
+                c.distributions[k], c.admitted[i:j, 1], c.factors[k].item(),
+                c.posteriors[k], c.transitions[u:v, 1:], c.entries[u:v],
+                c.revised_entries[u:v])
+        return InstantRevision(
+            self.instants[k], self.factors[k].item(),
+            self.path_indices[cells:cells + (q - p) * (k + 1)].reshape(
+                q - p, k + 1),
+            self.joints[p:q], self.revised_joints[p:q], self.sources[a:b],
+            self.targets[a:b], self.conditionals[a:b],
+            self.revised_conditionals[a:b], components)
+
+
+def revise_trellis(trellis: Trellis, model: SystemModel) -> StreamRevision:
     """Apply revision at every instant of a built trellis.
 
     At each instant the joints of the admissible partial evolutions ending
@@ -114,8 +173,8 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
     mass and factor are (instants x modes) arrays, and the global factor
     is taken as the forward pass yields each instant, so the first failure
     raises in order: instant by instant, the global factor before the
-    components, and the components in model order. Only then is any
-    instant's revision built.
+    components, and the components in model order. Until then only the
+    pass's back-pointers and joints are kept, not the paths they spell.
 
     Raises:
         AllZeroJointsError: see ``normalization_factor``.
@@ -123,8 +182,8 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
             little probability for the reciprocal to be finite.
     """
     count = len(trellis.instants)
-    rows = np.concatenate(trellis.modes)
-    layer = np.repeat(np.arange(count), [len(m) for m in trellis.modes])
+    rows, starts = trellis.stacked
+    layer = np.repeat(np.arange(count), np.diff(starts))
     chains = []
     for ci, c in enumerate(model.components):
         # pi0 . P^t, not the previous instant's pi . P^n: the two round
@@ -143,9 +202,11 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
     unfit = [next(iter(np.flatnonzero(~np.isfinite(factor)).tolist()), None)
              for *_, factor in chains]
 
-    layers = []
-    for k, (paths, joints) in enumerate(forward_paths(trellis)):
-        layers.append((paths, joints, normalization_factor(joints)))
+    # the back-pointers in lists: a thin layer's arrays would cost more in
+    # headers than in numbers
+    parents, candidates, joints, norms = [], [], [], []
+    for k, (parent, candidate, joint) in enumerate(forward_paths(trellis)):
+        norms.append(normalization_factor(joint))
         for c, first, (_, kept, _, mass, _) in zip(
                 model.components, unfit, chains):
             if first == k:
@@ -153,46 +214,60 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
                 raise ZeroAdmittedMassError(
                     f"admitted modes {admitted} carry probability "
                     f"{float(mass[k])!r}, too little to renormalize")
+        parents += parent.tolist()
+        candidates += candidate.tolist()
+        joints.append(joint)
+
+    sizes = list(map(len, joints))
+    paths = np.cumsum([0, *sizes])
+    joints, norms = np.concatenate(joints), np.array(norms)
+    # indices as intp and values as int32, like ``path_indices``: a cast
+    # in a gather or an assignment takes numpy's cast buffers, 128 KB of
+    # fresh memory on a stream of a few paths
+    parents, candidates = (np.array(parents, dtype=np.intp),
+                           np.array(candidates, dtype=np.int32))
+    # each instant's paths spelled out from the back-pointers, a block of
+    # |P_k| x (k + 1) cells after the previous instant's
+    cells = np.cumsum([0, *(n * (k + 1) for k, n in enumerate(sizes))])
+    path_indices = np.empty(cells[-1], dtype=np.int32)
+    prefixes = np.empty((1, 0), dtype=np.int32)  # what layer 0's -1 picks
+    for k, (p, q, at) in enumerate(zip(paths.tolist(), paths[1:].tolist(),
+                                       cells.tolist())):
+        block = path_indices[at:at + (q - p) * (k + 1)].reshape(q - p, k + 1)
+        block[:, :k] = prefixes[parents[p:q]]
+        block[:, k] = candidates[p:q]
+        prefixes = block
 
     # the admissible edges of all steps, in the trellis' flat order
     flat = np.flatnonzero(trellis.admissible)
     step, sources, targets = (ends[flat] for ends in trellis.endpoints)
     conditionals = trellis.conditionals[flat]
     factors = trellis.factors[flat]
-    norms = np.array([norm for *_, norm in layers])
-    edges = zip(*(_runs(values, step + 1, count) for values in (
-        sources, targets, conditionals, conditionals * norms[step + 1])))
 
-    starts = np.cumsum([0, *(len(m) for m in trellis.modes)])
     components = {}
     for ci, (c, (pi, kept, masked, _, factor)) in enumerate(zip(
             model.components, chains)):
         n = len(c.modes)
-        # each mode step taken as step * n^2 + from * n + to; every edge
-        # taking one step carries the same n-step entry
-        key = (step * n + rows[starts[step] + sources, ci]) * n + rows[
+        # each mode step taken as instant * n^2 + from * n + to, at the
+        # step's target instant; every edge taking one step carries the
+        # same n-step entry
+        key = ((step + 1) * n + rows[starts[step] + sources, ci]) * n + rows[
             starts[step + 1] + targets, ci]
-        entry = np.zeros((count - 1) * n * n)
+        entry = np.zeros(count * n * n)
         entry[key] = factors[:, ci]
         taken = np.flatnonzero(np.bincount(key, minlength=len(entry)))
-        # back to the step, whose target instant is step + 1, and the modes
-        pair, after = np.divmod(taken, n)
-        at, before = np.divmod(pair, n)
-        at += 1
-        instant, admitted = np.nonzero(kept)
-        components[c.id] = [ComponentRevision(*fields) for fields in zip(
-            pi, _runs(admitted, instant, count), factor.tolist(),
-            masked * factor[:, None],
-            _runs(np.stack((before, after), axis=1), at, count),
-            _runs(entry[taken], at, count),
-            _runs(entry[taken] * factor[at], at, count))]
+        moves = np.stack(np.unravel_index(taken, (count, n, n)), axis=1)
+        components[c.id] = ComponentStream(
+            pi, np.argwhere(kept), factor, masked * factor[:, None], moves,
+            entry[taken], entry[taken] * factor[moves[:, 0]])
 
-    return tuple(
-        InstantRevision(
-            t=t, factor=norm, path_indices=paths, joints=joints,
-            revised_joints=joints * norm, sources=s, targets=d,
-            conditionals=p, revised_conditionals=r,
-            components={cid: revisions[k]
-                        for cid, revisions in components.items()})
-        for k, (t, (paths, joints, norm), (s, d, p, r)) in enumerate(zip(
-            trellis.instants, layers, edges)))
+    return StreamRevision(
+        instants=trellis.instants, factors=norms,
+        paths=paths, path_indices=path_indices,
+        joints=joints, revised_joints=joints * np.repeat(norms, sizes),
+        # counted rather than searched: np.searchsorted's first call
+        # touches 128 KB, a small run's whole margin of peak memory
+        edges=np.cumsum([0, *np.bincount(step + 1, minlength=count)]),
+        sources=sources, targets=targets, conditionals=conditionals,
+        revised_conditionals=conditionals * norms[step + 1],
+        components=components)

@@ -15,15 +15,18 @@ The trellis is built as arrays (the HMM trellis layout). Each layer is the
 |L| x C array of mode indices the atemporal solver returns. The edges of
 all steps lie in flat arrays, step by step and row-major within a step;
 ``Trellis.bounds`` and ``Trellis.endpoints`` are the one definition of that
-layout. Each component's ``P^n`` is computed once per distinct gap n, and
-its factors over all edges are one fancy index into those stacked powers.
-``forward_paths`` expands the admissible paths over those arrays with their
-joints, one layer at a time, for enumeration, revision and ranking; no
-other engine code computes a joint. ``ranked_paths`` lays the complete
-paths out as mode-index arrays (``Evolutions``) and holds the only ranking
-rule, one ``np.lexsort``. ``enumerate_evolutions`` serves a diagnostic
-problem and ``rank_evolutions`` supplied trajectories; both return
-``Evolutions``, the one form an evolution takes.
+layout, as ``Trellis.stacked`` is of the layers stacked. Each component's
+``P^n`` is computed once per distinct gap n, and its factors over all
+edges are one fancy index into those stacked powers. ``forward_paths``
+expands the admissible paths over those arrays with their joints, one
+layer at a time, for enumeration, revision and ranking; no other engine
+code computes a joint. It yields back-pointers, as Viterbi keeps them:
+each path's parent among the previous layer's paths and its candidate, so
+a layer costs its own paths, not their prefixes. ``ranked_paths`` rebuilds
+the complete paths from them as mode-index arrays (``Evolutions``) and
+holds the only ranking rule, one ``np.lexsort``. ``enumerate_evolutions``
+serves a diagnostic problem and ``rank_evolutions`` supplied trajectories;
+both return ``Evolutions``, the one form an evolution takes.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .markov import matrix_powers
-from .model import ObservationStream, SystemModel
+from .model import ComponentSpec, ObservationStream, SystemModel
 
 
 class ThresholdMode(Enum):
@@ -114,12 +117,24 @@ class Trellis(NamedTuple):
         target candidate in layer k + 1."""
         return _endpoints(self.modes)
 
+    @property
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """The candidates of all layers stacked as ``rows``, and ``starts``,
+        each layer's first row and then the number of rows: layer k's
+        candidates are rows ``starts[k]`` to ``starts[k + 1]``."""
+        return _stacked(self.modes)
+
 
 def _bounds(modes: Sequence[np.ndarray]) -> np.ndarray:
     """``Trellis.bounds`` over the candidate layers ``modes``."""
     sizes = [len(layer) for layer in modes]
     # from 0, so that a trellis with no step gets integers too
     return np.cumsum([0, *(n * m for n, m in zip(sizes, sizes[1:]))])
+
+
+def _stacked(modes: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``Trellis.stacked`` over the candidate layers ``modes``."""
+    return np.concatenate(modes), np.cumsum([0, *map(len, modes)])
 
 
 def _endpoints(modes: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -204,8 +219,7 @@ def trellis_from_layers(
     position = {n: i for i, n in enumerate(distinct)}
 
     # each edge's source and target as rows of all layers, stacked
-    rows = np.concatenate(modes)
-    starts = np.cumsum([0, *(len(layer) for layer in modes)])
+    rows, starts = _stacked(modes)
     steps, sources, targets = _endpoints(modes)
     sources += starts[steps]
     targets += starts[steps + 1]
@@ -262,28 +276,30 @@ def build_trellis(problem: DiagnosticProblem) -> Trellis:
                                problem.sigma, problem.threshold_mode)
 
 
-def forward_paths(trellis: Trellis) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The admissible partial evolutions, one layer at a time.
+def forward_paths(trellis: Trellis,
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The admissible partial evolutions, one layer at a time, as
+    back-pointers.
 
-    For layer k it yields a |P| x (k + 1) array whose rows are the candidate
-    indices of the paths from layer 0 along admissible steps, in
-    lexicographic order, and the joint of each path: its prior times its
-    step conditionals, multiplied left to right. A layer with no path leaves
-    every later layer empty. Only the current layer is kept alive.
+    The paths of layer k run from layer 0 along admissible steps, in
+    lexicographic order of their candidates. For each it yields the index
+    of its prefix among layer k - 1's paths (-1 at layer 0), its candidate
+    in layer k, and its joint: its prior times its step conditionals,
+    multiplied left to right. A layer with no path leaves every later
+    layer empty. Only the current layer is kept alive.
     """
-    paths = np.arange(len(trellis.modes[0]))[:, None]
+    candidates = np.arange(len(trellis.modes[0]))
     joints = trellis.priors
-    yield paths, joints
+    yield np.full(len(candidates), -1), candidates, joints
     bounds = trellis.bounds.tolist()
     for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
         shape = len(trellis.modes[k]), len(trellis.modes[k + 1])
-        last = paths[:, -1]
-        rows, targets = np.nonzero(
-            trellis.admissible[a:b].reshape(shape)[last])
-        joints = joints[rows] * trellis.conditionals[a:b].reshape(shape)[
-            last[rows], targets]
-        paths = np.concatenate((paths[rows], targets[:, None]), axis=1)
-        yield paths, joints
+        parents, targets = np.nonzero(
+            trellis.admissible[a:b].reshape(shape)[candidates])
+        joints = joints[parents] * trellis.conditionals[a:b].reshape(shape)[
+            candidates[parents], targets]
+        candidates = targets
+        yield parents, candidates, joints
 
 
 class Evolutions(NamedTuple):
@@ -313,6 +329,12 @@ class Evolutions(NamedTuple):
         return np.count_nonzero(self.instants >= 0, axis=1)
 
 
+def name_ranks(component: ComponentSpec) -> np.ndarray:
+    """Each declared mode's rank among the component's modes by name."""
+    modes = component.modes
+    return np.argsort(sorted(range(len(modes)), key=modes.__getitem__))
+
+
 def ranked_paths(model: SystemModel,
                  trellises: Sequence[Trellis]) -> Evolutions:
     """The complete admissible paths of the trellises, ranked by descending
@@ -329,20 +351,34 @@ def ranked_paths(model: SystemModel,
     parts = [(np.empty((0, n), int), np.empty((0, n, width), int),
               np.empty(0), np.empty((0, n - 1)), np.empty(0))]
     for trellis in trellises:
-        for paths, joints in forward_paths(trellis):
-            pass  # the last layer's paths are the complete evolutions
-        count, length = paths.shape
+        # every layer's back-pointers in lists: a thin layer's arrays would
+        # cost more in headers than in numbers
+        parents, candidates, sizes = [], [], []
+        for parent, candidate, joints in forward_paths(trellis):
+            parents += parent.tolist()
+            candidates += candidate.tolist()
+            sizes.append(len(candidate))
+        parents, candidates = (np.array(parents, dtype=np.intp),
+                               np.array(candidates, dtype=np.intp))
+        # the last layer's paths are the complete evolutions: rebuilt from
+        # it back to layer 0, one gather per layer
+        count, length = len(joints), len(sizes)
+        paths = np.empty((count, length), dtype=np.intp)
+        at, end = np.arange(count), len(candidates)
+        for k in range(length - 1, -1, -1):
+            end -= sizes[k]
+            paths[:, k], at = candidates[end + at], parents[end + at]
         instants = np.full((count, n), -1)
         instants[:, :length] = [position[t] for t in trellis.instants]
-        # one gather each from the concatenated layers and the flat
+        # one gather each from the stacked layers and the flat
         # conditionals, at each path cell's row and each step's edge
-        sizes = np.array([len(layer) for layer in trellis.modes])
+        rows, starts = trellis.stacked
         modes = np.full((count, n, width), -1)
-        modes[:, :length] = np.concatenate(trellis.modes)[
-            paths + (np.cumsum(sizes) - sizes)]
+        modes[:, :length] = rows[paths + starts[:-1]]
         steps = np.full((count, n - 1), np.nan)
         steps[:, :length - 1] = trellis.conditionals[
-            trellis.bounds[:-1] + paths[:, :-1] * sizes[1:] + paths[:, 1:]]
+            trellis.bounds[:-1] + paths[:, :-1] * np.diff(starts)[1:]
+            + paths[:, 1:]]
         parts.append((instants, modes, trellis.priors[paths[:, 0]],
                       steps, joints))
     instants, modes, priors, steps, joints = map(np.concatenate, zip(*parts))
@@ -351,8 +387,7 @@ def ranked_paths(model: SystemModel,
     # name, in id order; the -1 past an evolution's end sorts it first
     keys = [instants[..., None]]
     for ci in sorted(range(width), key=lambda ci: model.components[ci].id):
-        names = model.components[ci].modes
-        ranks = np.array([sorted(names).index(m) for m in names] + [-1])
+        ranks = np.append(name_ranks(model.components[ci]), -1)
         keys.append(ranks[modes[..., ci, None]])  # index -1 stays -1
     keys = np.concatenate(keys, axis=2).reshape(len(joints), n * (width + 1))
     order = np.lexsort((*keys.T[::-1], -joints))

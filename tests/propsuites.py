@@ -43,7 +43,7 @@ from tempdiag.errors import (
     ZeroAdmittedMassError,
 )
 from tempdiag.markov import ABSORBING_TOL
-from tempdiag.temporal import forward_paths, trellis_from_layers
+from tempdiag.temporal import trellis_from_layers
 
 from reference import (
     Diagnosis,
@@ -53,6 +53,7 @@ from reference import (
     component_mass_factor,
     conditional_probability,
     decode,
+    forward_prefixes,
     joint_probability,
     matrix_power,
     named_revision,
@@ -281,8 +282,9 @@ def check_trellis_vs_bruteforce(cases: int, seed: int = 2028) -> None:
 
 
 def check_forward_paths_vs_bruteforce(cases: int, seed: int = 2033) -> None:
-    """At every layer, the forward pass's index paths and joints equal
-    (``==``) a brute-force expansion over the per-edge ``admissible_step``
+    """At every layer, the forward pass's index paths (spelled out from its
+    back-pointers by ``forward_prefixes``) and joints equal (``==``) a
+    brute-force expansion over the per-edge ``admissible_step``
     and ``joint_probability``, in lexicographic path order; both threshold
     modes, sigma 0 and above, layers that empty out included."""
     rng = np.random.default_rng(seed)
@@ -292,7 +294,7 @@ def check_forward_paths_vs_bruteforce(cases: int, seed: int = 2033) -> None:
         trellis = build_trellis(problem)
         layers = [assignments(problem.model, t, m)
                   for t, m in zip(trellis.instants, trellis.modes)]
-        for k, (paths, joints) in enumerate(forward_paths(trellis)):
+        for k, (paths, joints) in enumerate(forward_prefixes(trellis)):
             expected = [
                 indices for indices in itertools.product(
                     *(range(len(layer)) for layer in layers[:k + 1]))
@@ -534,7 +536,7 @@ def _revision_by_definitions(problem: DiagnosticProblem, trellis):
     layers = [assignments(model, t, m)
               for t, m in zip(trellis.instants, trellis.modes)]
     expected = []
-    for k, (paths, joints) in enumerate(forward_paths(trellis)):
+    for k, (paths, joints) in enumerate(forward_prefixes(trellis)):
         t, joints = trellis.instants[k], joints.tolist()
         edges = [] if k == 0 else [
             (i, j, a, b) for i, a in enumerate(layers[k - 1])

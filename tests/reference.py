@@ -9,11 +9,13 @@ per-component revision and revised transition score. The engine computes
 all of them over mode-index arrays; the property suites and unit tests
 check it against these, bit for bit where the arithmetic is the same.
 
-Three bridges read the engine's arrays back as objects: ``assignments``
+Four bridges read the engine's arrays back as objects: ``assignments``
 turns a mode-index array into ``ModeAssignment`` objects, ``decode``
 turns ``Evolutions`` into ``Diagnosis`` rows, so the suites compare whole
-trajectories with ``==``, and ``named_revision`` gives a
-``ComponentRevision``'s admitted modes and revised transitions by name.
+trajectories with ``==``, ``named_revision`` gives a
+``ComponentRevision``'s admitted modes and revised transitions by name,
+and ``forward_prefixes`` spells out the paths the forward pass's
+back-pointers point to.
 
 Two helpers stand outside the engine: ``model_to_dict`` writes a model in
 the input file format, and ``empirical_transition_matrix`` estimates the
@@ -32,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +61,7 @@ from tempdiag.errors import (
     ZeroAdmittedMassError,
 )
 from tempdiag.markov import _classify_states, _reachability
+from tempdiag.temporal import Trellis, forward_paths
 
 
 def matrix_power(entries: np.ndarray, n: int) -> np.ndarray:
@@ -283,6 +286,17 @@ def named_revision(component: ComponentSpec, revision: ComponentRevision,
             tuple(sorted((names[a], names[b], p, r) for (a, b), p, r in zip(
                 revision.transitions.tolist(), revision.entries.tolist(),
                 revision.revised_entries.tolist()))))
+
+
+def forward_prefixes(trellis: Trellis,
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``forward_paths`` with each layer's back-pointers spelled out: per
+    layer k, a |P| x (k + 1) array of the candidate indices of each path
+    and the paths' joints."""
+    paths = np.empty((1, 0), dtype=int)  # what layer 0's -1 picks
+    for parents, candidates, joints in forward_paths(trellis):
+        paths = np.concatenate((paths[parents], candidates[:, None]), axis=1)
+        yield paths, joints
 
 
 def model_to_dict(model: SystemModel) -> dict:

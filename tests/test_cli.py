@@ -16,7 +16,11 @@ import pytest
 
 import tempdiag.cli
 import tempdiag.modelio
-from tempdiag import ModeAssignment, resolve_initial_distributions
+from tempdiag import (
+    ModeAssignment,
+    StreamRevision,
+    resolve_initial_distributions,
+)
 from tempdiag.cli import main
 from tempdiag.modelio import load_model
 
@@ -508,10 +512,11 @@ class TestDiagnose:
         revise = tempdiag.cli.revise_trellis
 
         def poisoned(trellis, model):
-            *rest, last = revise(trellis, model)
-            joints = last.revised_joints.copy()
-            joints[-1] = float("nan")
-            return (*rest, last._replace(revised_joints=joints))
+            revision = revise(trellis, model)
+            joints = revision.revised_joints.copy()
+            joints[-1] = float("nan")  # the last instant's last path
+            return StreamRevision(**{**vars(revision),
+                                     "revised_joints": joints})
 
         monkeypatch.setattr(tempdiag.cli, "revise_trellis", poisoned)
         with pytest.raises(ValueError):
@@ -1048,40 +1053,47 @@ class TestCanonicalWriter:
                 steps[-1, evolutions.lengths[-1] - 2] = value
             return evolutions._replace(joints=joints, steps=steps)
 
-        def poisoned_component(cr):
-            distribution = cr.distribution.copy()
-            posterior = cr.posterior.copy()
-            factor, revised = cr.factor, cr.revised_entries.copy()
+        def poisoned_component(stream):
+            # at the last instant, as are all the revision's poisons
+            distributions = stream.distributions.copy()
+            posteriors = stream.posteriors.copy()
+            factors = stream.factors.copy()
+            revised = stream.revised_entries.copy()
+            last = len(factors) - 1
             if where == "distribution":
-                distribution[0] = value
+                distributions[last, 0] = value
             elif where == "posterior":
-                posterior[-1] = value
+                posteriors[last, -1] = value
             elif where == "mass_factor":
-                factor = value
-            elif where == "transition":
-                revised[0] = value
-            return cr._replace(distribution=distribution, posterior=posterior,
-                               factor=factor, revised_entries=revised)
+                factors[last] = value
+            elif where == "transition":  # the instant's first transition
+                revised[np.searchsorted(stream.transitions[:, 0], last)] = (
+                    value)
+            return stream._replace(
+                distributions=distributions, posteriors=posteriors,
+                factors=factors, revised_entries=revised)
 
-        def poisoned_revisions(trellis, model):
-            *rest, last = revise(clean[-1], model)
-            joints, conditionals, revised = (last.joints.copy(),
-                                             last.conditionals.copy(),
-                                             last.revised_conditionals.copy())
+        def poisoned_revision(trellis, model):
+            revision = revise(clean[-1], model)
+            joints, conditionals, revised = (
+                revision.joints.copy(), revision.conditionals.copy(),
+                revision.revised_conditionals.copy())
+            # the last instant's first or last path or edge
             if where == "revision_joint":
-                joints[0] = value
+                joints[revision.paths[-2]] = value
             elif where == "revision_last_joint":
                 joints[-1] = value
             elif where == "revision_conditional":
-                conditionals[0] = value
+                conditionals[revision.edges[-2]] = value
             elif where == "revision_last_revised":
                 revised[-1] = value
-            components = dict(last.components)
+            components = dict(revision.components)
             comp = max(components)  # its block is printed last
             components[comp] = poisoned_component(components[comp])
-            return (*rest, last._replace(
-                joints=joints, conditionals=conditionals,
-                revised_conditionals=revised, components=components))
+            return StreamRevision(**{
+                **vars(revision), "joints": joints,
+                "conditionals": conditionals,
+                "revised_conditionals": revised, "components": components})
 
         def poisoned_rank(model, trajectories):
             ranked = rank(model, trajectories)
@@ -1092,7 +1104,7 @@ class TestCanonicalWriter:
         monkeypatch.setattr(tempdiag.cli, "build_trellis", poisoned_trellis)
         monkeypatch.setattr(tempdiag.cli, "enumerate_evolutions",
                             poisoned_evolutions)
-        monkeypatch.setattr(tempdiag.cli, "revise_trellis", poisoned_revisions)
+        monkeypatch.setattr(tempdiag.cli, "revise_trellis", poisoned_revision)
         monkeypatch.setattr(tempdiag.cli, "rank_evolutions", poisoned_rank)
         # three instants: two trellis steps, each with inadmissible edges;
         # three diagnoses; three revised instants of three paths each

@@ -39,6 +39,11 @@ UNREACHED = {
                                            "object repeats",
     "revision.revise_trellis.<genexpr>": "error only: the admitted modes "
                                          "of a ZeroAdmittedMassError",
+    "revision.StreamRevision.__getitem__": "one instant's revision: the "
+                                           "report reads the flat arrays; "
+                                           "the benchmark's tracer and "
+                                           "library callers index or "
+                                           "iterate",
 }
 
 

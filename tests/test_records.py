@@ -3,7 +3,8 @@
 Every record is a ``typing.NamedTuple``, constructed by position or by
 keyword with its declared field order and defaults. Six normalise their
 fields, in the constructor and in ``_replace``; three compare by identity,
-the rest by value.
+the rest by value. ``StreamRevision``, a sequence of instants rather than a
+tuple of fields, is tested with revision.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from tempdiag import (
     ComponentRevision,
     ComponentSpec,
+    ComponentStream,
     DiagnosticProblem,
     Evolutions,
     ExplanationCriterion,
@@ -100,6 +102,13 @@ RECORDS = [
                   "steps": np.empty((1, 0)), "joints": _array(1.0)}, {},
      False, {}),
     (ComponentRevision, REVISION_FIELDS, {}, True, {}),
+    (ComponentStream, {"distributions": _array(0.9, 0.1).reshape(1, 2),
+                       "admitted": np.array([[0, 1]]),
+                       "factors": _array(10.0),
+                       "posteriors": _array(0.0, 1.0).reshape(1, 2),
+                       "transitions": np.empty((0, 3), dtype=int),
+                       "entries": _array(), "revised_entries": _array()},
+     {}, True, {}),
     (InstantRevision, {"t": 1, "factor": 2.0, "path_indices": np.array([[0]]),
                        "joints": _array(0.5), "revised_joints": _array(1.0),
                        "sources": np.array([], dtype=int),

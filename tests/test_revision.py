@@ -6,12 +6,14 @@ matrices with the occlusion scenario's candidate sets.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tempdiag import (
     ComponentSpec,
+    StreamRevision,
     SystemModel,
     Trellis,
     build_trellis,
@@ -223,6 +225,55 @@ class TestReviseTrellis:
         assert scores[("correct", "correct")] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(
             container_rev.posterior, [0, 0, 1], atol=1e-12)
+
+    def test_stream_is_a_sequence_of_instant_views(self, occlusion_problem):
+        """``len``, indexing (from the end too) and iteration give one
+        ``InstantRevision`` per instant, whose arrays are views of the
+        whole stream's; an index past either end raises IndexError."""
+        trellis = build_trellis(occlusion_problem)
+        revision = revise_trellis(trellis, occlusion_problem.model)
+        assert type(revision) is StreamRevision
+        assert len(revision) == len(trellis.instants) == 2
+        first, second = revision
+        assert (first.t, second.t) == (revision[-2].t, revision[-1].t) == (
+            0, 1)
+        assert revision[1].path_indices.tolist() == [[0, 0], [1, 0], [2, 0]]
+        for k in (2, -3):
+            with pytest.raises(IndexError):
+                revision[k]
+        assert revision.path_indices.dtype == np.int32
+        assert revision.path_indices.tolist() == [0, 1, 2, 0, 0, 1, 0, 2, 0]
+        pump = second.components["P"]
+        for view, flat in ((second.path_indices, revision.path_indices),
+                           (second.joints, revision.joints),
+                           (second.revised_conditionals,
+                            revision.revised_conditionals),
+                           (pump.posterior,
+                            revision.components["P"].posteriors),
+                           (pump.transitions,
+                            revision.components["P"].transitions)):
+            assert len(view) and np.shares_memory(view, flat)
+
+    def test_underflow_raises_without_holding_prefixes(self):
+        """A one-candidate stream whose every conditional is 0.5: the joint
+        halves at each instant, and its reciprocal overflows at the 1,024th.
+        Revision raises there, holding each instant's back-pointers and
+        joint (a few numbers each) rather than its whole path: the
+        ~1,000 prefixes of up to 1,023 instants would take 4 MB."""
+        model = SystemModel([ComponentSpec(
+            "c", ["a", "b"], "a", [[0.5, 0.5], [0.5, 0.5]])], [])
+        n = 1100
+        trellis = trellis_from_layers(
+            model, range(n), np.zeros((n, 1, 1), int),
+            {"c": np.array([0.5, 0.5])})
+        tracemalloc.start()
+        try:
+            with pytest.raises(AllZeroJointsError):
+                revise_trellis(trellis, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     def test_ranking_preserved(self, occlusion_problem):
         trellis = build_trellis(occlusion_problem)
