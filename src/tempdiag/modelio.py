@@ -225,7 +225,7 @@ def _load_json(path: str | Path) -> Any:
     except OSError as exc:  # a directory, a file it may not read
         raise ValidationError(f"{path}: cannot read ({exc.strerror or exc})",
                               element=str(path)) from None
-    except ValueError as exc:  # undecodable bytes and overlong integers too
+    except (ValueError, RecursionError) as exc:  # bad bytes, overlong ints
         raise ValidationError(f"{path}: invalid JSON ({exc})",
                               element=str(path)) from None
 

@@ -11,11 +11,10 @@ Revised conditionals and transition scores can exceed 1; they are plain
 scores, not probabilities, and the plausibility threshold may be re-checked
 against them.
 
-``revise_trellis`` computes both revisions over the trellis arrays: it
-makes every check first, instant by instant, holding only the forward
-pass's back-pointers and joints, and only then builds the revision of the
-whole stream, a ``StreamRevision`` of flat arrays with modes as indices.
-Its ``len``, indexing and iteration give each instant's
+``revise_trellis`` computes both revisions over the trellis arrays and
+the forward pass's table: it makes every check first, and only then builds
+the revision of the whole stream, a ``StreamRevision`` of flat arrays with
+modes as indices. Its ``len``, indexing and iteration give each instant's
 ``InstantRevision``, whose arrays are views of the flat ones.
 ``normalization_factor`` is the global revision's factor.
 """
@@ -33,7 +32,7 @@ import numpy as np
 from .errors import AllZeroJointsError, ZeroAdmittedMassError
 from .markov import matrix_powers
 from .model import SystemModel
-from .temporal import Trellis, forward_paths
+from .temporal import Trellis, forward_paths, spelled_paths
 
 
 def _total(values: Iterable[float]) -> float:
@@ -170,11 +169,11 @@ def revise_trellis(trellis: Trellis, model: SystemModel) -> StreamRevision:
     admitted modes (per-component revision).
 
     Every check comes first. Each component's admitted modes, ``pi_t``,
-    mass and factor are (instants x modes) arrays, and the global factor
-    is taken as the forward pass yields each instant, so the first failure
-    raises in order: instant by instant, the global factor before the
-    components, and the components in model order. Until then only the
-    pass's back-pointers and joints are kept, not the paths they spell.
+    mass and factor are (instants x modes) arrays; the global factor is
+    taken from the forward pass's joints up to the earliest instant at
+    which a component's factor is not finite. So the first failure raises
+    in order: instant by instant, the global factor before the components,
+    and the components in model order, before any path is spelled out.
 
     Raises:
         AllZeroJointsError: see ``normalization_factor``.
@@ -192,51 +191,26 @@ def revise_trellis(trellis: Trellis, model: SystemModel) -> StreamRevision:
         kept = np.zeros(pi.shape, dtype=bool)
         kept[layer, rows[:, ci]] = True
         masked = np.where(kept, pi, 0.0)
-        mass = np.zeros(count)
-        for column in masked.T:  # left to right, as ``_total`` adds
-            mass += column
+        mass = _total(masked.T)  # the modes added left to right
         with np.errstate(divide="ignore", over="ignore"):
             factor = 1.0 / mass
-        chains.append((pi, kept, masked, mass, factor))
-    # each component's first instant whose factor is not finite, if any
-    unfit = [next(iter(np.flatnonzero(~np.isfinite(factor)).tolist()), None)
+        chains.append((c, pi, kept, masked, mass, factor))
+    # each component's first instant whose factor is not finite, or count
+    unfit = [np.append(np.flatnonzero(~np.isfinite(factor)), count)[0]
              for *_, factor in chains]
 
-    # the back-pointers in lists: a thin layer's arrays would cost more in
-    # headers than in numbers
-    parents, candidates, joints, norms = [], [], [], []
-    for k, (parent, candidate, joint) in enumerate(forward_paths(trellis)):
-        norms.append(normalization_factor(joint))
-        for c, first, (_, kept, _, mass, _) in zip(
-                model.components, unfit, chains):
-            if first == k:
-                admitted = sorted(c.modes[i] for i in np.flatnonzero(kept[k]))
-                raise ZeroAdmittedMassError(
-                    f"admitted modes {admitted} carry probability "
-                    f"{float(mass[k])!r}, too little to renormalize")
-        parents += parent.tolist()
-        candidates += candidate.tolist()
-        joints.append(joint)
-
-    sizes = list(map(len, joints))
-    paths = np.cumsum([0, *sizes])
-    joints, norms = np.concatenate(joints), np.array(norms)
-    # indices as intp and values as int32, like ``path_indices``: a cast
-    # in a gather or an assignment takes numpy's cast buffers, 128 KB of
-    # fresh memory on a stream of a few paths
-    parents, candidates = (np.array(parents, dtype=np.intp),
-                           np.array(candidates, dtype=np.int32))
-    # each instant's paths spelled out from the back-pointers, a block of
-    # |P_k| x (k + 1) cells after the previous instant's
-    cells = np.cumsum([0, *(n * (k + 1) for k, n in enumerate(sizes))])
-    path_indices = np.empty(cells[-1], dtype=np.int32)
-    prefixes = np.empty((1, 0), dtype=np.int32)  # what layer 0's -1 picks
-    for k, (p, q, at) in enumerate(zip(paths.tolist(), paths[1:].tolist(),
-                                       cells.tolist())):
-        block = path_indices[at:at + (q - p) * (k + 1)].reshape(q - p, k + 1)
-        block[:, :k] = prefixes[parents[p:q]]
-        block[:, k] = candidates[p:q]
-        prefixes = block
+    paths, parents, candidates, joints = forward_paths(trellis)
+    # the first failure raises: instant by instant, the global factor
+    # before the components, and the components in model order
+    first, bounds = min(unfit, default=count), paths.tolist()
+    norms = np.array([normalization_factor(joints[p:q].tolist())
+                      for p, q in zip(bounds[:first + 1], bounds[1:])])
+    if first < count:
+        c, _, kept, _, mass, _ = chains[unfit.index(first)]
+        admitted = sorted(c.modes[i] for i in np.flatnonzero(kept[first]))
+        raise ZeroAdmittedMassError(
+            f"admitted modes {admitted} carry probability "
+            f"{float(mass[first])!r}, too little to renormalize")
 
     # the admissible edges of all steps, in the trellis' flat order
     flat = np.flatnonzero(trellis.admissible)
@@ -245,8 +219,7 @@ def revise_trellis(trellis: Trellis, model: SystemModel) -> StreamRevision:
     factors = trellis.factors[flat]
 
     components = {}
-    for ci, (c, (pi, kept, masked, _, factor)) in enumerate(zip(
-            model.components, chains)):
+    for ci, (c, pi, kept, masked, _, factor) in enumerate(chains):
         n = len(c.modes)
         # each mode step taken as instant * n^2 + from * n + to, at the
         # step's target instant; every edge taking one step carries the
@@ -263,8 +236,8 @@ def revise_trellis(trellis: Trellis, model: SystemModel) -> StreamRevision:
 
     return StreamRevision(
         instants=trellis.instants, factors=norms,
-        paths=paths, path_indices=path_indices,
-        joints=joints, revised_joints=joints * np.repeat(norms, sizes),
+        paths=paths, path_indices=spelled_paths(paths, parents, candidates),
+        joints=joints, revised_joints=joints * np.repeat(norms, np.diff(paths)),
         # counted rather than searched: np.searchsorted's first call
         # touches 128 KB, a small run's whole margin of peak memory
         edges=np.cumsum([0, *np.bincount(step + 1, minlength=count)]),

@@ -18,21 +18,22 @@ all steps lie in flat arrays, step by step and row-major within a step;
 layout, as ``Trellis.stacked`` is of the layers stacked. Each component's
 ``P^n`` is computed once per distinct gap n, and its factors over all
 edges are one fancy index into those stacked powers. ``forward_paths``
-expands the admissible paths over those arrays with their joints, one
-layer at a time, for enumeration, revision and ranking; no other engine
-code computes a joint. It yields back-pointers, as Viterbi keeps them:
-each path's parent among the previous layer's paths and its candidate, so
-a layer costs its own paths, not their prefixes. ``ranked_paths`` rebuilds
-the complete paths from them as mode-index arrays (``Evolutions``) and
-holds the only ranking rule, one ``np.lexsort``. ``enumerate_evolutions``
-serves a diagnostic problem and ``rank_evolutions`` supplied trajectories;
-both return ``Evolutions``, the one form an evolution takes.
+expands the admissible paths of all layers with their joints into one flat
+table of back-pointers, as Viterbi keeps them: each path's parent entry
+and its candidate, so a path costs a few numbers, not its prefix. No other
+engine code computes a joint, and none outside this module follows a
+back-pointer: ``ranked_paths`` gathers the complete paths as mode-index
+arrays (``Evolutions``) and holds the only ranking rule, one
+``np.lexsort``, and ``spelled_paths`` writes every prefix out for
+revision. ``enumerate_evolutions`` serves a diagnostic problem and
+``rank_evolutions`` supplied trajectories; both return ``Evolutions``, the
+one form an evolution takes.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -277,20 +278,22 @@ def build_trellis(problem: DiagnosticProblem) -> Trellis:
 
 
 def forward_paths(trellis: Trellis,
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The admissible partial evolutions, one layer at a time, as
-    back-pointers.
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The admissible partial evolutions of every layer, as one flat table
+    of back-pointers ``(starts, parents, candidates, joints)``.
 
-    The paths of layer k run from layer 0 along admissible steps, in
-    lexicographic order of their candidates. For each it yields the index
-    of its prefix among layer k - 1's paths (-1 at layer 0), its candidate
-    in layer k, and its joint: its prior times its step conditionals,
-    multiplied left to right. A layer with no path leaves every later
-    layer empty. Only the current layer is kept alive.
+    Layer k's paths are entries ``starts[k]`` to ``starts[k + 1]``: the
+    paths from layer 0 along admissible steps, in lexicographic order of
+    their candidates. Each entry holds its prefix's entry in ``parents``
+    (-1 at layer 0), its candidate in layer k and its joint: its prior
+    times its step conditionals, multiplied left to right. A layer with no
+    path leaves every later layer empty.
     """
-    candidates = np.arange(len(trellis.modes[0]))
-    joints = trellis.priors
-    yield np.full(len(candidates), -1), candidates, joints
+    candidates, joints = np.arange(len(trellis.modes[0])), trellis.priors
+    # every layer's entries in lists: a thin layer's arrays would cost more
+    # in headers than in numbers
+    starts = [0, len(candidates)]
+    table = [-1] * len(candidates), candidates.tolist(), joints.tolist()
     bounds = trellis.bounds.tolist()
     for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
         shape = len(trellis.modes[k]), len(trellis.modes[k + 1])
@@ -299,7 +302,30 @@ def forward_paths(trellis: Trellis,
         joints = joints[parents] * trellis.conditionals[a:b].reshape(shape)[
             candidates[parents], targets]
         candidates = targets
-        yield parents, candidates, joints
+        for column, values in zip(table, (parents + starts[-2], candidates,
+                                          joints)):
+            column += values.tolist()
+        starts.append(len(table[0]))
+    parents, candidates, joints = table
+    return (np.array(starts), np.array(parents, dtype=np.intp),
+            np.array(candidates, dtype=np.intp), np.array(joints))
+
+
+def spelled_paths(starts: np.ndarray, parents: np.ndarray,
+                  candidates: np.ndarray) -> np.ndarray:
+    """Every path of a ``forward_paths`` table as int32 candidate indices:
+    layer k's as a |P_k| x (k + 1) block, row-major, after layer k - 1's."""
+    # int32 first: a cast in a gather or an assignment takes 128 KB buffers
+    candidates, bounds = candidates.astype(np.int32), starts.tolist()
+    sizes = [q - p for p, q in zip(bounds, bounds[1:])]
+    spelled = np.empty(sum(n * k for k, n in enumerate(sizes, 1)), np.int32)
+    prefixes, at = np.empty((1, 0), np.int32), 0  # what layer 0's -1s pick
+    for k, (p, q) in enumerate(zip(bounds, bounds[1:])):
+        block = spelled[at:at + (q - p) * (k + 1)].reshape(q - p, k + 1)
+        block[:, :k] = prefixes[parents[p:q] - bounds[max(k - 1, 0)]]
+        block[:, k] = candidates[p:q]
+        prefixes, at = block, at + block.size
+    return spelled
 
 
 class Evolutions(NamedTuple):
@@ -351,23 +377,14 @@ def ranked_paths(model: SystemModel,
     parts = [(np.empty((0, n), int), np.empty((0, n, width), int),
               np.empty(0), np.empty((0, n - 1)), np.empty(0))]
     for trellis in trellises:
-        # every layer's back-pointers in lists: a thin layer's arrays would
-        # cost more in headers than in numbers
-        parents, candidates, sizes = [], [], []
-        for parent, candidate, joints in forward_paths(trellis):
-            parents += parent.tolist()
-            candidates += candidate.tolist()
-            sizes.append(len(candidate))
-        parents, candidates = (np.array(parents, dtype=np.intp),
-                               np.array(candidates, dtype=np.intp))
-        # the last layer's paths are the complete evolutions: rebuilt from
-        # it back to layer 0, one gather per layer
-        count, length = len(joints), len(sizes)
+        offsets, parents, candidates, joints = forward_paths(trellis)
+        # the last layer's entries are the complete evolutions: rebuilt
+        # from them back to layer 0, one gather per layer
+        at, length = np.arange(offsets[-2], offsets[-1]), len(offsets) - 1
+        count, joints = len(at), joints[at]
         paths = np.empty((count, length), dtype=np.intp)
-        at, end = np.arange(count), len(candidates)
         for k in range(length - 1, -1, -1):
-            end -= sizes[k]
-            paths[:, k], at = candidates[end + at], parents[end + at]
+            paths[:, k], at = candidates[at], parents[at]
         instants = np.full((count, n), -1)
         instants[:, :length] = [position[t] for t in trellis.instants]
         # one gather each from the stacked layers and the flat

@@ -15,7 +15,8 @@ turns ``Evolutions`` into ``Diagnosis`` rows, so the suites compare whole
 trajectories with ``==``, ``named_revision`` gives a
 ``ComponentRevision``'s admitted modes and revised transitions by name,
 and ``forward_prefixes`` spells out the paths the forward pass's
-back-pointers point to.
+back-pointers point to, by its own concatenation rather than
+``spelled_paths``.
 
 Two helpers stand outside the engine: ``model_to_dict`` writes a model in
 the input file format, and ``empirical_transition_matrix`` estimates the
@@ -290,13 +291,16 @@ def named_revision(component: ComponentSpec, revision: ComponentRevision,
 
 def forward_prefixes(trellis: Trellis,
                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``forward_paths`` with each layer's back-pointers spelled out: per
-    layer k, a |P| x (k + 1) array of the candidate indices of each path
-    and the paths' joints."""
+    """The table ``forward_paths`` returns with each layer's back-pointers
+    spelled out: per layer k, a |P| x (k + 1) array of the candidate
+    indices of each path and the paths' joints."""
+    starts, parents, candidates, joints = forward_paths(trellis)
     paths = np.empty((1, 0), dtype=int)  # what layer 0's -1 picks
-    for parents, candidates, joints in forward_paths(trellis):
-        paths = np.concatenate((paths[parents], candidates[:, None]), axis=1)
-        yield paths, joints
+    # layer k's parents are entries of layer k - 1, from starts[k - 1]
+    for p, q, previous in zip(starts, starts[1:], [0, *starts]):
+        paths = np.concatenate((paths[parents[p:q] - previous],
+                                candidates[p:q, None]), axis=1)
+        yield paths, joints[p:q]
 
 
 def model_to_dict(model: SystemModel) -> dict:

@@ -2,6 +2,7 @@
 
 import errno
 import gc
+import hashlib
 import json
 import os
 import re
@@ -696,6 +697,26 @@ class TestMalformedInput:
         error = json.loads(out)["error"]
         assert error["code"] == "invalid_input"
         assert error["file"] == str(bad)
+
+
+    @pytest.mark.parametrize("shape", ["array", "object"])
+    @pytest.mark.parametrize("command, name", [
+        ("validate", "model.json"), ("diagnose", "obs.json"),
+        ("rank", "trajectories.json")])
+    def test_nesting_past_recursion_limit_exits_1(self, capsys, tmp_path,
+                                                  command, name, shape):
+        """A file nested 100,000 deep exceeds the JSON decoder's recursion
+        limit: one ``invalid_input`` object naming the file, not a
+        ``RecursionError``."""
+        path = tmp_path / name
+        path.write_text(("[" if shape == "array" else '{"a": ') * 100_000)
+        argv = ([command, str(path)] if command == "validate"
+                else [command, HYDRAULIC, str(path)])
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert (error["code"], error["file"]) == ("invalid_input", str(path))
+        assert "invalid JSON (maximum recursion depth" in error["message"]
 
 
 class TestSimulate:
@@ -1446,3 +1467,45 @@ def test_process_entry_freezes_before_exit(argv):
 def test_console_script_is_the_process_entry():
     pyproject = (ROOT / "pyproject.toml").read_text()
     assert re.search(r'^tempdiag = "tempdiag\.cli:run"$', pyproject, re.M)
+
+
+@pytest.fixture(scope="module")
+def bench_cases(tmp_path_factory):
+    """The directory holding the cases of the wide, dense and long
+    workloads of bench/gen.py at seed 7, and their argvs by workload. The
+    argvs name the files relative to that directory, as do the reports."""
+    base = tmp_path_factory.mktemp("bench")
+    cases = {}
+    for workload in ("wide", "dense", "long"):
+        child(str(ROOT / "bench" / "gen.py"), "--workload", workload,
+              "--seed", "7", "--out", workload, cwd=base, check=True,
+              capture_output=True)
+        cases[workload] = [c["argv"] for c in json.loads(
+            (base / workload / "cases.json").read_text())]
+    return base, cases
+
+
+@pytest.mark.parametrize("workload, case, code, digest", [
+    ("dense", 0, 0,
+     "74d639f143c0c1281bde6047dfb7831e286f48007b3e939bfb6f0950c8b470c8"),
+    ("wide", 0, 0,
+     "2707082025649f532c71b70f6185ea16fa3f415b7b05adeb01b8ac5a417d74ad"),
+    ("long", 2, 0,
+     "297b89a74e356d9ac9b3cce6864e2627a795cffaabbac8b845d0f3bdaf86261d"),
+    ("long", 5, 0,
+     "ef05f4bebcc895875ab25d68d6712d1b83b2d8d274eeae56a6f1c1e06b46969e"),
+], ids=["dense0-revise", "wide0", "long450-diagnose-revise", "long1300-rank"])
+def test_bench_reports_are_pinned(capsys, monkeypatch, bench_cases,
+                                  workload, case, code, digest):
+    """The exit code and the stdout sha256 of four seed-7 bench cases: a
+    dense diagnose --revise, a wide diagnose, the 450-instant long
+    diagnose --revise and the 1,300-instant long rank. Like the desk
+    goldens, the digests pin every float bit for bit."""
+    base, cases = bench_cases
+    monkeypatch.chdir(base)
+    argv = cases[workload][case]
+    assert (argv[0], "--revise" in argv) == (
+        ("rank", False) if case == 5 else ("diagnose", workload != "wide"))
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -32,7 +32,11 @@ from tempdiag.errors import (
     SearchSpaceError,
     ValidationError,
 )
-from tempdiag.temporal import trellis_from_layers
+from tempdiag.temporal import (
+    forward_paths,
+    spelled_paths,
+    trellis_from_layers,
+)
 
 from propsuites import (
     enumerated,
@@ -46,6 +50,7 @@ from reference import (
     assignments,
     conditional_probability,
     decode,
+    forward_prefixes,
     joint_probability,
     prior_probability,
     step_factors,
@@ -340,6 +345,38 @@ class TestResolveInitials:
         got = resolve_initial_distributions(hydraulic, first_instant=3)
         np.testing.assert_allclose(got["P"], [0.2] * 5)
         np.testing.assert_allclose(got["C"], [1 / 3] * 3)
+
+
+class TestForwardTable:
+    """``forward_paths`` returns the paths of every layer as one flat
+    table: layer k's at entries ``starts[k]`` to ``starts[k + 1]``, each
+    with its parent's entry in layer k - 1 (-1 at layer 0)."""
+
+    def check(self, trellis):
+        starts, parents, candidates, joints = forward_paths(trellis)
+        assert starts[0] == 0 and len(starts) == len(trellis.instants) + 1
+        assert len(parents) == len(candidates) == len(joints) == starts[-1]
+        assert parents.dtype == candidates.dtype == np.intp
+        assert parents[:starts[1]].tolist() == [-1] * starts[1]
+        for k in range(1, len(trellis.instants)):
+            among = parents[starts[k]:starts[k + 1]]
+            assert np.all((starts[k - 1] <= among) & (among < starts[k]))
+        prefixes = list(forward_prefixes(trellis))
+        assert spelled_paths(starts, parents, candidates).tolist() == [
+            cell for paths, _ in prefixes for cell in paths.ravel().tolist()]
+        assert spelled_paths(starts, parents, candidates).dtype == np.int32
+        return starts
+
+    def test_branching_layers(self, occlusion_problem):
+        starts = self.check(build_trellis(occlusion_problem))
+        assert np.diff(starts).tolist() == [3, 3]
+
+    def test_emptied_layers_stay_empty(self, hydraulic):
+        # broken -> correct has probability 0: no path passes sigma 0.01
+        trellis = trellis_from_layers(
+            hydraulic, [0, 1, 2], np.array([[[0, 2]], [[4, 2]], [[4, 2]]]),
+            resolve_initial_distributions(hydraulic), sigma=0.01)
+        assert self.check(trellis).tolist() == [0, 1, 1, 1]
 
 
 def test_trellis_arrays_equal_per_edge_definitions():
