@@ -52,6 +52,7 @@ from .temporal import (
     ThresholdMode,
     build_trellis,
     enumerate_evolutions,
+    forward_paths,
     name_ranks,
     rank_evolutions,
     resolve_initial_distributions,
@@ -297,10 +298,11 @@ def _cmd_diagnose(args, model) -> dict:
         threshold_mode=_THRESHOLD_MODES[args.threshold_mode],
         criterion=_CRITERIA[args.criterion], candidate_cap=args.cap)
     trellis = build_trellis(problem)
-    evolutions = enumerate_evolutions(problem, trellis)
+    table = forward_paths(trellis)  # one forward pass ranks and revises
+    evolutions = enumerate_evolutions(problem, trellis, table)
     # revised before the sections are declared, so that its temporaries
     # are gone before the trellis section derives its edges' endpoints
-    revision = revise_trellis(trellis, model) if args.revise else None
+    revision = revise_trellis(trellis, model, table) if args.revise else None
 
     report = {
         "instants": list(trellis.instants),

@@ -13,11 +13,12 @@ infinity raises before anything is written. Then the pieces go to the
 stream in writes of a bounded size, so that the report text never exists
 whole. Bulk sections are tables (``table``): JSON arrays of items of one
 shape, whose leaves are columns of numbers or JSON text (``Column``) and
-arrays of rows (``Rows``), themselves of one shape. The first phase builds
-each shape's ``%``-template and checks every float column; the second
-renders a table's items only when it reaches them, consecutive ones a span
-at a time, each span's numbers formatted by ``texts``, which formats each
-distinct value of an array once and refuses NaN and infinities.
+arrays of rows (``Rows``), themselves of one shape. The first phase cuts
+each shape's text at its leaves and checks every float column; the second
+renders a table's items only when it reaches them, a span of consecutive
+ones at a time: ``texts`` formats its numbers (each distinct value once,
+refusing NaN and infinities), and one join makes its text from a list
+filled a leaf at a time, its arrays' texts cut from one more join.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -247,8 +248,9 @@ def load_trajectories(path: str | Path) -> list[tuple[ModeAssignment, ...]]:
 quote = json.encoder.encode_basestring_ascii
 #: One level of indentation in report text.
 INDENT = "  "
-#: Characters from which a batch of report text is written.
-_CHUNK = 1 << 18
+#: Characters from which a batch of report text is written: fewer than
+#: a full table span prints, whose text so goes out alone, not copied.
+_CHUNK = 1 << 17
 #: Size from which ``texts`` formats only the distinct values: for fewer
 #: elements finding them (a sort) costs more than formatting every one.
 _DISTINCT_AT = 32
@@ -268,8 +270,8 @@ def write_report(report: Any, stream: TextIO) -> None:
     runs only when the writer reaches it.
 
     The report is prepared whole, every number checked, before its first
-    character is written; then it goes out in writes of ``_CHUNK``
-    characters and at most one piece more, never all at once.
+    character is written; then it goes out in writes of at most
+    ``2 * _CHUNK`` characters, never all at once.
 
     Raises:
         ValueError: the report, or a column of a table in it, holds a NaN
@@ -280,8 +282,8 @@ def write_report(report: Any, stream: TextIO) -> None:
     pieces.append("\n")
     for batch in _batches(chain.from_iterable(
             (piece,) if isinstance(piece, str) else piece for piece in pieces)):
-        if batch:
-            stream.write(batch)
+        for at in range(0, len(batch), 2 * _CHUNK):  # a long text, cut
+            stream.write(batch[at:at + 2 * _CHUNK])
 
 
 def _write(value: Any, out: list, nl: str) -> None:
@@ -395,16 +397,16 @@ class Rows:
         self.offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
 
 
-def template(shape: Any, nl: str) -> tuple[str, list]:
-    """The canonical text of ``shape``, whose closing bracket follows
-    ``nl``, as a ``%``-template, and its leaves with the newline before
-    each, in the order the text holds them (dict entries in sorted key
-    order): ``shape`` is a report some of whose leaves are ``Column`` or
-    ``Rows``, and each becomes one ``%s``."""
+def template(shape: Any, nl: str) -> tuple[list[str], list]:
+    """The canonical text of ``shape``, a report some of whose leaves are
+    ``Column`` or ``Rows``, with its closing bracket after ``nl``: the
+    literal texts around its leaves, and the leaves with the newline
+    before each, in text order (dict entries in sorted key order)."""
     out: list = []
     _write(shape, out, nl)
-    return "".join("%s" if type(part) is tuple else part.replace("%", "%%")
-                   for part in out), [p for p in out if type(p) is tuple]
+    # the writer escapes every control character, so a NUL is only a cut
+    return "".join("\0" if type(part) is tuple else part for part in out
+                   ).split("\0"), [part for part in out if type(part) is tuple]
 
 
 def table(shape: Any, count: int) -> Callable[[list, str], None]:
@@ -412,16 +414,13 @@ def table(shape: Any, count: int) -> Callable[[list, str], None]:
     report ``shape`` whose ``Column`` and ``Rows`` leaves give item k
     their k-th value or array.
 
-    Each template is built once, when the writer prepares the report, and
-    every float column is checked then, so that a NaN or infinity raises
-    before anything is written. The items are rendered only when the
-    writer reaches them, in spans of consecutive items printing up to
-    ``_SPAN`` cells, each span's numbers formatted at once. An item of
-    more cells is not made one text: it streams its arrays, whose rows go
-    in spans the same way."""
+    Every template is built, and every float column checked, when the
+    writer prepares the report; the items are rendered only when it
+    reaches them, in spans of consecutive items printing up to ``_SPAN``
+    cells, or alone if of more, streaming its arrays' rows the same way."""
     def write(out: list, nl: str) -> None:
         plan = _plan(shape, nl + INDENT)
-        for column, _, _ in _ranges(plan, 0, count):
+        for column, _, _ in _ranges(plan[1], 0, count):
             if column.table is None and column.values.dtype.kind == "f":
                 _check_finite(column.values)
         out.append(_items(plan, 0, count, nl))
@@ -430,39 +429,38 @@ def table(shape: Any, count: int) -> Callable[[list, str], None]:
 
 #: Cells from which a table item, or a row of one of its arrays, streams
 #: its arrays' rows instead of being made one text; also the most cells
-#: whose numbers are formatted together, since a ``texts`` call costs
-#: microseconds.
-_SPAN = 8192
+#: formatted (each distinct value once) and joined together. Set by
+#: measurement: smaller spans format the values that repeat from item to
+#: item more often, larger ones hold more text at once.
+_SPAN = 6144
 
 
-def _plan(shape: Any, nl: str) -> tuple[str | None, list]:
-    """``shape``'s template at ``nl``, None for a lone ``Column``, and its
-    leaves as ``(leaf, nl, plan)``, the plan of a ``Rows`` leaf's row or
-    None."""
+def _plan(shape: Any, nl: str) -> tuple[list[str], list]:
+    """``shape``'s literal texts at ``nl`` and its leaves as ``(leaf, nl,
+    plan)``, the plan of a ``Rows`` leaf's row or None."""
     if type(shape) is Column:
-        return None, [(shape, nl, None)]
-    text, leaves = template(shape, nl)
-    return text, [(leaf, at, _plan(leaf.shape, at + INDENT)
-                   if type(leaf) is Rows else None) for leaf, at in leaves]
+        return ["", ""], [(shape, nl, None)]
+    literals, leaves = template(shape, nl)
+    return literals, [(leaf, at, _plan(leaf.shape, at + INDENT)
+                       if type(leaf) is Rows else None) for leaf, at in leaves]
 
 
-def _ranges(plan: tuple, a: int, b: int) -> Iterator[tuple[Column, int, int]]:
-    """Each column of ``plan``, nested ones too, with the range of its
-    values that rows ``a`` to ``b`` print."""
-    for leaf, _, sub in plan[1]:
+def _ranges(leaves: list, a: int, b: int) -> Iterator[tuple[Column, int, int]]:
+    """Each column of a plan's ``leaves``, nested ones too, with the range
+    of its values that rows ``a`` to ``b`` print."""
+    for leaf, _, sub in leaves:
         if sub is None:
             yield leaf, a, b
         else:
-            yield from _ranges(sub, leaf.offsets[a], leaf.offsets[b])
+            yield from _ranges(sub[1], leaf.offsets[a], leaf.offsets[b])
 
 
-def _formatted(plan: tuple, a: int, b: int) -> dict:
-    """Per column of ``plan``, the texts it prints in rows ``a`` to ``b``:
-    the columns of floats, and those of ints, are formatted by one
-    ``texts`` call each."""
-    done: dict = {}
-    numbers: dict = {}
-    for column, lo, hi in _ranges(plan, a, b):
+def _formatted(leaves: list, a: int, b: int) -> dict:
+    """Per column of a plan's ``leaves``, the texts it prints in rows
+    ``a`` to ``b``: the columns of floats, and those of ints, are
+    formatted by one ``texts`` call each."""
+    done, numbers = {}, {}
+    for column, lo, hi in _ranges(leaves, a, b):
         values = column.values[lo:hi]
         if column.table is not None:
             done[column] = column.table[values].tolist()
@@ -477,87 +475,84 @@ def _formatted(plan: tuple, a: int, b: int) -> dict:
     return done
 
 
-def _rows(plan: tuple, a: int, b: int, done: dict, sep: str = "",
-          ) -> Iterator[str]:
-    """The texts of rows ``a`` to ``b`` of ``plan``, each after ``sep``,
-    given the texts of its columns there."""
-    text, leaves = plan
-    cells = [done[leaf] if sub is None else _arrays(leaf, nl, sub, a, b, done)
-             for leaf, nl, sub in leaves]
-    if text is None:
-        return map(sep.__add__, cells[0]) if sep else iter(cells[0])
-    return map((sep + text).__mod__, zip(*cells) if cells
-               else repeat((), b - a))
+def _parts(plan: tuple, a: int, b: int, done: dict, sep: str, first: str,
+           ) -> list[str]:
+    """The texts that, joined, give rows ``a`` to ``b`` of ``plan``, the
+    first after ``first`` and the others after ``sep``, given the texts of
+    its leaves there: rows of a slot per leaf and nonempty literal (all
+    but an empty end, after a lone column), filled a leaf at a time."""
+    literals, leaves = plan
+    row = [sep + literals[0]]  # one row's slots, "" for each leaf's text
+    for literal in literals[1:]:
+        row += ("", literal) if literal else ("",)
+    parts = row * (b - a)
+    parts[0] = first + literals[0]
+    for at, (leaf, nl, sub) in enumerate(leaves):
+        parts[2 * at + 1::len(row)] = (done[leaf] if leaf in done else
+                                       _arrays(leaf, nl, sub, a, b, done))
+    return parts
 
 
 def _arrays(rows: Rows, nl: str, plan: tuple, a: int, b: int, done: dict,
             ) -> list[str]:
     """The texts of arrays ``a`` to ``b`` of ``rows``, whose rows are of
-    ``plan`` and whose closing brackets follow ``nl``."""
-    inner = nl + INDENT
-    start, sep, end = "[" + inner, "," + inner, nl + "]"
-    offsets = rows.offsets[a:b + 1].tolist()
-    texts = list(_rows(plan, offsets[0], offsets[-1], done))
-    first = offsets[0]
-    return [start + sep.join(texts[i - first:j - first]) + end if j > i
-            else "[]" for i, j in zip(offsets, offsets[1:])]
+    ``plan`` and whose closing brackets follow ``nl``: one text of all
+    their rows, cut at a NUL after each closing bracket but the last."""
+    inner, offsets = nl + INDENT, rows.offsets[a:b + 1].tolist()
+    lo, hi = offsets[0], offsets[-1]
+    if lo == hi:
+        return ["[]"] * (b - a)
+    parts = _parts(plan, lo, hi, done, "," + inner, "[" + inner)
+    stride, mark = len(parts) // (hi - lo), nl + "]\0[" + inner + plan[0][0]
+    for i, j in zip(offsets, offsets[1:]):
+        if j > i > lo:  # an array with rows after the first
+            parts[(i - lo) * stride] = mark
+    parts.append(nl + "]")
+    texts = iter("".join(parts).split("\0"))
+    return [next(texts) if j > i else "[]"
+            for i, j in zip(offsets, offsets[1:])]
 
 
 def _items(plan: tuple, a: int, b: int, nl: str) -> Iterator[str]:
     """The texts of a JSON array, whose closing bracket follows ``nl``, of
-    rows ``a`` to ``b`` of ``plan``."""
-    return chain.from_iterable(_spans(plan, a, b, nl))
-
-
-def _spans(plan: tuple, a: int, b: int, nl: str) -> Iterator[Iterable[str]]:
-    """The texts of ``_items``, a span of rows at a time: as many
-    consecutive rows as print at most ``_SPAN`` cells together, formatted
-    at once, or one printing more, which streams."""
-    if a == b:
-        yield ("[]",)
-        return
+    rows ``a`` to ``b`` of ``plan``, a span at a time: as many consecutive
+    rows as print at most ``_SPAN`` cells together, as one text, or one
+    printing more, whose text is cut where its arrays go, which stream."""
     sep = "," + nl + INDENT
     # the cells printed before each row: every column's start there
-    ends = sum((hi for _, _, hi in _ranges(plan, a, np.arange(a, b + 1))),
+    ends = sum((hi for _, _, hi in _ranges(plan[1], a, np.arange(a, b + 1))),
                np.zeros(b - a + 1, dtype=np.intp)).tolist()
     i = 0  # rows a + i onwards are still to go
     while a + i < b:
         j = max(i + 1, bisect_right(ends, ends[i] + _SPAN, i) - 1)
-        texts = (_streamed(plan, a + i, sep) if ends[j] - ends[i] > _SPAN
-                 else _rows(plan, a + i, a + j,
-                            _formatted(plan, a + i, a + j), sep))
-        if not i:  # the first row opens the array
-            yield ("[" + next(texts)[1:],)
-        yield texts
+        first = sep if i else "[" + sep[1:]  # the first row opens the array
+        if ends[j] - ends[i] <= _SPAN:
+            yield "".join(_parts(plan, a + i, a + j, _formatted(
+                plan[1], a + i, a + j), sep, first))
+        else:
+            k, arrays = a + i, [leaf for leaf in plan[1] if leaf[2]]
+            done = _formatted([leaf for leaf in plan[1] if not leaf[2]], k,
+                              k + 1)
+            done.update((leaf, ["\0"]) for leaf, _, _ in arrays)
+            head, *tails = "".join(_parts(plan, k, k + 1, done, "", first)
+                                   ).split("\0")
+            yield head
+            for (leaf, at, sub), tail in zip(arrays, tails):
+                yield from _items(sub, *leaf.offsets[k:k + 2], at)
+                yield tail
         i = j
-    yield (nl + "]",)
-
-
-def _streamed(plan: tuple, k: int, sep: str) -> Iterator[str]:
-    """The texts of row ``k`` of ``plan``, after ``sep``, its arrays a
-    span of rows at a time. The frame is cut where the arrays go: the
-    writer escapes every control character it is given, so a NUL is only
-    such a cut."""
-    text, leaves = plan
-    done = _formatted((text, [leaf for leaf in leaves if not leaf[2]]), k,
-                      k + 1)
-    head, *tails = (sep + text % tuple(
-        done[leaf][0] if sub is None else "\0"
-        for leaf, _, sub in leaves)).split("\0")
-    parts: list[Iterable[str]] = [(head,)]
-    for (leaf, nl, sub), tail in zip([leaf for leaf in leaves if leaf[2]],
-                                     tails):
-        parts += [_items(sub, leaf.offsets[k], leaf.offsets[k + 1], nl),
-                  (tail,)]
-    return chain.from_iterable(parts)
+    yield nl + "]" if a < b else "[]"
 
 
 def _batches(texts: Iterable[str]) -> Iterator[str]:
     """The ``texts`` joined in runs of ``_CHUNK`` characters or more, then
-    one shorter run, maybe empty."""
-    batch: list[str] = []
-    size = 0
+    one shorter run, maybe empty. A text that long is not copied into a
+    run: it goes alone, as a run of one is joined without a copy."""
+    batch, size = [], 0
     for text in texts:
+        if len(text) >= _CHUNK and batch:
+            yield "".join(batch)
+            batch, size = [], 0
         batch.append(text)
         size += len(text)
         if size >= _CHUNK:

@@ -160,8 +160,10 @@ class StreamRevision(SimpleNamespace):
             self.revised_conditionals[a:b], components)
 
 
-def revise_trellis(trellis: Trellis, model: SystemModel) -> StreamRevision:
-    """Apply revision at every instant of a built trellis.
+def revise_trellis(trellis: Trellis, model: SystemModel,
+                   table: tuple | None = None) -> StreamRevision:
+    """Apply revision at every instant of a built trellis, whose
+    ``forward_paths`` table may be given as ``table``.
 
     At each instant the joints of the admissible partial evolutions ending
     there are renormalized (global revision) and every component's
@@ -199,7 +201,7 @@ def revise_trellis(trellis: Trellis, model: SystemModel) -> StreamRevision:
     unfit = [np.append(np.flatnonzero(~np.isfinite(factor)), count)[0]
              for *_, factor in chains]
 
-    paths, parents, candidates, joints = forward_paths(trellis)
+    paths, parents, candidates, joints = table or forward_paths(trellis)
     # the first failure raises: instant by instant, the global factor
     # before the components, and the components in model order
     first, bounds = min(unfit, default=count), paths.tolist()

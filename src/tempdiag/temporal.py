@@ -361,14 +361,14 @@ def name_ranks(component: ComponentSpec) -> np.ndarray:
     return np.argsort(sorted(range(len(modes)), key=modes.__getitem__))
 
 
-def ranked_paths(model: SystemModel,
-                 trellises: Sequence[Trellis]) -> Evolutions:
+def ranked_paths(model: SystemModel, trellises: Sequence[Trellis],
+                 tables: Sequence[tuple] | None = None) -> Evolutions:
     """The complete admissible paths of the trellises, ranked by descending
     joint. Ties go to the evolution that sorts first instant by instant, by
     ``t`` and then by mode name in component-id order (``ModeAssignment``
     order, not declared mode order), and a prefix sorts before its
     extensions. Equal evolutions keep their order: the trellises' and,
-    within one trellis, the forward pass's."""
+    within one trellis, the forward pass's (``tables``, if at hand)."""
     times = sorted({t for trellis in trellises for t in trellis.instants})
     position = {t: i for i, t in enumerate(times)}
     # with no trellis any length will do; one keeps every shape valid
@@ -376,8 +376,8 @@ def ranked_paths(model: SystemModel,
     width = len(model.components)
     parts = [(np.empty((0, n), int), np.empty((0, n, width), int),
               np.empty(0), np.empty((0, n - 1)), np.empty(0))]
-    for trellis in trellises:
-        offsets, parents, candidates, joints = forward_paths(trellis)
+    for trellis, (offsets, parents, candidates, joints) in zip(
+            trellises, tables or map(forward_paths, trellises)):
         # the last layer's entries are the complete evolutions: rebuilt
         # from them back to layer 0, one gather per layer
         at, length = np.arange(offsets[-2], offsets[-1]), len(offsets) - 1
@@ -412,16 +412,16 @@ def ranked_paths(model: SystemModel,
                       priors[order], steps[order], joints[order])
 
 
-def enumerate_evolutions(problem: DiagnosticProblem,
-                         trellis: Trellis) -> Evolutions:
+def enumerate_evolutions(problem: DiagnosticProblem, trellis: Trellis,
+                         table: tuple | None = None) -> Evolutions:
     """Every evolution of the problem's trellis whose consecutive steps are
-    admissible, ranked as ``ranked_paths`` says.
+    admissible, ranked as ``ranked_paths`` says (from ``table`` if given).
 
     Raises:
         NoAdmissibleEvolutionError: candidates exist at every instant but no
             evolution survives the threshold.
     """
-    evolutions = ranked_paths(problem.model, [trellis])
+    evolutions = ranked_paths(problem.model, [trellis], table and [table])
     if not len(evolutions.joints):
         raise NoAdmissibleEvolutionError(
             "no evolution passes the plausibility filter at "

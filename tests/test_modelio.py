@@ -149,18 +149,21 @@ def nested_table(count):
     """A table of ``count`` items, the report it stands for, and a number
     column of it: each item has a float, an int, a text cell and a fixed
     pair, an array of rows each holding an array of ints (some empty), an
-    array of empty objects and an array of bare texts; ``%`` and
-    indentation-like text is kept apart from the template's."""
+    array of empty objects, an array of bare texts, an array that is
+    always empty and one of ints that is empty in every other item, the
+    first too; ``%``, NUL and indentation-like text in keys and cells is
+    kept apart from the literal text around the cells."""
     rng = np.random.default_rng(count)
     inner = rng.integers(0, 3, size=count)  # rows per item
     deep = rng.integers(0, 4, size=int(inner.sum()))  # ints per row
     floats = rng.random(count) * 10.0 ** rng.integers(-320, 300, size=count)
     floats[::5] = -0.0
     ints = rng.integers(-10 ** 18, 10 ** 18, size=count)
-    labels = [f"%s {k}%\n  " for k in range(count)]
+    labels = [f"%s {k}%\n \x00 %%" for k in range(count)]
     row_floats = rng.random(len(deep)) - 0.5
     deep_ints = rng.integers(0, 50, size=int(deep.sum()))
     bare = ["x", "%d", "\u00e9"] * count
+    mixed = [k % 2 * (1 + k % 3) for k in range(count)]  # 0, 2, 0, 1, ...
     shape = {"f": Column(floats), "i": Column(ints),
              "label": Column(np.arange(count), np.array(
                  list(map(quote, labels)), dtype=object)),
@@ -169,7 +172,9 @@ def nested_table(count):
                            "v": Column(row_floats)}, inner),
              "empty": Rows({}, inner),
              "bare": Rows(Column(np.arange(3 * count)[::-1], np.array(
-                 list(map(quote, bare[::-1])), dtype=object)), [3] * count)}
+                 list(map(quote, bare[::-1])), dtype=object)), [3] * count),
+             "none": Rows(Column(np.empty(0)), [0] * count),
+             "\x00 %s %%": Rows(Column(np.arange(sum(mixed))), mixed)}
     items, r, d = [], 0, 0
     for k in range(count):
         rows = []
@@ -182,7 +187,9 @@ def nested_table(count):
                       "label": labels[k],
                       "pair": [float(floats[k]), float(-floats[k])],
                       "rows": rows, "empty": [{}] * int(inner[k]),
-                      "bare": bare[3 * k:3 * k + 3]})
+                      "bare": bare[3 * k:3 * k + 3], "none": [],
+                      "\x00 %s %%": list(range(sum(mixed[:k]),
+                                              sum(mixed[:k + 1])))})
     return table(shape, count), items, floats
 
 
@@ -236,6 +243,25 @@ class TestCanonicalReports:
         assert encode(report) == json.dumps(
             {"a": items, "b": [1, {"c": items}]}, indent=2,
             sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("span", [1, 7, 64, modelio._SPAN],
+                             ids=["1", "7", "64", "default"])
+    @pytest.mark.parametrize("chunk", [1, 64, modelio._CHUNK],
+                             ids=["1", "64", "default"])
+    def test_tables_equal_json_dumps_in_any_writes(self, monkeypatch, span,
+                                                   chunk):
+        """Nested tables give the stdlib's text however their spans and
+        writes are cut: raw NULs in keys and cells, arrays that are all
+        empty and arrays empty in some items only, the first included."""
+        monkeypatch.setattr(modelio, "_SPAN", span)
+        monkeypatch.setattr(modelio, "_CHUNK", chunk)
+        mixed = table(Rows({"v": Column(np.arange(4))}, [0, 3, 0, 1]), 4)
+        for count in (1, 2, 40):
+            section, items, _ = nested_table(count)
+            assert encode({"a": section, "b": [mixed, {"c": section}]}) == (
+                json.dumps({"a": items, "b": [
+                    [[], [{"v": 0}, {"v": 1}, {"v": 2}], [], [{"v": 3}]],
+                    {"c": items}]}, indent=2, sort_keys=True) + "\n")
 
     @pytest.mark.parametrize("chunk", [1, 64, 4096])
     def test_row_sections_in_bounded_writes(self, monkeypatch, chunk):
