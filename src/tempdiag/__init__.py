@@ -8,97 +8,63 @@ their transition probability, ranks them jointly, and can revise the
 stochastic predictions against the logically admitted hypotheses.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .atemporal import (
-    ExplanationCriterion,
-    ModeAssignment,
-    predicted_manifestations,
-    solve_atemporal,
-)
-from .errors import DiagnosisError, ValidationError
-from .markov import (
-    FaultClass,
-    FaultClassification,
-    StateClassification,
-    StateLabel,
-    classify_faults,
-    validate_distribution,
-    validate_matrix,
-)
-from .model import (
-    ComponentSpec,
-    HornRule,
-    Observation,
-    ObservationStream,
-    SystemModel,
-    validate_model,
-    validate_stream,
-)
-from .revision import (
-    ComponentRevision,
-    ComponentStream,
-    InstantRevision,
-    StreamRevision,
-    normalization_factor,
-    revise_trellis,
-)
-from .simulate import (
-    SampledTrajectory,
-    generate_observation_stream,
-    sample_trajectory,
-)
-from .temporal import (
-    DiagnosticProblem,
-    Evolutions,
-    ThresholdMode,
-    Trellis,
-    build_trellis,
-    enumerate_evolutions,
-    induce_initial_distributions,
-    rank_evolutions,
-    relevant_instants,
-    resolve_initial_distributions,
-)
+#: Each public name by the module that defines it. ``import tempdiag``
+#: imports none of them, and so no numpy, until one is first read.
+_MODULES = {
+    "ComponentRevision": "revision",
+    "ComponentSpec": "model",
+    "ComponentStream": "revision",
+    "DiagnosisError": "errors",
+    "DiagnosticProblem": "temporal",
+    "Evolutions": "temporal",
+    "ExplanationCriterion": "atemporal",
+    "FaultClass": "markov",
+    "FaultClassification": "markov",
+    "HornRule": "model",
+    "InstantRevision": "revision",
+    "ModeAssignment": "atemporal",
+    "Observation": "model",
+    "ObservationStream": "model",
+    "SampledTrajectory": "simulate",
+    "StateClassification": "markov",
+    "StateLabel": "markov",
+    "StreamRevision": "revision",
+    "SystemModel": "model",
+    "ThresholdMode": "temporal",
+    "Trellis": "temporal",
+    "ValidationError": "errors",
+    "build_trellis": "temporal",
+    "classify_faults": "markov",
+    "enumerate_evolutions": "temporal",
+    "generate_observation_stream": "simulate",
+    "induce_initial_distributions": "temporal",
+    "normalization_factor": "revision",
+    "predicted_manifestations": "atemporal",
+    "rank_evolutions": "temporal",
+    "relevant_instants": "temporal",
+    "resolve_initial_distributions": "temporal",
+    "revise_trellis": "revision",
+    "sample_trajectory": "simulate",
+    "solve_atemporal": "atemporal",
+    "validate_distribution": "markov",
+    "validate_matrix": "markov",
+    "validate_model": "model",
+    "validate_stream": "model",
+}
 
-__all__ = [
-    "ComponentRevision",
-    "ComponentSpec",
-    "ComponentStream",
-    "DiagnosisError",
-    "DiagnosticProblem",
-    "Evolutions",
-    "ExplanationCriterion",
-    "FaultClass",
-    "FaultClassification",
-    "HornRule",
-    "InstantRevision",
-    "ModeAssignment",
-    "Observation",
-    "ObservationStream",
-    "SampledTrajectory",
-    "StateClassification",
-    "StateLabel",
-    "StreamRevision",
-    "SystemModel",
-    "ThresholdMode",
-    "Trellis",
-    "ValidationError",
-    "build_trellis",
-    "classify_faults",
-    "enumerate_evolutions",
-    "generate_observation_stream",
-    "induce_initial_distributions",
-    "normalization_factor",
-    "predicted_manifestations",
-    "rank_evolutions",
-    "relevant_instants",
-    "resolve_initial_distributions",
-    "revise_trellis",
-    "sample_trajectory",
-    "solve_atemporal",
-    "validate_distribution",
-    "validate_matrix",
-    "validate_model",
-    "validate_stream",
-]
+__all__ = sorted(_MODULES)
+
+
+def __getattr__(name: str):
+    """A public name, imported from its module when first read (PEP 562)
+    and kept as the package's attribute from then on."""
+    if name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULES[name]}"),
+                    name)
+    globals()[name] = value
+    return value

@@ -27,6 +27,11 @@ import sys
 from functools import partial
 from typing import Callable, NoReturn, Sequence, TextIO
 
+# before numpy loads OpenBLAS: its worker threads spin while they wait for
+# work, which slows every start-up, and matrices this small gain nothing
+# from them. A value the user has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
@@ -43,6 +48,7 @@ from .modelio import (
     quote,
     stream_to_list,
     table,
+    texts,
     write_report,
 )
 from .revision import revise_trellis
@@ -280,8 +286,10 @@ def _trellis_report(trellis, model):
             "admissible": Column(trellis.admissible.view(np.uint8),
                                  _JSON_BOOLS),
             "conditional": Column(trellis.conditionals),
-            "factors": {c.id: Column(trellis.factors[:, k])
-                        for k, c in enumerate(model.components)},
+            # each P^n entry formatted once, and checked before any byte
+            "factors": {c.id: Column(entries, texts(powers)) for c, entries,
+                        powers in zip(model.components, trellis.entries,
+                                      trellis.powers)},
             # int32 halves these arrays: no layer that fits in memory
             # holds 2**31 candidates
             "source": Column(sources.astype(np.int32)),

@@ -218,7 +218,6 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
     flat = np.flatnonzero(trellis.admissible)
     step, sources, targets = (ends[flat] for ends in trellis.endpoints)
     conditionals = trellis.conditionals[flat]
-    factors = trellis.factors[flat]
 
     components = {}
     for ci, (c, pi, kept, masked, _, factor) in enumerate(chains):
@@ -229,7 +228,7 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
         key = ((step + 1) * n + rows[starts[step] + sources, ci]) * n + rows[
             starts[step + 1] + targets, ci]
         entry = np.zeros(count * n * n)
-        entry[key] = factors[:, ci]
+        entry[key] = trellis.powers[ci].take(trellis.entries[ci][flat])
         taken = np.flatnonzero(np.bincount(key, minlength=len(entry)))
         moves = np.stack(np.unravel_index(taken, (count, n, n)), axis=1)
         components[c.id] = ComponentStream(

@@ -16,8 +16,12 @@ The trellis is built as arrays (the HMM trellis layout). Each layer is the
 all steps lie in flat arrays, step by step and row-major within a step;
 ``Trellis.bounds`` and ``Trellis.endpoints`` are the one definition of that
 layout, as ``Trellis.stacked`` is of the layers stacked. Each component's
-``P^n`` is computed once per distinct gap n, and its factors over all
-edges are one fancy index into those stacked powers. ``forward_paths``
+``P^n`` is computed once per distinct gap n, and those stacked powers,
+flattened, are the component's table of n-step entries: an edge keeps only
+the index of its entry, in the narrowest unsigned dtype that holds the
+table's indices. So an edge costs 9 bytes (its conditional and its
+admissibility) plus one index per component: 13 bytes for 4 components
+whose tables have at most 256 entries each. ``forward_paths``
 expands the admissible paths of all layers with their joints into one flat
 table of back-pointers, as Viterbi keeps them: each path's parent entry
 and its candidate, so a path costs a few numbers, not its prefix. No other
@@ -88,8 +92,11 @@ class Trellis(NamedTuple):
     layer k + 1 by one edge per candidate pair (i, j); the edges of all
     steps are laid out flat, step k's at ``bounds[k]`` to ``bounds[k + 1]``
     in row-major order, so the edge from i to j is ``bounds[k] + i *
-    |L_k+1| + j``. Per edge, ``factors[e, c]`` is component c's n-step
-    entry, ``conditionals[e]`` the product of those entries, and
+    |L_k+1| + j``. Per edge, component c's n-step entry is
+    ``powers[c][entries[c][e]]``: ``powers[c]`` is its ``P^n`` for each
+    distinct gap n, ascending, stacked and flattened, and ``entries[c]``
+    holds each edge's index into it, an unsigned integer array.
+    ``conditionals[e]`` is the product of the edge's entries, and
     ``admissible[e]`` the threshold check under the problem's threshold
     mode. ``priors[i]`` is candidate i's probability at the first instant
     under the ``initials`` (an array per component). A trellis compares and
@@ -102,7 +109,8 @@ class Trellis(NamedTuple):
     modes: tuple[np.ndarray, ...]
     initials: Mapping[str, np.ndarray]
     priors: np.ndarray
-    factors: np.ndarray
+    entries: tuple[np.ndarray, ...]
+    powers: tuple[np.ndarray, ...]
     conditionals: np.ndarray
     admissible: np.ndarray
 
@@ -202,9 +210,9 @@ def trellis_from_layers(
         initials: Mapping[str, np.ndarray], sigma: float = 0.0,
         threshold_mode: ThresholdMode = ThresholdMode.GLOBAL) -> Trellis:
     """The trellis arrays over given candidate layers, each a |L| x C
-    mode-index array: priors and the flat factors, conditionals and
-    admissibility of every edge. Each component's factors are one gather
-    from the stacked powers of the distinct gaps.
+    mode-index array: priors, each component's table of n-step entries and
+    every edge's index into it, and the flat conditionals and
+    admissibility of every edge.
 
     Raises:
         NonIncreasingInstantsError: some instant does not follow the one
@@ -226,23 +234,28 @@ def trellis_from_layers(
     targets += starts[steps + 1]
     gap = np.array([position[n] for n in gaps], dtype=np.intp)[steps]
 
-    priors = np.ones(len(modes[0]))
-    factors = np.empty((len(steps), len(model.components)))
+    per_component = threshold_mode is ThresholdMode.PER_COMPONENT
+    priors, entries, powers = np.ones(len(modes[0])), [], []
     # multiplied in component order from 1.0, as the product per edge
     conditionals = np.ones(len(steps))
+    admissible = np.ones(len(steps), dtype=bool)
     for ci, c in enumerate(model.components):
-        powers = matrix_powers(c.matrix, [instants[0], *distinct])
-        priors *= (initials[c.id] @ powers[0])[modes[0][:, ci]]
-        m = len(c.modes)  # one flat index into the stacked gap powers
-        factors[:, ci] = powers[1:].take(
-            (gap * m + rows[sources, ci]) * m + rows[targets, ci])
-        conditionals *= factors[:, ci]
-    if threshold_mode is ThresholdMode.PER_COMPONENT:
-        admissible = np.all(factors >= sigma, axis=-1)
-    else:
-        admissible = conditionals >= sigma
-    return Trellis(tuple(instants), tuple(modes), initials, priors, factors,
-                   conditionals, admissible)
+        stacked = matrix_powers(c.matrix, [instants[0], *distinct])
+        priors *= (initials[c.id] @ stacked[0])[modes[0][:, ci]]
+        m, table = len(c.modes), stacked[1:].ravel()
+        index = (gap * m + rows[sources, ci]) * m + rows[targets, ci]
+        conditionals *= table.take(index)
+        if per_component:
+            admissible &= (table >= sigma).take(index)
+        # narrowed by itself: a cast inside a gather or an assignment
+        # takes 128 KB buffers
+        entries.append(index.astype(np.min_scalar_type(max(table.size - 1,
+                                                           0))))
+        powers.append(table)
+    if not per_component:
+        np.greater_equal(conditionals, sigma, out=admissible)
+    return Trellis(tuple(instants), tuple(modes), initials, priors,
+                   tuple(entries), tuple(powers), conditionals, admissible)
 
 
 def build_trellis(problem: DiagnosticProblem) -> Trellis:
@@ -374,8 +387,7 @@ def ranked_paths(model: SystemModel, trellises: Sequence[Trellis],
     # with no trellis any length will do; one keeps every shape valid
     n = max((len(trellis.instants) for trellis in trellises), default=1)
     width = len(model.components)
-    parts = [(np.empty((0, n), int), np.empty((0, n, width), int),
-              np.empty(0), np.empty((0, n - 1)), np.empty(0))]
+    parts = []
     for trellis, (offsets, parents, candidates, joints) in zip(
             trellises, tables or map(forward_paths, trellises)):
         # the last layer's entries are the complete evolutions: rebuilt
@@ -398,15 +410,21 @@ def ranked_paths(model: SystemModel, trellises: Sequence[Trellis],
             + paths[:, 1:]]
         parts.append((instants, modes, trellis.priors[paths[:, 0]],
                       steps, joints))
-    instants, modes, priors, steps, joints = map(np.concatenate, zip(*parts))
+    if len(parts) != 1:  # one trellis, as for every diagnose: no copy
+        parts = [tuple(map(np.concatenate, zip(
+            (np.empty((0, n), int), np.empty((0, n, width), int),
+             np.empty(0), np.empty((0, n - 1)), np.empty(0)), *parts)))]
+    ((instants, modes, priors, steps, joints),) = parts
 
     # per instant the keys are its t and each component's mode rank by
     # name, in id order; the -1 past an evolution's end sorts it first
-    keys = [instants[..., None]]
-    for ci in sorted(range(width), key=lambda ci: model.components[ci].id):
+    keys = np.empty((len(joints), n, width + 1), dtype=np.intp)
+    keys[..., 0] = instants
+    for j, ci in enumerate(sorted(
+            range(width), key=lambda ci: model.components[ci].id), 1):
         ranks = np.append(name_ranks(model.components[ci]), -1)
-        keys.append(ranks[modes[..., ci, None]])  # index -1 stays -1
-    keys = np.concatenate(keys, axis=2).reshape(len(joints), n * (width + 1))
+        keys[..., j] = ranks[modes[..., ci]]  # index -1 stays -1
+    keys = keys.reshape(len(joints), n * (width + 1))
     order = np.lexsort((*keys.T[::-1], -joints))
     return Evolutions(tuple(times), instants[order], modes[order],
                       priors[order], steps[order], joints[order])

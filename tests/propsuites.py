@@ -53,6 +53,7 @@ from reference import (
     component_mass_factor,
     conditional_probability,
     decode,
+    edge_factors,
     forward_prefixes,
     joint_probability,
     matrix_power,
@@ -380,14 +381,15 @@ def check_gathered_trellis(cases: int, seed: int = 2036) -> None:
         bounds = trellis.bounds
         assert bounds.dtype.kind == "i" and bounds.tolist() == [
             sum(step < k for step, _, _ in layout) for k in range(count)]
-        assert trellis.factors.shape == (len(layout), len(model.components))
+        factors = edge_factors(trellis)
+        assert factors.shape == (len(layout), len(model.components))
         assert trellis.conditionals.shape == trellis.admissible.shape == (
             len(layout),)
         for e, (k, i, j) in enumerate(layout):
             a, b = assigned[k][i], assigned[k + 1][j]
-            factors = step_factors(a, b, model)
-            assert trellis.factors[e].tolist() == [
-                factors[c.id] for c in model.components]
+            expected = step_factors(a, b, model)
+            assert factors[e].tolist() == [
+                expected[c.id] for c in model.components]
             assert trellis.conditionals[e] == \
                 conditional_probability(a, b, model)
             assert trellis.admissible[e] == admissible_step(a, b, problem)
@@ -466,7 +468,9 @@ def check_revision_ranking_and_zeros(cases: int, seed: int = 2031) -> None:
             instants=(0, 1), modes=(np.zeros((2, 1), int),
                                     np.zeros((n, 1), int)),
             initials={"c": np.array([1.0])},
-            priors=np.array([1.0, 0.0]), factors=steps.reshape(-1, 1),
+            priors=np.array([1.0, 0.0]),
+            entries=(np.arange(2 * n, dtype=np.uint8),),
+            powers=(steps.ravel(),),
             conditionals=steps.ravel(), admissible=np.ones(2 * n, bool)),
             model)
         assert second.joints.tolist() == [*joints.tolist(), *[0.0] * n]

@@ -162,6 +162,17 @@ def step_factors(w_prev: ModeAssignment, w_next: ModeAssignment,
     }
 
 
+def edge_factors(trellis) -> np.ndarray:
+    """Every edge's per-component n-step entries as an edges x components
+    float64 array: row e, column c is ``trellis.powers[c]`` at
+    ``trellis.entries[c][e]``, the entry the trellis keeps for the edge."""
+    factors = np.empty((len(trellis.conditionals), len(trellis.entries)))
+    for c, (entries, powers) in enumerate(zip(trellis.entries,
+                                              trellis.powers)):
+        factors[:, c] = powers[entries]
+    return factors
+
+
 def conditional_probability(w_prev: ModeAssignment, w_next: ModeAssignment,
                             model: SystemModel) -> float:
     """P[next assignment | previous assignment] across a time gap: the

@@ -29,6 +29,7 @@ from conftest import SCENARIOS, WriteRecorder
 from propsuites import random_assignment, random_model
 from reference import (
     conditional_probability,
+    edge_factors,
     model_to_dict,
     prior_probability,
     step_factors,
@@ -1035,7 +1036,8 @@ class TestCanonicalWriter:
         distribution, posterior, mass factor or revised transition score,
         the priors, or the prior of a ranked trajectory. The engine reads
         the clean trellis; the poisoned one is only printed, and trellis
-        values go on an inadmissible edge. With a batch of one row, every
+        values go on an inadmissible edge (a factor on the table entry
+        that edge's index picks). With a batch of one row, every
         section is written a row at a time."""
         build, enumerate_, revise, rank = (tempdiag.cli.build_trellis,
                                            tempdiag.cli.enumerate_evolutions,
@@ -1049,17 +1051,18 @@ class TestCanonicalWriter:
             bounds = trellis.bounds
             k = len(bounds) - 2 if where == "last_conditional" else 0
             conditionals = trellis.conditionals.copy()
-            factors = trellis.factors.copy()
+            powers = list(trellis.powers)
             priors = trellis.priors.copy()
             e = bounds[k] + np.flatnonzero(
                 ~trellis.admissible[bounds[k]:bounds[k + 1]])[0]
             if where in ("conditional", "last_conditional"):
                 conditionals[e] = value
-            elif where == "factor":
-                factors[e, -1] = value
+            elif where == "factor":  # the edge's entry of the last table
+                powers[-1] = powers[-1].copy()
+                powers[-1][trellis.entries[-1][e]] = value
             elif where == "priors":
                 priors[-1] = value
-            return trellis._replace(factors=factors,
+            return trellis._replace(powers=tuple(powers),
                                     conditionals=conditionals,
                                     priors=priors)
 
@@ -1297,7 +1300,7 @@ class TestCanonicalWriter:
                 (i, j) for i in range(n) for j in range(m)]
             assert np.array_equal(
                 bits([[e["factors"][c] for c in ids] for e in edges]),
-                bits(trellis.factors[flat]))
+                bits(edge_factors(trellis)[flat]))
             assert np.array_equal(bits([e["conditional"] for e in edges]),
                                   bits(trellis.conditionals[flat]))
         rows = report["diagnoses"]
@@ -1356,6 +1359,48 @@ def test_simulate_leaves_numpy_random_unloaded():
     assert (code, after) == ("0", before)
     if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
         assert after == "False"
+
+
+def test_package_import_leaves_numpy_unloaded():
+    """``import tempdiag`` imports no numpy: each public name is imported
+    from its module when first read. Every name of ``__all__`` then
+    resolves to the object its module defines, and a name the package
+    does not have raises AttributeError."""
+    script = (
+        "import importlib, sys\n"
+        "import tempdiag\n"
+        "print('numpy' in sys.modules)\n"
+        "for name in tempdiag.__all__:\n"
+        "    module = importlib.import_module(\n"
+        "        'tempdiag.' + tempdiag._MODULES[name])\n"
+        "    assert getattr(tempdiag, name) is getattr(module, name), name\n"
+        "    assert name in vars(tempdiag), name\n"
+        "try:\n"
+        "    tempdiag.missing\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n")
+    done = child("-c", script, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == [
+        "False", "module 'tempdiag' has no attribute 'missing'"]
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_cli_sets_openblas_threads_unless_given(given, expected):
+    """Importing the command line sets ``OPENBLAS_NUM_THREADS`` to 1 before
+    numpy loads, unless the environment already sets it."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    done = subprocess.run(
+        [sys.executable, "-c", "import os, sys, tempdiag\n"
+         "assert 'numpy' not in sys.modules\n"
+         "import tempdiag.cli\n"
+         "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env={**env, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
+        capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == expected
 
 
 def test_import_leaves_networkx_unloaded():
@@ -1488,17 +1533,21 @@ def bench_cases(tmp_path_factory):
 @pytest.mark.parametrize("workload, case, code, digest", [
     ("dense", 0, 0,
      "74d639f143c0c1281bde6047dfb7831e286f48007b3e939bfb6f0950c8b470c8"),
+    ("dense", 1, 0,
+     "4698e894d3eaf760da86eaeba16886af000ffaef2d5ed4c814cee02ef8994b90"),
     ("wide", 0, 0,
      "2707082025649f532c71b70f6185ea16fa3f415b7b05adeb01b8ac5a417d74ad"),
     ("long", 2, 0,
      "297b89a74e356d9ac9b3cce6864e2627a795cffaabbac8b845d0f3bdaf86261d"),
     ("long", 5, 0,
      "ef05f4bebcc895875ab25d68d6712d1b83b2d8d274eeae56a6f1c1e06b46969e"),
-], ids=["dense0-revise", "wide0", "long450-diagnose-revise", "long1300-rank"])
+], ids=["dense0-revise", "dense1-per-component-revise", "wide0",
+        "long450-diagnose-revise", "long1300-rank"])
 def test_bench_reports_are_pinned(capsys, monkeypatch, bench_cases,
                                   workload, case, code, digest):
-    """The exit code and the stdout sha256 of four seed-7 bench cases: a
-    dense diagnose --revise, a wide diagnose, the 450-instant long
+    """The exit code and the stdout sha256 of five seed-7 bench cases: two
+    dense diagnose --revise (case 1 under ``--threshold-mode
+    per-component``), a wide diagnose, the 450-instant long
     diagnose --revise and the 1,300-instant long rank. Like the desk
     goldens, the digests pin every float bit for bit."""
     base, cases = bench_cases
@@ -1506,6 +1555,7 @@ def test_bench_reports_are_pinned(capsys, monkeypatch, bench_cases,
     argv = cases[workload][case]
     assert (argv[0], "--revise" in argv) == (
         ("rank", False) if case == 5 else ("diagnose", workload != "wide"))
+    assert ("per-component" in argv) == ((workload, case) == ("dense", 1))
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

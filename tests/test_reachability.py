@@ -22,6 +22,8 @@ PACKAGE = Path(tempdiag.__file__).resolve().parent
 
 #: The functions no run below reaches, each with the reason.
 UNREACHED = {
+    "__init__.__getattr__": "library only: the command line imports the "
+                            "modules, not the package's lazy names",
     "cli.run": "the process entry: the console script and python -m "
                "tempdiag.cli call it, not main",
     "cli._Parser.error": "argparse's exit on a usage error",

@@ -94,7 +94,8 @@ RECORDS = [
       "candidate_cap": DEFAULT_CANDIDATE_CAP}, True, {}),
     (Trellis, {"instants": (1,), "modes": (np.array([[1]]),),
                "initials": {"P": _array(0.0, 1.0)}, "priors": _array(1.0),
-               "factors": np.empty((0, 1)), "conditionals": _array(),
+               "entries": (np.empty(0, np.uint8),), "powers": (_array(),),
+               "conditionals": _array(),
                "admissible": np.array([], dtype=bool)}, {},
      False, {}),
     (Evolutions, {"times": (1,), "instants": np.array([[0]]),

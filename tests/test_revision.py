@@ -311,7 +311,8 @@ def test_single_trajectory_per_component_matches_global():
         trellis = Trellis(
             instants=(0, w1.t), modes=modes,
             initials=initials, priors=np.array([1.0]),
-            factors=np.array([[factors[c.id] for c in model.components]]),
+            entries=tuple(np.zeros(1, np.uint8) for _ in model.components),
+            powers=tuple(np.array([factors[c.id]]) for c in model.components),
             conditionals=np.array([conditional]),
             admissible=np.array([True]))
         _, second = revise_trellis(trellis, model)

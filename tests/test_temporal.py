@@ -50,6 +50,7 @@ from reference import (
     assignments,
     conditional_probability,
     decode,
+    edge_factors,
     forward_prefixes,
     joint_probability,
     prior_probability,
@@ -410,14 +411,14 @@ def test_trellis_arrays_equal_per_edge_definitions():
         for layer, modes in zip(layers, trellis.modes):
             assert [{c.id: c.modes[m] for c, m in zip(model.components, row)}
                     for row in modes.tolist()] == [w.as_dict() for w in layer]
-        bounds = trellis.bounds
+        bounds, factors = trellis.bounds, edge_factors(trellis)
         for k, (prev, nxt) in enumerate(zip(layers, layers[1:])):
             for i, a in enumerate(prev):
                 for j, b in enumerate(nxt):
                     e = bounds[k] + i * len(nxt) + j
-                    factors = step_factors(a, b, model)
-                    assert trellis.factors[e].tolist() == [
-                        factors[c.id] for c in model.components]
+                    expected = step_factors(a, b, model)
+                    assert factors[e].tolist() == [
+                        expected[c.id] for c in model.components]
                     assert trellis.conditionals[e] == \
                         conditional_probability(a, b, model)
                     assert trellis.admissible[e] == \
@@ -429,6 +430,53 @@ def test_trellis_arrays_equal_per_edge_definitions():
         done += 1
     assert seen >= {("gap", n) for n in range(1, 6)} | {
         ("admissible", True), ("admissible", False), ("multi", True)}
+
+
+@pytest.mark.parametrize("sizes, instants, dtypes", [
+    ((3, 3, 3, 3), (0, 2, 5, 6), ("u1",) * 4),  # dense's: 27 entries each
+    ((16, 2), (1, 2, 3), ("u1", "u1")),  # 256 entries: indices to 255
+    ((17, 1), (0, 4), ("u2", "u1")),  # 289 entries
+    ((8, 9), (0, 1, 3, 6, 10), ("u1", "u2")),  # 4 gaps: 256 and 324
+    ((2, 3), (5,), ("u1", "u1")),  # no step: empty tables
+], ids=["dense", "256", "289", "gaps", "no-step"])
+def test_trellis_keeps_narrow_indices_per_edge(sizes, instants, dtypes):
+    """Each component's edge indices have the narrowest unsigned dtype that
+    holds the indices of its table, its ``P^n`` of each distinct gap
+    stacked and flattened, and pick each edge's entry bit for bit; the
+    edge arrays total 9 bytes per edge plus one index per component."""
+    rng = np.random.default_rng(len(sizes) * 100 + sum(sizes))
+    model = SystemModel(tuple(
+        tempdiag.ComponentSpec(
+            id=f"c{ci}", modes=tuple(f"m{i}" for i in range(m)),
+            correct_mode="m0", matrix=rng.dirichlet(np.ones(m), size=m))
+        for ci, m in enumerate(sizes)), ())
+    layers = [np.stack([rng.integers(m, size=5) for m in sizes], axis=1)
+              for _ in instants]
+    trellis = trellis_from_layers(
+        model, instants, layers, resolve_initial_distributions(model))
+    gaps = sorted({b - a for a, b in zip(instants, instants[1:])})
+    steps, sources, targets = trellis.endpoints
+    edges = len(trellis.conditionals)
+    assert edges == 25 * (len(instants) - 1)
+    for ci, (c, dtype) in enumerate(zip(model.components, dtypes)):
+        entries, powers = trellis.entries[ci], trellis.powers[ci]
+        assert entries.dtype == np.dtype(dtype) == np.min_scalar_type(
+            max(powers.size - 1, 0))
+        assert entries.shape == (edges,)
+        assert powers.shape == (len(gaps) * len(c.modes) ** 2,)
+        for e, (k, i, j) in enumerate(zip(steps, sources, targets)):
+            n = instants[k + 1] - instants[k]
+            expected = np.linalg.matrix_power(c.matrix, n)[
+                layers[k][i, ci], layers[k + 1][j, ci]]
+            assert powers[entries[e]].view(np.int64) == expected.view(
+                np.int64)
+    per_edge = [trellis.conditionals, trellis.admissible, *trellis.entries]
+    assert sum(a.nbytes for a in per_edge) == edges * (
+        9 + sum(a.itemsize for a in trellis.entries))
+    # no other field holds an array per edge
+    assert tempdiag.Trellis._fields == (
+        "instants", "modes", "initials", "priors", "entries", "powers",
+        "conditionals", "admissible")
 
 
 #: Three observation patterns of the hydraulic system; the third has the
@@ -480,9 +528,13 @@ class TestSolveMemo:
         assert len(trellis.modes) == len(expected.modes)
         assert all(a.dtype == b.dtype and np.array_equal(a, b)
                    for a, b in zip(trellis.modes, expected.modes))
-        for name in ("factors", "conditionals", "admissible"):
-            got, want = getattr(trellis, name), getattr(expected, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert len(trellis.entries) == len(trellis.powers) == len(
+            hydraulic.components)
+        for got, want in [*zip(trellis.entries, expected.entries),
+                          *zip(trellis.powers, expected.powers),
+                          (trellis.conditionals, expected.conditionals),
+                          (trellis.admissible, expected.admissible)]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         assert np.array_equal(trellis.priors, expected.priors)
 
     def test_first_empty_instant_named(self, hydraulic, monkeypatch):
