@@ -262,7 +262,7 @@ def _revision_report(revision, model):
         "components": blocks,
         "evolutions": Rows({
             "joint": Column(revision.joints),
-            "path": Rows(Column(revision.path_indices),
+            "path": Rows(Column(revision.spelled),
                          np.repeat(at + 1, counts)),
             "revised_joint": Column(revision.revised_joints),
         }, counts),

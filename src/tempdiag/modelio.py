@@ -372,12 +372,13 @@ class Column:
     the ``Rows`` it sits in, taken in order from ``values``: numbers (an
     array of floats or ints, printed as ``texts`` formats them) or, given
     ``table`` (an object array of JSON texts, such as ``quote`` gives),
-    indices into it."""
+    indices into it. Ints may also be made as they are read: ``values``
+    need only have their ``dtype`` and slice into arrays, in order."""
 
     __slots__ = ("values", "table")
 
     def __init__(self, values: Any, table: np.ndarray | None = None):
-        self.values, self.table = np.asarray(values), table
+        self.values, self.table = values, table
 
     def __call__(self, out: list, nl: str) -> None:
         out.append((self, nl))  # a cell of the ``template`` being built

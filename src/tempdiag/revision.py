@@ -14,8 +14,13 @@ against them.
 ``revise_trellis`` computes both revisions over the trellis arrays and
 the forward pass's table: it makes every check first, and only then builds
 the revision of the whole stream, a ``StreamRevision`` of flat arrays with
-modes as indices. Its ``len``, indexing and iteration give each instant's
-``InstantRevision``, whose arrays are views of the flat ones.
+modes as indices. It keeps the paths as the table's back-pointers, a few
+numbers per path: ``temporal.SpelledPaths`` spells them as they are read,
+so nothing the revision holds grows with the square of the stream's
+length. Its ``len``, indexing and iteration give each instant's
+``InstantRevision``, whose arrays are views of the flat ones, apart from
+its paths, spelled when it is built (from the instant before, if that was
+the last one spelled).
 ``normalization_factor`` is the global revision's factor.
 """
 
@@ -32,7 +37,7 @@ import numpy as np
 from .errors import AllZeroJointsError, ZeroAdmittedMassError
 from .markov import matrix_powers
 from .model import SystemModel
-from .temporal import Trellis, forward_paths, spelled_paths
+from .temporal import SpelledPaths, Trellis, forward_paths
 
 
 def _total(values: Iterable[float]) -> float:
@@ -120,17 +125,19 @@ class StreamRevision(SimpleNamespace):
 
     ``instants`` are the time points and ``factors`` their normalization
     factors. The paths ending at instant k are rows ``paths[k]`` to
-    ``paths[k + 1]`` of ``joints`` and ``revised_joints``; ``path_indices``
-    (int32) holds their candidate indices, one |P| x (k + 1) block per
-    instant, row-major. The admissible edges into instant k are entries
-    ``edges[k]`` to ``edges[k + 1]`` of ``sources``, ``targets``,
-    ``conditionals`` and ``revised_conditionals``. ``components`` maps each
-    component id, in model order, to its ``ComponentStream``.
+    ``paths[k + 1]`` of ``joints`` and ``revised_joints``; ``spelled``, a
+    ``SpelledPaths`` of the forward pass's back-pointers, spells their
+    candidate indices as they are read. The admissible edges into instant
+    k are entries ``edges[k]`` to ``edges[k + 1]`` of ``sources``,
+    ``targets``, ``conditionals`` and ``revised_conditionals``.
+    ``components`` maps each component id, in model order, to its
+    ``ComponentStream``.
 
     It is a sequence of instants, so not a tuple of its fields: ``len``,
     indexing and iteration give each instant's ``InstantRevision``, built
-    on demand with views of these arrays. Fields are keywords, and it
-    compares and hashes by identity.
+    on demand with views of these arrays and its paths spelled by
+    ``spelled`` (so in order, each from the instant before). Fields are
+    keywords, and it compares and hashes by identity.
     """
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
@@ -142,7 +149,6 @@ class StreamRevision(SimpleNamespace):
         k = range(len(self))[k]  # from the end if negative; IndexError ends
         p, q = self.paths[k:k + 2].tolist()
         a, b = self.edges[k:k + 2].tolist()
-        cells = int(np.diff(self.paths[:k + 1]) @ np.arange(1, k + 1))
         components = {}
         for cid, c in self.components.items():
             i, j = np.searchsorted(c.admitted[:, 0], (k, k + 1)).tolist()
@@ -152,9 +158,7 @@ class StreamRevision(SimpleNamespace):
                 c.posteriors[k], c.transitions[u:v, 1:], c.entries[u:v],
                 c.revised_entries[u:v])
         return InstantRevision(
-            self.instants[k], self.factors[k].item(),
-            self.path_indices[cells:cells + (q - p) * (k + 1)].reshape(
-                q - p, k + 1),
+            self.instants[k], self.factors[k].item(), self.spelled.layer(k),
             self.joints[p:q], self.revised_joints[p:q], self.sources[a:b],
             self.targets[a:b], self.conditionals[a:b],
             self.revised_conditionals[a:b], components)
@@ -237,7 +241,7 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
 
     return StreamRevision(
         instants=trellis.instants, factors=norms,
-        paths=paths, path_indices=spelled_paths(paths, parents, candidates),
+        paths=paths, spelled=SpelledPaths(paths, parents, candidates),
         joints=joints, revised_joints=joints * np.repeat(norms, np.diff(paths)),
         # counted rather than searched: np.searchsorted's first call
         # touches 128 KB, a small run's whole margin of peak memory

@@ -28,14 +28,15 @@ and its candidate, so a path costs a few numbers, not its prefix. No other
 engine code computes a joint, and none outside this module follows a
 back-pointer: ``ranked_paths`` gathers the complete paths as mode-index
 arrays (``Evolutions``) and holds the only ranking rule, one
-``np.lexsort``, and ``spelled_paths`` writes every prefix out for
-revision. ``enumerate_evolutions`` serves a diagnostic problem and
-``rank_evolutions`` supplied trajectories; both return ``Evolutions``, the
-one form an evolution takes.
+``np.lexsort``, and ``SpelledPaths`` spells every prefix for revision as
+it is read, a layer from the one before. ``enumerate_evolutions`` serves
+a diagnostic problem and ``rank_evolutions`` supplied trajectories; both
+return ``Evolutions``, the one form an evolution takes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
@@ -324,21 +325,50 @@ def forward_paths(trellis: Trellis,
             np.array(candidates, dtype=np.intp), np.array(joints))
 
 
-def spelled_paths(starts: np.ndarray, parents: np.ndarray,
-                  candidates: np.ndarray) -> np.ndarray:
+class SpelledPaths:
     """Every path of a ``forward_paths`` table as int32 candidate indices:
-    layer k's as a |P_k| x (k + 1) block, row-major, after layer k - 1's."""
-    # int32 first: a cast in a gather or an assignment takes 128 KB buffers
-    candidates, bounds = candidates.astype(np.int32), starts.tolist()
-    sizes = [q - p for p, q in zip(bounds, bounds[1:])]
-    spelled = np.empty(sum(n * k for k, n in enumerate(sizes, 1)), np.int32)
-    prefixes, at = np.empty((1, 0), np.int32), 0  # what layer 0's -1s pick
-    for k, (p, q) in enumerate(zip(bounds, bounds[1:])):
-        block = spelled[at:at + (q - p) * (k + 1)].reshape(q - p, k + 1)
-        block[:, :k] = prefixes[parents[p:q] - bounds[max(k - 1, 0)]]
-        block[:, k] = candidates[p:q]
-        prefixes, at = block, at + block.size
-    return spelled
+    layer k's as a |P_k| x (k + 1) block, row-major, after layer k - 1's.
+    The cells are spelled as they are read, not held: ``layer(k)``, and a
+    slice ``[lo:hi]`` of the cells, spell each layer from the block of the
+    layer before, from layer 0 again when reading goes back. So reading in
+    order holds two layers' blocks at a time. A block is a new array,
+    never written once spelled."""
+
+    dtype = np.dtype(np.int32)
+
+    def __init__(self, starts: np.ndarray, parents: np.ndarray,
+                 candidates: np.ndarray):
+        # layer k's paths are entries starts[k + 1] to starts[k + 2] of
+        # this list, and their parents' layer starts at starts[k]: 0 for
+        # layer 0's -1s
+        self.starts = [0, *starts.tolist()]
+        self.parents, self.candidates = parents, candidates
+        #: the cells before each layer's block, then the number of cells
+        self.cells = np.cumsum([0, *np.diff(starts) * range(1, len(starts))]
+                               ).tolist()
+        self._k = len(starts)  # past the last layer: reads start at layer 0
+
+    def layer(self, k: int) -> np.ndarray:
+        """Layer k's |P_k| x (k + 1) block."""
+        if k < self._k:  # what layer 0's -1s pick
+            self._k, self._block = -1, np.empty((1, 0), np.int32)
+        for j in range(self._k + 1, k + 1):
+            a, p, q = self.starts[j:j + 3]
+            block = np.empty((q - p, j + 1), np.int32)
+            block[:, :j] = self._block[self.parents[p:q] - a]
+            # int32 first: a cast in an assignment takes 128 KB buffers
+            block[:, j] = self.candidates[p:q].astype(np.int32)
+            self._k, self._block = j, block
+        return self._block
+
+    def __getitem__(self, cells: slice) -> np.ndarray:
+        """Cells ``cells.start`` to ``cells.stop`` of all the blocks."""
+        lo, hi, at = cells.start, cells.stop, self.cells
+        parts = [self.layer(k).ravel()[max(lo - at[k], 0):hi - at[k]]
+                 for k in range(bisect_right(at, lo) - 1, bisect_left(at, hi))]
+        # a view of one block, which is never written again
+        return parts[0] if len(parts) == 1 else np.concatenate(
+            [np.empty(0, np.int32), *parts])
 
 
 class Evolutions(NamedTuple):

@@ -8,7 +8,9 @@ properties get exercised off the happy path.
 
 from __future__ import annotations
 
+import io
 import itertools
+import json
 
 import numpy as np
 
@@ -42,8 +44,11 @@ from tempdiag.errors import (
     NonIncreasingInstantsError,
     ZeroAdmittedMassError,
 )
+from tempdiag import modelio
+from tempdiag.cli import _revision_report
 from tempdiag.markov import ABSORBING_TOL
-from tempdiag.temporal import trellis_from_layers
+from tempdiag.modelio import write_report
+from tempdiag.temporal import SpelledPaths, forward_paths, trellis_from_layers
 
 from reference import (
     Diagnosis,
@@ -65,6 +70,7 @@ from reference import (
     revise_transition,
     sojourn_pmf,
     step_factors,
+    walked_path,
 )
 
 
@@ -621,6 +627,47 @@ def check_revision_matches_definitions(cases: int, seed: int = 2034) -> None:
         gaps.update(np.diff(trellis.instants).tolist())
     assert len(seen) == 4 and gaps == {1, 2, 3, 4, 5}
     assert summed and revised >= cases // 2
+
+
+def check_revision_paths_spelled(cases: int, seed: int = 2037) -> None:
+    """The ``path`` rows of a report's revision section are the forward
+    pass's paths, each walked back along its back-pointers
+    (``walked_path``), instant by instant, at ``_SPAN`` 1, 7, 64 and its
+    default: the writer spells them a read at a time, and a read may take
+    cells of several layers. Some read takes three layers or more of two
+    paths or more each."""
+    rng = np.random.default_rng(seed)
+    read, default, crossed = SpelledPaths.__getitem__, modelio._SPAN, []
+
+    def counted(spelled, cells):
+        # the paths of each layer whose block the read takes cells of
+        ends = np.array(spelled.cells)
+        sizes = (np.diff(ends) // np.arange(1, len(ends)))[
+            (ends[:-1] < cells.stop) & (ends[1:] > cells.start)]
+        crossed.append(len(sizes) >= 3 and min(sizes) >= 2)
+        return read(spelled, cells)
+
+    SpelledPaths.__getitem__ = counted
+    try:
+        for _ in range(cases):
+            problem = _revision_problem(rng)
+            trellis = build_trellis(problem)
+            table = starts, parents, candidates, _ = forward_paths(trellis)
+            try:
+                revision = revise_trellis(trellis, problem.model, table)
+            except (AllZeroJointsError, ZeroAdmittedMassError):
+                continue
+            expected = [[walked_path(parents, candidates, entry)
+                         for entry in range(p, q)]
+                        for p, q in zip(starts, starts[1:])]
+            for span in (1, 7, 64, default):
+                modelio._SPAN, out = span, io.StringIO()
+                write_report(_revision_report(revision, problem.model), out)
+                assert [[e["path"] for e in r["evolutions"]] for r in
+                        json.loads(out.getvalue())] == expected
+    finally:
+        SpelledPaths.__getitem__, modelio._SPAN = read, default
+    assert any(crossed)
 
 
 def check_rank_matches_diagnose(cases: int, seed: int = 2035) -> None:

@@ -15,8 +15,8 @@ turns ``Evolutions`` into ``Diagnosis`` rows, so the suites compare whole
 trajectories with ``==``, ``named_revision`` gives a
 ``ComponentRevision``'s admitted modes and revised transitions by name,
 and ``forward_prefixes`` spells out the paths the forward pass's
-back-pointers point to, by its own concatenation rather than
-``spelled_paths``.
+back-pointers point to, walking each one (``walked_path``) rather than
+spelling a layer from the one before as ``SpelledPaths`` does.
 
 Two helpers stand outside the engine: ``model_to_dict`` writes a model in
 the input file format, and ``empirical_transition_matrix`` estimates the
@@ -300,18 +300,28 @@ def named_revision(component: ComponentSpec, revision: ComponentRevision,
                 revision.revised_entries.tolist()))))
 
 
+def walked_path(parents: np.ndarray, candidates: np.ndarray,
+                entry: int) -> list[int]:
+    """The candidate indices of the path at ``entry`` of a
+    ``forward_paths`` table, from layer 0 on: its back-pointers followed
+    one at a time down to layer 0's -1."""
+    path = []
+    while entry >= 0:
+        path.append(int(candidates[entry]))
+        entry = int(parents[entry])
+    return path[::-1]
+
+
 def forward_prefixes(trellis: Trellis,
                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The table ``forward_paths`` returns with each layer's back-pointers
-    spelled out: per layer k, a |P| x (k + 1) array of the candidate
-    indices of each path and the paths' joints."""
+    walked (``walked_path``): per layer k, a |P| x (k + 1) array of the
+    candidate indices of each path and the paths' joints."""
     starts, parents, candidates, joints = forward_paths(trellis)
-    paths = np.empty((1, 0), dtype=int)  # what layer 0's -1 picks
-    # layer k's parents are entries of layer k - 1, from starts[k - 1]
-    for p, q, previous in zip(starts, starts[1:], [0, *starts]):
-        paths = np.concatenate((paths[parents[p:q] - previous],
-                                candidates[p:q, None]), axis=1)
-        yield paths, joints[p:q]
+    for k, (p, q) in enumerate(zip(starts, starts[1:])):
+        yield np.array([walked_path(parents, candidates, entry)
+                        for entry in range(p, q)], dtype=int).reshape(
+                            q - p, k + 1), joints[p:q]
 
 
 def model_to_dict(model: SystemModel) -> dict:

@@ -221,7 +221,7 @@ class TestCanonicalReports:
         report = {"rows": [row] * 3, "ints": [7] * 4, "zeros": [-0.0] * 2}
         assert encode(report) == json.dumps(
             report, indent=2, sort_keys=True) + "\n"
-        assert encode([table(Column([1.5]), 1)] * 2) == json.dumps(
+        assert encode([table(Column(np.array([1.5])), 1)] * 2) == json.dumps(
             [[1.5], [1.5]], indent=2) + "\n"
 
     def test_sorted_keys_and_newline(self):
@@ -273,7 +273,7 @@ class TestCanonicalReports:
         values = np.array([[i / 7, -i / 3] for i in range(3000)])
         section = table([Column(values[:, 0]), Column(values[:, 1])],
                         len(values))
-        empty = table([Column([]), Column([])], 0)
+        empty = table([Column(np.empty(0)), Column(np.empty(0))], 0)
         stream = WriteRecorder()
         write_report({"a": section, "b": [1, {"c": empty}], "d": section},
                      stream)
@@ -295,14 +295,14 @@ class TestCanonicalReports:
             return texts_(values)
 
         monkeypatch.setattr(modelio, "texts", recorded)
-        report = {"a": [1.5], "b": table(Column([0.5]), 1),
-                  "c": table({"d": Column([0.25])}, 1)}
+        report = {"a": [1.5], "b": table(Column(np.array([0.5])), 1),
+                  "c": table({"d": Column(np.array([0.25]))}, 1)}
         write_report(report, stream)
         assert stream.getvalue() == json.dumps(
             {"a": [1.5], "b": [0.5], "c": [{"d": 0.25}]}, indent=2) + "\n"
         assert 0 < rendered[0] < rendered[1] < len(stream.writes)
         rendered.clear()
-        report["e"] = table(Rows(Column([0.5, np.nan]), [2]), 1)
+        report["e"] = table(Rows(Column(np.array([0.5, np.nan])), [2]), 1)
         with pytest.raises(ValueError):
             write_report(report, WriteRecorder())
         assert rendered == []

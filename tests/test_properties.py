@@ -12,6 +12,7 @@ from propsuites import (
     check_power_stochasticity,
     check_rank_matches_diagnose,
     check_revision_matches_definitions,
+    check_revision_paths_spelled,
     check_revision_ranking_and_zeros,
     check_threshold_monotonicity,
     check_trellis_vs_bruteforce,
@@ -58,6 +59,10 @@ def test_revision_preserves_ranking_and_zeros():
 
 def test_revision_matches_definitions():
     check_revision_matches_definitions(CASES)
+
+
+def test_revision_paths_spelled_at_every_span():
+    check_revision_paths_spelled(CASES)
 
 
 def test_rank_matches_diagnose():

@@ -30,6 +30,7 @@ from reference import (
     posterior_component_distribution,
     prior_probability,
     step_factors,
+    walked_path,
 )
 
 PI_C_1 = (0.0, 1 / 10, 9 / 10)
@@ -229,7 +230,9 @@ class TestReviseTrellis:
     def test_stream_is_a_sequence_of_instant_views(self, occlusion_problem):
         """``len``, indexing (from the end too) and iteration give one
         ``InstantRevision`` per instant, whose arrays are views of the
-        whole stream's; an index past either end raises IndexError."""
+        whole stream's, apart from its paths: those it spells from the
+        stream's back-pointers when asked, as the reference walks them.
+        An index past either end raises IndexError."""
         trellis = build_trellis(occlusion_problem)
         revision = revise_trellis(trellis, occlusion_problem.model)
         assert type(revision) is StreamRevision
@@ -241,17 +244,23 @@ class TestReviseTrellis:
         for k in (2, -3):
             with pytest.raises(IndexError):
                 revision[k]
-        assert revision.path_indices.dtype == np.int32
-        assert revision.path_indices.tolist() == [0, 1, 2, 0, 0, 1, 0, 2, 0]
-        pump = second.components["P"]
-        for view, flat in ((second.path_indices, revision.path_indices),
-                           (second.joints, revision.joints),
-                           (second.revised_conditionals,
-                            revision.revised_conditionals),
-                           (pump.posterior,
-                            revision.components["P"].posteriors),
-                           (pump.transitions,
-                            revision.components["P"].transitions)):
+        spelled = revision.spelled
+        for rev, (p, q) in zip(revision, zip(revision.paths,
+                                             revision.paths[1:])):
+            assert rev.path_indices.dtype == np.int32
+            assert rev.path_indices.tolist() == [
+                walked_path(spelled.parents, spelled.candidates, entry)
+                for entry in range(p, q)]
+        fields = ("joints", "revised_joints", "sources", "targets",
+                  "conditionals", "revised_conditionals")
+        pairs = [(getattr(second, f), getattr(revision, f)) for f in fields]
+        for c in occlusion_problem.model.components:
+            # ComponentRevision's fields, in ComponentStream's order
+            pairs += [pair for pair in zip(second.components[c.id],
+                                           revision.components[c.id])
+                      if type(pair[0]) is np.ndarray]
+        assert len(pairs) == len(fields) + 2 * 6
+        for view, flat in pairs:
             assert len(view) and np.shares_memory(view, flat)
 
     def test_underflow_raises_without_holding_prefixes(self):

@@ -33,8 +33,8 @@ from tempdiag.errors import (
     ValidationError,
 )
 from tempdiag.temporal import (
+    SpelledPaths,
     forward_paths,
-    spelled_paths,
     trellis_from_layers,
 )
 
@@ -363,9 +363,13 @@ class TestForwardTable:
             among = parents[starts[k]:starts[k + 1]]
             assert np.all((starts[k - 1] <= among) & (among < starts[k]))
         prefixes = list(forward_prefixes(trellis))
-        assert spelled_paths(starts, parents, candidates).tolist() == [
+        spelled = SpelledPaths(starts, parents, candidates)
+        assert spelled[0:spelled.cells[-1]].dtype == spelled.dtype == np.int32
+        assert spelled[0:spelled.cells[-1]].tolist() == [
             cell for paths, _ in prefixes for cell in paths.ravel().tolist()]
-        assert spelled_paths(starts, parents, candidates).dtype == np.int32
+        # read again from layer 0, one layer at a time
+        assert [spelled.layer(k).tolist() for k in range(len(prefixes))] == [
+            paths.tolist() for paths, _ in prefixes]
         return starts
 
     def test_branching_layers(self, occlusion_problem):
