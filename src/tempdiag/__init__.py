@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 #: Each public name by the module that defines it. ``import tempdiag``
 #: imports none of them, and so no numpy, until one is first read.
 _MODULES = {
-    "ComponentRevision": "revision",
     "ComponentSpec": "model",
     "ComponentStream": "revision",
     "DiagnosisError": "errors",

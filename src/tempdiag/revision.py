@@ -30,7 +30,7 @@ import math
 import operator
 from functools import reduce
 from types import SimpleNamespace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,28 +63,10 @@ def normalization_factor(joints: Sequence[float]) -> float:
     return factor
 
 
-class ComponentRevision(NamedTuple):
-    """Per-component revision data at one instant. Modes are indices into
-    the component's declared modes, and the distributions are arrays over
-    them."""
-
-    distribution: np.ndarray
-    #: the modes some candidate at this instant assigns, ascending
-    admitted: np.ndarray
-    factor: float
-    posterior: np.ndarray
-    #: each mode step used by an admissible trellis edge into this instant,
-    #: as a |T| x 2 array of (from, to) modes ascending by from, then to
-    transitions: np.ndarray
-    #: each step's raw n-step entry and revised score
-    entries: np.ndarray
-    revised_entries: np.ndarray
-
-
 class InstantRevision(NamedTuple):
-    """Revision of everything the trellis knows at one instant, as arrays:
-    the joints over the forward pass's paths ending here, the scores over
-    the admissible edges into here (none at the first instant)."""
+    """The global revision at one instant, as arrays: the joints over the
+    forward pass's paths ending here, the scores over the admissible edges
+    into here (none at the first instant)."""
 
     t: int
     factor: float
@@ -100,16 +82,16 @@ class InstantRevision(NamedTuple):
     #: each admissible edge's raw conditional and revised score
     conditionals: np.ndarray
     revised_conditionals: np.ndarray
-    components: Mapping[str, ComponentRevision]
 
 
 class ComponentStream(NamedTuple):
-    """A component's revision at every instant: ``ComponentRevision``'s
-    fields over the whole stream. ``distributions`` and ``posteriors`` are
-    (instants x modes) arrays and ``factors`` has one entry per instant.
-    ``admitted`` (|A| x 2) and ``transitions`` (|T| x 3) put each row's
-    instant first, ascending, then the instant's ``ComponentRevision``
-    columns; ``entries`` and ``revised_entries`` follow ``transitions``."""
+    """A component's revision at every instant, modes as indices into its
+    declared modes. ``distributions`` (``pi0 . P^t``) and ``posteriors``
+    are (instants x modes) arrays and ``factors`` has one entry per
+    instant. ``admitted`` (|A| x 2: instant, mode) and ``transitions``
+    (|T| x 3: instant, from, to, the steps of the admissible edges into
+    the instant) are ascending rows; each step's raw n-step entry and
+    revised score are in ``entries`` and ``revised_entries``."""
 
     distributions: np.ndarray
     admitted: np.ndarray
@@ -149,19 +131,11 @@ class StreamRevision(SimpleNamespace):
         k = range(len(self))[k]  # from the end if negative; IndexError ends
         p, q = self.paths[k:k + 2].tolist()
         a, b = self.edges[k:k + 2].tolist()
-        components = {}
-        for cid, c in self.components.items():
-            i, j = np.searchsorted(c.admitted[:, 0], (k, k + 1)).tolist()
-            u, v = np.searchsorted(c.transitions[:, 0], (k, k + 1)).tolist()
-            components[cid] = ComponentRevision(
-                c.distributions[k], c.admitted[i:j, 1], c.factors[k].item(),
-                c.posteriors[k], c.transitions[u:v, 1:], c.entries[u:v],
-                c.revised_entries[u:v])
         return InstantRevision(
             self.instants[k], self.factors[k].item(), self.spelled.layer(k),
             self.joints[p:q], self.revised_joints[p:q], self.sources[a:b],
             self.targets[a:b], self.conditionals[a:b],
-            self.revised_conditionals[a:b], components)
+            self.revised_conditionals[a:b])
 
 
 def revise_trellis(trellis: Trellis, model: SystemModel,

@@ -56,6 +56,7 @@ from reference import (
     assignments,
     classify_states,
     component_mass_factor,
+    component_revision,
     conditional_probability,
     decode,
     edge_factors,
@@ -599,8 +600,10 @@ def check_revision_matches_definitions(cases: int, seed: int = 2034) -> None:
             assert (type(exc), str(exc)) == (type(expected), str(expected))
             continue
         assert isinstance(expected, list) and len(actual) == len(expected)
-        for rev, (t, paths, joints, factor, revised_joints,
-                  revised_conditionals, components) in zip(actual, expected):
+        assert list(actual.components) == [c.id for c in model.components]
+        for k, (rev, (t, paths, joints, factor, revised_joints,
+                      revised_conditionals, components)) in enumerate(
+                          zip(actual, expected)):
             assert (rev.t, rev.path_indices.tolist(), rev.joints.tolist()) == (
                 t, paths, list(joints))
             assert rev.factor == factor
@@ -609,17 +612,15 @@ def check_revision_matches_definitions(cases: int, seed: int = 2034) -> None:
                              rev.conditionals.tolist(),
                              rev.revised_conditionals.tolist())
                          ) == revised_conditionals
-            assert list(rev.components) == [c.id for c in model.components]
             for c in model.components:
-                cr = rev.components[c.id]
+                cr = component_revision(actual, k, c.id)
+                distribution, indices, f, posterior, steps, *_ = cr
                 admitted, transitions = named_revision(c, cr)
-                assert (cr.distribution.tolist(), admitted, cr.factor,
-                        cr.posterior.tolist(),
-                        transitions) == components[c.id]
+                assert (distribution.tolist(), admitted, f,
+                        posterior.tolist(), transitions) == components[c.id]
                 # index arrays in the documented order
-                assert cr.admitted.tolist() == sorted(cr.admitted.tolist())
-                assert cr.transitions.tolist() == sorted(
-                    cr.transitions.tolist())
+                assert indices.tolist() == sorted(indices.tolist())
+                assert steps.tolist() == sorted(steps.tolist())
                 summed |= len(admitted) > 2 and list(admitted) != [
                     m for m in c.modes if m in admitted]
         revised += 1

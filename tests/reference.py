@@ -9,14 +9,15 @@ per-component revision and revised transition score. The engine computes
 all of them over mode-index arrays; the property suites and unit tests
 check it against these, bit for bit where the arithmetic is the same.
 
-Four bridges read the engine's arrays back as objects: ``assignments``
+Five bridges read the engine's arrays back as objects: ``assignments``
 turns a mode-index array into ``ModeAssignment`` objects, ``decode``
 turns ``Evolutions`` into ``Diagnosis`` rows, so the suites compare whole
-trajectories with ``==``, ``named_revision`` gives a
-``ComponentRevision``'s admitted modes and revised transitions by name,
-and ``forward_prefixes`` spells out the paths the forward pass's
-back-pointers point to, walking each one (``walked_path``) rather than
-spelling a layer from the one before as ``SpelledPaths`` does.
+trajectories with ``==``, ``component_revision`` slices one instant out of
+a component's ``ComponentStream``, ``named_revision`` gives its admitted
+modes and revised transitions by name, and ``forward_prefixes`` spells
+out the paths the forward pass's back-pointers point to, walking each one
+(``walked_path``) rather than spelling a layer from the one before as
+``SpelledPaths`` does.
 
 Two helpers stand outside the engine: ``model_to_dict`` writes a model in
 the input file format, and ``empirical_transition_matrix`` estimates the
@@ -40,15 +41,15 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from tempdiag import (
-    ComponentRevision,
     ComponentSpec,
     DiagnosticProblem,
     Evolutions,
     ExplanationCriterion,
     ModeAssignment,
     SampledTrajectory,
-    SystemModel,
     StateClassification,
+    StreamRevision,
+    SystemModel,
     ThresholdMode,
     normalization_factor,
     predicted_manifestations,
@@ -289,15 +290,29 @@ def decode(model: SystemModel, evolutions: Evolutions) -> list[Diagnosis]:
             evolutions.joints.tolist(), evolutions.lengths.tolist())]
 
 
-def named_revision(component: ComponentSpec, revision: ComponentRevision,
+def component_revision(revision: StreamRevision, k: int, cid: str) -> tuple:
+    """Component ``cid``'s revision at instant ``k``, as views of its
+    ``ComponentStream``'s rows: its distribution, admitted modes (ascending),
+    factor, posterior, transitions (a |T| x 2 array of (from, to) modes,
+    ascending), and the transitions' entries and revised scores."""
+    c = revision.components[cid]
+    i, j = np.searchsorted(c.admitted[:, 0], (k, k + 1)).tolist()
+    u, v = np.searchsorted(c.transitions[:, 0], (k, k + 1)).tolist()
+    return (c.distributions[k], c.admitted[i:j, 1], c.factors[k].item(),
+            c.posteriors[k], c.transitions[u:v, 1:], c.entries[u:v],
+            c.revised_entries[u:v])
+
+
+def named_revision(component: ComponentSpec, revision: tuple,
                    ) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
-    """A component revision's admitted modes and its revised transitions,
-    ``(from, to, n-step entry, revised score)``, by mode name and sorted."""
+    """A ``component_revision``'s admitted modes and its revised
+    transitions, ``(from, to, n-step entry, revised score)``, by mode name
+    and sorted."""
     names = component.modes
-    return (tuple(sorted(names[i] for i in revision.admitted.tolist())),
+    _, admitted, _, _, transitions, entries, revised = revision
+    return (tuple(sorted(names[i] for i in admitted.tolist())),
             tuple(sorted((names[a], names[b], p, r) for (a, b), p, r in zip(
-                revision.transitions.tolist(), revision.entries.tolist(),
-                revision.revised_entries.tolist()))))
+                transitions.tolist(), entries.tolist(), revised.tolist()))))
 
 
 def walked_path(parents: np.ndarray, candidates: np.ndarray,

@@ -38,6 +38,7 @@ from propsuites import (
 )
 from reference import (
     classify_states,
+    component_revision,
     empirical_transition_matrix,
     named_revision,
     propagate_distribution,
@@ -137,7 +138,8 @@ def test_criterion_4_revision(occlusion_problem):
     component factors 10/9 and 15/7; revised transitions 6/7 and 1."""
     with criterion(4, "revision factors and scores"):
         trellis = build_trellis(occlusion_problem)
-        _, second = revise_trellis(trellis, occlusion_problem.model)
+        revision = revise_trellis(trellis, occlusion_problem.model)
+        _, second = revision
 
         assert second.factor == pytest.approx(50 / 21, abs=1e-12)
         revised = sorted(second.revised_conditionals.tolist())
@@ -150,18 +152,18 @@ def test_criterion_4_revision(occlusion_problem):
             sorted(zip(second.conditionals, second.revised_conditionals)),
             [(0, 0), (9 / 25, 6 / 7), (9 / 10, 15 / 7)], atol=1e-12)
 
-        f_c = second.components["C"].factor
-        f_p = second.components["P"].factor
+        pump, container = (component_revision(revision, 1, cid)
+                           for cid in ("P", "C"))
+        f_c, f_p = container[2], pump[2]
         assert f_c == pytest.approx(10 / 9, abs=1e-12)
         assert f_p == pytest.approx(15 / 7, abs=1e-12)
         components = {c.id: c for c in occlusion_problem.model.components}
-        _, transitions = named_revision(components["P"],
-                                        second.components["P"])
+        _, transitions = named_revision(components["P"], pump)
         scores = {(a, b): (p, r) for a, b, p, r in transitions}
         p, r = scores["partially_occluded", "occluded"]
         assert p == pytest.approx(2 / 5, abs=1e-12)
         assert r == pytest.approx(6 / 7, abs=1e-12)
-        _, (step,) = named_revision(components["C"], second.components["C"])
+        _, (step,) = named_revision(components["C"], container)
         assert step[:2] == ("correct", "correct")
         assert step[2] == pytest.approx(9 / 10, abs=1e-12)
         assert step[3] == pytest.approx(1.0, abs=1e-12)

@@ -1607,3 +1607,31 @@ def test_revision_memory_linear_in_instants(capsys, monkeypatch, bench_cases):
     assert [len(revision) for revision in revisions] == [100, 450]
     short, long = (size(vars(revision)) for revision in revisions)
     assert long / short < 5
+
+
+def test_tracer_path_count_is_the_joint_count(monkeypatch, tmp_path):
+    """The benchmark's tracer counts ``revision.paths_expanded`` as the
+    rows of every instant's ``path_indices``, iterating each revision. On
+    every dense case of bench/gen.py at seed 1 that count is the
+    revision's number of joints, and the whole workload reads 16,666, the
+    count its traced run is checked against."""
+    child(str(ROOT / "bench" / "gen.py"), "--workload", "dense", "--seed",
+          "1", "--out", "dense", cwd=tmp_path, check=True,
+          capture_output=True)
+    monkeypatch.chdir(tmp_path)
+    revisions, revise = [], tempdiag.cli.revise_trellis
+
+    def kept(*args):
+        revisions.append(revise(*args))
+        return revisions[-1]
+
+    monkeypatch.setattr(tempdiag.cli, "revise_trellis", kept)
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        for case in json.loads((tmp_path / "dense" / "cases.json"
+                                ).read_text()):
+            assert main(case["argv"]) == 0, case["argv"]
+    counts = [sum(len(r.path_indices) for r in revision)
+              for revision in revisions]
+    assert counts == [len(revision.joints) for revision in revisions]
+    assert sum(counts) == 16666

@@ -1,7 +1,7 @@
 """Every function in the package is reached by running the command line,
 apart from a short written list: a function that only tests call belongs
-in the tests. Every private module constant is read: one that nothing
-reads belongs nowhere."""
+in the tests. Every private module constant is read, and every name a
+module imports: one that nothing reads belongs nowhere."""
 
 import ast
 import contextlib
@@ -43,9 +43,10 @@ UNREACHED = {
                                          "of a ZeroAdmittedMassError",
     "revision.StreamRevision.__getitem__": "one instant's revision: the "
                                            "report reads the flat arrays; "
-                                           "the benchmark's tracer and "
-                                           "library callers index or "
-                                           "iterate",
+                                           "kept for the benchmark's "
+                                           "tracer, which iterates it, and "
+                                           "for library callers, until the "
+                                           "tracer counts the joints",
 }
 
 
@@ -134,4 +135,29 @@ def test_every_private_constant_is_read():
                             for alias in node.names)
     assert assigned
     unread = [".".join(name) for name in assigned if name not in read]
+    assert not unread, unread
+
+
+def test_every_import_is_read():
+    """Each name a package module imports at its top level (``import x``,
+    ``import x as y``, ``from x import y``; not ``from __future__``) is
+    read by name somewhere in that module."""
+    imported, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported += [(module, (alias.asname or alias.name
+                                       ).partition(".")[0])
+                             for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                imported += [(module, alias.asname or alias.name)
+                             for alias in node.names]
+        read.update((module, node.id) for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load))
+    assert imported
+    unread = [".".join(name) for name in imported if name not in read]
     assert not unread, unread

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from tempdiag import (
-    ComponentRevision,
     ComponentSpec,
     ComponentStream,
     DiagnosticProblem,
@@ -47,11 +46,6 @@ STATES = StateClassification({"ok": StateLabel.TRANSIENT,
                               "bad": StateLabel.ABSORBING},
                              (("bad",),), (("ok",),))
 FAULT = FaultClass(True, False, False)
-REVISION_FIELDS = {"distribution": _array(0.9, 0.1), "admitted": np.array([1]),
-                   "factor": 10.0, "posterior": _array(0.0, 1.0),
-                   "transitions": np.array([[0, 1]]), "entries": _array(0.1),
-                   "revised_entries": _array(1.0)}
-REVISION = ComponentRevision(**REVISION_FIELDS)
 
 #: Per record: its fields with a value each, in declared order, its
 #: defaults, whether it compares by value (else by identity), and field
@@ -102,7 +96,6 @@ RECORDS = [
                   "modes": np.array([[[1]]]), "priors": _array(1.0),
                   "steps": np.empty((1, 0)), "joints": _array(1.0)}, {},
      False, {}),
-    (ComponentRevision, REVISION_FIELDS, {}, True, {}),
     (ComponentStream, {"distributions": _array(0.9, 0.1).reshape(1, 2),
                        "admitted": np.array([[0, 1]]),
                        "factors": _array(10.0),
@@ -114,8 +107,8 @@ RECORDS = [
                        "joints": _array(0.5), "revised_joints": _array(1.0),
                        "sources": np.array([], dtype=int),
                        "targets": np.array([], dtype=int),
-                       "conditionals": _array(), "revised_conditionals":
-                       _array(), "components": {"P": REVISION}}, {}, True, {}),
+                       "conditionals": _array(),
+                       "revised_conditionals": _array()}, {}, True, {}),
     (SampledTrajectory, {"seed": 3, "horizon": 2,
                          "modes": {"P": ("ok", "ok", "bad")}}, {}, True, {}),
 ]

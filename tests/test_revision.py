@@ -26,6 +26,7 @@ from tempdiag.temporal import trellis_from_layers
 from propsuites import random_assignment, random_model
 from reference import (
     component_mass_factor,
+    component_revision,
     named_revision,
     posterior_component_distribution,
     prior_probability,
@@ -121,9 +122,9 @@ class TestReviseTransition:
     the component's mass factor at the target instant."""
 
     def scores(self, problem):
-        _, second = revise_trellis(build_trellis(problem), problem.model)
+        revision = revise_trellis(build_trellis(problem), problem.model)
         return {c.id: {(a, b): (p, r) for a, b, p, r in named_revision(
-                    c, second.components[c.id])[1]}
+                    c, component_revision(revision, 1, c.id))[1]}
                 for c in problem.model.components}
 
     def test_pump_progression_score(self, occlusion_problem):
@@ -146,9 +147,9 @@ class TestReviseTransition:
         trellis = trellis_from_layers(
             model, [0, 1], [np.array([[0]]), np.array([[0], [1]])],
             {"x": np.array([1.0, 0.0])})
-        _, second = revise_trellis(trellis, model)
-        assert second.components["x"].factor == 1.0
-        assert named_revision(component, second.components["x"])[1] == (
+        second = component_revision(revise_trellis(trellis, model), 1, "x")
+        assert second[2] == 1.0  # the factor
+        assert named_revision(component, second)[1] == (
             ("a", "a", 0.37, 0.37), ("a", "b", 0.63, 0.63))
 
     def test_mass_summed_left_to_right(self):
@@ -160,8 +161,9 @@ class TestReviseTransition:
         trellis = trellis_from_layers(
             model, [0], [np.array([[0], [1], [2]])],
             {"x": np.array([1.0, 1e-16, 1e-16])})
-        (only,) = revise_trellis(trellis, model)
-        assert only.components["x"].factor == 1.0
+        revision = revise_trellis(trellis, model)
+        assert len(revision) == 1
+        assert component_revision(revision, 0, "x")[2] == 1.0  # the factor
 
 
 class TestPosteriorDistribution:
@@ -194,7 +196,8 @@ class TestPosteriorDistribution:
 class TestReviseTrellis:
     def test_occlusion_pipeline(self, occlusion_problem):
         trellis = build_trellis(occlusion_problem)
-        first, second = revise_trellis(trellis, occlusion_problem.model)
+        revision = revise_trellis(trellis, occlusion_problem.model)
+        first, second = revision
 
         assert first.t == 0
         assert first.factor == pytest.approx(1.0, abs=1e-12)
@@ -209,23 +212,23 @@ class TestReviseTrellis:
         np.testing.assert_allclose(revised, [0, 6 / 7, 15 / 7], atol=1e-12)
 
         pump, container = occlusion_problem.model.components
-        pump_rev = second.components["P"]
-        np.testing.assert_allclose(pump_rev.distribution,
-                                   PI_P_1, atol=1e-12)
+        pump_rev = component_revision(revision, 1, "P")
+        distribution, _, factor, *_ = pump_rev
+        np.testing.assert_allclose(distribution, PI_P_1, atol=1e-12)
         admitted, transitions = named_revision(pump, pump_rev)
         assert admitted == ("occluded",)
-        assert pump_rev.factor == pytest.approx(15 / 7, abs=1e-12)
+        assert factor == pytest.approx(15 / 7, abs=1e-12)
         scores = {(a, b): r for a, b, _, r in transitions}
         assert scores[("partially_occluded", "occluded")] == \
             pytest.approx(6 / 7, abs=1e-12)
 
-        container_rev = second.components["C"]
-        assert container_rev.factor == pytest.approx(10 / 9, abs=1e-12)
+        container_rev = component_revision(revision, 1, "C")
+        _, _, factor, posterior, *_ = container_rev
+        assert factor == pytest.approx(10 / 9, abs=1e-12)
         scores = {(a, b): r for a, b, _, r in named_revision(
             container, container_rev)[1]}
         assert scores[("correct", "correct")] == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(
-            container_rev.posterior, [0, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(posterior, [0, 0, 1], atol=1e-12)
 
     def test_stream_is_a_sequence_of_instant_views(self, occlusion_problem):
         """``len``, indexing (from the end too) and iteration give one
@@ -255,8 +258,9 @@ class TestReviseTrellis:
                   "conditionals", "revised_conditionals")
         pairs = [(getattr(second, f), getattr(revision, f)) for f in fields]
         for c in occlusion_problem.model.components:
-            # ComponentRevision's fields, in ComponentStream's order
-            pairs += [pair for pair in zip(second.components[c.id],
+            # component_revision's values, in ComponentStream's order
+            pairs += [pair for pair in zip(component_revision(revision, 1,
+                                                              c.id),
                                            revision.components[c.id])
                       if type(pair[0]) is np.ndarray]
         assert len(pairs) == len(fields) + 2 * 6
@@ -324,9 +328,10 @@ def test_single_trajectory_per_component_matches_global():
             powers=tuple(np.array([factors[c.id]]) for c in model.components),
             conditionals=np.array([conditional]),
             admissible=np.array([True]))
-        _, second = revise_trellis(trellis, model)
-        (globally_revised,) = second.revised_conditionals
+        revision = revise_trellis(trellis, model)
+        (globally_revised,) = revision[1].revised_conditionals
         product = math.prod(
-            float(cr.revised_entries[0]) for cr in second.components.values())
+            float(component_revision(revision, 1, c.id)[6][0])
+            for c in model.components)
         assert abs(product - globally_revised) <= 1e-12
         done += 1
