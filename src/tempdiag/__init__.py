@@ -39,6 +39,7 @@ _MODULES = {
     "build_trellis": "temporal",
     "classify_faults": "markov",
     "enumerate_evolutions": "temporal",
+    "forward_paths": "temporal",
     "generate_observation_stream": "simulate",
     "induce_initial_distributions": "temporal",
     "normalization_factor": "revision",

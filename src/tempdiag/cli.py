@@ -127,9 +127,9 @@ def _times(instants) -> np.ndarray:
 def _candidates_report(trellis, model):
     """``candidates``: per instant one assignment per row of its
     mode-index array."""
-    at, (rows, starts) = np.arange(len(trellis.instants)), trellis.stacked
+    at, sizes = np.arange(len(trellis.instants)), np.diff(trellis.starts)
     return table({
-        "assignments": Rows(_assignments(model, rows), np.diff(starts)),
+        "assignments": Rows(_assignments(model, trellis.rows), sizes),
         "t": Column(at, _times(trellis.instants))}, len(at))
 
 
@@ -325,8 +325,8 @@ def _cmd_diagnose(args, model) -> dict:
     if args.revise:
         report["revision"] = _revision_report(revision, model)
 
-    sizes = ", ".join(f"{len(modes)} at t={t}"
-                      for t, modes in zip(trellis.instants, trellis.modes))
+    sizes = ", ".join(f"{n} at t={t}" for t, n in zip(
+        trellis.instants, np.diff(trellis.starts).tolist()))
     _note(f"candidates: {sizes}; {len(evolutions.joints)} admissible "
           f"evolution(s); best joint probability {evolutions.joints[0]:.6g}")
     return report

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import AllZeroJointsError, ZeroAdmittedMassError
 from .markov import matrix_powers
 from .model import SystemModel
-from .temporal import SpelledPaths, Trellis, forward_paths
+from .temporal import SpelledPaths, Trellis
 
 
 def _total(values: Iterable[float]) -> float:
@@ -139,9 +139,9 @@ class StreamRevision(SimpleNamespace):
 
 
 def revise_trellis(trellis: Trellis, model: SystemModel,
-                   table: tuple | None = None) -> StreamRevision:
+                   table: tuple) -> StreamRevision:
     """Apply revision at every instant of a built trellis, whose
-    ``forward_paths`` table may be given as ``table``.
+    ``forward_paths`` table is ``table``.
 
     At each instant the joints of the admissible partial evolutions ending
     there are renormalized (global revision) and every component's
@@ -161,15 +161,14 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
             little probability for the reciprocal to be finite.
     """
     count = len(trellis.instants)
-    rows, starts = trellis.stacked
-    layer = np.repeat(np.arange(count), np.diff(starts))
+    layer = np.repeat(np.arange(count), np.diff(trellis.starts))
     chains = []
     for ci, c in enumerate(model.components):
         # pi0 . P^t, not the previous instant's pi . P^n: the two round
         # differently, and chaining drifts from the definition's floats
         pi = trellis.initials[c.id] @ matrix_powers(c.matrix, trellis.instants)
         kept = np.zeros(pi.shape, dtype=bool)
-        kept[layer, rows[:, ci]] = True
+        kept[layer, trellis.rows[:, ci]] = True
         masked = np.where(kept, pi, 0.0)
         mass = _total(masked.T)  # the modes added left to right
         with np.errstate(divide="ignore", over="ignore"):
@@ -179,7 +178,7 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
     unfit = [np.append(np.flatnonzero(~np.isfinite(factor)), count)[0]
              for *_, factor in chains]
 
-    paths, parents, candidates, joints = table or forward_paths(trellis)
+    paths, parents, candidates, joints = table
     # the first failure raises: instant by instant, the global factor
     # before the components, and the components in model order
     first, bounds = min(unfit, default=count), paths.tolist()
@@ -200,13 +199,13 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
     components = {}
     for ci, (c, pi, kept, masked, _, factor) in enumerate(chains):
         n = len(c.modes)
-        # each mode step taken as instant * n^2 + from * n + to, at the
-        # step's target instant; every edge taking one step carries the
-        # same n-step entry
-        key = ((step + 1) * n + rows[starts[step] + sources, ci]) * n + rows[
-            starts[step + 1] + targets, ci]
+        # each mode step as instant * n^2 + from * n + to at the step's
+        # target instant, from each edge's index (gap * n + from) * n + to
+        # in intp (n^2 may pass its dtype): its edges share one entry
+        index = trellis.entries[ci][flat].astype(np.intp)
+        key = (step + 1) * n * n + index % (n * n)
         entry = np.zeros(count * n * n)
-        entry[key] = trellis.powers[ci].take(trellis.entries[ci][flat])
+        entry[key] = trellis.powers[ci].take(index)
         taken = np.flatnonzero(np.bincount(key, minlength=len(entry)))
         moves = np.stack(np.unravel_index(taken, (count, n, n)), axis=1)
         components[c.id] = ComponentStream(

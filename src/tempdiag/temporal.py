@@ -11,11 +11,11 @@ factorizes: the joint probability of a trajectory is the prior of its first
 assignment times the product of its consecutive step conditionals, each of
 which is itself a product of per-component n-step matrix entries.
 
-The trellis is built as arrays (the HMM trellis layout). Each layer is the
-|L| x C array of mode indices the atemporal solver returns. The edges of
-all steps lie in flat arrays, step by step and row-major within a step;
-``Trellis.bounds`` and ``Trellis.endpoints`` are the one definition of that
-layout, as ``Trellis.stacked`` is of the layers stacked. Each component's
+The trellis is built as arrays (the HMM trellis layout). Its layers, the
+|L| x C mode-index arrays the atemporal solver returns, lie stacked in
+``Trellis.rows``, the edges of all steps in flat arrays, step by step and
+row-major within a step: ``Trellis.bounds`` and ``Trellis.endpoints`` are
+the one definition of that layout. Each component's
 ``P^n`` is computed once per distinct gap n, and those stacked powers,
 flattened, are the component's table of n-step entries: an edge keeps only
 the index of its entry, in the narrowest unsigned dtype that holds the
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,13 +87,14 @@ class DiagnosticProblem(NamedTuple):
 class Trellis(NamedTuple):
     """Layered candidate graph over the relevant instants.
 
-    ``modes[k]`` holds the candidates at ``instants[k]`` as a |L_k| x C
+    ``rows`` holds the candidates of all instants stacked, a (Σ|L_k|) x C
     array of mode indices: column c is ``model.components[c]``, each entry
-    an index into that component's declared modes. Step k joins layer k to
-    layer k + 1 by one edge per candidate pair (i, j); the edges of all
-    steps are laid out flat, step k's at ``bounds[k]`` to ``bounds[k + 1]``
-    in row-major order, so the edge from i to j is ``bounds[k] + i *
-    |L_k+1| + j``. Per edge, component c's n-step entry is
+    an index into that component's declared modes. Layer k, the candidates
+    at ``instants[k]``, is rows ``starts[k]`` to ``starts[k + 1]``. Step k
+    joins layer k to layer k + 1 by one edge per candidate pair (i, j); the
+    edges of all steps are laid out flat, step k's at ``bounds[k]`` to
+    ``bounds[k + 1]`` in row-major order, so the edge from i to j is
+    ``bounds[k] + i * |L_k+1| + j``. Per edge, component c's n-step entry is
     ``powers[c][entries[c][e]]``: ``powers[c]`` is its ``P^n`` for each
     distinct gap n, ascending, stacked and flattened, and ``entries[c]``
     holds each edge's index into it, an unsigned integer array.
@@ -107,7 +108,8 @@ class Trellis(NamedTuple):
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     instants: tuple[int, ...]
-    modes: tuple[np.ndarray, ...]
+    rows: np.ndarray
+    starts: np.ndarray
     initials: Mapping[str, np.ndarray]
     priors: np.ndarray
     entries: tuple[np.ndarray, ...]
@@ -119,41 +121,28 @@ class Trellis(NamedTuple):
     def bounds(self) -> np.ndarray:
         """Where each step's edges lie: ``bounds[k]`` to ``bounds[k + 1]``,
         from the layer sizes."""
-        return _bounds(self.modes)
+        return _bounds(self.starts)
 
     @property
     def endpoints(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each edge's step k, its source candidate in layer k and its
         target candidate in layer k + 1."""
-        return _endpoints(self.modes)
-
-    @property
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """The candidates of all layers stacked as ``rows``, and ``starts``,
-        each layer's first row and then the number of rows: layer k's
-        candidates are rows ``starts[k]`` to ``starts[k + 1]``."""
-        return _stacked(self.modes)
+        return _endpoints(self.starts)
 
 
-def _bounds(modes: Sequence[np.ndarray]) -> np.ndarray:
-    """``Trellis.bounds`` over the candidate layers ``modes``."""
-    sizes = [len(layer) for layer in modes]
+def _bounds(starts: np.ndarray) -> np.ndarray:
+    """``Trellis.bounds`` over the layers that begin at ``starts``."""
+    sizes = np.diff(starts).tolist()
     # from 0, so that a trellis with no step gets integers too
     return np.cumsum([0, *(n * m for n, m in zip(sizes, sizes[1:]))])
 
 
-def _stacked(modes: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``Trellis.stacked`` over the candidate layers ``modes``."""
-    return np.concatenate(modes), np.cumsum([0, *map(len, modes)])
-
-
-def _endpoints(modes: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """``Trellis.endpoints`` over the candidate layers ``modes``."""
-    bounds = _bounds(modes)
+def _endpoints(starts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``Trellis.endpoints`` over the layers that begin at ``starts``."""
+    bounds = _bounds(starts)
     steps = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    nexts = np.array([len(layer) for layer in modes[1:]], dtype=np.intp)
     return (steps, *np.divmod(np.arange(bounds[-1]) - bounds[steps],
-                              nexts[steps]))
+                              np.diff(starts)[steps + 1]))
 
 
 def relevant_instants(obs: ObservationStream) -> list[int]:
@@ -229,8 +218,8 @@ def trellis_from_layers(
     position = {n: i for i, n in enumerate(distinct)}
 
     # each edge's source and target as rows of all layers, stacked
-    rows, starts = _stacked(modes)
-    steps, sources, targets = _endpoints(modes)
+    rows, starts = np.concatenate(modes), np.cumsum([0, *map(len, modes)])
+    steps, sources, targets = _endpoints(starts)
     sources += starts[steps]
     targets += starts[steps + 1]
     gap = np.array([position[n] for n in gaps], dtype=np.intp)[steps]
@@ -255,14 +244,14 @@ def trellis_from_layers(
         powers.append(table)
     if not per_component:
         np.greater_equal(conditionals, sigma, out=admissible)
-    return Trellis(tuple(instants), tuple(modes), initials, priors,
+    return Trellis(tuple(instants), rows, starts, initials, priors,
                    tuple(entries), tuple(powers), conditionals, admissible)
 
 
 def build_trellis(problem: DiagnosticProblem) -> Trellis:
     """Solve every atemporal problem and materialize the full trellis.
     Each distinct observation, a ``(present, absent)`` pair, is solved
-    once; instants that repeat it share its candidate array.
+    once, and its candidates are copied to each instant that repeats it.
 
     Raises:
         NoCandidatesError: some instant has no atemporal solution.
@@ -303,14 +292,15 @@ def forward_paths(trellis: Trellis,
     times its step conditionals, multiplied left to right. A layer with no
     path leaves every later layer empty.
     """
-    candidates, joints = np.arange(len(trellis.modes[0])), trellis.priors
+    sizes = np.diff(trellis.starts).tolist()
+    candidates, joints = np.arange(sizes[0]), trellis.priors
     # every layer's entries in lists: a thin layer's arrays would cost more
     # in headers than in numbers
     starts = [0, len(candidates)]
     table = [-1] * len(candidates), candidates.tolist(), joints.tolist()
     bounds = trellis.bounds.tolist()
     for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        shape = len(trellis.modes[k]), len(trellis.modes[k + 1])
+        shape = sizes[k], sizes[k + 1]
         parents, targets = np.nonzero(
             trellis.admissible[a:b].reshape(shape)[candidates])
         joints = joints[parents] * trellis.conditionals[a:b].reshape(shape)[
@@ -405,13 +395,14 @@ def name_ranks(component: ComponentSpec) -> np.ndarray:
 
 
 def ranked_paths(model: SystemModel, trellises: Sequence[Trellis],
-                 tables: Sequence[tuple] | None = None) -> Evolutions:
+                 tables: Iterable[tuple]) -> Evolutions:
     """The complete admissible paths of the trellises, ranked by descending
     joint. Ties go to the evolution that sorts first instant by instant, by
     ``t`` and then by mode name in component-id order (``ModeAssignment``
     order, not declared mode order), and a prefix sorts before its
     extensions. Equal evolutions keep their order: the trellises' and,
-    within one trellis, the forward pass's (``tables``, if at hand)."""
+    within one trellis, the forward pass's: ``tables`` holds each
+    trellis' ``forward_paths`` table."""
     times = sorted({t for trellis in trellises for t in trellis.instants})
     position = {t: i for i, t in enumerate(times)}
     # with no trellis any length will do; one keeps every shape valid
@@ -419,7 +410,7 @@ def ranked_paths(model: SystemModel, trellises: Sequence[Trellis],
     width = len(model.components)
     parts = []
     for trellis, (offsets, parents, candidates, joints) in zip(
-            trellises, tables or map(forward_paths, trellises)):
+            trellises, tables):
         # the last layer's entries are the complete evolutions: rebuilt
         # from them back to layer 0, one gather per layer
         at, length = np.arange(offsets[-2], offsets[-1]), len(offsets) - 1
@@ -431,9 +422,9 @@ def ranked_paths(model: SystemModel, trellises: Sequence[Trellis],
         instants[:, :length] = [position[t] for t in trellis.instants]
         # one gather each from the stacked layers and the flat
         # conditionals, at each path cell's row and each step's edge
-        rows, starts = trellis.stacked
+        starts = trellis.starts
         modes = np.full((count, n, width), -1)
-        modes[:, :length] = rows[paths + starts[:-1]]
+        modes[:, :length] = trellis.rows[paths + starts[:-1]]
         steps = np.full((count, n - 1), np.nan)
         steps[:, :length - 1] = trellis.conditionals[
             trellis.bounds[:-1] + paths[:, :-1] * np.diff(starts)[1:]
@@ -461,15 +452,16 @@ def ranked_paths(model: SystemModel, trellises: Sequence[Trellis],
 
 
 def enumerate_evolutions(problem: DiagnosticProblem, trellis: Trellis,
-                         table: tuple | None = None) -> Evolutions:
+                         table: tuple) -> Evolutions:
     """Every evolution of the problem's trellis whose consecutive steps are
-    admissible, ranked as ``ranked_paths`` says (from ``table`` if given).
+    admissible, ranked as ``ranked_paths`` says from ``table``, the
+    trellis' ``forward_paths`` table.
 
     Raises:
         NoAdmissibleEvolutionError: candidates exist at every instant but no
             evolution survives the threshold.
     """
-    evolutions = ranked_paths(problem.model, [trellis], table and [table])
+    evolutions = ranked_paths(problem.model, [trellis], [table])
     if not len(evolutions.joints):
         raise NoAdmissibleEvolutionError(
             "no evolution passes the plausibility filter at "
@@ -491,4 +483,4 @@ def rank_evolutions(model: SystemModel, trajectories: Sequence[Sequence[
             w.as_dict().__getitem__, ids))]] for w in trajectory], dtype=int)
         trellises.append(trellis_from_layers(
             model, [w.t for w in trajectory], layers, initials))
-    return ranked_paths(model, trellises)
+    return ranked_paths(model, trellises, map(forward_paths, trellises))

@@ -242,8 +242,9 @@ def _random_problem(rng: np.random.Generator, sigma: float | None = None,
 
 def enumerated(problem: DiagnosticProblem) -> list[Diagnosis]:
     """``enumerate_evolutions`` on the problem's trellis, decoded."""
-    return decode(problem.model,
-                  enumerate_evolutions(problem, build_trellis(problem)))
+    trellis = build_trellis(problem)
+    return decode(problem.model, enumerate_evolutions(
+        problem, trellis, forward_paths(trellis)))
 
 
 def ranked(model: SystemModel, trajectories) -> list[Diagnosis]:
@@ -301,7 +302,8 @@ def check_forward_paths_vs_bruteforce(cases: int, seed: int = 2033) -> None:
         problem = _random_problem(rng)
         trellis = build_trellis(problem)
         layers = [assignments(problem.model, t, m)
-                  for t, m in zip(trellis.instants, trellis.modes)]
+                  for t, m in zip(trellis.instants, np.split(
+                      trellis.rows, trellis.starts[1:-1]))]
         for k, (paths, joints) in enumerate(forward_prefixes(trellis)):
             expected = [
                 indices for indices in itertools.product(
@@ -471,15 +473,15 @@ def check_revision_ranking_and_zeros(cases: int, seed: int = 2031) -> None:
             joints[rng.integers(n)] = float(rng.random()) + 0.01
         conditionals = rng.random(n)
         steps = np.stack((joints, conditionals))
-        _, second = revise_trellis(Trellis(
-            instants=(0, 1), modes=(np.zeros((2, 1), int),
-                                    np.zeros((n, 1), int)),
+        trellis = Trellis(
+            instants=(0, 1), rows=np.zeros((2 + n, 1), int),
+            starts=np.array([0, 2, 2 + n]),
             initials={"c": np.array([1.0])},
             priors=np.array([1.0, 0.0]),
             entries=(np.arange(2 * n, dtype=np.uint8),),
             powers=(steps.ravel(),),
-            conditionals=steps.ravel(), admissible=np.ones(2 * n, bool)),
-            model)
+            conditionals=steps.ravel(), admissible=np.ones(2 * n, bool))
+        _, second = revise_trellis(trellis, model, forward_paths(trellis))
         assert second.joints.tolist() == [*joints.tolist(), *[0.0] * n]
         revised_joints = second.revised_joints[:n]
         revised_conditionals = second.revised_conditionals[n:]
@@ -545,7 +547,8 @@ def _revision_by_definitions(problem: DiagnosticProblem, trellis):
     the layer's admissible paths and the admissible edges into it."""
     model = problem.model
     layers = [assignments(model, t, m)
-              for t, m in zip(trellis.instants, trellis.modes)]
+              for t, m in zip(trellis.instants, np.split(
+                  trellis.rows, trellis.starts[1:-1]))]
     expected = []
     for k, (paths, joints) in enumerate(forward_prefixes(trellis)):
         t, joints = trellis.instants[k], joints.tolist()
@@ -595,7 +598,7 @@ def check_revision_matches_definitions(cases: int, seed: int = 2034) -> None:
         except (AllZeroJointsError, ZeroAdmittedMassError) as exc:
             expected = exc
         try:
-            actual = revise_trellis(trellis, model)
+            actual = revise_trellis(trellis, model, forward_paths(trellis))
         except (AllZeroJointsError, ZeroAdmittedMassError) as exc:
             assert (type(exc), str(exc)) == (type(expected), str(expected))
             continue

@@ -17,6 +17,7 @@ from tempdiag import (
     build_trellis,
     classify_faults,
     enumerate_evolutions,
+    forward_paths,
     induce_initial_distributions,
     resolve_initial_distributions,
     revise_trellis,
@@ -100,8 +101,9 @@ def test_criterion_2_joints_and_ranking(occlusion_problem):
     ranked first."""
     with criterion(2, "joint probabilities and ranking"):
         model = occlusion_problem.model
-        evolutions = enumerate_evolutions(occlusion_problem,
-                                          build_trellis(occlusion_problem))
+        trellis = build_trellis(occlusion_problem)
+        evolutions = enumerate_evolutions(occlusion_problem, trellis,
+                                          forward_paths(trellis))
         joints = sorted(evolutions.joints.tolist())
         assert joints[0] == pytest.approx(0.0, abs=1e-12)
         assert joints[1] == pytest.approx(3 / 25, abs=1e-12)
@@ -121,8 +123,9 @@ def test_criterion_3_plausibility_filter(sudden_stop_problem):
     """
     with criterion(3, "plausibility filter at sigma = 1/100"):
         model = sudden_stop_problem.model
-        evolutions = enumerate_evolutions(sudden_stop_problem,
-                                          build_trellis(sudden_stop_problem))
+        trellis = build_trellis(sudden_stop_problem)
+        evolutions = enumerate_evolutions(sudden_stop_problem, trellis,
+                                          forward_paths(trellis))
         assert len(evolutions.joints) == 1
         assert mode_name(model, evolutions, 0, 1, "P") == "broken"
 
@@ -138,7 +141,8 @@ def test_criterion_4_revision(occlusion_problem):
     component factors 10/9 and 15/7; revised transitions 6/7 and 1."""
     with criterion(4, "revision factors and scores"):
         trellis = build_trellis(occlusion_problem)
-        revision = revise_trellis(trellis, occlusion_problem.model)
+        revision = revise_trellis(trellis, occlusion_problem.model,
+                                  forward_paths(trellis))
         _, second = revision
 
         assert second.factor == pytest.approx(50 / 21, abs=1e-12)

@@ -24,7 +24,7 @@ from tempdiag import (
 )
 from tempdiag.cli import main
 from tempdiag.modelio import load_model
-from tempdiag.temporal import SpelledPaths
+from tempdiag.temporal import SpelledPaths, forward_paths
 
 from conftest import SCENARIOS, WriteRecorder
 from propsuites import random_assignment, random_model
@@ -529,7 +529,7 @@ class TestDiagnose:
 
         revise = tempdiag.cli.revise_trellis
 
-        def poisoned(trellis, model, table=None):
+        def poisoned(trellis, model, table):
             revision = revise(trellis, model, table)
             joints = revision.revised_joints.copy()
             joints[-1] = float("nan")  # the last instant's last path
@@ -570,6 +570,60 @@ class TestDiagnose:
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert out.encode() == (ROOT / "bench" / "golden" / golden).read_bytes()
+
+
+@pytest.mark.parametrize("components", [
+    [], [{"id": "x", "modes": ["ok"], "correct_mode": "ok",
+          "matrix": [["1"]]}]], ids=["no-component", "one-mode"])
+def test_degenerate_model_through_every_command(capsys, tmp_path,
+                                                components):
+    """A model with no component, or one component of a single mode, has
+    one assignment: every instant has one candidate, whose rows are zero
+    or one column wide, every step is certain and every joint 1."""
+    model, obs, trajectories = (tmp_path / name for name in (
+        "model.json", "obs.json", "trajectories.json"))
+    model.write_text(json.dumps({"components": components, "rules": []}))
+    obs.write_text(json.dumps([{"t": t} for t in (0, 2, 5)]))
+    only = {c["id"]: "ok" for c in components}
+    trajectories.write_text(json.dumps([[{"t": t, "assignment": only}
+                                         for t in (0, 3)]]))
+
+    report = run_json(capsys, "validate", str(model), str(obs))
+    assert report["ok"] and report["model"]["components"] == list(only)
+    report = run_json(capsys, "classify", str(model))
+    assert {c: v["states"] for c, v in report["components"].items()} == {
+        c: {"ok": "absorbing"} for c in only}
+    report = run_json(capsys, "propagate", "--instants", "0,2", str(model))
+    assert {c: [d["probabilities"] for d in v["distributions"]]
+            for c, v in report["components"].items()} == {
+        c: [[1.0], [1.0]] for c in only}
+
+    report = run_json(capsys, "diagnose", str(model), str(obs), "--revise")
+    assert report["candidates"] == [{"assignments": [only], "t": t}
+                                    for t in (0, 2, 5)]
+    assert report["priors"] == [1.0]
+    assert [[(e["source"], e["target"], e["conditional"], e["factors"])
+             for e in step["edges"]] for step in report["trellis"]] == [
+        [(0, 0, 1.0, {c: 1.0 for c in only})]] * 2
+    (diagnosis,) = report["diagnoses"]
+    assert (diagnosis["joint_probability"], diagnosis["step_conditionals"],
+            [w["assignment"] for w in diagnosis["trajectory"]]) == (
+        1.0, [1.0, 1.0], [only] * 3)
+    assert [(r["normalization_factor"], r["evolutions"],
+             {c: (v["admitted"], v["mass_factor"])
+              for c, v in r["components"].items()})
+            for r in report["revision"]] == [
+        (1.0, [{"joint": 1.0, "path": [0] * k, "revised_joint": 1.0}],
+         {c: (["ok"], 1.0) for c in only}) for k in (1, 2, 3)]
+
+    report = run_json(capsys, "simulate", "--horizon", "2", str(model))
+    assert report["trajectory"]["modes"] == {c: ["ok"] * 3 for c in only}
+    assert [(o["present"], o["absent"]) for o in report["observations"]] == [
+        ([], [])] * 3
+    (ranked,) = run_json(capsys, "rank", str(model),
+                         str(trajectories))["trajectories"]
+    assert (ranked["joint_probability"], ranked["prior"],
+            ranked["step_conditionals"]) == (1.0, 1.0, [1.0])
 
 
 class TestUsage:
@@ -1082,8 +1136,9 @@ class TestCanonicalWriter:
                                     conditionals=conditionals,
                                     priors=priors)
 
-        def poisoned_evolutions(problem, trellis, table=None):
-            evolutions = enumerate_(problem, clean[-1])
+        def poisoned_evolutions(problem, trellis, table):
+            evolutions = enumerate_(problem, clean[-1],
+                                    forward_paths(clean[-1]))
             joints, steps = evolutions.joints.copy(), evolutions.steps.copy()
             if where == "joint":
                 joints[0] = value
@@ -1113,8 +1168,8 @@ class TestCanonicalWriter:
                 distributions=distributions, posteriors=posteriors,
                 factors=factors, revised_entries=revised)
 
-        def poisoned_revision(trellis, model, table=None):
-            revision = revise(clean[-1], model)
+        def poisoned_revision(trellis, model, table):
+            revision = revise(clean[-1], model, forward_paths(clean[-1]))
             joints, conditionals, revised = (
                 revision.joints.copy(), revision.conditionals.copy(),
                 revision.revised_conditionals.copy())
@@ -1310,7 +1365,7 @@ class TestCanonicalWriter:
         assert len(report["trellis"]) == len(bounds) - 1 > 1
         for k, step in enumerate(report["trellis"]):
             edges = step["edges"]
-            n, m = len(trellis.modes[k]), len(trellis.modes[k + 1])
+            n, m = np.diff(trellis.starts)[k:k + 2]
             flat = slice(bounds[k], bounds[k + 1])
             assert [(e["source"], e["target"]) for e in edges] == [
                 (i, j) for i in range(n) for j in range(m)]

@@ -86,7 +86,8 @@ RECORDS = [
      {"sigma": 0.0, "threshold_mode": ThresholdMode.GLOBAL,
       "criterion": ExplanationCriterion.ABDUCTIVE,
       "candidate_cap": DEFAULT_CANDIDATE_CAP}, True, {}),
-    (Trellis, {"instants": (1,), "modes": (np.array([[1]]),),
+    (Trellis, {"instants": (1,), "rows": np.array([[1]]),
+               "starts": np.array([0, 1]),
                "initials": {"P": _array(0.0, 1.0)}, "priors": _array(1.0),
                "entries": (np.empty(0, np.uint8),), "powers": (_array(),),
                "conditionals": _array(),

@@ -17,6 +17,7 @@ from tempdiag import (
     SystemModel,
     Trellis,
     build_trellis,
+    forward_paths,
     normalization_factor,
     revise_trellis,
 )
@@ -65,7 +66,8 @@ class TestNormalizationFactor:
 class TestReviseGlobal:
     def test_worked_values(self, occlusion_problem):
         trellis = build_trellis(occlusion_problem)
-        _, second = revise_trellis(trellis, occlusion_problem.model)
+        _, second = revise_trellis(trellis, occlusion_problem.model,
+                                   forward_paths(trellis))
         # (raw, revised) per edge and per path
         np.testing.assert_allclose(
             sorted(zip(second.conditionals, second.revised_conditionals)),
@@ -77,7 +79,8 @@ class TestReviseGlobal:
 
     def test_single_candidate_becomes_certain(self, sudden_stop_problem):
         trellis = build_trellis(sudden_stop_problem)
-        *_, last = revise_trellis(trellis, sudden_stop_problem.model)
+        *_, last = revise_trellis(trellis, sudden_stop_problem.model,
+                                  forward_paths(trellis))
         assert last.joints.tolist() == [pytest.approx(9 / 500, abs=1e-12)]
         assert last.revised_joints.tolist() == [pytest.approx(1.0, abs=1e-12)]
 
@@ -122,7 +125,9 @@ class TestReviseTransition:
     the component's mass factor at the target instant."""
 
     def scores(self, problem):
-        revision = revise_trellis(build_trellis(problem), problem.model)
+        trellis = build_trellis(problem)
+        revision = revise_trellis(trellis, problem.model,
+                                  forward_paths(trellis))
         return {c.id: {(a, b): (p, r) for a, b, p, r in named_revision(
                     c, component_revision(revision, 1, c.id))[1]}
                 for c in problem.model.components}
@@ -147,10 +152,29 @@ class TestReviseTransition:
         trellis = trellis_from_layers(
             model, [0, 1], [np.array([[0]]), np.array([[0], [1]])],
             {"x": np.array([1.0, 0.0])})
-        second = component_revision(revise_trellis(trellis, model), 1, "x")
+        second = component_revision(
+            revise_trellis(trellis, model, forward_paths(trellis)), 1, "x")
         assert second[2] == 1.0  # the factor
         assert named_revision(component, second)[1] == (
             ("a", "a", 0.37, 0.37), ("a", "b", 0.63, 0.63))
+
+    def test_steps_read_from_a_full_uint8_table(self):
+        """A 16-mode component over one gap has a table of 256 entries,
+        indexed in uint8 up to 255: each transition is still the mode step
+        of its edges."""
+        modes = tuple(f"m{i}" for i in range(16))
+        component = ComponentSpec(id="x", modes=modes, correct_mode="m0",
+                                  matrix=np.full((16, 16), 1 / 16))
+        model = SystemModel((component,), ())
+        trellis = trellis_from_layers(
+            model, [0, 1], [np.array([[15]]), np.array([[14], [15]])],
+            {"x": np.full(16, 1 / 16)})
+        assert trellis.entries[0].tolist() == [254, 255]
+        assert trellis.entries[0].dtype == np.uint8
+        second = component_revision(
+            revise_trellis(trellis, model, forward_paths(trellis)), 1, "x")
+        assert named_revision(component, second)[1] == (
+            ("m15", "m14", 1 / 16, 0.5), ("m15", "m15", 1 / 16, 0.5))
 
     def test_mass_summed_left_to_right(self):
         # every mode admitted at t=0: 1.0 + 1e-16 + 1e-16 is 1.0 left to
@@ -161,7 +185,7 @@ class TestReviseTransition:
         trellis = trellis_from_layers(
             model, [0], [np.array([[0], [1], [2]])],
             {"x": np.array([1.0, 1e-16, 1e-16])})
-        revision = revise_trellis(trellis, model)
+        revision = revise_trellis(trellis, model, forward_paths(trellis))
         assert len(revision) == 1
         assert component_revision(revision, 0, "x")[2] == 1.0  # the factor
 
@@ -196,7 +220,8 @@ class TestPosteriorDistribution:
 class TestReviseTrellis:
     def test_occlusion_pipeline(self, occlusion_problem):
         trellis = build_trellis(occlusion_problem)
-        revision = revise_trellis(trellis, occlusion_problem.model)
+        revision = revise_trellis(trellis, occlusion_problem.model,
+                                  forward_paths(trellis))
         first, second = revision
 
         assert first.t == 0
@@ -237,7 +262,8 @@ class TestReviseTrellis:
         stream's back-pointers when asked, as the reference walks them.
         An index past either end raises IndexError."""
         trellis = build_trellis(occlusion_problem)
-        revision = revise_trellis(trellis, occlusion_problem.model)
+        revision = revise_trellis(trellis, occlusion_problem.model,
+                                  forward_paths(trellis))
         assert type(revision) is StreamRevision
         assert len(revision) == len(trellis.instants) == 2
         first, second = revision
@@ -282,7 +308,7 @@ class TestReviseTrellis:
         tracemalloc.start()
         try:
             with pytest.raises(AllZeroJointsError):
-                revise_trellis(trellis, model)
+                revise_trellis(trellis, model, forward_paths(trellis))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -290,7 +316,8 @@ class TestReviseTrellis:
 
     def test_ranking_preserved(self, occlusion_problem):
         trellis = build_trellis(occlusion_problem)
-        _, second = revise_trellis(trellis, occlusion_problem.model)
+        _, second = revise_trellis(trellis, occlusion_problem.model,
+                                   forward_paths(trellis))
         raw_order = np.argsort(-second.joints, kind="stable")
         revised_order = np.argsort(-second.revised_joints, kind="stable")
         assert list(raw_order) == list(revised_order)
@@ -317,18 +344,20 @@ def test_single_trajectory_per_component_matches_global():
             for c in model.components
         }
         assert prior_probability(w0, initials, model) == 1.0
-        modes = tuple(
-            np.array([[c.modes.index(w.as_dict()[c.id])
-                       for c in model.components]])
-            for w in (w0, w1))
+        rows = np.array([[c.modes.index(w.as_dict()[c.id])
+                          for c in model.components] for w in (w0, w1)])
+        # the edge's index into each table is its mode step, and every
+        # entry of the table is the step's factor
         trellis = Trellis(
-            instants=(0, w1.t), modes=modes,
+            instants=(0, w1.t), rows=rows, starts=np.array([0, 1, 2]),
             initials=initials, priors=np.array([1.0]),
-            entries=tuple(np.zeros(1, np.uint8) for _ in model.components),
-            powers=tuple(np.array([factors[c.id]]) for c in model.components),
+            entries=tuple(np.array([i * len(c.modes) + j], np.uint8)
+                          for c, (i, j) in zip(model.components, rows.T)),
+            powers=tuple(np.full(len(c.modes) ** 2, factors[c.id])
+                         for c in model.components),
             conditionals=np.array([conditional]),
             admissible=np.array([True]))
-        revision = revise_trellis(trellis, model)
+        revision = revise_trellis(trellis, model, forward_paths(trellis))
         (globally_revised,) = revision[1].revised_conditionals
         product = math.prod(
             float(component_revision(revision, 1, c.id)[6][0])

@@ -289,8 +289,8 @@ class TestEnumerate:
         trellis = build_trellis(occlusion_problem)
         initials = trellis.initials
         model = occlusion_problem.model
-        for d in decode(model, enumerate_evolutions(occlusion_problem,
-                                                    trellis)):
+        for d in decode(model, enumerate_evolutions(
+                occlusion_problem, trellis, forward_paths(trellis))):
             product = prior_probability(d.trajectory[0], initials, model)
             for c in d.step_conditionals:
                 product *= c
@@ -315,8 +315,9 @@ class TestEnumerate:
             model=sudden_stop_problem.model,
             observations=sudden_stop_problem.observations,
             sigma=0.5)
+        trellis = build_trellis(problem)
         with pytest.raises(NoAdmissibleEvolutionError):
-            enumerate_evolutions(problem, build_trellis(problem))
+            enumerate_evolutions(problem, trellis, forward_paths(trellis))
 
     def test_sigma_out_of_range_rejected(self, sudden_stop_problem):
         problem = DiagnosticProblem(
@@ -405,14 +406,15 @@ def test_trellis_arrays_equal_per_edge_definitions():
                 done % 2],
             criterion=ExplanationCriterion.CONSISTENCY_BASED)
         trellis = build_trellis(problem)
+        stacked = np.split(trellis.rows, trellis.starts[1:-1])
         layers = [assignments(model, t, m)
-                  for t, m in zip(trellis.instants, trellis.modes)]
+                  for t, m in zip(trellis.instants, stacked)]
         if max(len(layer) for layer in layers) > 12:
             continue
 
         assert trellis.priors.tolist() == [
             prior_probability(w, trellis.initials, model) for w in layers[0]]
-        for layer, modes in zip(layers, trellis.modes):
+        for layer, modes in zip(layers, stacked):
             assert [{c.id: c.modes[m] for c, m in zip(model.components, row)}
                     for row in modes.tolist()] == [w.as_dict() for w in layer]
         bounds, factors = trellis.bounds, edge_factors(trellis)
@@ -479,8 +481,8 @@ def test_trellis_keeps_narrow_indices_per_edge(sizes, instants, dtypes):
         9 + sum(a.itemsize for a in trellis.entries))
     # no other field holds an array per edge
     assert tempdiag.Trellis._fields == (
-        "instants", "modes", "initials", "priors", "entries", "powers",
-        "conditionals", "admissible")
+        "instants", "rows", "starts", "initials", "priors", "entries",
+        "powers", "conditionals", "admissible")
 
 
 #: Three observation patterns of the hydraulic system; the third has the
@@ -516,7 +518,7 @@ class TestSolveMemo:
         patterns = [FLOW, FLOW, STOPPED, FLOW_DRY, FLOW, STOPPED, FLOW_DRY]
         trellis = build_trellis(self.problem(hydraulic, patterns))
         assert calls == [0, 2, 3]  # the first instant of each pattern
-        assert len(trellis.modes) == len(patterns)
+        assert len(trellis.starts) - 1 == len(patterns)
 
     def test_layers_equal_entry_by_entry_solves(self, hydraulic):
         patterns = [FLOW, STOPPED, FLOW, FLOW_DRY, STOPPED, FLOW]
@@ -529,9 +531,9 @@ class TestSolveMemo:
             hydraulic, trellis.instants, layers,
             resolve_initial_distributions(hydraulic, 0, layers[0]),
             problem.sigma, problem.threshold_mode)
-        assert len(trellis.modes) == len(expected.modes)
-        assert all(a.dtype == b.dtype and np.array_equal(a, b)
-                   for a, b in zip(trellis.modes, expected.modes))
+        assert np.array_equal(trellis.starts, expected.starts)
+        assert trellis.rows.dtype == expected.rows.dtype
+        assert np.array_equal(trellis.rows, expected.rows)
         assert len(trellis.entries) == len(trellis.powers) == len(
             hydraulic.components)
         for got, want in [*zip(trellis.entries, expected.entries),
