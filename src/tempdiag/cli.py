@@ -7,7 +7,7 @@ process entry. ``main`` loads and validates the model and writes what
 every report carries (``command``, ``config`` and the input ``files``);
 each ``_cmd_*`` function returns only its own sections. The bulk
 sections (candidates, trellis edges, diagnoses and ranked trajectories,
-and revision) are ``modelio.table`` writers: each declares its columns,
+and revision) are ``report.table`` writers: each declares its columns,
 taken from the engine's mode-index and probability arrays (mode names as
 JSON text from per-component tables), and the table does the rest, from
 the finiteness check before the first byte to the bounded writes.
@@ -39,18 +39,8 @@ from .atemporal import DEFAULT_CANDIDATE_CAP, ExplanationCriterion
 from .errors import DiagnosisError, ValidationError
 from .markov import classify_faults, matrix_powers
 from .model import validate_model, validate_stream, validate_trajectories
-from .modelio import (
-    Column,
-    Rows,
-    load_model,
-    load_stream,
-    load_trajectories,
-    quote,
-    stream_to_list,
-    table,
-    texts,
-    write_report,
-)
+from .modelio import load_model, load_stream, load_trajectories, stream_to_list
+from .report import Column, Rows, quote, table, texts, write_report
 from .revision import revise_trellis
 from .simulate import RNG_ALGORITHM, generate_observation_stream, sample_trajectory
 from .temporal import (

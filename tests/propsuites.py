@@ -44,10 +44,10 @@ from tempdiag.errors import (
     NonIncreasingInstantsError,
     ZeroAdmittedMassError,
 )
-from tempdiag import modelio
+from tempdiag import report as writer
 from tempdiag.cli import _revision_report
 from tempdiag.markov import ABSORBING_TOL
-from tempdiag.modelio import write_report
+from tempdiag.report import write_report
 from tempdiag.temporal import SpelledPaths, forward_paths, trellis_from_layers
 
 from reference import (
@@ -641,7 +641,7 @@ def check_revision_paths_spelled(cases: int, seed: int = 2037) -> None:
     cells of several layers. Some read takes three layers or more of two
     paths or more each."""
     rng = np.random.default_rng(seed)
-    read, default, crossed = SpelledPaths.__getitem__, modelio._SPAN, []
+    read, default, crossed = SpelledPaths.__getitem__, writer._SPAN, []
 
     def counted(spelled, cells):
         # the paths of each layer whose block the read takes cells of
@@ -665,12 +665,12 @@ def check_revision_paths_spelled(cases: int, seed: int = 2037) -> None:
                          for entry in range(p, q)]
                         for p, q in zip(starts, starts[1:])]
             for span in (1, 7, 64, default):
-                modelio._SPAN, out = span, io.StringIO()
+                writer._SPAN, out = span, io.StringIO()
                 write_report(_revision_report(revision, problem.model), out)
                 assert [[e["path"] for e in r["evolutions"]] for r in
                         json.loads(out.getvalue())] == expected
     finally:
-        SpelledPaths.__getitem__, modelio._SPAN = read, default
+        SpelledPaths.__getitem__, writer._SPAN = read, default
     assert any(crossed)
 
 

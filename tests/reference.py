@@ -19,10 +19,12 @@ out the paths the forward pass's back-pointers point to, walking each one
 (``walked_path``) rather than spelling a layer from the one before as
 ``SpelledPaths`` does.
 
-Two helpers stand outside the engine: ``model_to_dict`` writes a model in
-the input file format, and ``empirical_transition_matrix`` estimates the
-n-step transition frequencies (an ``EmpiricalMatrix``) of sampled
-trajectories, the Monte Carlo oracle for the matrix-power arithmetic.
+Three helpers stand outside the engine: ``model_to_dict`` writes a model
+in the input file format, ``exact_probability`` reads a probability string
+as an exact ``Fraction``, the oracle for the loader's parse, and
+``empirical_transition_matrix`` estimates the n-step transition
+frequencies (an ``EmpiricalMatrix``) of sampled trajectories, the Monte
+Carlo oracle for the matrix-power arithmetic.
 
 Four chain helpers serve only the tests: ``matrix_power`` (numpy's, one
 ``P^n`` at a time), ``propagate_distribution``, the geometric
@@ -34,7 +36,9 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -363,6 +367,52 @@ def model_to_dict(model: SystemModel) -> dict:
         ],
         "exclusive": sorted(sorted(pair) for pair in model.exclusive),
     }
+
+
+#: ``fractions._RATIONAL_FORMAT`` of Python 3.13, as it is written there.
+RATIONAL_FORMAT = re.compile(r"""
+    \A\s*                                  # optional whitespace at the start,
+    (?P<sign>[-+]?)                        # an optional sign, then
+    (?=\d|\.\d)                            # lookahead for digit or .digit
+    (?P<num>\d*|\d+(_\d+)*)                # numerator (possibly empty)
+    (?:                                    # followed by
+       (?:\s*/\s*(?P<denom>\d+(_\d+)*))?   # an optional denominator
+    |                                      # or
+       (?:\.(?P<decimal>\d*|\d+(_\d+)*))?  # an optional fractional part
+       (?:E(?P<exp>[-+]?\d+(_\d+)*))?      # and optional exponent
+    )
+    \s*\Z                                  # and optional whitespace to finish
+""", re.VERBOSE | re.IGNORECASE)
+
+
+def exact_probability(text: str) -> float | None:
+    """The float nearest the value of ``text``, or None if it has none:
+    the ``Fraction`` that Python 3.13's ``Fraction(text)`` builds from the
+    groups of ``RATIONAL_FORMAT``, as a float. None where ``Fraction`` or
+    ``float`` raises: no match, a zero denominator, an overflow."""
+    m = RATIONAL_FORMAT.match(text)
+    if m is None:
+        return None
+    try:
+        numerator, denominator = int(m.group("num") or "0"), 1
+        if m.group("denom"):
+            denominator = int(m.group("denom"))
+        else:
+            if m.group("decimal"):
+                scale = 10 ** len(m.group("decimal").replace("_", ""))
+                numerator = numerator * scale + int(m.group("decimal"))
+                denominator *= scale
+            if m.group("exp"):
+                exp = int(m.group("exp"))
+                if exp >= 0:
+                    numerator *= 10 ** exp
+                else:
+                    denominator *= 10 ** -exp
+        if m.group("sign") == "-":
+            numerator = -numerator
+        return float(Fraction(numerator, denominator))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
 
 
 @dataclass(frozen=True, eq=False)

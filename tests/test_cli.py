@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import tempdiag.cli
-import tempdiag.modelio
+import tempdiag.report
 from tempdiag import (
     ModeAssignment,
     StreamRevision,
@@ -439,13 +440,13 @@ class TestDiagnose:
         """The revised evolutions of all 30 instants share one row
         template: a template per instant would hold a placeholder per path
         cell, quadratic over a stream."""
-        shapes, original = [], tempdiag.modelio.template
+        shapes, original = [], tempdiag.report.template
 
         def template(shape, nl):
             shapes.append(shape)
             return original(shape, nl)
 
-        monkeypatch.setattr(tempdiag.modelio, "template", template)
+        monkeypatch.setattr(tempdiag.report, "template", template)
         data = ROOT / "tests" / "data"
         code, _, err = run(capsys, "diagnose",
                            str(data / "reversible_model.json"),
@@ -458,13 +459,13 @@ class TestDiagnose:
                                           tmp_path, revise):
         """Cutting the 30-instant reversible stream to its first 10
         instants builds as many templates: none is built per instant."""
-        calls, original = [], tempdiag.modelio.template
+        calls, original = [], tempdiag.report.template
 
         def template(shape, nl):
             calls.append(shape)
             return original(shape, nl)
 
-        monkeypatch.setattr(tempdiag.modelio, "template", template)
+        monkeypatch.setattr(tempdiag.report, "template", template)
         data = ROOT / "tests" / "data"
         short = tmp_path / "obs.json"
         short.write_text(json.dumps(json.loads(
@@ -492,7 +493,7 @@ class TestDiagnose:
         golden comes out the same, and a NaN in the last revised instant
         still raises before anything is written."""
         monkeypatch.chdir(ROOT)
-        monkeypatch.setattr(tempdiag.modelio, "_SPAN", span)
+        monkeypatch.setattr(tempdiag.report, "_SPAN", span)
         read, crossed = SpelledPaths.__getitem__, []
 
         def counted(spelled, cells):
@@ -750,6 +751,23 @@ class TestMalformedInput:
             "invalid_input", key, str(path))
         assert f"key {key!r} repeated" in error["message"]
 
+
+    def test_huge_exponent_exits_1_at_once(self, capsys, tmp_path):
+        """A matrix entry ``"1e999999999"`` is refused as infinite within a
+        second (an exact fraction of it would take ``10**999999999``), and
+        ``"1e-999999999"`` is read as 0."""
+        model = json.loads(Path(HYDRAULIC).read_text())
+        matrix = model["components"][1]["matrix"]
+        path, reports = tmp_path / "model.json", []
+        for entry, expect in (("1e999999999", 1), ("1e-999999999", 0)):
+            matrix[0][1] = entry
+            path.write_text(json.dumps(model))
+            start = time.perf_counter()
+            reports.append(run_json(capsys, "validate", str(path),
+                                    expect=expect))
+            assert time.perf_counter() - start < 1.0
+        assert reports[0]["error"]["code"] == "invalid_input"
+        assert reports[1]["ok"]
 
     @pytest.mark.parametrize("path, value", MALFORMED_FIELDS,
                              ids=[".".join(map(str, path)) + f"={value!r}"
@@ -1210,8 +1228,8 @@ class TestCanonicalWriter:
         if where == "rank_prior":
             argv = ["rank", SUDDEN, str(ROOT / "bench" / "desk" /
                                         "sudden_stop_trajectories.json")]
-        for chunk in (tempdiag.modelio._CHUNK, 1):
-            monkeypatch.setattr(tempdiag.modelio, "_CHUNK", chunk)
+        for chunk in (tempdiag.report._CHUNK, 1):
+            monkeypatch.setattr(tempdiag.report, "_CHUNK", chunk)
             with pytest.raises(ValueError):
                 main(argv)
             assert capsys.readouterr().out == ""
@@ -1228,7 +1246,7 @@ class TestCanonicalWriter:
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
                 return super().write(text)
 
-        monkeypatch.setattr(tempdiag.modelio, "_CHUNK", 16)
+        monkeypatch.setattr(tempdiag.report, "_CHUNK", 16)
         stdout = Full()
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(argv) == 1
@@ -1385,7 +1403,7 @@ class TestCanonicalWriter:
 def test_revised_report_leaves_numpy_ma_unloaded():
     """On numpy 2.x the first ``np.unique`` without ``return_inverse``
     imports ``numpy.ma`` (~15 ms). A diagnose --revise over multi-candidate
-    layers formats arrays of 32 or more numbers, which ``modelio.texts``
+    layers formats arrays of 32 or more numbers, which ``report.texts``
     deduplicates with ``np.unique``; the report must not pay that import."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -1492,6 +1510,37 @@ def test_import_leaves_dataclasses_unloaded():
                  "print('dataclasses' in sys.modules)",
                  capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_import_leaves_fractions_unloaded():
+    """Probability strings parse without ``fractions``, which imports
+    ``decimal``: importing the command line loads neither."""
+    done = child("-c", "import sys, tempdiag.cli; print('fractions' in "
+                 "sys.modules, 'decimal' in sys.modules)",
+                 capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython"
+                    or sys.version_info[:2] != (3, 11),
+                    reason="the bound is CPython 3.11's compile() memory")
+def test_every_module_compiles_in_bounded_memory():
+    """Each module of the package compiles with a tracemalloc peak under
+    1.4 MiB (``cli.py``, the largest, peaks at about 1.25 MiB). Where no
+    bytecode is cached every invocation compiles them, and the largest
+    peak sets the import's RSS high-water mark, in steps of about 0.25 MB
+    as a module grows past a few thousand tokens."""
+    peaks = {}
+    for path in sorted((ROOT / "src" / "tempdiag").glob("*.py")):
+        text = path.read_text()
+        tracemalloc.start()
+        try:
+            compile(text, str(path), "exec")
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert {name: peak for name, peak in peaks.items()
+            if peak >= 1.4 * 2 ** 20} == {}
 
 
 #: Runs ending in each exit code, and the code.

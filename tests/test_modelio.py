@@ -7,27 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-import tempdiag.modelio as modelio
+import tempdiag.report as writer
 from tempdiag import validate_model, validate_stream
 from tempdiag.errors import ValidationError
 from tempdiag.modelio import (
-    Column,
-    Rows,
     load_model,
     load_stream,
     model_from_dict,
     parse_probability,
-    quote,
     stream_from_list,
     stream_to_list,
-    table,
-    texts,
     trajectories_from_list,
-    write_report,
 )
+from tempdiag.report import Column, Rows, quote, table, texts, write_report
 
 from conftest import SCENARIOS, WriteRecorder
-from reference import model_to_dict
+from reference import exact_probability, model_to_dict
 
 
 class TestParseProbability:
@@ -49,6 +44,100 @@ class TestParseProbability:
             parse_probability(True)
         with pytest.raises(ValidationError):
             parse_probability([0.5])
+
+    @pytest.mark.parametrize("text, value", [
+        (" 1 / 2 ", 0.5), ("1_0/20", 0.5), ("-0", 0.0), ("-0/3", 0.0),
+        (".5", 0.5), ("5.", 5.0), ("1e-999999999", 0.0),
+        ("-1e-400", -0.0), ("\u0663/\u0661\u0660", 0.3)])
+    def test_grammar_of_python_3_13(self, text, value):
+        """Spaces around ``/`` and ``_`` between digits are read on every
+        Python; an exact zero is +0.0, and an underflow keeps its sign."""
+        assert parse_probability(text).hex() == value.hex()
+
+    @pytest.mark.parametrize("text", [
+        "nan", "inf", "-Infinity", "1/0", "1.d", "1e400", "1_", "1__0",
+        "_1", "- 1", "1/2.0", "1/-2", "0x10", ".", "e5", ""])
+    def test_grammar_refuses(self, text):
+        assert exact_probability(text) is None
+        with pytest.raises(ValidationError):
+            parse_probability(text)
+
+
+#: ASCII digits and Arabic-Indic, Devanagari and fullwidth ones.
+DIGITS = "0123456789\u0660\u0663\u0967\uff10\uff19"
+#: ASCII and Unicode whitespace, ``\x1c`` (which ``float`` does not strip
+#: by itself) among them.
+SPACES = " \t\n\x0b\x1c\x85\xa0\u2003\u3000"
+#: Characters the grammar refuses where they land, and ones it takes.
+NOISE = "_./eE+-d \x00xn"
+
+
+@st.composite
+def digit_runs(draw, empty=False):
+    """Digits with single ``_`` between some, or none if ``empty``."""
+    runs = draw(st.lists(st.text(st.sampled_from(DIGITS), min_size=1,
+                                 max_size=3), min_size=int(not empty),
+                         max_size=3))
+    return "_".join(runs)
+
+
+@st.composite
+def probability_texts(draw):
+    """A numerator over a denominator, an integer, or a decimal with an
+    optional exponent (some overflow, some underflow), signed or not, in
+    optional whitespace; some strings then have a character inserted,
+    replaced or dropped."""
+    space = st.text(st.sampled_from(SPACES), max_size=2)
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    num = draw(digit_runs())
+    form = draw(st.sampled_from(["fraction", "integer", "decimal"]))
+    if form == "fraction":
+        body = num + draw(space) + "/" + draw(space) + draw(digit_runs())
+    elif form == "decimal":
+        body = draw(st.sampled_from([num, ""])) + "." + draw(
+            digit_runs(empty=True))
+        if draw(st.booleans()):  # small, or near the double range's ends
+            digits = str(draw(st.one_of(st.integers(0, 30),
+                                        st.integers(290, 420))))
+            if len(digits) > 1 and draw(st.booleans()):
+                digits = digits[0] + "_" + digits[1:]
+            body += draw(st.sampled_from("eE")) + draw(st.sampled_from(
+                ["", "+", "-"])) + digits
+    else:
+        body = num
+    text = draw(space) + sign + body + draw(space)
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["", *NOISE])) + text[
+            at + draw(st.integers(0, 1)):]
+    return text
+
+
+#: Strings at the ends of the double range: underflows to -0.0 and to the
+#: least subnormal, halfway cases, the largest double and past it.
+EDGE_TEXTS = ("-1e-400", "-2.4703282292062327e-324",
+              "-2.4703282292062328e-324", "2.4703282292062328e-324",
+              "4.9e-324", "-0.0e-999", "-0/7", "1.7976931348623157e308",
+              "1.7976931348623158e308", "1.797693134862315807e308",
+              "1.797693134862315808e308", "-1.7976931348623159e308",
+              "17976931348623158" + "0" * 292 + "/1", "1/1" + "0" * 324,
+              "-1/5" + "0" * 323, "9_9e307")
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(st.one_of(probability_texts(), st.sampled_from(EDGE_TEXTS),
+                 st.text(st.sampled_from(DIGITS[:10] + NOISE + "/"),
+                         max_size=6)))
+def test_probability_strings_equal_exact_fractions(text):
+    """A probability string reads as the float nearest the exact
+    ``Fraction`` that Python 3.13 builds from it, bit for bit (so ``-0``
+    is +0.0), and is refused exactly where that has no float value."""
+    expect = exact_probability(text)
+    if expect is None:
+        with pytest.raises(ValidationError):
+            parse_probability(text)
+    else:
+        assert parse_probability(text).hex() == expect.hex()
 
 
 class TestRoundTrip:
@@ -230,31 +319,31 @@ class TestCanonicalReports:
         assert out.endswith("\n")
 
 
-    @pytest.mark.parametrize("span", [1, 7, 64, modelio._SPAN],
+    @pytest.mark.parametrize("span", [1, 7, 64, writer._SPAN],
                              ids=["1", "7", "64", "default"])
     @pytest.mark.parametrize("count", [0, 1, 2, 40])
     def test_tables_equal_json_dumps(self, monkeypatch, span, count):
         """Nested tables give the stdlib's text, whether their items are
         written whole or stream their rows, in the report's top level or
         deeper."""
-        monkeypatch.setattr(modelio, "_SPAN", span)
+        monkeypatch.setattr(writer, "_SPAN", span)
         section, items, _ = nested_table(count)
         report = {"a": section, "b": [1, {"c": section}]}
         assert encode(report) == json.dumps(
             {"a": items, "b": [1, {"c": items}]}, indent=2,
             sort_keys=True) + "\n"
 
-    @pytest.mark.parametrize("span", [1, 7, 64, modelio._SPAN],
+    @pytest.mark.parametrize("span", [1, 7, 64, writer._SPAN],
                              ids=["1", "7", "64", "default"])
-    @pytest.mark.parametrize("chunk", [1, 64, modelio._CHUNK],
+    @pytest.mark.parametrize("chunk", [1, 64, writer._CHUNK],
                              ids=["1", "64", "default"])
     def test_tables_equal_json_dumps_in_any_writes(self, monkeypatch, span,
                                                    chunk):
         """Nested tables give the stdlib's text however their spans and
         writes are cut: raw NULs in keys and cells, arrays that are all
         empty and arrays empty in some items only, the first included."""
-        monkeypatch.setattr(modelio, "_SPAN", span)
-        monkeypatch.setattr(modelio, "_CHUNK", chunk)
+        monkeypatch.setattr(writer, "_SPAN", span)
+        monkeypatch.setattr(writer, "_CHUNK", chunk)
         mixed = table(Rows({"v": Column(np.arange(4))}, [0, 3, 0, 1]), 4)
         for count in (1, 2, 40):
             section, items, _ = nested_table(count)
@@ -269,7 +358,7 @@ class TestCanonicalReports:
         stdlib's text, written in pieces of about the batch size: no write
         is longer than two batches and one more row with its
         separators."""
-        monkeypatch.setattr(modelio, "_CHUNK", chunk)
+        monkeypatch.setattr(writer, "_CHUNK", chunk)
         values = np.array([[i / 7, -i / 3] for i in range(3000)])
         section = table([Column(values[:, 0]), Column(values[:, 1])],
                         len(values))
@@ -287,14 +376,14 @@ class TestCanonicalReports:
         """A table formats its numbers when the writer reaches it, after
         the text before it is written, and not at all if a number some
         table holds is not finite."""
-        monkeypatch.setattr(modelio, "_CHUNK", 1)
-        stream, rendered, texts_ = WriteRecorder(), [], modelio.texts
+        monkeypatch.setattr(writer, "_CHUNK", 1)
+        stream, rendered, texts_ = WriteRecorder(), [], writer.texts
 
         def recorded(values):
             rendered.append(len(stream.writes))
             return texts_(values)
 
-        monkeypatch.setattr(modelio, "texts", recorded)
+        monkeypatch.setattr(writer, "texts", recorded)
         report = {"a": [1.5], "b": table(Column(np.array([0.5])), 1),
                   "c": table({"d": Column(np.array([0.25]))}, 1)}
         write_report(report, stream)
@@ -311,9 +400,9 @@ class TestCanonicalReports:
         """A table is rendered only as it is written, and a non-finite
         number that a table after it holds, in an item that streams or
         not, still raises before anything is written."""
-        monkeypatch.setattr(modelio, "_CHUNK", 64)
-        for span in (1, modelio._SPAN):
-            monkeypatch.setattr(modelio, "_SPAN", span)
+        monkeypatch.setattr(writer, "_CHUNK", 64)
+        for span in (1, writer._SPAN):
+            monkeypatch.setattr(writer, "_SPAN", span)
             section, _, floats = nested_table(40)
             floats[-1] = np.inf
             later, _, _ = nested_table(40)
