@@ -41,11 +41,9 @@ _MODULES = {
     "enumerate_evolutions": "temporal",
     "forward_paths": "temporal",
     "generate_observation_stream": "simulate",
-    "induce_initial_distributions": "temporal",
     "normalization_factor": "revision",
     "predicted_manifestations": "atemporal",
     "rank_evolutions": "temporal",
-    "relevant_instants": "temporal",
     "resolve_initial_distributions": "temporal",
     "revise_trellis": "revision",
     "sample_trajectory": "simulate",

@@ -85,10 +85,6 @@ class SearchSpaceError(DiagnosisError):
     exit_code = 3
 
 
-class EmptyCandidateSetError(DiagnosisError):
-    code = "empty_candidate_set"
-
-
 class NonIncreasingInstantsError(DiagnosisError):
     code = "non_increasing_instants"
 

@@ -82,8 +82,6 @@ class FaultClass(NamedTuple):
 class FaultClassification(NamedTuple):
     """Fault taxonomy for every non-correct mode of one component."""
 
-    component: str
-    correct_mode: str
     faults: Mapping[str, FaultClass]
     #: the state labels the taxonomy was read from
     states: StateClassification
@@ -251,4 +249,4 @@ def classify_faults(component: "ComponentSpec") -> FaultClassification:
             transient=label is StateLabel.TRANSIENT,
             reversible=reversible,
         )
-    return FaultClassification(component.id, correct, faults, states)
+    return FaultClassification(faults, states)

@@ -56,14 +56,17 @@ def parse_probability(value: Any, where: str = "") -> float:
             return float(value)
         match = _RATIONAL.match(value)
         if match:
-            sign, num, denom, decimal = match.group("sign", "num", "denom",
-                                                    "decimal")
+            sign, num, denom, decimal, exp = match.group(
+                "sign", "num", "denom", "decimal", "exp")
             if denom:  # int division rounds correctly, as Fraction's does
                 result = int(sign + num) / int(denom)
             else:  # so does float's, which gives 1e999999999 inf at once;
-                # its own strip keeps "\x1c" to "\x1f", which \s matches
+                # its own strip keeps "\x1c" to "\x1f", which \s matches.
+                # int refuses a group too long for it, as in Fraction
+                whole, part, _ = map(int, (num or "0", decimal or "0",
+                                           exp or "0"))
                 result = float(value.strip())
-                if not result and not (int(num or "0") or int(decimal or "0")):
+                if not result and not (whole or part):
                     result = 0.0  # "-0.0" is exactly 0; "-1e-400" stays -0.0
             if math.isfinite(result):
                 return result

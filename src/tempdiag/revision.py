@@ -18,10 +18,8 @@ modes as indices. It keeps the paths as the table's back-pointers, a few
 numbers per path: ``temporal.SpelledPaths`` spells them as they are read,
 so nothing the revision holds grows with the square of the stream's
 length. Its ``len``, indexing and iteration give each instant's
-``InstantRevision``, whose arrays are views of the flat ones, apart from
-its paths, spelled when it is built (from the instant before, if that was
-the last one spelled).
-``normalization_factor`` is the global revision's factor.
+``InstantRevision``: its time point and its paths, spelled when it is
+built. ``normalization_factor`` is the global revision's factor.
 """
 
 from __future__ import annotations
@@ -64,24 +62,12 @@ def normalization_factor(joints: Sequence[float]) -> float:
 
 
 class InstantRevision(NamedTuple):
-    """The global revision at one instant, as arrays: the joints over the
-    forward pass's paths ending here, the scores over the admissible edges
-    into here (none at the first instant)."""
+    """One instant of a revision: its time point and the |P| x (k + 1)
+    int32 array of the candidate-index paths ending there, in the forward
+    pass's (lexicographic) order."""
 
     t: int
-    factor: float
-    #: the |P| x (k + 1) int32 array of the candidate-index paths ending
-    #: here, in the forward pass's (lexicographic) order
     path_indices: np.ndarray
-    joints: np.ndarray
-    revised_joints: np.ndarray
-    #: source and target candidate indices of each admissible edge, in
-    #: row-major order
-    sources: np.ndarray
-    targets: np.ndarray
-    #: each admissible edge's raw conditional and revised score
-    conditionals: np.ndarray
-    revised_conditionals: np.ndarray
 
 
 class ComponentStream(NamedTuple):
@@ -116,10 +102,9 @@ class StreamRevision(SimpleNamespace):
     ``ComponentStream``.
 
     It is a sequence of instants, so not a tuple of its fields: ``len``,
-    indexing and iteration give each instant's ``InstantRevision``, built
-    on demand with views of these arrays and its paths spelled by
-    ``spelled`` (so in order, each from the instant before). Fields are
-    keywords, and it compares and hashes by identity.
+    indexing and iteration give each instant's ``InstantRevision``, its
+    paths spelled by ``spelled`` (so in order, each from the instant
+    before). Fields are keywords, and it compares and hashes by identity.
     """
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
@@ -129,13 +114,7 @@ class StreamRevision(SimpleNamespace):
 
     def __getitem__(self, k: int) -> InstantRevision:
         k = range(len(self))[k]  # from the end if negative; IndexError ends
-        p, q = self.paths[k:k + 2].tolist()
-        a, b = self.edges[k:k + 2].tolist()
-        return InstantRevision(
-            self.instants[k], self.factors[k].item(), self.spelled.layer(k),
-            self.joints[p:q], self.revised_joints[p:q], self.sources[a:b],
-            self.targets[a:b], self.conditionals[a:b],
-            self.revised_conditionals[a:b])
+        return InstantRevision(self.instants[k], self.spelled.layer(k))
 
 
 def revise_trellis(trellis: Trellis, model: SystemModel,

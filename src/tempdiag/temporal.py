@@ -49,7 +49,6 @@ from .atemporal import (
     solve_atemporal,
 )
 from .errors import (
-    EmptyCandidateSetError,
     EmptyStreamError,
     NoAdmissibleEvolutionError,
     NoCandidatesError,
@@ -145,30 +144,6 @@ def _endpoints(starts: np.ndarray) -> tuple[np.ndarray, ...]:
                               np.diff(starts)[steps + 1]))
 
 
-def relevant_instants(obs: ObservationStream) -> list[int]:
-    """The time points carrying observations, in order."""
-    if not obs.entries:
-        raise EmptyStreamError("observation stream has no entries")
-    return [entry.t for entry in obs.entries]
-
-
-def induce_initial_distributions(model: SystemModel, modes: np.ndarray,
-                                 ) -> dict[str, np.ndarray]:
-    """Turn the candidate set at the first instant, a |L| x C mode-index
-    array, into per-component initial distributions over the declared modes.
-
-    Every candidate gets mass ``1/|L|``; a component's probability of being
-    in mode m is the mass of the candidates assigning m to it, added
-    candidate by candidate.
-    """
-    if not len(modes):
-        raise EmptyCandidateSetError("cannot induce distributions from an "
-                                     "empty candidate set")
-    weights = np.full(len(modes), 1.0 / len(modes))
-    return {c.id: np.bincount(modes[:, ci], weights, minlength=len(c.modes))
-            for ci, c in enumerate(model.components)}
-
-
 def resolve_initial_distributions(
         model: SystemModel,
         first_instant: int | None = None,
@@ -176,19 +151,25 @@ def resolve_initial_distributions(
 ) -> dict[str, np.ndarray]:
     """Initial distribution per component, resolved in priority order:
     the component's own declaration, then uniform induction from the
-    candidate set (a mode-index array) when the first relevant instant is
-    0, then the uniform distribution over the component's modes.
+    candidate set (a |L| x C mode-index array) when the first relevant
+    instant is 0 and the set is not empty, then the uniform distribution
+    over the component's modes.
+
+    Induction gives every candidate mass ``1/|L|``: a component's
+    probability of being in mode m is the mass of the candidates assigning
+    m to it, added candidate by candidate.
     """
-    induced = None
+    weights = None
     if first_instant == 0 and first_candidates is not None and len(
             first_candidates):
-        induced = induce_initial_distributions(model, first_candidates)
+        weights = np.full(len(first_candidates), 1.0 / len(first_candidates))
     out = {}
-    for c in model.components:
+    for ci, c in enumerate(model.components):
         if c.initial_distribution is not None:
             out[c.id] = c.initial_distribution
-        elif induced is not None:
-            out[c.id] = induced[c.id]
+        elif weights is not None:
+            out[c.id] = np.bincount(first_candidates[:, ci], weights,
+                                    minlength=len(c.modes))
         else:
             out[c.id] = np.full(len(c.modes), 1.0 / len(c.modes))
     return out
@@ -254,6 +235,7 @@ def build_trellis(problem: DiagnosticProblem) -> Trellis:
     once, and its candidates are copied to each instant that repeats it.
 
     Raises:
+        EmptyStreamError: the stream has no entries.
         NoCandidatesError: some instant has no atemporal solution.
     """
     if not 0.0 <= problem.sigma <= 1.0:
@@ -262,11 +244,13 @@ def build_trellis(problem: DiagnosticProblem) -> Trellis:
     if problem.candidate_cap < 1:  # every assignment space holds at least one
         raise ValidationError(
             f"candidate cap must be at least 1, got {problem.candidate_cap!r}")
-    model = problem.model
-    instants = relevant_instants(problem.observations)
+    model, entries = problem.model, problem.observations.entries
+    if not entries:
+        raise EmptyStreamError("observation stream has no entries")
+    instants = [entry.t for entry in entries]
 
     layers, solved = [], {}
-    for entry in problem.observations.entries:
+    for entry in entries:
         key = entry.present, entry.absent
         if key not in solved:
             solved[key] = solve_atemporal(model, entry, problem.criterion,

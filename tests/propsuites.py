@@ -61,6 +61,7 @@ from reference import (
     decode,
     edge_factors,
     forward_prefixes,
+    instant_revision,
     joint_probability,
     matrix_power,
     named_revision,
@@ -481,7 +482,8 @@ def check_revision_ranking_and_zeros(cases: int, seed: int = 2031) -> None:
             entries=(np.arange(2 * n, dtype=np.uint8),),
             powers=(steps.ravel(),),
             conditionals=steps.ravel(), admissible=np.ones(2 * n, bool))
-        _, second = revise_trellis(trellis, model, forward_paths(trellis))
+        second = instant_revision(
+            revise_trellis(trellis, model, forward_paths(trellis)), 1)
         assert second.joints.tolist() == [*joints.tolist(), *[0.0] * n]
         revised_joints = second.revised_joints[:n]
         revised_conditionals = second.revised_conditionals[n:]
@@ -604,9 +606,9 @@ def check_revision_matches_definitions(cases: int, seed: int = 2034) -> None:
             continue
         assert isinstance(expected, list) and len(actual) == len(expected)
         assert list(actual.components) == [c.id for c in model.components]
-        for k, (rev, (t, paths, joints, factor, revised_joints,
-                      revised_conditionals, components)) in enumerate(
-                          zip(actual, expected)):
+        for k, (t, paths, joints, factor, revised_joints,
+                revised_conditionals, components) in enumerate(expected):
+            rev = instant_revision(actual, k)
             assert (rev.t, rev.path_indices.tolist(), rev.joints.tolist()) == (
                 t, paths, list(joints))
             assert rev.factor == factor

@@ -9,11 +9,12 @@ per-component revision and revised transition score. The engine computes
 all of them over mode-index arrays; the property suites and unit tests
 check it against these, bit for bit where the arithmetic is the same.
 
-Five bridges read the engine's arrays back as objects: ``assignments``
+Six bridges read the engine's arrays back as objects: ``assignments``
 turns a mode-index array into ``ModeAssignment`` objects, ``decode``
 turns ``Evolutions`` into ``Diagnosis`` rows, so the suites compare whole
-trajectories with ``==``, ``component_revision`` slices one instant out of
-a component's ``ComponentStream``, ``named_revision`` gives its admitted
+trajectories with ``==``, ``instant_revision`` slices one instant out of
+a ``StreamRevision``'s flat arrays, ``component_revision`` one instant out
+of a component's ``ComponentStream``, ``named_revision`` gives its admitted
 modes and revised transitions by name, and ``forward_prefixes`` spells
 out the paths the forward pass's back-pointers point to, walking each one
 (``walked_path``) rather than spelling a layer from the one before as
@@ -61,7 +62,6 @@ from tempdiag import (
 from tempdiag.errors import (
     DiagnosisError,
     DimensionMismatchError,
-    EmptyCandidateSetError,
     EntryRangeError,
     NonIncreasingInstantsError,
     ZeroAdmittedMassError,
@@ -204,7 +204,7 @@ def joint_probability(trajectory: Sequence[ModeAssignment],
     """Joint probability of a whole evolution, computed by the recursion
     joint(k) = joint(k-1) * P[W(t_k) | W(t_{k-1})]."""
     if not trajectory:
-        raise EmptyCandidateSetError("empty trajectory")
+        raise ValueError("empty trajectory")
     joint = prior_probability(trajectory[0], initials, model)
     for prev, nxt in zip(trajectory, trajectory[1:]):
         joint *= conditional_probability(prev, nxt, model)
@@ -292,6 +292,40 @@ def decode(model: SystemModel, evolutions: Evolutions) -> list[Diagnosis]:
             evolutions.instants.tolist(), evolutions.modes.tolist(),
             evolutions.priors.tolist(), evolutions.steps.tolist(),
             evolutions.joints.tolist(), evolutions.lengths.tolist())]
+
+
+class InstantValues(NamedTuple):
+    """The global revision at one instant: the joints over the forward
+    pass's paths ending there, the scores over the admissible edges into
+    it (none at the first instant)."""
+
+    t: int
+    factor: float
+    #: the |P| x (k + 1) int32 candidate-index paths ending here
+    path_indices: np.ndarray
+    joints: np.ndarray
+    revised_joints: np.ndarray
+    #: source and target candidate indices of each admissible edge, in
+    #: row-major order
+    sources: np.ndarray
+    targets: np.ndarray
+    #: each admissible edge's raw conditional and revised score
+    conditionals: np.ndarray
+    revised_conditionals: np.ndarray
+
+
+def instant_revision(revision: StreamRevision, k: int) -> InstantValues:
+    """Instant ``k`` of ``revision`` (from the end if negative), as views of
+    its flat arrays, apart from the paths, which ``revision[k]`` spells."""
+    t, path_indices = revision[k]
+    k = range(len(revision))[k]
+    p, q = revision.paths[k:k + 2].tolist()
+    a, b = revision.edges[k:k + 2].tolist()
+    return InstantValues(
+        t, revision.factors[k].item(), path_indices, revision.joints[p:q],
+        revision.revised_joints[p:q], revision.sources[a:b],
+        revision.targets[a:b], revision.conditionals[a:b],
+        revision.revised_conditionals[a:b])
 
 
 def component_revision(revision: StreamRevision, k: int, cid: str) -> tuple:

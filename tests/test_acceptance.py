@@ -18,7 +18,6 @@ from tempdiag import (
     classify_faults,
     enumerate_evolutions,
     forward_paths,
-    induce_initial_distributions,
     resolve_initial_distributions,
     revise_trellis,
     sample_trajectory,
@@ -41,6 +40,7 @@ from reference import (
     classify_states,
     component_revision,
     empirical_transition_matrix,
+    instant_revision,
     named_revision,
     propagate_distribution,
 )
@@ -143,7 +143,7 @@ def test_criterion_4_revision(occlusion_problem):
         trellis = build_trellis(occlusion_problem)
         revision = revise_trellis(trellis, occlusion_problem.model,
                                   forward_paths(trellis))
-        _, second = revision
+        second = instant_revision(revision, 1)
 
         assert second.factor == pytest.approx(50 / 21, abs=1e-12)
         revised = sorted(second.revised_conditionals.tolist())
@@ -177,8 +177,8 @@ def test_criterion_5_propagation(hydraulic):
     """One-step propagation: container (0, 1/10, 9/10); pump
     (1/150, 7/15, 1/75, 16/75, 3/10), a proper distribution."""
     with criterion(5, "one-step distribution propagation"):
-        initials = induce_initial_distributions(
-            hydraulic, mode_indices(hydraulic, first_layer_candidates(0)))
+        initials = resolve_initial_distributions(
+            hydraulic, 0, mode_indices(hydraulic, first_layer_candidates(0)))
         matrices = {c.id: c.matrix for c in hydraulic.components}
         pi_c = propagate_distribution(initials["C"], matrices["C"], 1)
         np.testing.assert_allclose(pi_c, [0, 1 / 10, 9 / 10], atol=1e-12)

@@ -1650,19 +1650,28 @@ def bench_cases(tmp_path_factory):
     return base, cases
 
 
-@pytest.mark.parametrize("workload, case, code, digest", [
-    ("dense", 0, 0,
-     "74d639f143c0c1281bde6047dfb7831e286f48007b3e939bfb6f0950c8b470c8"),
-    ("dense", 1, 0,
-     "4698e894d3eaf760da86eaeba16886af000ffaef2d5ed4c814cee02ef8994b90"),
-    ("wide", 0, 0,
-     "2707082025649f532c71b70f6185ea16fa3f415b7b05adeb01b8ac5a417d74ad"),
-    ("long", 2, 0,
-     "297b89a74e356d9ac9b3cce6864e2627a795cffaabbac8b845d0f3bdaf86261d"),
-    ("long", 5, 0,
-     "ef05f4bebcc895875ab25d68d6712d1b83b2d8d274eeae56a6f1c1e06b46969e"),
-], ids=["dense0-revise", "dense1-per-component-revise", "wide0",
-        "long450-diagnose-revise", "long1300-rank"])
+#: Five seed-7 bench cases by id: workload, case, exit code, stdout sha256.
+PINNED = {
+    "dense0-revise": (
+        "dense", 0, 0,
+        "74d639f143c0c1281bde6047dfb7831e286f48007b3e939bfb6f0950c8b470c8"),
+    "dense1-per-component-revise": (
+        "dense", 1, 0,
+        "4698e894d3eaf760da86eaeba16886af000ffaef2d5ed4c814cee02ef8994b90"),
+    "wide0": (
+        "wide", 0, 0,
+        "2707082025649f532c71b70f6185ea16fa3f415b7b05adeb01b8ac5a417d74ad"),
+    "long450-diagnose-revise": (
+        "long", 2, 0,
+        "297b89a74e356d9ac9b3cce6864e2627a795cffaabbac8b845d0f3bdaf86261d"),
+    "long1300-rank": (
+        "long", 5, 0,
+        "ef05f4bebcc895875ab25d68d6712d1b83b2d8d274eeae56a6f1c1e06b46969e"),
+}
+
+
+@pytest.mark.parametrize("workload, case, code, digest", PINNED.values(),
+                         ids=list(PINNED))
 def test_bench_reports_are_pinned(capsys, monkeypatch, bench_cases,
                                   workload, case, code, digest):
     """The exit code and the stdout sha256 of five seed-7 bench cases: two
@@ -1678,6 +1687,32 @@ def test_bench_reports_are_pinned(capsys, monkeypatch, bench_cases,
     assert ("per-component" in argv) == ((workload, case) == ("dense", 1))
     assert main(argv) == code
     out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("pinned", ["dense0-revise",
+                                    "dense1-per-component-revise",
+                                    "long450-diagnose-revise"])
+def test_tracer_order_keeps_the_pinned_reports(capsys, monkeypatch,
+                                               bench_cases, pinned):
+    """The benchmark's tracer iterates each revision, reading every
+    instant's ``path_indices``, before the report is written, so the
+    writer's ``SpelledPaths`` reads start again from layer 0 after a full
+    pass. The pinned revising cases keep their digests in that order."""
+    workload, case, code, digest = PINNED[pinned]
+    base, cases = bench_cases
+    monkeypatch.chdir(base)
+    counts, revise = [], tempdiag.cli.revise_trellis
+
+    def iterated(*args):
+        revision = revise(*args)
+        counts.append(sum(len(r.path_indices) for r in revision))
+        return revision
+
+    monkeypatch.setattr(tempdiag.cli, "revise_trellis", iterated)
+    assert main(cases[workload][case]) == code
+    out = capsys.readouterr().out
+    assert len(counts) == 1 and counts[0] > 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -121,7 +121,10 @@ EDGE_TEXTS = ("-1e-400", "-2.4703282292062327e-324",
               "1.7976931348623158e308", "1.797693134862315807e308",
               "1.797693134862315808e308", "-1.7976931348623159e308",
               "17976931348623158" + "0" * 292 + "/1", "1/1" + "0" * 324,
-              "-1/5" + "0" * 323, "9_9e307")
+              "-1/5" + "0" * 323, "9_9e307",
+              # digit groups longer than int reads
+              "0." + "1" * 5000, "1." + "0" * 5000, "1e-" + "1" * 5000,
+              "0e" + "1" * 5000)
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None, database=None)

@@ -1,7 +1,8 @@
 """Every function in the package is reached by running the command line,
 apart from a short written list: a function that only tests call belongs
 in the tests. Every private module constant is read, and every name a
-module imports: one that nothing reads belongs nowhere."""
+module imports: one that nothing reads belongs nowhere. Every error class
+that no other one extends is raised somewhere in the package."""
 
 import ast
 import contextlib
@@ -41,12 +42,12 @@ UNREACHED = {
                                            "object repeats",
     "revision.revise_trellis.<genexpr>": "error only: the admitted modes "
                                          "of a ZeroAdmittedMassError",
-    "revision.StreamRevision.__getitem__": "one instant's revision: the "
+    "revision.StreamRevision.__getitem__": "one instant's paths: the "
                                            "report reads the flat arrays; "
                                            "kept for the benchmark's "
-                                           "tracer, which iterates it, and "
-                                           "for library callers, until the "
-                                           "tracer counts the joints",
+                                           "tracer, which iterates it and "
+                                           "counts path_indices, until it "
+                                           "counts the joints",
 }
 
 
@@ -161,3 +162,31 @@ def test_every_import_is_read():
     assert imported
     unread = [".".join(name) for name in imported if name not in read]
     assert not unread, unread
+
+
+def test_every_error_class_is_raised():
+    """Each ``DiagnosisError`` subclass in ``errors.py`` that no other
+    error class extends is named in some ``raise`` statement of the
+    package: an error nothing raises is one no caller can meet."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    bases = {node.name: {base.id for base in node.bases
+                         if isinstance(base, ast.Name)}
+             for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def is_error(name):
+        return name == "DiagnosisError" or any(map(is_error,
+                                                   bases.get(name, ())))
+
+    extended = set().union(*bases.values())
+    leaves = {name for name in bases
+              if is_error(name) and name not in extended}
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute)
+                           else getattr(exc, "id", None))
+    assert "NoCandidatesError" in leaves and "ValidationError" not in leaves
+    assert sorted(leaves - raised) == []

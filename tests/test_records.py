@@ -75,8 +75,7 @@ RECORDS = [
                            "transient_sets": (("ok",),)}, {}, True, {}),
     (FaultClass, {"permanent": True, "transient": False, "reversible": False},
      {}, True, {}),
-    (FaultClassification, {"component": "P", "correct_mode": "ok",
-                           "faults": {"bad": FAULT}, "states": STATES}, {},
+    (FaultClassification, {"faults": {"bad": FAULT}, "states": STATES}, {},
      True, {}),
     (DiagnosticProblem, {"model": MODEL, "observations": STREAM,
                          "sigma": 0.01,
@@ -104,12 +103,8 @@ RECORDS = [
                        "transitions": np.empty((0, 3), dtype=int),
                        "entries": _array(), "revised_entries": _array()},
      {}, True, {}),
-    (InstantRevision, {"t": 1, "factor": 2.0, "path_indices": np.array([[0]]),
-                       "joints": _array(0.5), "revised_joints": _array(1.0),
-                       "sources": np.array([], dtype=int),
-                       "targets": np.array([], dtype=int),
-                       "conditionals": _array(),
-                       "revised_conditionals": _array()}, {}, True, {}),
+    (InstantRevision, {"t": 1, "path_indices": np.array([[0]], np.int32)},
+     {}, True, {}),
     (SampledTrajectory, {"seed": 3, "horizon": 2,
                          "modes": {"P": ("ok", "ok", "bad")}}, {}, True, {}),
 ]

@@ -28,6 +28,7 @@ from propsuites import random_assignment, random_model
 from reference import (
     component_mass_factor,
     component_revision,
+    instant_revision,
     named_revision,
     posterior_component_distribution,
     prior_probability,
@@ -66,8 +67,8 @@ class TestNormalizationFactor:
 class TestReviseGlobal:
     def test_worked_values(self, occlusion_problem):
         trellis = build_trellis(occlusion_problem)
-        _, second = revise_trellis(trellis, occlusion_problem.model,
-                                   forward_paths(trellis))
+        second = instant_revision(revise_trellis(
+            trellis, occlusion_problem.model, forward_paths(trellis)), 1)
         # (raw, revised) per edge and per path
         np.testing.assert_allclose(
             sorted(zip(second.conditionals, second.revised_conditionals)),
@@ -79,8 +80,8 @@ class TestReviseGlobal:
 
     def test_single_candidate_becomes_certain(self, sudden_stop_problem):
         trellis = build_trellis(sudden_stop_problem)
-        *_, last = revise_trellis(trellis, sudden_stop_problem.model,
-                                  forward_paths(trellis))
+        last = instant_revision(revise_trellis(
+            trellis, sudden_stop_problem.model, forward_paths(trellis)), -1)
         assert last.joints.tolist() == [pytest.approx(9 / 500, abs=1e-12)]
         assert last.revised_joints.tolist() == [pytest.approx(1.0, abs=1e-12)]
 
@@ -222,7 +223,7 @@ class TestReviseTrellis:
         trellis = build_trellis(occlusion_problem)
         revision = revise_trellis(trellis, occlusion_problem.model,
                                   forward_paths(trellis))
-        first, second = revision
+        first, second = (instant_revision(revision, k) for k in (0, 1))
 
         assert first.t == 0
         assert first.factor == pytest.approx(1.0, abs=1e-12)
@@ -257,10 +258,11 @@ class TestReviseTrellis:
 
     def test_stream_is_a_sequence_of_instant_views(self, occlusion_problem):
         """``len``, indexing (from the end too) and iteration give one
-        ``InstantRevision`` per instant, whose arrays are views of the
-        whole stream's, apart from its paths: those it spells from the
-        stream's back-pointers when asked, as the reference walks them.
-        An index past either end raises IndexError."""
+        ``InstantRevision`` per instant, its time point and its paths,
+        spelled from the stream's back-pointers when asked, as the
+        reference walks them. An index past either end raises IndexError.
+        ``instant_revision``'s other values are views of the whole
+        stream's arrays."""
         trellis = build_trellis(occlusion_problem)
         revision = revise_trellis(trellis, occlusion_problem.model,
                                   forward_paths(trellis))
@@ -282,7 +284,10 @@ class TestReviseTrellis:
                 for entry in range(p, q)]
         fields = ("joints", "revised_joints", "sources", "targets",
                   "conditionals", "revised_conditionals")
-        pairs = [(getattr(second, f), getattr(revision, f)) for f in fields]
+        values = instant_revision(revision, 1)
+        assert (values.t, values.path_indices.tolist()) == (
+            1, revision[1].path_indices.tolist())
+        pairs = [(getattr(values, f), getattr(revision, f)) for f in fields]
         for c in occlusion_problem.model.components:
             # component_revision's values, in ComponentStream's order
             pairs += [pair for pair in zip(component_revision(revision, 1,
@@ -316,8 +321,8 @@ class TestReviseTrellis:
 
     def test_ranking_preserved(self, occlusion_problem):
         trellis = build_trellis(occlusion_problem)
-        _, second = revise_trellis(trellis, occlusion_problem.model,
-                                   forward_paths(trellis))
+        second = instant_revision(revise_trellis(
+            trellis, occlusion_problem.model, forward_paths(trellis)), 1)
         raw_order = np.argsort(-second.joints, kind="stable")
         revised_order = np.argsort(-second.revised_joints, kind="stable")
         assert list(raw_order) == list(revised_order)
@@ -358,7 +363,8 @@ def test_single_trajectory_per_component_matches_global():
             conditionals=np.array([conditional]),
             admissible=np.array([True]))
         revision = revise_trellis(trellis, model, forward_paths(trellis))
-        (globally_revised,) = revision[1].revised_conditionals
+        (globally_revised,) = instant_revision(revision,
+                                               1).revised_conditionals
         product = math.prod(
             float(component_revision(revision, 1, c.id)[6][0])
             for c in model.components)

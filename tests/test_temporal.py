@@ -9,6 +9,7 @@ import pytest
 
 import tempdiag.temporal
 from tempdiag import (
+    ComponentSpec,
     DiagnosticProblem,
     ExplanationCriterion,
     ModeAssignment,
@@ -18,13 +19,10 @@ from tempdiag import (
     ThresholdMode,
     build_trellis,
     enumerate_evolutions,
-    induce_initial_distributions,
-    relevant_instants,
     resolve_initial_distributions,
 )
 from tempdiag.atemporal import solve_atemporal
 from tempdiag.errors import (
-    EmptyCandidateSetError,
     EmptyStreamError,
     NoAdmissibleEvolutionError,
     NoCandidatesError,
@@ -72,30 +70,40 @@ def w_candidates(t):
 
 
 class TestRelevantInstants:
+    """The trellis' instants are the time points carrying observations, in
+    order."""
+
+    @staticmethod
+    def instants(*times):
+        model = SystemModel((ComponentSpec("x", ("a",), "a", [[1.0]]),), ())
+        stream = ObservationStream(tuple(
+            Observation(t, set(), set()) for t in times))
+        return build_trellis(DiagnosticProblem(model, stream)).instants
+
     def test_two_entries(self):
-        stream = ObservationStream((Observation(0, set(), set()),
-                                    Observation(1, set(), set())))
-        assert relevant_instants(stream) == [0, 1]
+        assert self.instants(0, 1) == (0, 1)
 
     def test_gaps_preserved(self):
-        stream = ObservationStream(tuple(
-            Observation(t, set(), set()) for t in (2, 5, 9)))
-        assert relevant_instants(stream) == [2, 5, 9]
+        assert self.instants(2, 5, 9) == (2, 5, 9)
 
     def test_single_entry(self):
-        stream = ObservationStream((Observation(0, set(), set()),))
-        assert relevant_instants(stream) == [0]
+        assert self.instants(0) == (0,)
 
     def test_empty_stream_rejected(self):
-        with pytest.raises(EmptyStreamError):
-            relevant_instants(ObservationStream(()))
+        with pytest.raises(EmptyStreamError,
+                           match="^observation stream has no entries$"):
+            self.instants()
 
 
 def induced(model, candidates):
-    return induce_initial_distributions(model, mode_indices(model, candidates))
+    return resolve_initial_distributions(model, 0,
+                                         mode_indices(model, candidates))
 
 
 class TestInduceInitialDistributions:
+    """A t=0 candidate set induces the initial distribution of each
+    component that declares none."""
+
     def test_uniform_over_three_candidates(self, hydraulic):
         got = induced(hydraulic, w_candidates(0))
         np.testing.assert_allclose(got["C"], [0, 0, 1], atol=1e-12)
@@ -106,10 +114,6 @@ class TestInduceInitialDistributions:
         got = induced(hydraulic, [assignment(0, P="broken", C="correct")])
         assert got["P"][0] == 1.0      # broken
         assert got["C"][2] == 1.0      # correct
-
-    def test_empty_candidate_set_rejected(self, hydraulic):
-        with pytest.raises(EmptyCandidateSetError):
-            induced(hydraulic, [])
 
     def test_bit_exact_left_to_right_sum(self):
         """Each mode's mass equals, bit for bit, the candidates' 1/|L|
@@ -124,7 +128,7 @@ class TestInduceInitialDistributions:
             size = int(rng.integers(1, min(np.prod(shape), 100) + 1))
             flat = np.sort(rng.choice(np.prod(shape), size, replace=False))
             modes = np.stack(np.unravel_index(flat, shape), axis=1)
-            got = induce_initial_distributions(model, modes)
+            got = resolve_initial_distributions(model, 0, modes)
             for ci, c in enumerate(model.components):
                 expected = [0.0] * len(c.modes)
                 for row in modes.tolist():
@@ -347,6 +351,18 @@ class TestResolveInitials:
         got = resolve_initial_distributions(hydraulic, first_instant=3)
         np.testing.assert_allclose(got["P"], [0.2] * 5)
         np.testing.assert_allclose(got["C"], [1 / 3] * 3)
+
+    def test_empty_first_layer_falls_back_to_uniform(self):
+        """An empty candidate set at t=0 induces nothing: a declared
+        component keeps its declaration, the other gets the uniform
+        distribution."""
+        declared = ComponentSpec("d", ("a", "b"), "a", np.eye(2), [0.25, 0.75])
+        model = SystemModel((declared, ComponentSpec(
+            "u", ("a", "b", "c"), "a", np.eye(3))), ())
+        got = resolve_initial_distributions(model, 0, np.empty((0, 2), int))
+        assert list(got) == ["d", "u"]
+        assert got["d"] is declared.initial_distribution
+        assert got["u"].tolist() == [1 / 3] * 3
 
 
 class TestForwardTable:
