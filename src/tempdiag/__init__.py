@@ -41,7 +41,6 @@ _MODULES = {
     "enumerate_evolutions": "temporal",
     "forward_paths": "temporal",
     "generate_observation_stream": "simulate",
-    "normalization_factor": "revision",
     "predicted_manifestations": "atemporal",
     "rank_evolutions": "temporal",
     "resolve_initial_distributions": "temporal",

@@ -49,7 +49,6 @@ from .temporal import (
     build_trellis,
     enumerate_evolutions,
     forward_paths,
-    name_ranks,
     rank_evolutions,
     resolve_initial_distributions,
 )
@@ -197,8 +196,10 @@ def _cmd_classify(args, model) -> dict:
 
 def _cmd_propagate(args, model) -> dict:
     instants = _parse_instants(args.instants)
-    if any(t < 0 for t in instants):
-        raise ValidationError("instants must be nonnegative")
+    for t in instants:
+        if t < 0:  # validate_stream's rule, in its words
+            raise ValidationError(f"time points must be nonnegative, got {t}",
+                                  element=t)
     initials = resolve_initial_distributions(model)
     components = {}
     for c in model.components:
@@ -220,20 +221,15 @@ def _cmd_propagate(args, model) -> dict:
 def _revision_report(revision, model):
     """``revision``: per instant, the revised joints of the paths ending
     there, the revised conditionals of the edges into it and every
-    component's revision, its modes and transitions sorted by mode name.
-    Every other column is one of the revision's flat arrays as it is."""
+    component's revision, its modes and transitions by mode name. Every
+    column is one of the revision's flat arrays as it is."""
     at = np.arange(len(revision))
     blocks = {}
     for c in model.components:
-        names, rank = _names(c), name_ranks(c)
-        stream = revision.components[c.id]
-        # (instant, mode) and (instant, from, to) rows, by name per instant
+        names, stream = _names(c), revision.components[c.id]
         admitted, moves = stream.admitted, stream.transitions
-        kept = np.lexsort((rank[admitted[:, 1]], admitted[:, 0]))
-        order = np.lexsort((rank[moves[:, 2]], rank[moves[:, 1]],
-                            moves[:, 0]))
         blocks[c.id] = {
-            "admitted": Rows(Column(admitted[kept, 1], names),
+            "admitted": Rows(Column(admitted[:, 1], names),
                              np.bincount(admitted[:, 0], minlength=len(at))),
             **{field: {"modes": list(c.modes),
                        "probabilities": [Column(p) for p in values.T]}
@@ -241,10 +237,10 @@ def _revision_report(revision, model):
                                      ("posterior", stream.posteriors))},
             "mass_factor": Column(stream.factors),
             "revised_transitions": Rows({
-                "from": Column(moves[order, 1], names),
-                "probability": Column(stream.entries[order]),
-                "revised": Column(stream.revised_entries[order]),
-                "to": Column(moves[order, 2], names)},
+                "from": Column(moves[:, 1], names),
+                "probability": Column(stream.entries),
+                "revised": Column(stream.revised_entries),
+                "to": Column(moves[:, 2], names)},
                 np.bincount(moves[:, 0], minlength=len(at)))}
 
     counts = np.diff(revision.paths)

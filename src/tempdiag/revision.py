@@ -12,30 +12,30 @@ scores, not probabilities, and the plausibility threshold may be re-checked
 against them.
 
 ``revise_trellis`` computes both revisions over the trellis arrays and
-the forward pass's table: it makes every check first, and only then builds
-the revision of the whole stream, a ``StreamRevision`` of flat arrays with
-modes as indices. It keeps the paths as the table's back-pointers, a few
-numbers per path: ``temporal.SpelledPaths`` spells them as they are read,
-so nothing the revision holds grows with the square of the stream's
-length. Its ``len``, indexing and iteration give each instant's
-``InstantRevision``: its time point and its paths, spelled when it is
-built. ``normalization_factor`` is the global revision's factor.
+the forward pass's table. Both factors are reciprocals of sums, taken
+and checked together before anything else is built; then it builds the
+revision of the whole stream, a ``StreamRevision`` of flat arrays with
+modes as indices, whose ``factors`` are the global revision's. It keeps
+the paths as the table's back-pointers, a few numbers per path:
+``temporal.SpelledPaths`` spells them as they are read, so nothing the
+revision holds grows with the square of the stream's length. Its
+``len``, indexing and iteration give each instant's ``InstantRevision``:
+its time point and its paths, spelled when it is built.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from functools import reduce
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import AllZeroJointsError, ZeroAdmittedMassError
 from .markov import matrix_powers
 from .model import SystemModel
-from .temporal import SpelledPaths, Trellis
+from .temporal import SpelledPaths, Trellis, name_ranks
 
 
 def _total(values: Iterable[float]) -> float:
@@ -43,22 +43,6 @@ def _total(values: Iterable[float]) -> float:
     ``sum`` compensates the rounding of floats, which would make the
     factors differ between Python versions."""
     return reduce(operator.add, values, 0.0)
-
-
-def normalization_factor(joints: Sequence[float]) -> float:
-    """Reciprocal of the summed joint probabilities at an instant.
-
-    Raises:
-        AllZeroJointsError: the sum is 0 (every logically admitted
-            evolution is stochastically impossible) or so small that its
-            reciprocal overflows; revision is undefined.
-    """
-    total = float(_total(joints))
-    factor = 1.0 / total if total > 0.0 else math.inf
-    if not math.isfinite(factor):
-        raise AllZeroJointsError(f"joint probabilities sum to {total!r}, too "
-                                 "little to renormalize; revision is undefined")
-    return factor
 
 
 class InstantRevision(NamedTuple):
@@ -76,8 +60,9 @@ class ComponentStream(NamedTuple):
     are (instants x modes) arrays and ``factors`` has one entry per
     instant. ``admitted`` (|A| x 2: instant, mode) and ``transitions``
     (|T| x 3: instant, from, to, the steps of the admissible edges into
-    the instant) are ascending rows; each step's raw n-step entry and
-    revised score are in ``entries`` and ``revised_entries``."""
+    the instant) are rows ascending by instant and then by mode name,
+    the report's order; each step's raw n-step entry and revised score
+    are in ``entries`` and ``revised_entries``."""
 
     distributions: np.ndarray
     admitted: np.ndarray
@@ -125,23 +110,30 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
     At each instant the joints of the admissible partial evolutions ending
     there are renormalized (global revision) and every component's
     propagated distribution ``pi0 . P^t`` is renormalized over its
-    admitted modes (per-component revision).
+    admitted modes (per-component revision). Both take the reciprocal of
+    a sum added left to right: the joint sums and each component's
+    admitted mass form one instants x (1 + components) array, and every
+    factor is its entry's reciprocal.
 
-    Every check comes first. Each component's admitted modes, ``pi_t``,
-    mass and factor are (instants x modes) arrays; the global factor is
-    taken from the forward pass's joints up to the earliest instant at
-    which a component's factor is not finite. So the first failure raises
-    in order: instant by instant, the global factor before the components,
-    and the components in model order, before any path is spelled out.
+    Every check comes first, before any path is spelled out: the first
+    entry whose reciprocal is not finite raises, in row-major order. So
+    failures raise instant by instant, the joints before the components,
+    and the components in model order. Each ``ComponentStream``'s rows
+    ascend by instant and then by mode name, the report's order.
 
     Raises:
-        AllZeroJointsError: see ``normalization_factor``.
+        AllZeroJointsError: the joints at an instant sum to 0 (every
+            logically admitted evolution is stochastically impossible) or
+            so little that the reciprocal overflows; revision is undefined.
         ZeroAdmittedMassError: a component's admitted modes carry too
             little probability for the reciprocal to be finite.
     """
     count = len(trellis.instants)
     layer = np.repeat(np.arange(count), np.diff(trellis.starts))
-    chains = []
+    paths, parents, candidates, joints = table
+    bounds = paths.tolist()
+    sums, chains = [[_total(joints[p:q].tolist())
+                     for p, q in zip(bounds, bounds[1:])]], []
     for ci, c in enumerate(model.components):
         # pi0 . P^t, not the previous instant's pi . P^n: the two round
         # differently, and chaining drifts from the definition's floats
@@ -149,26 +141,24 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
         kept = np.zeros(pi.shape, dtype=bool)
         kept[layer, trellis.rows[:, ci]] = True
         masked = np.where(kept, pi, 0.0)
-        mass = _total(masked.T)  # the modes added left to right
-        with np.errstate(divide="ignore", over="ignore"):
-            factor = 1.0 / mass
-        chains.append((c, pi, kept, masked, mass, factor))
-    # each component's first instant whose factor is not finite, or count
-    unfit = [np.append(np.flatnonzero(~np.isfinite(factor)), count)[0]
-             for *_, factor in chains]
-
-    paths, parents, candidates, joints = table
-    # the first failure raises: instant by instant, the global factor
-    # before the components, and the components in model order
-    first, bounds = min(unfit, default=count), paths.tolist()
-    norms = np.array([normalization_factor(joints[p:q].tolist())
-                      for p, q in zip(bounds[:first + 1], bounds[1:])])
-    if first < count:
-        c, _, kept, _, mass, _ = chains[unfit.index(first)]
-        admitted = sorted(c.modes[i] for i in np.flatnonzero(kept[first]))
+        sums.append(_total(masked.T))  # the modes added left to right
+        chains.append((c, pi, kept, masked))
+    sums = np.column_stack(sums)
+    with np.errstate(divide="ignore", over="ignore"):
+        factors = 1.0 / sums
+    unfit = np.flatnonzero(~np.isfinite(factors))
+    if len(unfit):
+        k, j = divmod(unfit[0].item(), sums.shape[1])
+        if not j:
+            raise AllZeroJointsError(
+                f"joint probabilities sum to {sums[k, 0].item()!r}, too "
+                "little to renormalize; revision is undefined")
+        c, _, kept, _ = chains[j - 1]
+        admitted = sorted(c.modes[i] for i in np.flatnonzero(kept[k]))
         raise ZeroAdmittedMassError(
             f"admitted modes {admitted} carry probability "
-            f"{float(mass[first])!r}, too little to renormalize")
+            f"{sums[k, j].item()!r}, too little to renormalize")
+    norms = factors[:, 0]
 
     # the admissible edges of all steps, in the trellis' flat order
     flat = np.flatnonzero(trellis.admissible)
@@ -176,19 +166,23 @@ def revise_trellis(trellis: Trellis, model: SystemModel,
     conditionals = trellis.conditionals[flat]
 
     components = {}
-    for ci, (c, pi, kept, masked, _, factor) in enumerate(chains):
-        n = len(c.modes)
-        # each mode step as instant * n^2 + from * n + to at the step's
-        # target instant, from each edge's index (gap * n + from) * n + to
-        # in intp (n^2 may pass its dtype): its edges share one entry
+    for ci, (c, pi, kept, masked) in enumerate(chains):
+        n, rank, factor = len(c.modes), name_ranks(c), factors[:, ci + 1]
+        named = rank.argsort()  # the declared mode of each rank
+        # each mode step keyed (instant * n + from) * n + to at its target
+        # instant, modes by name rank, from each edge's index, (gap * n +
+        # from) * n + to in intp (n^2 may pass its dtype): edges share keys
         index = trellis.entries[ci][flat].astype(np.intp)
-        key = (step + 1) * n * n + index % (n * n)
+        key = ((step + 1) * n + rank[index // n % n]) * n + rank[index % n]
         entry = np.zeros(count * n * n)
         entry[key] = trellis.powers[ci].take(index)
         taken = np.flatnonzero(np.bincount(key, minlength=len(entry)))
         moves = np.stack(np.unravel_index(taken, (count, n, n)), axis=1)
+        moves[:, 1:] = named[moves[:, 1:]]
+        admitted = np.argwhere(kept[:, named])
+        admitted[:, 1] = named[admitted[:, 1]]
         components[c.id] = ComponentStream(
-            pi, np.argwhere(kept), factor, masked * factor[:, None], moves,
+            pi, admitted, factor, masked * factor[:, None], moves,
             entry[taken], entry[taken] * factor[moves[:, 0]])
 
     return StreamRevision(

@@ -29,7 +29,6 @@ from tempdiag import (
     build_trellis,
     classify_faults,
     enumerate_evolutions,
-    normalization_factor,
     predicted_manifestations,
     rank_evolutions,
     resolve_initial_distributions,
@@ -65,6 +64,7 @@ from reference import (
     joint_probability,
     matrix_power,
     named_revision,
+    normalization_factor,
     posterior_component_distribution,
     prior_probability,
     propagate_distribution,
@@ -587,8 +587,9 @@ def check_revision_matches_definitions(cases: int, seed: int = 2034) -> None:
     revision definitions applied to that layer's admissible paths and
     edges: the factor, revised joints and revised conditionals, and per
     component the propagated distribution, admitted modes, mass factor,
-    posterior and revised transitions; or both raise the same error. Modes
-    are renamed so declared order differs from name order."""
+    posterior and revised transitions; or both raise the same error. Every
+    ``ComponentStream``'s rows strictly ascend by instant and then by mode
+    name. Modes are renamed so declared order differs from name order."""
     rng = np.random.default_rng(seed)
     seen, gaps, revised, summed = set(), set(), 0, False
     for _ in range(cases):
@@ -619,15 +620,20 @@ def check_revision_matches_definitions(cases: int, seed: int = 2034) -> None:
                          ) == revised_conditionals
             for c in model.components:
                 cr = component_revision(actual, k, c.id)
-                distribution, indices, f, posterior, steps, *_ = cr
+                distribution, _, f, posterior, *_ = cr
                 admitted, transitions = named_revision(c, cr)
                 assert (distribution.tolist(), admitted, f,
                         posterior.tolist(), transitions) == components[c.id]
-                # index arrays in the documented order
-                assert indices.tolist() == sorted(indices.tolist())
-                assert steps.tolist() == sorted(steps.tolist())
                 summed |= len(admitted) > 2 and list(admitted) != [
                     m for m in c.modes if m in admitted]
+        for c in model.components:
+            # each ComponentStream's rows in the documented order: strictly
+            # ascending by instant, then by mode name
+            stream = actual.components[c.id]
+            for rows in (stream.admitted, stream.transitions):
+                keys = [(k, *(c.modes[i] for i in modes))
+                        for k, *modes in rows.tolist()]
+                assert all(a < b for a, b in zip(keys, keys[1:])), keys
         revised += 1
         seen.add((problem.threshold_mode, problem.criterion))
         gaps.update(np.diff(trellis.instants).tolist())

@@ -4,10 +4,12 @@ Each states one quantity for a single assignment, step or trajectory as
 the definitions write it, with ``ModeAssignment`` objects and no arrays:
 the explanation criteria, the prior, the per-component step factors and
 the step conditional, the admissibility check, the joint by its
-recursion, the global revision of joints and conditionals, and the
-per-component revision and revised transition score. The engine computes
-all of them over mode-index arrays; the property suites and unit tests
-check it against these, bit for bit where the arithmetic is the same.
+recursion, the global revision of joints and conditionals with its
+``normalization_factor``, and the per-component revision with its
+``component_mass_factor`` and revised transition score. The engine
+computes all of them over mode-index arrays, and none of them calls the
+engine's own revision code; the property suites and unit tests check it
+against these, bit for bit where the arithmetic is the same.
 
 Six bridges read the engine's arrays back as objects: ``assignments``
 turns a mode-index array into ``ModeAssignment`` objects, ``decode``
@@ -56,10 +58,10 @@ from tempdiag import (
     StreamRevision,
     SystemModel,
     ThresholdMode,
-    normalization_factor,
     predicted_manifestations,
 )
 from tempdiag.errors import (
+    AllZeroJointsError,
     DiagnosisError,
     DimensionMismatchError,
     EntryRangeError,
@@ -222,6 +224,18 @@ def revise_global(joints: Sequence[float], conditionals: Sequence[float],
             tuple(c * factor for c in conditionals))
 
 
+def normalization_factor(joints: Sequence[float]) -> float:
+    """Global normalization: reciprocal of the summed joint probabilities
+    at an instant."""
+    # summed left to right: sum() compensates rounding from Python 3.12 on
+    total = float(reduce(operator.add, joints, 0.0))
+    factor = 1.0 / total if total > 0.0 else math.inf
+    if not math.isfinite(factor):
+        raise AllZeroJointsError(f"joint probabilities sum to {total!r}, too "
+                                 "little to renormalize; revision is undefined")
+    return factor
+
+
 def component_mass_factor(modes: Sequence[str], pi_t: np.ndarray,
                           admitted: Iterable[str]) -> float:
     """Per-component normalization: reciprocal of the chain mass the
@@ -330,9 +344,9 @@ def instant_revision(revision: StreamRevision, k: int) -> InstantValues:
 
 def component_revision(revision: StreamRevision, k: int, cid: str) -> tuple:
     """Component ``cid``'s revision at instant ``k``, as views of its
-    ``ComponentStream``'s rows: its distribution, admitted modes (ascending),
+    ``ComponentStream``'s rows: its distribution, admitted modes (by name),
     factor, posterior, transitions (a |T| x 2 array of (from, to) modes,
-    ascending), and the transitions' entries and revised scores."""
+    by name), and the transitions' entries and revised scores."""
     c = revision.components[cid]
     i, j = np.searchsorted(c.admitted[:, 0], (k, k + 1)).tolist()
     u, v = np.searchsorted(c.transitions[:, 0], (k, k + 1)).tolist()
@@ -423,7 +437,10 @@ def exact_probability(text: str) -> float | None:
     """The float nearest the value of ``text``, or None if it has none:
     the ``Fraction`` that Python 3.13's ``Fraction(text)`` builds from the
     groups of ``RATIONAL_FORMAT``, as a float. None where ``Fraction`` or
-    ``float`` raises: no match, a zero denominator, an overflow."""
+    ``float`` raises: no match, a zero denominator, an overflow. An
+    exponent that puts a nonzero value certainly past the float range
+    gives None or a signed zero, as ``float`` would, without the power
+    being built; a zero numerator gives 0.0."""
     m = RATIONAL_FORMAT.match(text)
     if m is None:
         return None
@@ -438,6 +455,15 @@ def exact_probability(text: str) -> float | None:
                 denominator *= scale
             if m.group("exp"):
                 exp = int(m.group("exp"))
+                # log10 of the value: past 10**330 it has no float, below
+                # 10**-330 it rounds to zero, and 10**exp would take time
+                scale = exp + math.log10(numerator or 1) - math.log10(
+                    denominator)
+                if numerator and scale > 330:
+                    return None
+                if not numerator or scale < -330:
+                    return -0.0 if numerator and m.group("sign") == "-" \
+                        else 0.0
                 if exp >= 0:
                     numerator *= 10 ** exp
                 else:

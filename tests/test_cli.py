@@ -242,6 +242,14 @@ class TestPropagate:
         code, *_ = run(capsys, "propagate", HYDRAULIC, "--instants", "x,y")
         assert code == 1
 
+    def test_negative_instant_named(self, capsys):
+        # the first negative instant, as validate_stream names a time point
+        report = run_json(capsys, "propagate", HYDRAULIC, "--instants",
+                          "0,-3,-1", expect=1)
+        assert report["error"] == {
+            "code": "invalid_input", "element": -3, "file": None,
+            "message": "time points must be nonnegative, got -3"}
+
     @pytest.mark.parametrize("instants", [",", "", "0,,2"])
     @pytest.mark.parametrize("command", [["propagate"],
                                          ["simulate", "--horizon", "3"]],

@@ -1,6 +1,7 @@
 """JSON ingestion: fractions, schemas, round-trips, canonical reports."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -124,7 +125,27 @@ EDGE_TEXTS = ("-1e-400", "-2.4703282292062327e-324",
               "-1/5" + "0" * 323, "9_9e307",
               # digit groups longer than int reads
               "0." + "1" * 5000, "1." + "0" * 5000, "1e-" + "1" * 5000,
-              "0e" + "1" * 5000)
+              "0e" + "1" * 5000,
+              # exponents whose power of ten would take minutes to build
+              "1e999999999", "-1e-999999999", "0e999999999")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e999999999", None), ("-1e-999999999", -0.0), ("0e999999999", 0.0),
+    ("1e9999999", None), ("-0e-9999999", 0.0), ("25e-325", 5e-324)])
+def test_oracle_builds_no_power_past_the_float_range(text, value):
+    """``exact_probability`` answers an exponent far past the float range
+    in under a millisecond (the best of five calls), with the value
+    ``float(Fraction(text))`` has: None on overflow, a signed zero on
+    underflow."""
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        expect = exact_probability(text)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1e-3, times
+    assert (expect if expect is None else expect.hex()) == (
+        value if value is None else value.hex())
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None, database=None)

@@ -190,3 +190,17 @@ def test_every_error_class_is_raised():
                            else getattr(exc, "id", None))
     assert "NoCandidatesError" in leaves and "ValidationError" not in leaves
     assert sorted(leaves - raised) == []
+
+
+def test_report_sections_sort_nothing():
+    """``cli.py`` calls no numpy sort (``np.lexsort``, ``np.argsort``,
+    ``np.sort``): its report sections only declare columns, and the
+    engine gives their rows in the order the report prints them."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    calls = [f"{node.func.value.id}.{node.func.attr}"
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in ("np", "numpy")
+             and node.func.attr in ("lexsort", "argsort", "sort")]
+    assert not calls, calls

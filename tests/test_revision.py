@@ -18,7 +18,6 @@ from tempdiag import (
     Trellis,
     build_trellis,
     forward_paths,
-    normalization_factor,
     revise_trellis,
 )
 from tempdiag.errors import AllZeroJointsError, ZeroAdmittedMassError
@@ -40,28 +39,97 @@ PI_C_1 = (0.0, 1 / 10, 9 / 10)
 PI_P_1 = (1 / 150, 7 / 15, 1 / 75, 16 / 75, 3 / 10)
 
 
+def global_factor(joints) -> float:
+    """The engine's global factor over a one-instant trellis whose
+    candidates' priors are ``joints``."""
+    n = len(joints)
+    component = ComponentSpec(id="x", modes=tuple(f"m{i}" for i in range(n)),
+                              correct_mode="m0", matrix=np.eye(n))
+    model = SystemModel((component,), ())
+    trellis = trellis_from_layers(
+        model, [0], [np.arange(n)[:, None]], {"x": np.full(n, 1 / n)},
+    )._replace(priors=np.array(joints, dtype=float))
+    return revise_trellis(trellis, model,
+                          forward_paths(trellis)).factors[0].item()
+
+
 class TestNormalizationFactor:
     def test_two_live_evolutions(self):
-        assert normalization_factor([0, 3 / 25, 3 / 10]) == \
+        assert global_factor([0, 3 / 25, 3 / 10]) == \
             pytest.approx(50 / 21, abs=1e-12)
 
     def test_single_joint_reciprocal(self):
-        assert normalization_factor([0.04]) == pytest.approx(25.0, abs=1e-12)
+        assert global_factor([0.04]) == pytest.approx(25.0, abs=1e-12)
 
     def test_all_zero_rejected(self):
         with pytest.raises(AllZeroJointsError):
-            normalization_factor([0.0, 0.0])
+            global_factor([0.0, 0.0])
 
     def test_reciprocal_overflow_rejected(self):
         # the sum is subnormal: its reciprocal rounds to inf
         with pytest.raises(AllZeroJointsError):
-            normalization_factor([1e-310, 0.0])
-        assert normalization_factor([2.3e-308]) == 1 / 2.3e-308
+            global_factor([1e-310, 0.0])
+        assert global_factor([2.3e-308]) == 1 / 2.3e-308
 
     def test_summed_left_to_right(self):
         # a compensated sum (sum() from Python 3.12 on) is
         # 1.0000000000000002, whose reciprocal is 0.9999999999999998
-        assert normalization_factor([1.0, 1e-16, 1e-16]) == 1.0
+        assert global_factor([1.0, 1e-16, 1e-16]) == 1.0
+
+
+class TestFailureOrder:
+    """Which of several failing reciprocals raises: instant by instant,
+    the joints before the components, and the components in model order.
+    On a built trellis a component's admitted mass bounds the joint sum,
+    so the joints always fail first; here the initial distributions are
+    replaced after the priors are taken from them."""
+
+    X = ComponentSpec(id="x", modes=("a", "b"), correct_mode="a",
+                      matrix=np.eye(2))
+    Y = ComponentSpec(id="y", modes=("c", "d"), correct_mode="c",
+                      matrix=np.eye(2))
+
+    def revise(self, components, layers, initials, replaced):
+        model = SystemModel(components, ())
+        trellis = trellis_from_layers(
+            model, range(len(layers)), [np.array(layer) for layer in layers],
+            {c.id: np.array(initials[c.id], dtype=float)
+             for c in components})
+        trellis = trellis._replace(initials={
+            c.id: np.array(replaced.get(c.id, initials[c.id]), dtype=float)
+            for c in components})
+        return revise_trellis(trellis, model, forward_paths(trellis))
+
+    def test_joints_before_a_component_at_one_instant(self):
+        # x's mass on a is 0 at t=0, and so is the only joint
+        with pytest.raises(AllZeroJointsError) as raised:
+            self.revise((self.X,), [[[0]]], {"x": [0, 1]}, {})
+        assert str(raised.value) == (
+            "joint probabilities sum to 0.0, too little to renormalize; "
+            "revision is undefined")
+
+    def test_first_component_in_model_order(self):
+        # both masses are 0 at t=0, on x's a and on y's c
+        initials, zeroed = {"x": [1, 0], "y": [1, 0]}, {"x": [0, 1],
+                                                        "y": [0, 1]}
+        for components, admitted in (((self.X, self.Y), "a"),
+                                     ((self.Y, self.X), "c")):
+            with pytest.raises(ZeroAdmittedMassError) as raised:
+                self.revise(components, [[[0, 0]]], initials, zeroed)
+            assert str(raised.value) == (
+                f"admitted modes ['{admitted}'] carry probability 0.0, too "
+                "little to renormalize")
+
+    def test_component_at_one_instant_before_joints_at_the_next(self):
+        # x stays put, so the step from a to b zeroes the joint at t=1
+        layers, initials = [[[0]], [[1]]], {"x": [1, 0]}
+        with pytest.raises(AllZeroJointsError):
+            self.revise((self.X,), layers, initials, {})
+        with pytest.raises(ZeroAdmittedMassError) as raised:
+            self.revise((self.X,), layers, initials, {"x": [0, 1]})
+        assert str(raised.value) == (
+            "admitted modes ['a'] carry probability 0.0, too little to "
+            "renormalize")
 
 
 class TestReviseGlobal:
